@@ -37,16 +37,16 @@ from .errors import (
     PreconditionViolated,
     ValidationFailed,
 )
-from .families import (
-    EndDescriptor,
-    _FAMILY_KINDS,
-    _TreeBranchEnds,
-    ball,
-    end_degree_estimate,
-    make_family,
+from .families import FAMILY_KINDS, ball, end_degree_estimate, find_end, make_family
+from .graphs import MultiGraph, small_degree_set
+from .io import (
+    from_edge_list,
+    from_graph6,
+    graph_id,
+    to_edge_list,
+    to_graph6,
+    to_json_obj,
 )
-from .graphs import Graph, MultiGraph, small_degree_set
-from .io import from_edge_list, from_graph6, to_edge_list, to_graph6, to_json_obj
 from .minimality import MinimalityClass, check_class, classify
 from .witnesses import (
     crossing_separators_witness,
@@ -99,13 +99,6 @@ def _read_graphs(args) -> list:
     return [from_graph6(ln) for ln in lines]
 
 
-def _graph_label(g) -> str:
-    if isinstance(g, MultiGraph):
-        body = ";".join(f"{u}-{v}x{m}" for (u, v), m in sorted(g.mult.items()))
-        return f"multigraph:{g.n}:{body}"
-    return to_graph6(g)
-
-
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -132,7 +125,7 @@ def cmd_check(args) -> int:
         _print_json(
             [
                 {
-                    "graph": _graph_label(g),
+                    "graph": graph_id(g),
                     "k": args.k,
                     "classes": {
                         cls.flag_name(args.k): r.to_json_obj()
@@ -149,14 +142,14 @@ def cmd_check(args) -> int:
                 ("yes" if results[cls].holds else "no") if cls in results else "-"
                 for cls in MinimalityClass
             ]
-            print(f"{_graph_label(g)},{g.n},{args.k},{','.join(cells)}")
+            print(f"{graph_id(g)},{g.n},{args.k},{','.join(cells)}")
     else:
         for g, results in reports:
             flags = " ".join(
                 f"{cls.flag_name(args.k)}={'yes' if r.holds else 'no'}"
                 for cls, r in results.items()
             )
-            print(f"{_graph_label(g)}: {flags}")
+            print(f"{graph_id(g)}: {flags}")
     return EXIT_OK
 
 
@@ -193,7 +186,7 @@ def cmd_witness(args) -> int:
 
     report = witness_report(g, cls, args.k)
     obj = report.to_json_obj()
-    obj["graph"] = _graph_label(g)
+    obj["graph"] = graph_id(g)
     if args.explain:
         obj["trace"] = _explain_trace(g, cls, args.k)
 
@@ -217,7 +210,7 @@ def cmd_witness(args) -> int:
 
 def _verify_row(g, k: int, held: list[MinimalityClass]):
     deg_k = small_degree_set(g, k)
-    deg_small = small_degree_set(g, (3 * k) // 2 - 1)
+    deg_small = small_degree_set(g, degree_bound(MinimalityClass.VERTEX_MIN_CONN, k))
     counts = {
         MinimalityClass.EDGE_MIN_CONN: len(deg_k),
         MinimalityClass.VERTEX_MIN_CONN: len(deg_small),
@@ -343,7 +336,7 @@ def _build_construction(spec: str, radius: int | None):
     if head == "cycle-clique":
         p = _parse_params(head, rest, ("k", "l"))
         return cycle_clique_strong(p["k"], p["l"]), {}
-    if head in _FAMILY_KINDS:
+    if head in FAMILY_KINDS:
         if radius is None:
             raise InvalidParams(f"family {head!r} needs --radius to truncate")
         f = make_family(spec)
@@ -351,7 +344,7 @@ def _build_construction(spec: str, radius: int | None):
         return b.graph, {repr(t): i for i, t in enumerate(b.tags)}
     raise InvalidParams(
         f"unknown construction {head!r}; known: band, multipath, path-square, "
-        f"cycle-clique, {', '.join(sorted(_FAMILY_KINDS))}"
+        f"cycle-clique, {', '.join(sorted(FAMILY_KINDS))}"
     )
 
 
@@ -377,26 +370,9 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _find_end(f, label: str) -> EndDescriptor:
-    for e in f.ends(1):
-        if e.label == label:
-            return e
-    if label.startswith("branch-") and isinstance(f, _TreeBranchEnds):
-        try:
-            parts = tuple(int(x) for x in label[len("branch-"):].split("-"))
-        except ValueError as exc:
-            raise InvalidParams(f"bad branch label {label!r}") from exc
-        if not parts or parts[0] not in range(f._root_branching()) or any(
-            c not in range(f._inner_branching()) for c in parts[1:]
-        ):
-            raise InvalidParams(f"branch indices out of range in {label!r}")
-        return EndDescriptor(f.describe(), parts, label)
-    raise InvalidParams(f"family {f.describe()!r} has no end {label!r}")
-
-
 def cmd_end_degree(args) -> int:
     f = make_family(args.family)
-    end = _find_end(f, args.end)
+    end = find_end(f, args.end)
     est = end_degree_estimate(
         f,
         end,

@@ -18,8 +18,8 @@ over a window of radii and still separates on a strictly larger ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 from itertools import product
 
 from .connectivity import max_disjoint_paths
@@ -143,10 +143,6 @@ class Family:
         return self.name
 
 
-def _sign_end(family: str, direction: int, label: str) -> EndDescriptor:
-    return EndDescriptor(family, direction, label)
-
-
 class _TwoEnded(Family):
     """Shared machinery for families whose tags carry a column number."""
 
@@ -155,7 +151,7 @@ class _TwoEnded(Family):
 
     def ends(self, depth: int = 1) -> list[EndDescriptor]:
         d = self.describe()
-        return [_sign_end(d, -1, "left"), _sign_end(d, +1, "right")]
+        return [EndDescriptor(d, -1, "left"), EndDescriptor(d, +1, "right")]
 
     def in_direction(self, tag: Tag, end: EndDescriptor) -> bool:
         c = self.column(tag)
@@ -233,105 +229,6 @@ class DoubleRaySquare(_TwoEnded):
 
 
 @dataclass(frozen=True)
-class StrongDoubleRayKk(_TwoEnded):
-    """Strong product of the double ray with a k-clique; (3k-1)-regular.
-
-    Tags (i, c): column i, clique position c.  Vertex-minimally
-    k-connected with no vertex of degree <= floor(3k/2)-1; the guaranteed
-    small objects are the two ends, of vertex-degree exactly k.
-    """
-
-    name = "strong-dr"
-    k: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise InvalidParams("strong-dr needs k >= 2")
-
-    def describe(self):
-        return f"strong-dr:k={self.k}"
-
-    def center(self):
-        return (0, 0)
-
-    def neighbors(self, tag):
-        i, c = tag
-        out = [(i, cc) for cc in range(self.k) if cc != c]
-        out += [(i - 1, cc) for cc in range(self.k)]
-        out += [(i + 1, cc) for cc in range(self.k)]
-        return out
-
-    def distance(self, tag):
-        i, c = tag
-        if i == 0:
-            return 0 if c == 0 else 1
-        return abs(i)
-
-    def column(self, tag):
-        return tag[0]
-
-    def direction_tag_at(self, end, dist):
-        return (end.direction * dist, 0)
-
-    def degree_set(self):
-        return frozenset({3 * self.k - 1})
-
-    def declared_classes(self):
-        return ((MinimalityClass.VERTEX_MIN_CONN, self.k),)
-
-    def expected_end_degree(self, end, mode):
-        return self.k if mode == "vertex" else self.k * self.k
-
-
-@dataclass(frozen=True)
-class CartesianDoubleRayKk(_TwoEnded):
-    """Cartesian product of the double ray with a k-clique; (k+1)-regular.
-
-    Vertex-minimally k-edge-connected with all degrees k+1; both ends
-    have vertex-degree (and edge-degree) exactly k.  For k = 2 this is
-    the double ladder.
-    """
-
-    name = "cartesian-dr"
-    k: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise InvalidParams("cartesian-dr needs k >= 2")
-
-    def describe(self):
-        return f"cartesian-dr:k={self.k}"
-
-    def center(self):
-        return (0, 0)
-
-    def neighbors(self, tag):
-        i, c = tag
-        out = [(i, cc) for cc in range(self.k) if cc != c]
-        out += [(i - 1, c), (i + 1, c)]
-        return out
-
-    def distance(self, tag):
-        i, c = tag
-        return abs(i) + (1 if c != 0 else 0)
-
-    def column(self, tag):
-        return tag[0]
-
-    def direction_tag_at(self, end, dist):
-        return (end.direction * dist, 0)
-
-    def degree_set(self):
-        return frozenset({self.k + 1})
-
-    def declared_classes(self):
-        return ((MinimalityClass.VERTEX_MIN_EDGE_CONN, self.k),)
-
-    def expected_end_degree(self, end, mode):
-        return self.k
-
-
-@dataclass(frozen=True)
 class MultiPathInfinite(_TwoEnded):
     """The double ray with every edge multiplied k times.
 
@@ -400,204 +297,81 @@ class MultiPathInfinite(_TwoEnded):
 # ---------------------------------------------------------------------------
 
 
-class _TreeBranchEnds(Family):
-    """Shared end handling for families indexed by tree paths.
+@dataclass(frozen=True)
+class _Tree(Family):
+    """The rooted tree whose root has `root` children and every other
+    vertex `inner` children: the base oracle of the tree families.
 
-    A tree path is a tuple of child indices from the root; directions
-    are path prefixes, and the end of a tag is read off its prefix.
+    Tags are child-index paths from the root.  Directions are path
+    prefixes, labelled "branch-i-j-...", and the end of a tag is read
+    off its prefix.
     """
 
-    def _root_branching(self) -> int:
-        raise NotImplementedError
+    name = "tree"
+    root: int
+    inner: int
 
-    def _inner_branching(self) -> int:
-        raise NotImplementedError
+    def center(self):
+        return ()
 
-    def _tree_path(self, tag) -> tuple[int, ...]:
-        raise NotImplementedError
+    def neighbors(self, tag):
+        out = [tag + (c,) for c in range(self.inner if tag else self.root)]
+        if tag:
+            out.append(tag[:-1])
+        return out
+
+    def distance(self, tag):
+        return len(tag)
 
     def ends(self, depth: int = 1) -> list[EndDescriptor]:
         if depth < 1:
             raise InvalidParams("end depth must be at least 1")
         d = self.describe()
-        r0, ri = self._root_branching(), self._inner_branching()
-        dirs = product(range(r0), *([range(ri)] * (depth - 1)))
-        return [
-            EndDescriptor(d, tuple(t), "branch-" + "-".join(map(str, t))) for t in dirs
-        ]
+        dirs = product(range(self.root), *([range(self.inner)] * (depth - 1)))
+        return [EndDescriptor(d, t, "branch-" + "-".join(map(str, t))) for t in dirs]
 
     def in_direction(self, tag, end):
-        p = self._tree_path(tag)
-        d = end.direction
-        return len(p) >= len(d) and p[: len(d)] == d
+        return tag[: len(end.direction)] == end.direction
+
+    def direction_tag_at(self, end, dist):
+        return (end.direction + (0,) * dist)[:dist]
 
     def witness_end_depth(self):
         # Depth-1 direction nodes are base-ball vertices; their whole
         # subtree must be cut around.  Depth 2 isolates single ends.
         return 2
 
-    def _extend_path(self, end, length) -> tuple[int, ...]:
-        d = end.direction
-        if length <= len(d):
-            return d[:length]
-        return d + (0,) * (length - len(d))
-
-
-@dataclass(frozen=True)
-class StrongTreeKk(_TreeBranchEnds):
-    """Strong product of the r-regular infinite tree with a k-clique.
-
-    Tags (path, c).  Vertex-minimally k-connected; all degrees rk+k-1,
-    so the small-degree guarantee is carried entirely by the ends, each
-    of vertex-degree k.
-    """
-
-    name = "strong-tree"
-    r: int
-    k: int
-
-    def __post_init__(self):
-        if self.r < 3 or self.k < 2:
-            raise InvalidParams("strong-tree needs r >= 3 and k >= 2")
-
-    def describe(self):
-        return f"strong-tree:r={self.r},k={self.k}"
-
-    def center(self):
-        return ((), 0)
-
-    def _children(self, path):
-        width = self.r if not path else self.r - 1
-        return [path + (c,) for c in range(width)]
-
-    def neighbors(self, tag):
-        path, c = tag
-        out = [(path, cc) for cc in range(self.k) if cc != c]
-        nodes = self._children(path)
-        if path:
-            nodes.append(path[:-1])
-        for q in nodes:
-            out += [(q, cc) for cc in range(self.k)]
-        return out
-
-    def distance(self, tag):
-        path, c = tag
-        if not path:
-            return 0 if c == 0 else 1
-        return len(path)
-
-    def _root_branching(self):
-        return self.r
-
-    def _inner_branching(self):
-        return self.r - 1
-
-    def _tree_path(self, tag):
-        return tag[0]
-
-    def direction_tag_at(self, end, dist):
-        return (self._extend_path(end, dist), 0)
-
-    def start_radius(self):
-        return 3
-
     def max_radius(self):
         return 9
 
     def degree_set(self):
-        return frozenset({self.r * self.k + self.k - 1})
-
-    def declared_classes(self):
-        return ((MinimalityClass.VERTEX_MIN_CONN, self.k),)
-
-    def expected_end_degree(self, end, mode):
-        return self.k if mode == "vertex" else self.k * self.k
+        return frozenset({self.root, self.inner + 1})
 
 
 @dataclass(frozen=True)
-class CartesianTreeKk(_TreeBranchEnds):
-    """Cartesian product of the r-regular infinite tree with a k-clique.
-
-    Vertex-minimally k-edge-connected, (r+k-1)-regular; every end has
-    vertex-degree k.
-    """
-
-    name = "cartesian-tree"
-    r: int
-    k: int
-
-    def __post_init__(self):
-        if self.r < 3 or self.k < 2:
-            raise InvalidParams("cartesian-tree needs r >= 3 and k >= 2")
-
-    def describe(self):
-        return f"cartesian-tree:r={self.r},k={self.k}"
-
-    def center(self):
-        return ((), 0)
-
-    def _children(self, path):
-        width = self.r if not path else self.r - 1
-        return [path + (c,) for c in range(width)]
-
-    def neighbors(self, tag):
-        path, c = tag
-        out = [(path, cc) for cc in range(self.k) if cc != c]
-        out += [(q, c) for q in self._children(path)]
-        if path:
-            out.append((path[:-1], c))
-        return out
-
-    def distance(self, tag):
-        path, c = tag
-        return len(path) + (1 if c != 0 else 0)
-
-    def _root_branching(self):
-        return self.r
-
-    def _inner_branching(self):
-        return self.r - 1
-
-    def _tree_path(self, tag):
-        return tag[0]
-
-    def direction_tag_at(self, end, dist):
-        return (self._extend_path(end, dist), 0)
-
-    def max_radius(self):
-        return 9
-
-    def degree_set(self):
-        return frozenset({self.r + self.k - 1})
-
-    def declared_classes(self):
-        return ((MinimalityClass.VERTEX_MIN_EDGE_CONN, self.k),)
-
-    def expected_end_degree(self, end, mode):
-        return self.k
-
-
-@dataclass(frozen=True)
-class CliqueTree(_TreeBranchEnds):
+class CliqueTree(Family):
     """A tree of k-cliques: every vertex has rk children, grouped into r
     k-cliques.
 
-    Tags are child-index paths from the root.  Edge-minimally
-    k-edge-connected -- detaching the subtree below any vertex cuts its
-    parent edge plus its k-1 clique edges, a cut of size k through every
-    edge -- yet the minimum degree is rk, so no vertex witnesses the
-    degree theorem; every end has edge-degree k instead.
+    Tags are child-index paths from the root, and the ends are those of
+    the rk-ary tree underneath.  Edge-minimally k-edge-connected --
+    detaching the subtree below any vertex cuts its parent edge plus its
+    k-1 clique edges, a cut of size k through every edge -- yet the
+    minimum degree is rk, so no vertex witnesses the degree theorem;
+    every end has edge-degree k instead.
     """
 
     name = "clique-tree"
     r: int
     k: int
+    base: _Tree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r < 1 or self.k < 1:
             raise InvalidParams("clique-tree needs r >= 1 and k >= 1")
         if self.r * self.k < 2:
             raise InvalidParams("clique-tree needs rk >= 2 to branch")
+        object.__setattr__(self, "base", _Tree(self.r * self.k, self.r * self.k))
 
     def describe(self):
         return f"clique-tree:r={self.r},k={self.k}"
@@ -606,12 +380,10 @@ class CliqueTree(_TreeBranchEnds):
         return ()
 
     def neighbors(self, tag):
-        rk = self.r * self.k
-        out = [tag + (c,) for c in range(rk)]
+        out = self.base.neighbors(tag)
         if tag:
             last = tag[-1]
             group = last // self.k
-            out.append(tag[:-1])
             out += [
                 tag[:-1] + (cc,)
                 for cc in range(group * self.k, (group + 1) * self.k)
@@ -622,17 +394,17 @@ class CliqueTree(_TreeBranchEnds):
     def distance(self, tag):
         return len(tag)
 
-    def _root_branching(self):
-        return self.r * self.k
+    def ends(self, depth=1):
+        return [replace(e, family=self.describe()) for e in self.base.ends(depth)]
 
-    def _inner_branching(self):
-        return self.r * self.k
-
-    def _tree_path(self, tag):
-        return tag
+    def in_direction(self, tag, end):
+        return self.base.in_direction(tag, end)
 
     def direction_tag_at(self, end, dist):
-        return self._extend_path(end, dist)
+        return self.base.direction_tag_at(end, dist)
+
+    def witness_end_depth(self):
+        return self.base.witness_end_depth()
 
     def max_radius(self):
         return 7
@@ -646,6 +418,89 @@ class CliqueTree(_TreeBranchEnds):
 
     def expected_end_degree(self, end, mode):
         return 1 if mode == "vertex" else self.k
+
+
+# ---------------------------------------------------------------------------
+# a base times a clique
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CliqueProduct(Family):
+    """The double ray (r None) or the r-regular tree, times a k-clique.
+
+    Tags (x, c): base vertex x, clique position c.  A base vertex of
+    degree d has degree dk+k-1 under the strong product and d+k-1 under
+    the cartesian one (the double ladder for the double ray and k = 2).
+    Strong products are vertex-minimally k-connected with no vertex of
+    degree <= floor(3k/2)-1; cartesian ones are vertex-minimally
+    k-edge-connected with all degrees above k.  Either way the guaranteed
+    small objects are the ends, each of vertex-degree exactly k.
+    """
+
+    strong: bool
+    k: int
+    r: int | None = None
+    base: Family = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tree = self.r is not None
+        if self.k < 2 or (tree and self.r < 3):
+            raise InvalidParams(f"{self.name} needs {'r >= 3 and ' if tree else ''}k >= 2")
+        object.__setattr__(self, "base", _Tree(self.r, self.r - 1) if tree else DoubleRay())
+
+    @property
+    def name(self):
+        shape = "dr" if self.r is None else "tree"
+        return f"{'strong' if self.strong else 'cartesian'}-{shape}"
+
+    def describe(self):
+        r = "" if self.r is None else f"r={self.r},"
+        return f"{self.name}:{r}k={self.k}"
+
+    def center(self):
+        return (self.base.center(), 0)
+
+    def neighbors(self, tag):
+        # Clique first, then base neighbors in base order: this order fixes
+        # ball indices, hence separators and certificates.
+        x, c = tag
+        out = [(x, cc) for cc in range(self.k) if cc != c]
+        for y in self.base.neighbors(x):
+            out += [(y, cc) for cc in range(self.k)] if self.strong else [(y, c)]
+        return out
+
+    def distance(self, tag):
+        x, c = tag
+        d, step = self.base.distance(x), 1 if c else 0
+        return max(d, step) if self.strong else d + step
+
+    def ends(self, depth=1):
+        return [replace(e, family=self.describe()) for e in self.base.ends(depth)]
+
+    def in_direction(self, tag, end):
+        return self.base.in_direction(tag[0], end)
+
+    def direction_tag_at(self, end, dist):
+        return (self.base.direction_tag_at(end, dist), 0)
+
+    def witness_end_depth(self):
+        return self.base.witness_end_depth()
+
+    def max_radius(self):
+        return self.base.max_radius()
+
+    def degree_set(self):
+        k, degs = self.k, self.base.degree_set()
+        return frozenset((d + 1) * k - 1 if self.strong else d + k - 1 for d in degs)
+
+    def declared_classes(self):
+        if self.strong:
+            return ((MinimalityClass.VERTEX_MIN_CONN, self.k),)
+        return ((MinimalityClass.VERTEX_MIN_EDGE_CONN, self.k),)
+
+    def expected_end_degree(self, end, mode):
+        return self.k * self.k if self.strong and mode == "edge" else self.k
 
 
 # ---------------------------------------------------------------------------
@@ -745,13 +600,13 @@ class RayBundle(_TwoEnded):
 # family construction and balls
 # ---------------------------------------------------------------------------
 
-_FAMILY_KINDS = {
+FAMILY_KINDS = {
     "double-ray": (DoubleRay, ()),
     "dr-square": (DoubleRaySquare, ()),
-    "strong-dr": (StrongDoubleRayKk, ("k",)),
-    "cartesian-dr": (CartesianDoubleRayKk, ("k",)),
-    "strong-tree": (StrongTreeKk, ("r", "k")),
-    "cartesian-tree": (CartesianTreeKk, ("r", "k")),
+    "strong-dr": (partial(CliqueProduct, True), ("k",)),
+    "cartesian-dr": (partial(CliqueProduct, False), ("k",)),
+    "strong-tree": (partial(CliqueProduct, True), ("r", "k")),
+    "cartesian-tree": (partial(CliqueProduct, False), ("r", "k")),
     "clique-tree": (CliqueTree, ("r", "k")),
     "ray-bundle": (RayBundle, ("k", "l")),
     "multipath-inf": (MultiPathInfinite, ("k",)),
@@ -761,11 +616,11 @@ _FAMILY_KINDS = {
 def make_family(text: str) -> Family:
     """Parse a family description like "clique-tree:r=2,k=4"."""
     head, _, rest = text.strip().partition(":")
-    if head not in _FAMILY_KINDS:
+    if head not in FAMILY_KINDS:
         raise InvalidParams(
-            f"unknown family {head!r}; known: {', '.join(sorted(_FAMILY_KINDS))}"
+            f"unknown family {head!r}; known: {', '.join(sorted(FAMILY_KINDS))}"
         )
-    cls, keys = _FAMILY_KINDS[head]
+    cls, keys = FAMILY_KINDS[head]
     params = {}
     if rest:
         for part in rest.split(","):
@@ -781,6 +636,26 @@ def make_family(text: str) -> Family:
     if missing:
         raise InvalidParams(f"family {head!r} is missing parameters {missing}")
     return cls(**params)
+
+
+def find_end(f: Family, label: str) -> EndDescriptor:
+    """The end of `f` that `label` names: one of `f.ends(1)`, or on a
+    tree family any deeper direction "branch-i-j-..."."""
+    for e in f.ends(1):
+        if e.label == label:
+            return e
+    tree = getattr(f, "base", None)
+    if label.startswith("branch-") and isinstance(tree, _Tree):
+        try:
+            path = tuple(int(x) for x in label[len("branch-"):].split("-"))
+        except ValueError as exc:
+            raise InvalidParams(f"bad branch label {label!r}") from exc
+        if path[0] not in range(tree.root) or any(
+            c not in range(tree.inner) for c in path[1:]
+        ):
+            raise InvalidParams(f"branch indices out of range in {label!r}")
+        return EndDescriptor(f.describe(), path, label)
+    raise InvalidParams(f"family {f.describe()!r} has no end {label!r}")
 
 
 @lru_cache(maxsize=16)
@@ -954,6 +829,8 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
         raise InvalidParams("window must be at least 1")
     r_hi = min(r_max, f.max_radius())
     start = f.start_radius()
+    if r_hi < start:  # no radius to measure, so no bound to report
+        raise InvalidParams(f"radius bound {r_hi} is below the start radius {start}")
     base = ball(f, f.base_radius())
     base_tags = set(base.tags)
 
@@ -1004,7 +881,7 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
         mode=mode,
         value=None,
         lower=0,
-        upper=upper if upper is not None else 0,
+        upper=upper,
         converged=False,
         radius_used=r_hi,
         history=tuple(history),

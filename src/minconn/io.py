@@ -14,9 +14,13 @@ from .errors import InvalidParams
 from .graphs import Graph, MultiGraph
 
 
+# The largest order graph6's 4-byte header holds; edge lists share it.
+MAX_ORDER = 258047
+
+
 def to_graph6(g: Graph) -> str:
-    if g.n > 258047:
-        raise InvalidParams("graph6 supported up to n < 2^18 here")
+    if g.n > MAX_ORDER:
+        raise InvalidParams(f"graph6 supported up to n = {MAX_ORDER} here")
     if g.n <= 62:
         head = [g.n + 63]
     else:
@@ -37,29 +41,34 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(line: str) -> Graph:
+    """Parse one graph6 string; anything but the exact canonical bytes
+    for its order (header, body length, zero padding) is rejected."""
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[10:]
     if not s:
         raise InvalidParams("empty graph6 line")
-    data = [c - 63 for c in s.encode("ascii")]
+    data = [ord(c) - 63 for c in s]
     if any(d < 0 or d > 63 for d in data):
         raise InvalidParams(f"bad graph6 byte in {line!r}")
     if data[0] == 63:  # 126: long form
         if len(data) < 4:
             raise InvalidParams("truncated graph6 header")
         n = (data[1] << 12) | (data[2] << 6) | data[3]
+        if not 63 <= n <= MAX_ORDER:
+            raise InvalidParams(f"graph6 long-form header for n = {n}")
         data = data[4:]
     else:
         n = data[0]
         data = data[1:]
     need = n * (n - 1) // 2
-    bits = []
-    for d in data:
-        for shift in range(5, -1, -1):
-            bits.append((d >> shift) & 1)
-    if len(bits) < need:
-        raise InvalidParams("graph6 body too short")
+    if len(data) != (need + 5) // 6:
+        raise InvalidParams(
+            f"graph6 body for n = {n} takes {(need + 5) // 6} bytes, not {len(data)}"
+        )
+    bits = [(d >> shift) & 1 for d in data for shift in range(5, -1, -1)]
+    if any(bits[need:]):
+        raise InvalidParams("nonzero graph6 padding bits")
     edges = []
     k = 0
     for j in range(1, n):
@@ -94,11 +103,16 @@ def from_edge_list(text: str, multigraph: bool = False):
         n, m = (int(x) for x in rows[0].split())
     except ValueError as exc:
         raise InvalidParams(f"bad edge-list header {rows[0]!r}") from exc
+    if n > MAX_ORDER:
+        raise InvalidParams(f"edge list declares {n} vertices, over {MAX_ORDER}")
     if len(rows) - 1 != m:
         raise InvalidParams(f"edge list declares {m} edges, has {len(rows) - 1}")
     edges = []
     for r in rows[1:]:
-        parts = [int(x) for x in r.split()]
+        try:
+            parts = [int(x) for x in r.split()]
+        except ValueError as exc:
+            raise InvalidParams(f"bad edge row {r!r}") from exc
         if multigraph:
             if len(parts) == 2:
                 parts.append(1)
@@ -110,6 +124,15 @@ def from_edge_list(text: str, multigraph: bool = False):
                 raise InvalidParams(f"bad edge row {r!r}")
             edges.append(tuple(parts))
     return MultiGraph(n, edges) if multigraph else Graph(n, edges)
+
+
+def graph_id(g) -> str:
+    """A one-line name: graph6 for a simple graph, the order and sorted
+    edge multiplicities for a multigraph."""
+    if isinstance(g, MultiGraph):
+        body = ";".join(f"{u}-{v}x{m}" for (u, v), m in sorted(g.mult.items()))
+        return f"multigraph:{g.n}:{body}"
+    return to_graph6(g)
 
 
 def to_json_obj(g, labels: dict[str, int] | None = None, **extra) -> dict:

@@ -24,7 +24,7 @@ from enum import Enum
 from .connectivity import is_k_connected, is_k_edge_connected
 from .errors import InvalidParams, TooSmall
 from .graphs import Edge, Graph, MultiGraph
-from .io import to_graph6
+from .io import graph_id
 
 
 class MinimalityClass(Enum):
@@ -182,13 +182,6 @@ def check_class(g: Graph | MultiGraph, cls: MinimalityClass, k: int) -> Predicat
     return _PREDICATES[cls](g, k)
 
 
-def _graph_id(g: Graph | MultiGraph) -> str:
-    if isinstance(g, MultiGraph):
-        body = ";".join(f"{u}-{v}x{m}" for (u, v), m in sorted(g.mult.items()))
-        return f"multigraph:{g.n}:{body}"
-    return to_graph6(g)
-
-
 @dataclass
 class ClassificationReport:
     """All class predicates for one graph at one k.
@@ -223,4 +216,4 @@ def classify(g: Graph | MultiGraph, k: int) -> ClassificationReport:
     else:
         wanted = list(MinimalityClass)
     results = {cls: _PREDICATES[cls](g, k) for cls in wanted}
-    return ClassificationReport(_graph_id(g), k, results)
+    return ClassificationReport(graph_id(g), k, results)

@@ -250,7 +250,7 @@ def crossing_separators_witness(g: Graph, region: Region, k: int,
             assert name != "C2", "witness must lie in the region when its outside is larger"
 
         assert 2 * len(X) + len(T_star) <= k, "small-set inequality violated"
-        bound = (3 * k) // 2 - 1
+        bound = degree_bound(MinimalityClass.VERTEX_MIN_CONN, k)
         witness = min(X, key=lambda v: (g.degree(v), v))
         assert g.degree(witness) <= k + len(X) - 1 <= bound
 

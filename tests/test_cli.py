@@ -69,6 +69,23 @@ class TestCheck:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("graph6", ["EhEGGGGG", "D\u00e9", "Bx"])
+    def test_malformed_graph6_is_parse_error(self, capsys, graph6):
+        # trailing bytes, a non-ASCII byte, nonzero padding bits
+        code, out, err = invoke(["check", "--k", "2", graph6], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error") and len(err.splitlines()) == 1
+
+    def test_malformed_edge_list_is_parse_error(self, capsys, monkeypatch):
+        code, out, err = invoke(
+            ["check", "--k", "1", "--input", "edge-list"],
+            capsys,
+            monkeypatch,
+            stdin_text="3 2\n0 x\n1 2\n",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("parse error") and len(err.splitlines()) == 1
+
     def test_edge_list_multigraph(self, capsys, monkeypatch):
         code, out, _ = invoke(
             ["check", "--k", "3", "--input", "edge-list", "--multi"],
@@ -278,6 +295,18 @@ class TestEndDegree:
         )
         assert code == 0
         assert out.startswith("unconverged upper=1")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dr-square", "left", "vertex", "--rmax", "2"],  # start radius 3
+            ["ray-bundle:k=2,l=20", "left", "vertex"],  # start 23 > max 20
+        ],
+    )
+    def test_no_radius_measured_is_an_error(self, capsys, argv):
+        code, out, err = invoke(["end-degree", *argv], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "start radius" in err
 
     def test_strict_unconverged(self, capsys):
         code, _, err = invoke(

@@ -6,10 +6,18 @@ from minconn.families import (
     ball,
     certify_essential_edges,
     end_degree_estimate,
+    find_end,
     make_family,
     validate_family,
 )
-from minconn.graphs import Graph, cycle_graph, path_graph
+from minconn.graphs import (
+    Graph,
+    cartesian_product,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    strong_product,
+)
 
 ALL_SPECS = [
     "double-ray",
@@ -132,6 +140,36 @@ class TestFamilyStructure:
         assert [e.label for e in f.ends(1)] == ["branch-0", "branch-1", "branch-2"]
         assert len(f.ends(2)) == 6  # 3 root branches x 2 inner
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "kind,finite", [("strong-dr", strong_product), ("cartesian-dr", cartesian_product)]
+    )
+    def test_product_matches_finite_product(self, kind, finite, k):
+        # Columns -m..m of the infinite product induce the finite product
+        # of a path with K_k, vertex (i, c) numbered (i + m) * k + c.
+        m = 3
+        f = make_family(f"{kind}:k={k}")
+        index = {(i, c): (i + m) * k + c for i in range(-m, m + 1) for c in range(k)}
+        edges = [(index[t], index[u]) for t in index for u in f.neighbors(t) if u in index]
+        assert Graph(len(index), edges) == finite(path_graph(2 * m + 1), complete_graph(k))
+
+    def test_find_end(self):
+        f = make_family("cartesian-tree:r=3,k=2")
+        end = find_end(f, "branch-2-1-0")
+        assert (end.family, end.direction) == ("cartesian-tree:r=3,k=2", (2, 1, 0))
+        assert find_end(f, "branch-1") == f.ends(1)[1]
+        dr = make_family("strong-dr:k=2")
+        assert find_end(dr, "right") == dr.ends()[1]
+        for spec, label in [
+            ("cartesian-tree:r=3,k=2", "branch-3"),  # root has 3 branches
+            ("cartesian-tree:r=3,k=2", "branch-0-2"),  # inner vertices have 2
+            ("clique-tree:r=2,k=2", "branch-0-x"),
+            ("strong-dr:k=2", "branch-0"),
+            ("double-ray", "up"),
+        ]:
+            with pytest.raises(InvalidParams):
+                find_end(make_family(spec), label)
+
     def test_clique_tree_degrees(self):
         f = make_family("clique-tree:r=2,k=4")
         assert set(f.degree_set()) == {8, 12}
@@ -193,6 +231,16 @@ class TestEndDegree:
         est = end_degree_estimate(f, f.ends()[0], r_max=4)
         assert not est.converged
         assert est.value is None and est.lower == 0 and est.upper == 1
+
+    def test_no_measured_radius_raises(self):
+        # Reporting upper=0 here would claim a bound no ball measured.
+        f = make_family("dr-square")
+        with pytest.raises(InvalidParams):
+            end_degree_estimate(f, f.ends()[0], r_max=2)
+        f = make_family("ray-bundle:k=2,l=20")
+        assert f.start_radius() > f.max_radius()
+        with pytest.raises(InvalidParams):
+            end_degree_estimate(f, f.ends()[0])
 
     def test_strict_raises(self):
         f = make_family("double-ray")

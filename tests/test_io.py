@@ -16,6 +16,9 @@ from minconn.io import (
 )
 
 
+G6_CHARS = [chr(c) for c in range(63, 127)]
+
+
 @st.composite
 def graphs(draw, max_n=9):
     n = draw(st.integers(1, max_n))
@@ -55,6 +58,47 @@ class TestGraph6:
         with pytest.raises(InvalidParams):
             from_graph6("")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "EhEGGGGG",  # 6-cycle plus trailing bytes
+            "EhE",  # body one byte short
+            "Bx",  # n = 3 with nonzero padding bits
+            "D\u00e9",  # non-ASCII byte
+            "~?@?",  # long-form header for n < 63
+        ],
+    )
+    def test_rejects_non_canonical(self, text):
+        with pytest.raises(InvalidParams):
+            from_graph6(text)
+
+    @given(st.text())
+    def test_any_text_parses_or_raises_invalid_params(self, text):
+        self.check_round_trip(text)
+
+    @given(
+        st.sampled_from(["", " ", "\n"]),
+        st.sampled_from(["", ">>graph6<<"]),
+        st.integers(0, 20),
+        st.data(),
+    )
+    def test_accepted_strings_round_trip(self, space, header, n, data):
+        # bodies of about the right length, so that many are accepted
+        size = (n * (n - 1) // 2 + 5) // 6
+        body = data.draw(
+            st.text(st.sampled_from(G6_CHARS), min_size=max(size - 1, 0), max_size=size + 1)
+        )
+        self.check_round_trip(f"{space}{header}{chr(63 + n)}{body}{space}")
+
+    @staticmethod
+    def check_round_trip(text):
+        """A string is rejected, or is the canonical graph6 of what it parses to."""
+        try:
+            g = from_graph6(text)
+        except InvalidParams:
+            return
+        assert to_graph6(g) == text.strip().removeprefix(">>graph6<<")
+
 
 class TestEdgeList:
     def test_round_trip_simple(self):
@@ -68,6 +112,21 @@ class TestEdgeList:
     def test_header_mismatch(self):
         with pytest.raises(InvalidParams):
             from_edge_list("3 2\n0 1\n")
+
+    @pytest.mark.parametrize(
+        "text", ["3 2\n0 x\n1 2\n", "2 1\n0 1.5\n", "two 1\n0 1\n", "300000 0\n"]
+    )
+    def test_rejects_malformed(self, text):
+        with pytest.raises(InvalidParams):
+            from_edge_list(text)
+
+    @given(st.text(), st.booleans())
+    def test_any_text_parses_or_raises_invalid_params(self, text, multigraph):
+        try:
+            g = from_edge_list(text, multigraph=multigraph)
+        except InvalidParams:
+            return
+        assert isinstance(g, MultiGraph if multigraph else Graph)
 
     def test_comments_skipped(self):
         g = from_edge_list("# a comment\n2 1\n0 1\n")
