@@ -478,7 +478,8 @@ def build_parser() -> _Parser:
     e.add_argument("family", help='e.g. "dr-square" or "clique-tree:r=2,k=4"')
     e.add_argument("end", help='"left", "right" or "branch-0", "branch-0-1", ...')
     e.add_argument("mode", choices=("vertex", "edge"))
-    e.add_argument("--rmax", type=int, default=20)
+    e.add_argument("--rmax", type=int, default=None,
+                   help="largest radius to try (default: the family's own bound)")
     e.add_argument("--window", type=int, default=3)
     e.add_argument("--strict", action="store_true", help="non-convergence is an error")
     e.add_argument("--format", choices=("text", "json"), default="text")

@@ -5,7 +5,9 @@ graph: a center tag plus a pure neighbor oracle over hashable tags.
 Finite windows are materialised as balls (induced subgraphs of all
 vertices within a given distance of the center), and every estimate made
 on a ball records the radius it used, so claims about the infinite object
-always come with the truncation that produced them.
+always come with the truncation that produced them.  A ball is built in
+one pass over the oracle and stored as compact arrays (distances and a
+CSR adjacency); its `Graph` is only built when a caller asks for it.
 
 A family's ends are described by directions: for the double-ray-like
 families the two column signs, for tree-like families the branch
@@ -18,9 +20,11 @@ over a window of radii and still separates on a strictly larger ball.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
-from itertools import product
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate, islice, product
 
 from .connectivity import max_disjoint_paths
 from .errors import InvalidParams, NotConverged, ValidationFailed
@@ -49,20 +53,37 @@ class Ball:
     inverse map, `dist[i]` the distance to the center and `frontier` the
     vertices at distance exactly `radius` -- precisely the vertices whose
     ball degree may undercount their true degree.
+
+    The adjacency is stored in CSR form: the neighbours of vertex v are
+    `targets[offsets[v]:offsets[v + 1]]`, in increasing order.  `dist`,
+    `offsets` and `targets` are machine-int arrays.  `graph` builds the
+    equivalent `Graph` on first access and keeps it.
     """
 
     family: "Family"
     center: Tag
     radius: int
-    graph: Graph
     tags: tuple[Tag, ...]
     index: dict
-    dist: tuple[int, ...]
+    dist: array
+    offsets: array
+    targets: array
     frontier: frozenset[int]
+
+    def neighbors(self, v: int) -> array:
+        return self.targets[self.offsets[v]:self.offsets[v + 1]]
+
+    @cached_property
+    def graph(self) -> Graph:
+        # The index maps vertex v's tag to v in insertion order, so ids[v] is
+        # v.  Rows take their members from it and share its int objects
+        # (arrays hold raw ints, and each read makes a new object).
+        ids = list(self.index.values())
+        return Graph.from_adjacency(map(ids.__getitem__, self.neighbors(v)) for v in ids)
 
     def internal(self) -> list[int]:
         """Vertices with their full neighborhood inside the ball."""
-        return [v for v in range(self.graph.n) if v not in self.frontier]
+        return [v for v in range(len(self.tags)) if v not in self.frontier]
 
 
 class Family:
@@ -576,6 +597,10 @@ class RayBundle(_TwoEnded):
     def direction_tag_at(self, end, dist):
         return ("r", 0, end.direction * dist)
 
+    def max_radius(self):
+        # Leave room for a window of radii and the recheck two radii out.
+        return max(20, self.start_radius() + 6)
+
     def base_radius(self):
         # The base must cover all l rays: hopping to the adjacent ray
         # block costs about two steps, and there are l/k blocks.
@@ -663,36 +688,67 @@ def ball(f: Family, radius: int, center: Tag = None) -> Ball:
     """The ball of the given radius around the center (default: family's).
 
     Vertices are indexed in BFS discovery order, which the deterministic
-    neighbor lists make reproducible.
+    neighbor lists make reproducible.  One pass asks the oracle once per
+    vertex, frontier included.  A vertex's list discovers the next layer
+    and gives the vertex's edges to higher-indexed ball vertices: by the
+    time a list is read, every ball vertex on it has an index, because
+    inner vertices index their new neighbours as they read them and the
+    frontier is read only after the last layer is complete.  Each edge
+    thus comes from its lower endpoint's list, duplicates dropped.
     """
     if radius < 0:
         raise InvalidParams("radius must be non-negative")
     c = f.center() if center is None else center
-    dist = {c: 0}
-    order: list[Tag] = [c]
-    head = 0
-    while head < len(order):
-        t = order[head]
-        head += 1
-        d = dist[t]
-        if d == radius:
-            continue
-        for nb in f.neighbors(t):
-            if nb not in dist:
-                dist[nb] = d + 1
-                order.append(nb)
-    index = {t: i for i, t in enumerate(order)}
-    edges = []
-    for t in order:
-        i = index[t]
-        for nb in f.neighbors(t):
-            j = index.get(nb)
-            if j is not None and i < j:
-                edges.append((i, j))
-    g = Graph(len(order), edges)
-    dists = tuple(dist[t] for t in order)
-    frontier = frozenset(i for i, d in enumerate(dists) if d == radius)
-    return Ball(f, c, radius, g, tuple(order), index, dists, frontier)
+    index = {c: 0}
+    tags: list[Tag] = [c]
+    dist = array("i", [0])
+    heads, tails = array("i"), array("i")  # edges u < v, in lexicographic order
+    u = 0
+    while u < len(tags):
+        d = dist[u]
+        up = set()
+        for nb in f.neighbors(tags[u]):
+            v = index.get(nb)
+            if v is None:
+                if d == radius:
+                    continue
+                v = index[nb] = len(tags)
+                tags.append(nb)
+                dist.append(d + 1)
+            if v > u:
+                up.add(v)
+        for v in sorted(up):
+            heads.append(u)
+            tails.append(v)
+        u += 1
+    offsets, targets = _csr(len(tags), heads, tails)
+    # BFS order makes the frontier an index suffix; taking its members from
+    # the index's values shares their int objects instead of making new ones.
+    frontier = frozenset(islice(index.values(), bisect_left(dist, radius), None))
+    return Ball(f, c, radius, tuple(tags), index, dist, offsets, targets, frontier)
+
+
+def _csr(n: int, heads: array, tails: array) -> tuple[array, array]:
+    """CSR arrays of the graph on n vertices with edges (heads[i], tails[i]).
+
+    With the edges in lexicographic order (u < v), every row comes out
+    sorted: a row's lower neighbours arrive in edge order before its
+    higher ones, which are its own edges.
+    """
+    degree = array("i", bytes(4 * n))
+    for u in heads:
+        degree[u] += 1
+    for v in tails:
+        degree[v] += 1
+    offsets = array("i", accumulate(degree, initial=0))
+    fill = offsets[:-1]
+    targets = array("i", bytes(4 * offsets[n]))
+    for u, v in zip(heads, tails):
+        targets[fill[u]] = v
+        fill[u] += 1
+        targets[fill[v]] = u
+        fill[v] += 1
+    return offsets, targets
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +852,7 @@ def _certificate_separates(f: Family, end: EndDescriptor, mode: str,
     queue = list(seen)
     while queue:
         v = queue.pop()
-        for w in b.graph.neighbors(v):
+        for w in b.neighbors(v):
             if w in seen or w in blocked_iv:
                 continue
             if frozenset((v, w)) in blocked_ie:
@@ -809,7 +865,7 @@ def _certificate_separates(f: Family, end: EndDescriptor, mode: str,
 
 
 def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
-                        r_max: int = 20, window: int = 3,
+                        r_max: int | None = None, window: int = 3,
                         strict: bool = False) -> EndDegreeEstimate:
     """Estimate the vertex- or edge-degree of an end on growing balls.
 
@@ -819,6 +875,8 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
     of the same size.  Values must never increase with the radius; the
     estimate converges once a full window of radii agrees and the
     certificate still separates on the ball two radii further out.
+    Radii run up to `r_max`, capped by (and by default equal to) the
+    family's `max_radius()`.
 
     With `strict`, a non-converged estimate raises NotConverged instead
     of being returned.
@@ -827,7 +885,7 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
         raise InvalidParams(f"mode must be 'vertex' or 'edge', not {mode!r}")
     if window < 1:
         raise InvalidParams("window must be at least 1")
-    r_hi = min(r_max, f.max_radius())
+    r_hi = f.max_radius() if r_max is None else min(r_max, f.max_radius())
     start = f.start_radius()
     if r_hi < start:  # no radius to measure, so no bound to report
         raise InvalidParams(f"radius bound {r_hi} is below the start radius {start}")
@@ -900,16 +958,18 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
 # ---------------------------------------------------------------------------
 
 
-def _blocks_containing(g: Graph, wanted: set[int]) -> tuple[dict[int, int], list[tuple[int, ...]]]:
+def _blocks_containing(offsets: array, targets: array,
+                       wanted: set[int]) -> tuple[dict[int, int], list[tuple[int, ...]]]:
     """Biconnected components restricted to the blocks meeting `wanted`.
 
-    Edges are coded as u * n + v with u < v.  Returns the code -> block
-    mapping for wanted edges plus each kept block's full edge list.
-    Iterative so deep balls cannot overflow the recursion limit.
+    The graph is given in CSR form with sorted rows (see `Ball`).  Edges
+    are coded as u * n + v with u < v.  Returns the code -> block mapping
+    for wanted edges plus each kept block's full edge list.  Iterative so
+    deep balls cannot overflow the recursion limit.
     """
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
+    n = len(offsets) - 1
+    disc = array("i", [-1]) * n
+    low = array("i", [0]) * n
     edge_stack: list[int] = []
     kept: list[tuple[int, ...]] = []
     code_block: dict[int, int] = {}
@@ -918,12 +978,15 @@ def _blocks_containing(g: Graph, wanted: set[int]) -> tuple[dict[int, int], list
     def code(a: int, b: int) -> int:
         return a * n + b if a < b else b * n + a
 
+    def row(v: int):
+        return iter(targets[offsets[v]:offsets[v + 1]])
+
     for root in range(n):
         if disc[root] != -1:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, -1, iter(sorted(g.neighbors(root))))]
+        stack = [(root, -1, row(root))]
         while stack:
             v, parent, it = stack[-1]
             child = None
@@ -941,7 +1004,7 @@ def _blocks_containing(g: Graph, wanted: set[int]) -> tuple[dict[int, int], list
                 edge_stack.append(code(v, child))
                 disc[child] = low[child] = timer
                 timer += 1
-                stack.append((child, v, iter(sorted(g.neighbors(child)))))
+                stack.append((child, v, row(child)))
                 continue
             stack.pop()
             if stack:
@@ -1025,14 +1088,13 @@ def certify_essential_edges(f: Family, radius: int, pad: int, k: int) -> Certify
     if k < 1:
         raise InvalidParams("k must be at least 1")
     b = ball(f, radius + 2 * pad)
-    g = b.graph
-    n = g.n
+    n = len(b.tags)
     rim = radius + pad
-    inner = [
-        (u, v) for (u, v) in g.edges() if b.dist[u] <= radius and b.dist[v] <= radius
-    ]
+    # BFS order makes the vertices within `radius` an index prefix.
+    n_inner = bisect_right(b.dist, radius)
+    inner = [(u, v) for u in range(n_inner) for v in b.neighbors(u) if u < v < n_inner]
     wanted = {u * n + v for u, v in inner}
-    code_block, blocks = _blocks_containing(g, wanted)
+    code_block, blocks = _blocks_containing(b.offsets, b.targets, wanted)
 
     entries = []
     certified = 0

@@ -43,6 +43,19 @@ class Graph:
         self._adj = tuple(frozenset(s) for s in adj)
         self._m = m
 
+    @classmethod
+    def from_adjacency(cls, rows) -> "Graph":
+        """The graph in which vertex v has the neighbours `rows[v]`.
+
+        The rows are trusted: they must be symmetric, loop-free and in
+        range, as the CSR rows of a ball are by construction.
+        """
+        g = cls.__new__(cls)
+        g._adj = tuple(frozenset(r) for r in rows)
+        g.n = len(g._adj)
+        g._m = sum(map(len, g._adj)) // 2
+        return g
+
     # -- basic queries ------------------------------------------------
 
     @property

@@ -1,11 +1,16 @@
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minconn.cli import main
-from minconn.graphs import MultiGraph
-from minconn.io import from_edge_list, from_graph6
+from minconn.families import FAMILY_KINDS
+from minconn.graphs import Graph, MultiGraph
+from minconn.io import from_edge_list, from_graph6, to_graph6
 from minconn.minimality import MinimalityClass, check_class
 
 C6 = "EhEG"  # the 6-cycle
@@ -248,6 +253,12 @@ class TestConstruct:
         g = from_graph6(out.strip())
         assert code == 0 and g.n == 9
 
+    def test_family_truncation_beyond_one_byte_of_radius(self, capsys):
+        code, out, _ = invoke(["construct", "double-ray", "--radius", "300"], capsys)
+        g = from_graph6(out.strip())
+        assert code == 0 and (g.n, g.m, g.max_degree()) == (601, 600, 2)
+        assert g.is_connected()
+
     def test_family_needs_radius(self, capsys):
         code, _, err = invoke(["construct", "clique-tree:r=2,k=4"], capsys)
         assert code == 1
@@ -300,13 +311,18 @@ class TestEndDegree:
         "argv",
         [
             ["dr-square", "left", "vertex", "--rmax", "2"],  # start radius 3
-            ["ray-bundle:k=2,l=20", "left", "vertex"],  # start 23 > max 20
+            ["ray-bundle:k=2,l=20", "left", "vertex", "--rmax", "20"],  # start 23
         ],
     )
     def test_no_radius_measured_is_an_error(self, capsys, argv):
         code, out, err = invoke(["end-degree", *argv], capsys)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "start radius" in err
+
+    def test_default_rmax_is_the_family_bound(self, capsys):
+        # start radius 23; the family's own bound leaves room to converge
+        code, out, _ = invoke(["end-degree", "ray-bundle:k=2,l=20", "left", "vertex"], capsys)
+        assert (code, out) == (0, "20\n")
 
     def test_strict_unconverged(self, capsys):
         code, _, err = invoke(
@@ -368,3 +384,112 @@ class TestTopLevel:
     def test_no_command(self, capsys):
         code, _, err = invoke([], capsys)
         assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzing main(): bounded argv, any outcome must be a documented exit code
+# ---------------------------------------------------------------------------
+
+SMALL = st.integers(-1, 4)
+# short tokens with no leading "-", so they cannot abbreviate a real option
+WORDS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4).filter(
+    lambda t: not t.startswith("-")
+)
+TOKENS = st.one_of(WORDS, st.sampled_from(["-", "--", "-x", "--bogus", "-h", "--version"]))
+
+
+@st.composite
+def graph6_strings(draw):
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    good = to_graph6(Graph(n, [p for p in pairs if draw(st.booleans())]))
+    bad = draw(st.text(st.characters(min_codepoint=32, max_codepoint=130), max_size=6))
+    return draw(st.sampled_from([good, bad]))
+
+
+@st.composite
+def edge_lists(draw):
+    rows = draw(st.lists(st.lists(SMALL.map(str) | WORDS, max_size=3), max_size=5))
+    return "".join(" ".join(r) + "\n" for r in rows)
+
+
+FINITE_KEYS = {"band": ("k", "l"), "multipath": ("k", "m"), "path-square": ("l",),
+               "cycle-clique": ("k", "l")}
+
+
+@st.composite
+def family_specs(draw, finite):
+    kinds = {head: keys for head, (_, keys) in FAMILY_KINDS.items()}
+    kinds.update(FINITE_KEYS if finite else {})
+    head = draw(st.sampled_from(sorted(kinds)))
+    params = {key: draw(st.integers(2, 4) | SMALL) for key in kinds[head]}
+    if head == "clique-tree" and params["r"] * params["k"] > 4:
+        params = {"r": 2, "k": 2}  # r*k branches a vertex: keep ball(6) small
+    spec = ":".join([head, ",".join(f"{k}={v}" for k, v in params.items())] if params else [head])
+    return draw(st.sampled_from([spec] * 3 + [spec + ",q=1", spec[:-1], spec.partition(",")[0]]))
+
+
+@st.composite
+def end_degree_args(draw):
+    spec = draw(family_specs(False) | WORDS)
+    tree = "tree" in spec
+    ends = ["branch-0", "branch-1-0", "branch-0-1-1"] if tree else ["left", "right"]
+    end = draw(st.sampled_from(ends) | st.sampled_from(["left", "branch-0", "branch-9"]))
+    mode = draw(st.sampled_from(["vertex", "edge"]))
+    return [spec, end, mode, "--rmax", str(draw(st.integers(3, 6) | st.integers(-1, 6)))]
+
+
+def _opt(name, values):
+    return st.tuples(st.just(name), values).map(list)
+
+
+K = _opt("--k", SMALL.map(str))
+CLASS = _opt("--class", st.sampled_from("abcdx"))
+GRAPH_INPUT = [graph6_strings().map(lambda g: [g]), edge_lists().map(lambda t: [t]),
+               _opt("--input", st.sampled_from(["graph6", "edge-list"])),
+               st.just(["--multi"])]
+NMAX = _opt("--nmax", SMALL.map(str))  # required: the default sweeps n <= 7
+ENUM_OPTS = [_opt("--count", st.integers(0, 3).map(str)),
+             _opt("--rand-nmax", st.integers(-1, 6).map(str)),
+             _opt("--seed", st.integers(-2, 3).map(str)), CLASS]
+# command -> (required parts, optional parts); each part is a token list
+COMMANDS = {
+    "check": ([K], GRAPH_INPUT + [CLASS, _opt("--format", st.sampled_from(["text", "json", "csv"]))]),
+    "witness": ([K, CLASS], GRAPH_INPUT + [st.just(["--explain"]),
+                                          _opt("--format", st.sampled_from(["text", "json"]))]),
+    "verify": ([K, NMAX], ENUM_OPTS + [_opt("--format", st.sampled_from(["csv", "json"]))]),
+    "enumerate": ([NMAX], ENUM_OPTS + [K]),
+    "construct": ([(family_specs(True) | WORDS).map(lambda s: [s]),
+                   _opt("--radius", st.integers(-1, 3).map(str))],
+                  [_opt("--format", st.sampled_from(["auto", "graph6", "edge-list", "json"]))]),
+    "end-degree": ([end_degree_args()],
+                   [_opt("--window", SMALL.map(str)),
+                    st.just(["--strict"]), _opt("--format", st.sampled_from(["text", "json"]))]),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[command]
+    parts = [draw(p) for p in required] + draw(st.lists(st.one_of(optional), max_size=4))
+    argv = [command] + [tok for part in parts for tok in part]
+    # now and then a stray token anywhere, the command position included
+    for tok in draw(st.lists(TOKENS, max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), tok)
+    return argv
+
+
+class TestFuzzMain:
+    @settings(max_examples=300, deadline=timedelta(seconds=20))
+    @given(argvs(), edge_lists() | graph6_strings())
+    def test_any_argv_exits_with_a_documented_code(self, argv, stdin_text):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(stdin_text)), \
+                redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors, --help, --version
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

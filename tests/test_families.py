@@ -2,7 +2,9 @@ import pytest
 
 from minconn.errors import InvalidParams, NotConverged
 from minconn.families import (
+    DoubleRay,
     _blocks_containing,
+    _csr,
     ball,
     certify_essential_edges,
     end_degree_estimate,
@@ -104,6 +106,45 @@ class TestBall:
     def test_negative_radius(self):
         with pytest.raises(InvalidParams):
             ball(make_family("double-ray"), -1)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_structure_matches_oracle(self, spec):
+        f = make_family(spec)
+        b = ball(f, 2 if spec.startswith("clique-tree") else 3)
+        n = len(b.tags)
+        assert [b.index[t] for t in b.tags] == list(range(n))
+        for t, d in zip(b.tags, b.dist):
+            assert f.distance(t) in (None, d)
+        expected = {
+            (min(b.index[t], b.index[nb]), max(b.index[t], b.index[nb]))
+            for t in b.tags
+            for nb in f.neighbors(t)
+            if nb in b.index
+        }
+        assert set(b.graph.edges()) == expected
+        assert b.offsets[0] == 0 and b.offsets[n] == len(b.targets) == 2 * len(expected)
+        for v in range(n):
+            row = list(b.neighbors(v))
+            assert row == sorted(set(row)) and v not in row
+            assert all(v in b.neighbors(w) for w in row)
+            # BFS distances: edges span at most one layer, and every vertex
+            # but the center has a neighbour one layer in
+            assert all(abs(b.dist[v] - b.dist[w]) <= 1 for w in row)
+            assert v == 0 or any(b.dist[w] == b.dist[v] - 1 for w in row)
+
+    def test_repeated_oracle_entries_give_one_edge(self):
+        class Doubled(DoubleRay):
+            def neighbors(self, tag):
+                return super().neighbors(tag) * 2
+
+        b, plain = ball(Doubled(), 3), ball(DoubleRay(), 3)
+        assert (b.tags, b.offsets, b.targets) == (plain.tags, plain.offsets, plain.targets)
+
+    def test_distances_beyond_one_byte(self):
+        b = ball(make_family("double-ray"), 300)
+        assert len(b.tags) == 601 and max(b.dist) == 300
+        assert b.frontier == {b.index[-300], b.index[300]}
+        assert b.graph.m == 600
 
 
 class TestFamilyStructure:
@@ -238,9 +279,9 @@ class TestEndDegree:
         with pytest.raises(InvalidParams):
             end_degree_estimate(f, f.ends()[0], r_max=2)
         f = make_family("ray-bundle:k=2,l=20")
-        assert f.start_radius() > f.max_radius()
+        assert f.start_radius() > 20
         with pytest.raises(InvalidParams):
-            end_degree_estimate(f, f.ends()[0])
+            end_degree_estimate(f, f.ends()[0], r_max=20)
 
     def test_strict_raises(self):
         f = make_family("double-ray")
@@ -261,29 +302,35 @@ class TestEndDegree:
         assert obj["mode"] == "vertex" and obj["end"] == "left"
 
 
+def csr(g):
+    """The CSR arrays of `g`, as a ball stores them."""
+    edges = g.edges()
+    return _csr(g.n, [u for u, _ in edges], [v for _, v in edges])
+
+
 class TestBlocks:
     def test_cycle_is_one_block(self):
         g = cycle_graph(5)
-        code_block, kept = _blocks_containing(g, {0 * 5 + 1})
+        code_block, kept = _blocks_containing(*csr(g), {0 * 5 + 1})
         assert len(kept) == 1 and len(kept[0]) == 5
 
     def test_path_splits_into_bridges(self):
         g = path_graph(4)
         wanted = {u * 4 + v for u, v in g.edges()}
-        code_block, kept = _blocks_containing(g, wanted)
+        code_block, kept = _blocks_containing(*csr(g), wanted)
         assert len(kept) == 3
         assert all(len(b) == 1 for b in kept)
 
     def test_bowtie(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        code_block, kept = _blocks_containing(g, {0 * 5 + 1, 3 * 5 + 4})
+        code_block, kept = _blocks_containing(*csr(g), {0 * 5 + 1, 3 * 5 + 4})
         assert len(kept) == 2
         assert code_block[0 * 5 + 1] != code_block[3 * 5 + 4]
         assert all(len(b) == 3 for b in kept)
 
     def test_untouched_blocks_dropped(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        code_block, kept = _blocks_containing(g, {0 * 5 + 1})
+        code_block, kept = _blocks_containing(*csr(g), {0 * 5 + 1})
         assert len(kept) == 1 and len(code_block) == 1
 
 
@@ -312,6 +359,39 @@ class TestCertify:
         for e in undecided:
             (i, a), (j, b) = e.edge
             assert i == j and {a, b} == {0, 1}  # all of them are rungs
+
+    @pytest.mark.parametrize(
+        "spec,radius,pad,k,certified,total",
+        [
+            ("dr-square", 4, 2, 3, 31, 31),
+            ("cartesian-dr:k=2", 4, 2, 2, 14, 21),
+            ("strong-tree:r=3,k=2", 2, 1, 2, 0, 46),
+            ("cartesian-tree:r=3,k=2", 2, 2, 2, 12, 16),
+            ("ray-bundle:k=4,l=4", 5, 2, 4, 34, 196),
+            ("multipath-inf:k=3", 3, 2, 3, 0, 18),
+        ],
+    )
+    def test_certified_cuts_separate(self, spec, radius, pad, k, certified, total):
+        f = make_family(spec)
+        rep = certify_essential_edges(f, radius, pad, k)
+        assert (rep.certified, rep.total) == (certified, total)
+        big = ball(f, radius + 2 * pad)
+        for e in rep.entries:
+            if e.status != "certified":
+                assert e.cut is None
+                continue
+            cut = {frozenset((big.index[a], big.index[b])) for a, b in e.cut}
+            assert len(cut) == k
+            assert all(big.dist[big.index[t]] <= radius + pad for edge in e.cut for t in edge)
+            u, v = (big.index[t] for t in e.edge)
+            seen, queue = {u}, [u]
+            while queue:
+                x = queue.pop()
+                for y in big.graph.neighbors(x):
+                    if y not in seen and frozenset((x, y)) not in cut:
+                        seen.add(y)
+                        queue.append(y)
+            assert v not in seen
 
 
 class TestValidateFamily:
