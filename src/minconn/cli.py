@@ -37,7 +37,7 @@ from .errors import (
     PreconditionViolated,
     ValidationFailed,
 )
-from .families import FAMILY_KINDS, ball, end_degree_estimate, find_end, make_family
+from .families import FAMILY_KINDS, _parse_params, ball, end_degree_estimate, find_end, make_family
 from .graphs import MultiGraph, small_degree_set
 from .io import (
     from_edge_list,
@@ -296,24 +296,6 @@ def _emit_verify(args, rows) -> None:
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
-
-
-def _parse_params(head: str, rest: str, keys: tuple[str, ...]) -> dict[str, int]:
-    params: dict[str, int] = {}
-    if rest:
-        for part in rest.split(","):
-            key, _, val = part.partition("=")
-            key = key.strip()
-            if key not in keys:
-                raise InvalidParams(f"{head!r} takes {keys}, not {key!r}")
-            try:
-                params[key] = int(val)
-            except ValueError as exc:
-                raise InvalidParams(f"bad integer {val!r} for {key!r}") from exc
-    missing = [x for x in keys if x not in params]
-    if missing:
-        raise InvalidParams(f"{head!r} is missing parameters {missing}")
-    return params
 
 
 def _build_construction(spec: str, radius: int | None):

@@ -6,6 +6,14 @@ capacities for cuts), while `brute_force_connectivity` re-derives both
 numbers by subset enumeration.  The test suite holds the two routes equal
 on an exhaustive small-graph corpus.
 
+Each cut kind is one scan over one network per graph, after Even and
+Tarjan's fixed-source pair list (SIAM J. Comput. 1975): the network is
+built once and its capacities are restored before every pair.  The
+minimum and its certificate come from the same pass.  Each flow stops
+one unit above the best value so far, so a pair that ties the final
+minimum runs to its full maximum flow, and ties keep the
+lexicographically smallest separator (or `Cut.edges`).
+
 Conventions: disconnected graphs have connectivity 0, complete graphs have
 vertex connectivity n-1, and single-vertex graphs are rejected.
 """
@@ -17,7 +25,7 @@ from itertools import combinations
 
 from .errors import NoSuchEdge, TooLarge, TooSmall
 from .flow import INF, FlowNetwork
-from .graphs import Edge, Graph, MultiGraph, components_of_subset, _norm_edge
+from .graphs import Edge, Graph, MultiGraph, components_of_subset
 
 
 @dataclass(frozen=True)
@@ -62,8 +70,9 @@ class DisjointPaths:
 
 
 def _split_network(g: Graph, uncapped=frozenset()) -> FlowNetwork:
-    # node 2v = v_in, 2v+1 = v_out
-    net = FlowNetwork(2 * g.n)
+    # node 2v = v_in, 2v+1 = v_out; the last two nodes are the super-source
+    # and sink of `max_disjoint_paths`, isolated in the pair scans
+    net = FlowNetwork(2 * g.n + 2)
     for v in range(g.n):
         net.add_arc(2 * v, 2 * v + 1, INF if v in uncapped else 1)
     for u, v in g.edges():
@@ -71,15 +80,14 @@ def _split_network(g: Graph, uncapped=frozenset()) -> FlowNetwork:
         net.add_arc(2 * v + 1, 2 * u, INF)
     return net
 
-def _pair_flow(g: Graph, s: int, t: int, limit: int) -> tuple[int, FlowNetwork]:
-    net = _split_network(g)
-    value = net.max_flow(2 * s + 1, 2 * t, limit)
-    return value, net
+
+def _separator_from_residual(g: Graph, net: FlowNetwork, source: int) -> tuple[int, ...]:
+    reach = net.residual_reachable(source)
+    return tuple(v for v in range(g.n) if 2 * v in reach and 2 * v + 1 not in reach)
 
 
-def _separator_from_residual(g: Graph, net: FlowNetwork, s: int) -> tuple[int, ...]:
-    reach = net.residual_reachable(2 * s + 1)
-    return tuple(sorted(v for v in range(g.n) if 2 * v in reach and 2 * v + 1 not in reach))
+def _separator(g: Graph, vertices: tuple[int, ...]) -> Separator:
+    return Separator(vertices, tuple(components_of_subset(g, set(range(g.n)) - set(vertices))))
 
 
 def _kappa_pairs(g: Graph):
@@ -100,18 +108,30 @@ def _kappa_pairs(g: Graph):
             yield x, y
 
 
+def _vertex_scan(g: Graph) -> tuple[int, tuple[int, ...] | None]:
+    """kappa of a connected graph and the lexicographically smallest
+    minimum separator among those the pairs realise (None when complete).
+    """
+    net = _split_network(g)
+    caps = list(net.cap)
+    best, best_sep = g.n - 1, None
+    for s, t in _kappa_pairs(g):
+        net.cap[:] = caps
+        value = net.max_flow(2 * s + 1, 2 * t, best + 1)
+        if value <= best:
+            sep = _separator_from_residual(g, net, 2 * s + 1)
+            if value < best or best_sep is None or sep < best_sep:
+                best, best_sep = value, sep
+    return best, best_sep
+
+
 def vertex_connectivity(g: Graph) -> int:
     """kappa(G); 0 when disconnected, n-1 when complete."""
     if g.n < 2:
         raise TooSmall("vertex connectivity needs at least 2 vertices")
     if not g.is_connected():
         return 0
-    best = g.n - 1
-    for s, t in _kappa_pairs(g):
-        value, _ = _pair_flow(g, s, t, best)
-        if value < best:
-            best = value
-    return best
+    return _vertex_scan(g)[0]
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -125,9 +145,11 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if not g.is_connected():
         return False
+    net = _split_network(g)
+    caps = list(net.cap)
     for s, t in _kappa_pairs(g):
-        value, _ = _pair_flow(g, s, t, k)
-        if value < k:
+        net.cap[:] = caps
+        if net.max_flow(2 * s + 1, 2 * t, k) < k:
             return False
     return True
 
@@ -138,19 +160,12 @@ def min_vertex_separator(g: Graph) -> Separator | None:
     if g.n < 2:
         raise TooSmall("need at least 2 vertices")
     if not g.is_connected():
-        return Separator((), tuple(g.components()))
-    k = vertex_connectivity(g)
+        return _separator(g, ())
+    k, best = _vertex_scan(g)
     if k == g.n - 1:
         return None
-    best: tuple[int, ...] | None = None
-    for s, t in _kappa_pairs(g):
-        value, net = _pair_flow(g, s, t, k + 1)
-        if value == k:
-            sep = _separator_from_residual(g, net, s)
-            if best is None or sep < best:
-                best = sep
     assert best is not None and len(best) == k
-    return Separator(best, tuple(components_of_subset(g, set(range(g.n)) - set(best))))
+    return _separator(g, best)
 
 
 def min_separator_containing(g: Graph, x: int) -> Separator | None:
@@ -166,9 +181,7 @@ def min_separator_containing(g: Graph, x: int) -> Separator | None:
     sub = min_vertex_separator(h)
     if sub is None:
         return None
-    vertices = tuple(sorted({x} | {old[v] for v in sub.vertices}))
-    sides = tuple(components_of_subset(g, set(range(g.n)) - set(vertices)))
-    return Separator(vertices, sides)
+    return _separator(g, tuple(sorted({x} | {old[v] for v in sub.vertices})))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +190,8 @@ def min_separator_containing(g: Graph, x: int) -> Separator | None:
 
 
 def _edge_network(g) -> FlowNetwork:
-    net = FlowNetwork(g.n)
+    # node v = v; the last two nodes as in `_split_network`
+    net = FlowNetwork(g.n + 2)
     if isinstance(g, MultiGraph):
         for (u, v), k in g.mult.items():
             net.add_undirected(u, v, k)
@@ -199,23 +213,34 @@ def _cut_from_side(g, side: set[int]) -> Cut:
     return Cut(edges, (a, b), size)
 
 
+def _edge_scan(g) -> tuple[int, Cut]:
+    """lambda of a connected graph and the minimum cut with the
+    lexicographically smallest `Cut.edges` among those realised by flows
+    from a minimum-degree vertex v0 to every other vertex."""
+    degs = g.degrees()
+    v0 = min(range(g.n), key=lambda v: (degs[v], v))
+    net = _edge_network(g)
+    caps = list(net.cap)
+    best, best_cut = degs[v0], None
+    for t in range(g.n):
+        if t == v0:
+            continue
+        net.cap[:] = caps
+        value = net.max_flow(v0, t, best + 1)
+        if value <= best:
+            cut = _cut_from_side(g, net.residual_reachable(v0))
+            if value < best or best_cut is None or cut.edges < best_cut.edges:
+                best, best_cut = value, cut
+    return best, best_cut
+
+
 def edge_connectivity(g) -> int:
     """lambda(G) for a Graph or MultiGraph; 0 when disconnected."""
     if g.n < 2:
         raise TooSmall("edge connectivity needs at least 2 vertices")
     if not g.is_connected():
         return 0
-    degs = g.degrees()
-    v0 = min(range(g.n), key=lambda v: (degs[v], v))
-    best = degs[v0]
-    for t in range(g.n):
-        if t == v0:
-            continue
-        net = _edge_network(g)
-        best = min(best, net.max_flow(v0, t, best))
-        if best == 0:
-            break
-    return best
+    return _edge_scan(g)[0]
 
 
 def is_k_edge_connected(g, k: int) -> bool:
@@ -228,10 +253,11 @@ def is_k_edge_connected(g, k: int) -> bool:
         return False
     if min(g.degrees()) < k:
         return False
-    v0 = 0
+    net = _edge_network(g)
+    caps = list(net.cap)
     for t in range(1, g.n):
-        net = _edge_network(g)
-        if net.max_flow(v0, t, k) < k:
+        net.cap[:] = caps
+        if net.max_flow(0, t, k) < k:
             return False
     return True
 
@@ -243,18 +269,7 @@ def min_edge_cut(g) -> Cut:
     if not g.is_connected():
         comp = components_of_subset(g.skeleton() if isinstance(g, MultiGraph) else g, range(g.n))
         return _cut_from_side(g, set(comp[0]))
-    k = edge_connectivity(g)
-    degs = g.degrees()
-    v0 = min(range(g.n), key=lambda v: (degs[v], v))
-    best: Cut | None = None
-    for t in range(g.n):
-        if t == v0:
-            continue
-        net = _edge_network(g)
-        if net.max_flow(v0, t, k + 1) == k:
-            cut = _cut_from_side(g, net.residual_reachable(v0))
-            if best is None or cut.edges < best.edges:
-                best = cut
+    k, best = _edge_scan(g)
     assert best is not None and best.size == k
     return best
 
@@ -322,9 +337,11 @@ def max_disjoint_paths(g: Graph, a_side, b_side, mode: str = "vertex",
         raise TooSmall("both endpoint sets must be non-empty")
     if A & B:
         raise TooSmall("endpoint sets must be disjoint")
+    if mode not in ("vertex", "edge"):
+        raise ValueError(f"unknown mode {mode!r}")
+    direct: list[tuple[int, ...]] = []
     if mode == "vertex":
         work = g
-        direct: list[tuple[int, ...]] = []
         if endpoint_exempt:
             # A direct A-B edge is itself a path and would otherwise give the
             # exempted endpoints unbounded throughput; peel such edges off
@@ -334,49 +351,29 @@ def max_disjoint_paths(g: Graph, a_side, b_side, mode: str = "vertex",
                     direct.append((u, v) if u in A else (v, u))
                     work = work.delete_edge(u, v)
         uncapped = (A | B) if endpoint_exempt else frozenset()
-        net = _split_network(work, uncapped)
-        src = 2 * g.n
-        net.adj.append([])
-        net.n += 1
-        snk = 2 * g.n + 1
-        net.adj.append([])
-        net.n += 1
-        for a in sorted(A):
-            net.add_arc(src, 2 * a, INF)
-        for b in sorted(B):
-            net.add_arc(2 * b + 1, snk, INF)
-        caps_snapshot = list(net.cap)
-        value = net.max_flow(src, snk)
-        reach = net.residual_reachable(src)
-        sep_vertices = tuple(sorted(v for v in range(g.n) if 2 * v in reach and 2 * v + 1 not in reach))
-        sides = tuple(components_of_subset(g, set(range(g.n)) - set(sep_vertices)))
-        cert = Separator(sep_vertices, sides)
-        paths = _decompose_paths(
-            net, caps_snapshot, src, snk,
-            lambda node: node // 2 if node < 2 * g.n else None,
-        )
-        assert value == len(sep_vertices), "Menger duality must certify the count"
-        return DisjointPaths("vertex", value + len(direct), tuple(direct) + tuple(paths), cert, None)
-    if mode == "edge":
-        net = _edge_network(g)
-        src = g.n
-        net.adj.append([])
-        net.n += 1
-        snk = g.n + 1
-        net.adj.append([])
-        net.n += 1
-        for a in sorted(A):
-            net.add_arc(src, a, INF)
-        for b in sorted(B):
-            net.add_arc(b, snk, INF)
-        caps_snapshot = list(net.cap)
-        value = net.max_flow(src, snk)
-        reach = net.residual_reachable(src)
-        cut = _cut_from_side(g, {v for v in reach if v < g.n})
-        paths = _decompose_paths(net, caps_snapshot, src, snk, lambda node: node if node < g.n else None)
-        assert cut.size == value, "Menger duality must certify the count"
-        return DisjointPaths("edge", value, tuple(paths), None, cut)
-    raise ValueError(f"unknown mode {mode!r}")
+        net, width = _split_network(work, uncapped), 2
+    else:
+        net, width = _edge_network(g), 1
+    # vertex v enters the network at width*v and leaves at width*v + width-1
+    src, snk = net.n - 2, net.n - 1
+    for a in sorted(A):
+        net.add_arc(src, width * a, INF)
+    for b in sorted(B):
+        net.add_arc(width * b + width - 1, snk, INF)
+    caps = list(net.cap)
+    value = net.max_flow(src, snk)
+    sep = cut = None
+    if mode == "vertex":
+        sep = _separator(g, _separator_from_residual(g, net, src))
+        size = sep.size
+    else:
+        cut = _cut_from_side(g, {v for v in net.residual_reachable(src) if v < g.n})
+        size = cut.size
+    paths = _decompose_paths(
+        net, caps, src, snk, lambda node: node // width if node < width * g.n else None
+    )
+    assert value == size, "Menger duality must certify the count"
+    return DisjointPaths(mode, value + len(direct), tuple(direct) + tuple(paths), sep, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -423,25 +420,3 @@ def brute_force_connectivity(g) -> tuple[int, int]:
         crossing = sum(w for (u, v), w in ew if (u in side) != (v in side))
         lam = min(lam, crossing)
     return kappa, lam
-
-
-def edge_connectivity_by_subdivision(mg: MultiGraph) -> int:
-    """lambda of a multigraph via the subdivide-then-solve reduction.
-
-    Subdividing every edge copy once turns parallel edges into disjoint
-    paths of length two without changing any cut size, so the simple-graph
-    routine applies.  Kept as a second, structurally different route for
-    the multigraph code path.
-    """
-    if mg.n < 2:
-        raise TooSmall("need at least 2 vertices")
-    simple, _ = mg.subdivide()
-    if not simple.is_connected():
-        return 0
-    best = INF
-    for t in range(1, mg.n):
-        net = _edge_network(simple)
-        best = min(best, net.max_flow(0, t, best))
-        if best == 0:
-            break
-    return best

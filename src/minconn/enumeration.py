@@ -16,7 +16,7 @@ masks, which is well within one array pass.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator
 
 import numpy as np
@@ -25,15 +25,6 @@ from .errors import InvalidParams, TooLarge
 from .graphs import Graph
 
 MAX_EXHAUSTIVE_N = 7
-
-_LUT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-
-
-def _popcount(a: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(a).astype(np.uint8)
-    return _LUT16[a & 0xFFFF] + _LUT16[a >> 16]
-
 
 def _edge_positions(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
@@ -55,7 +46,7 @@ def _sorted_degree_masks(n: int) -> list[int]:
     keep = np.ones(masks.shape, dtype=bool)
     prev = None
     for v in range(n):
-        deg = _popcount(masks & incidence[v])
+        deg = np.bitwise_count(masks & incidence[v])
         if prev is not None:
             keep &= prev <= deg
         prev = deg
@@ -123,7 +114,10 @@ def canonical_key(g: Graph) -> tuple[int, int]:
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """Every graph on exactly n vertices, one per isomorphism class."""
+    """Every graph on exactly n vertices, one per isomorphism class.
+
+    The order is checked at the call, before any graph is built.
+    """
     if n < 1:
         raise InvalidParams("need n >= 1")
     if n > MAX_EXHAUSTIVE_N:
@@ -131,6 +125,10 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
             f"exhaustive enumeration is capped at {MAX_EXHAUSTIVE_N} vertices; "
             "use random_graphs for larger sizes"
         )
+    return _canonical_graphs(n)
+
+
+def _canonical_graphs(n: int) -> Iterator[Graph]:
     pos = _edge_positions(n)
     seen: set[tuple[int, int]] = set()
     for mask in _sorted_degree_masks(n):
@@ -142,16 +140,22 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 
 
 def enumerate_all(n_max: int) -> Iterator[Graph]:
-    """Graphs of every order from 1 up to n_max, smallest first."""
-    for n in range(1, n_max + 1):
-        yield from enumerate_graphs(n)
+    """Graphs of every order from 1 up to n_max, smallest first; every
+    order is checked at the call."""
+    return chain.from_iterable([enumerate_graphs(n) for n in range(1, n_max + 1)])
 
 
 def random_graphs(count: int, n_max: int, seed: int = 0) -> Iterator[Graph]:
-    """Seeded uniform-order, uniform-density random graphs (n from 2 to n_max)."""
+    """Seeded uniform-order, uniform-density random graphs (n from 2 to n_max).
+
+    The arguments are checked at the call, before any graph is drawn.
+    """
     if count < 0 or n_max < 2:
         raise InvalidParams("need count >= 0 and n_max >= 2")
-    rng = random.Random(seed)
+    return _random_graphs(count, n_max, random.Random(seed))
+
+
+def _random_graphs(count: int, n_max: int, rng: random.Random) -> Iterator[Graph]:
     for _ in range(count):
         n = rng.randint(2, n_max)
         p = rng.uniform(0.15, 0.85)

@@ -638,6 +638,25 @@ FAMILY_KINDS = {
 }
 
 
+def _parse_params(head: str, rest: str, keys: tuple[str, ...]) -> dict[str, int]:
+    """The integer parameters of a spec "head:key=value,...", all of `keys`."""
+    params: dict[str, int] = {}
+    if rest:
+        for part in rest.split(","):
+            key, _, val = part.partition("=")
+            key = key.strip()
+            if key not in keys:
+                raise InvalidParams(f"{head!r} takes {keys}, not {key!r}")
+            try:
+                params[key] = int(val)
+            except ValueError as exc:
+                raise InvalidParams(f"bad integer {val!r} for {key!r}") from exc
+    missing = [x for x in keys if x not in params]
+    if missing:
+        raise InvalidParams(f"{head!r} is missing parameters {missing}")
+    return params
+
+
 def make_family(text: str) -> Family:
     """Parse a family description like "clique-tree:r=2,k=4"."""
     head, _, rest = text.strip().partition(":")
@@ -646,21 +665,7 @@ def make_family(text: str) -> Family:
             f"unknown family {head!r}; known: {', '.join(sorted(FAMILY_KINDS))}"
         )
     cls, keys = FAMILY_KINDS[head]
-    params = {}
-    if rest:
-        for part in rest.split(","):
-            key, _, val = part.partition("=")
-            key = key.strip()
-            if key not in keys:
-                raise InvalidParams(f"family {head!r} takes {keys}, not {key!r}")
-            try:
-                params[key] = int(val)
-            except ValueError as exc:
-                raise InvalidParams(f"bad integer {val!r} for {key!r}") from exc
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise InvalidParams(f"family {head!r} is missing parameters {missing}")
-    return cls(**params)
+    return cls(**_parse_params(head, rest, keys))
 
 
 def find_end(f: Family, label: str) -> EndDescriptor:

@@ -370,6 +370,19 @@ class TestEnumerate:
         assert first == second
         assert len(first[1].splitlines()) == 7 + 5
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--nmax", "2", "--count", "2", "--rand-nmax", "-1"],
+            ["enumerate", "--nmax", "2", "--count", "-1"],
+            ["enumerate", "--nmax", "8"],
+        ],
+    )
+    def test_bad_random_arguments_fail_before_any_output(self, argv, capsys):
+        code, out, _ = invoke(argv, capsys)
+        assert code == 1
+        assert out == ""
+
 
 class TestTopLevel:
     def test_version(self, capsys):

@@ -2,9 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minconn.connectivity import (
+    _cut_from_side,
+    _edge_network,
+    _kappa_pairs,
+    _split_network,
     brute_force_connectivity,
     edge_connectivity,
-    edge_connectivity_by_subdivision,
     is_k_connected,
     is_k_edge_connected,
     max_disjoint_paths,
@@ -42,6 +45,53 @@ def multigraphs(draw, min_n=2, max_n=6, max_mult=3):
     return MultiGraph(n, [(u, v, m) for (u, v), m in zip(pairs, mults) if m])
 
 
+def edge_connectivity_by_subdivision(mg: MultiGraph) -> int:
+    """lambda of a multigraph via the subdivide-then-solve reduction.
+
+    Subdividing every edge copy once turns parallel edges into disjoint
+    paths of length two without changing any cut size, so edge-disjoint
+    paths in the simple graph count lambda: a second, structurally
+    different route for the multigraph code path.
+    """
+    simple, _ = mg.subdivide()
+    return min(max_disjoint_paths(simple, [0], [t], mode="edge").count for t in range(1, mg.n))
+
+
+def two_pass_separator(g: Graph) -> tuple[int, ...] | None:
+    """The two-pass definition of `min_vertex_separator`'s choice: with
+    kappa known, every pair of the scan again on a fresh network with
+    limit kappa+1, keeping the smallest separator of a pair that reaches
+    exactly kappa."""
+    kappa, _ = brute_force_connectivity(g)
+    best = None
+    for s, t in _kappa_pairs(g):
+        net = _split_network(g)
+        if net.max_flow(2 * s + 1, 2 * t, kappa + 1) == kappa:
+            reach = net.residual_reachable(2 * s + 1)
+            sep = tuple(v for v in range(g.n) if 2 * v in reach and 2 * v + 1 not in reach)
+            if best is None or sep < best:
+                best = sep
+    return best
+
+
+def two_pass_cut(g):
+    """The two-pass definition of `min_edge_cut`'s choice: with lambda
+    known, a fresh network per pair from the minimum-degree vertex with
+    limit lambda+1, keeping the cut with the smallest edge tuple."""
+    _, lam = brute_force_connectivity(g)
+    degs = g.degrees()
+    v0 = min(range(g.n), key=lambda v: (degs[v], v))
+    best = None
+    for t in range(g.n):
+        if t != v0:
+            net = _edge_network(g)
+            if net.max_flow(v0, t, lam + 1) == lam:
+                cut = _cut_from_side(g, net.residual_reachable(v0))
+                if best is None or cut.edges < best.edges:
+                    best = cut
+    return best
+
+
 class TestOracleAgreement:
     @given(graphs())
     @settings(max_examples=300, deadline=None)
@@ -49,17 +99,45 @@ class TestOracleAgreement:
         bk, bl = brute_force_connectivity(g)
         assert vertex_connectivity(g) == bk
         assert edge_connectivity(g) == bl
+        for k in range(1, 6):
+            assert is_k_connected(g, k) == (bk >= k)
+            assert is_k_edge_connected(g, k) == (bl >= k)
 
     @given(multigraphs())
     @settings(max_examples=150, deadline=None)
     def test_multigraph_lambda_matches_brute_force(self, g):
-        _, bl = brute_force_connectivity(g)
+        bk, bl = brute_force_connectivity(g)
         assert edge_connectivity(g) == bl
         assert edge_connectivity_by_subdivision(g) == bl
+        for k in range(1, 6):
+            assert is_k_connected(g.skeleton(), k) == (bk >= k)
+            assert is_k_edge_connected(g, k) == (bl >= k)
 
     def test_corpus_agreement(self, small_corpus):
         for g in small_corpus:
             assert (vertex_connectivity(g), edge_connectivity(g)) == brute_force_connectivity(g)
+
+
+class TestOnePassMatchesTwoPass:
+    """One scan per cut kind returns what the two-pass definition picks."""
+
+    def test_separators_on_corpus(self, small_corpus):
+        for g in small_corpus:
+            if not g.is_connected():
+                continue
+            sep = min_vertex_separator(g)
+            assert (sep and sep.vertices) == two_pass_separator(g), g.edges()
+
+    def test_cuts_on_corpus(self, small_corpus):
+        for g in small_corpus:
+            if g.is_connected():
+                assert min_edge_cut(g) == two_pass_cut(g), g.edges()
+
+    @given(multigraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_cuts_on_multigraphs(self, g):
+        if g.is_connected():
+            assert min_edge_cut(g) == two_pass_cut(g)
 
 
 class TestWhitney:
