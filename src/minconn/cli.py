@@ -159,17 +159,21 @@ def cmd_check(args) -> int:
 
 
 def _explain_trace(g, cls: MinimalityClass, k: int):
-    """The constructive procedure trace appropriate for the class."""
+    """The constructive procedure trace appropriate for the class.
+
+    `cmd_witness` has already checked membership in `witness_report`, so
+    the procedures run with `verify=False` and do not check it again.
+    """
     if cls is MinimalityClass.EDGE_MIN_CONN:
         return {"note": "witnesses come from the degree-counting bound; no descent trace"}
     if cls is MinimalityClass.VERTEX_MIN_CONN:
         region = default_profound_region(g, k)
         if region is None:
             return {"note": "complete graph: no separator, counting bound only"}
-        return crossing_separators_witness(g, region, k).to_json_obj()
+        return crossing_separators_witness(g, region, k, verify=False).to_json_obj()
     if cls is MinimalityClass.EDGE_MIN_EDGE_CONN:
-        return edge_min_witness_pair(g, k).to_json_obj()
-    return vertex_min_edge_witness_pair(g, k).to_json_obj()
+        return edge_min_witness_pair(g, k, verify=False).to_json_obj()
+    return vertex_min_edge_witness_pair(g, k, verify=False).to_json_obj()
 
 
 def cmd_witness(args) -> int:

@@ -134,6 +134,21 @@ def vertex_connectivity(g: Graph) -> int:
     return _vertex_scan(g)[0]
 
 
+def _separator_below(g: Graph, k: int) -> tuple[int, ...] | None:
+    """None when kappa(G) >= k.  Otherwise () when G has at most k
+    vertices or is disconnected, else the separator of fewer than k
+    vertices that the first failing flow leaves in its residual."""
+    if g.n < k + 1 or not g.is_connected():
+        return ()
+    net = _split_network(g)
+    caps = list(net.cap)
+    for s, t in _kappa_pairs(g):
+        net.cap[:] = caps
+        if net.max_flow(2 * s + 1, 2 * t, k) < k:
+            return _separator_from_residual(g, net, 2 * s + 1)
+    return None
+
+
 def is_k_connected(g: Graph, k: int) -> bool:
     """kappa(G) >= k, with flows cut off at k (cheaper than full kappa).
 
@@ -141,17 +156,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     """
     if k < 1:
         raise TooSmall("k must be at least 1")
-    if g.n < k + 1:
-        return False
-    if not g.is_connected():
-        return False
-    net = _split_network(g)
-    caps = list(net.cap)
-    for s, t in _kappa_pairs(g):
-        net.cap[:] = caps
-        if net.max_flow(2 * s + 1, 2 * t, k) < k:
-            return False
-    return True
+    return _separator_below(g, k) is None
 
 
 def min_vertex_separator(g: Graph) -> Separator | None:

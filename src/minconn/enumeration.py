@@ -19,8 +19,6 @@ import random
 from itertools import chain, combinations
 from typing import Iterator
 
-import numpy as np
-
 from .errors import InvalidParams, TooLarge
 from .graphs import Graph
 
@@ -36,6 +34,8 @@ def _mask_to_graph(n: int, mask: int, pos: list[tuple[int, int]]) -> Graph:
 
 def _sorted_degree_masks(n: int) -> list[int]:
     """All edge bitmasks whose degree sequence is nondecreasing by label."""
+    import numpy as np  # imported here so that loading the CLI does not pay for it
+
     pos = _edge_positions(n)
     bits = len(pos)
     incidence = np.zeros(n, dtype=np.uint32)

@@ -110,6 +110,3 @@ class FlowNetwork:
                     seen.add(v)
                     q.append(v)
         return seen
-
-    def flow_on(self, arc: int, original_cap: int) -> int:
-        return original_cap - self.cap[arc]

@@ -6,14 +6,29 @@ k-connectivity; *vertex-minimally k-connected* when deleting any single
 vertex does; and analogously for k-edge-connectivity, where parallel
 edges are allowed and a deletion removes one edge copy.
 
-Predicates work by literal exhaustive deletion with one cutoff
-connectivity check per deleted element.  At the scale this package
-targets that is affordable, and the deletion loops are the obvious seam
-if an incremental variant is ever needed.  Two shortcuts are purely
-elementary: deleting an edge lowers either connectivity by at most one,
-and deleting a vertex lowers vertex connectivity by at most one, so a
-graph that stays k-connected beyond k cannot be minimal and any single
-element certifies that.
+Each predicate first checks the base connectivity.  Deleting an edge
+lowers either connectivity by at most one, and deleting a vertex lowers
+vertex connectivity by at most one, so a graph that stays k-connected
+beyond k cannot be minimal and any single element certifies that.  The
+elements are then tried in order, and the first one whose deletion keeps
+the connectivity is the certificate.  Three local facts replace a full
+connectivity scan of the deleted graph:
+
+- Class a.  For k-connected G, G - uv is k-connected iff k internally
+  disjoint u-v paths avoid uv: a separator of G - uv with fewer than k
+  vertices separates nothing in G, so it must split u from v.
+- Class b.  Every vertex x of a k-separator T of G is critical: T - x
+  separates G - x.  The failing (k+1)-connectivity flow leaves one such
+  T, and a separator S of k-1 vertices in G - v gives another, S + v.
+  Vertices so certified are not tried again.
+- Class c.  For k- but not (k+1)-edge-connected G, G minus one copy of
+  uv is k-edge-connected iff lambda(u, v) >= k+1: only the cuts between
+  u and v lose an edge.  A u-v flow of value k leaves a k-cut, and
+  deleting one copy of any of its edges leaves a (k-1)-cut, so those
+  edge classes are not tried again.
+
+Class d has no such fact: deleting a vertex can lower edge connectivity
+by more than one, so each G - v gets a full k-edge-connectivity check.
 """
 
 from __future__ import annotations
@@ -21,7 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .connectivity import is_k_connected, is_k_edge_connected
+from .connectivity import (
+    _edge_network,
+    _separator_below,
+    _split_network,
+    is_k_connected,
+    is_k_edge_connected,
+)
 from .errors import InvalidParams, TooSmall
 from .graphs import Edge, Graph, MultiGraph
 from .io import graph_id
@@ -99,8 +120,15 @@ def is_edge_min_k_connected(g: Graph, k: int) -> PredicateResult:
     if is_k_connected(g, k + 1):
         e = g.edges()[0]
         return PredicateResult(False, f"{k + 1}-connected, so deleting edge {e} keeps {k}-connectivity", e)
+    net = _split_network(g)
+    caps = list(net.cap)
     for e in g.edges():
-        if is_k_connected(g.delete_edge(*e), k):
+        u, v = e
+        net.cap[:] = caps
+        # Cut the arc u_out->v_in; its twin v_out->u_in leaves the sink,
+        # so no u-v flow can use it.
+        net.cap[next(a for a in net.adj[2 * u + 1] if net.to[a] == 2 * v)] = 0
+        if net.max_flow(2 * u + 1, 2 * v, k) == k:
             return PredicateResult(False, f"deleting edge {e} keeps {k}-connectivity", e)
     return PredicateResult(True)
 
@@ -112,12 +140,18 @@ def is_vertex_min_k_connected(g: Graph, k: int) -> PredicateResult:
         return PredicateResult(False, _K1_EMPTY)
     if not is_k_connected(g, k):
         return PredicateResult(False, f"not {k}-connected")
-    if is_k_connected(g, k + 1):
+    sep = _separator_below(g, k + 1)
+    if sep is None:
         return PredicateResult(False, f"{k + 1}-connected, so deleting vertex 0 keeps {k}-connectivity", 0)
+    critical = set(sep)
     for v in range(g.n):
-        h, _ = g.delete_vertex(v)
-        if is_k_connected(h, k):
+        if v in critical:
+            continue
+        h, old = g.delete_vertex(v)
+        sub = _separator_below(h, k)
+        if sub is None:
             return PredicateResult(False, f"deleting vertex {v} keeps {k}-connectivity", v)
+        critical.update(old[w] for w in sub)
     return PredicateResult(True)
 
 
@@ -126,18 +160,25 @@ def is_edge_min_k_edge_connected(g: Graph | MultiGraph, k: int) -> PredicateResu
     _check_pre(g, k)
     if not is_k_edge_connected(g, k):
         return PredicateResult(False, f"not {k}-edge-connected")
+    multi = isinstance(g, MultiGraph)
+    # Parallel copies are interchangeable, so one check per class.
+    classes = g.edge_classes() if multi else g.edges()
     if is_k_edge_connected(g, k + 1):
-        e = (g.edge_classes() if isinstance(g, MultiGraph) else g.edges())[0]
+        e = classes[0]
         return PredicateResult(False, f"{k + 1}-edge-connected, so deleting edge {e} keeps {k}-edge-connectivity", e)
-    if isinstance(g, MultiGraph):
-        # Parallel copies are interchangeable, so one check per class.
-        for e in g.edge_classes():
-            if is_k_edge_connected(g.delete_one_edge(*e), k):
-                return PredicateResult(False, f"deleting one copy of edge {e} keeps {k}-edge-connectivity", e)
-    else:
-        for e in g.edges():
-            if is_k_edge_connected(g.delete_edge(*e), k):
-                return PredicateResult(False, f"deleting edge {e} keeps {k}-edge-connectivity", e)
+    deleting = "deleting one copy of edge" if multi else "deleting edge"
+    net = _edge_network(g)
+    caps = list(net.cap)
+    essential: set[Edge] = set()
+    for e in classes:
+        if e in essential:
+            continue
+        u, v = e
+        net.cap[:] = caps
+        if net.max_flow(u, v, k + 1) > k:
+            return PredicateResult(False, f"{deleting} {e} keeps {k}-edge-connectivity", e)
+        side = net.residual_reachable(u)
+        essential.update(f for f in classes if (f[0] in side) != (f[1] in side))
     return PredicateResult(True)
 
 

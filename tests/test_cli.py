@@ -7,11 +7,19 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import minconn.witnesses as witnesses
 from minconn.cli import main
+from minconn.constructions import band_graph, cycle_clique_strong, multipath
 from minconn.families import FAMILY_KINDS
 from minconn.graphs import Graph, MultiGraph
 from minconn.io import from_edge_list, from_graph6, to_graph6
 from minconn.minimality import MinimalityClass, check_class
+from minconn.witnesses import (
+    crossing_separators_witness,
+    default_profound_region,
+    edge_min_witness_pair,
+    vertex_min_edge_witness_pair,
+)
 
 C6 = "EhEG"  # the 6-cycle
 P4 = "Ch"  # the 4-path
@@ -171,6 +179,49 @@ class TestWitness:
             ["witness", C6, C6, "--k", "2", "--class", "b"], capsys
         )
         assert code == 1
+
+    @pytest.mark.parametrize("cls", ["b", "c", "d"])
+    @pytest.mark.parametrize("g6", [P4, "C~"])  # not 2-connected; 3-connected K4
+    def test_explain_fails_on_membership_alone(self, capsys, cls, g6):
+        argv = ["witness", g6, "--k", "2", "--class", cls]
+        plain = invoke(argv, capsys)
+        explained = invoke(argv + ["--explain"], capsys)
+        assert explained == plain
+        code, out, err = explained
+        assert code == 3 and out == ""
+        assert err.startswith(f"violation: graph is not in class {cls} for k=2: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("cls", ["b", "c", "d"])
+    def test_explain_checks_membership_once(self, capsys, monkeypatch, cls):
+        calls = []
+        real = witnesses.check_class
+        monkeypatch.setattr(
+            witnesses, "check_class", lambda *a: calls.append(a) or real(*a)
+        )
+        code, _, _ = invoke(["witness", C6, "--k", "2", "--class", cls, "--explain"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_trace_same_with_and_without_verify(self):
+        procedures = {
+            "b": lambda g, k, verify: crossing_separators_witness(
+                g, default_profound_region(g, k), k, verify
+            ),
+            "c": edge_min_witness_pair,
+            "d": vertex_min_edge_witness_pair,
+        }
+        members = [
+            (from_graph6(C6), "bcd", 2),
+            (band_graph(3, 2).graph, "bd", 3),
+            (cycle_clique_strong(4, 5), "b", 4),
+            (multipath(3, 5), "c", 3),
+        ]
+        for g, classes, k in members:
+            for cls in classes:
+                assert check_class(g, MinimalityClass(cls), k).holds, (cls, k)
+                run = procedures[cls]
+                assert run(g, k, True).to_json_obj() == run(g, k, False).to_json_obj(), cls
 
 
 class TestVerify:

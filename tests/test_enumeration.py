@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minconn
 from minconn.enumeration import (
     canonical_key,
     enumerate_all,
@@ -89,3 +95,14 @@ class TestRandomGraphs:
             next(random_graphs(-1, 8))
         with pytest.raises(InvalidParams):
             next(random_graphs(5, 1))
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only the exhaustive sweep needs numpy, so it is imported there
+    src = str(Path(minconn.__file__).resolve().parents[1])
+    probe = "import sys, minconn.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"

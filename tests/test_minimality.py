@@ -18,7 +18,9 @@ from minconn.graphs import (
     path_graph,
 )
 from minconn.minimality import (
+    _K1_EMPTY,
     MinimalityClass,
+    PredicateResult,
     check_class,
     classify,
     is_edge_min_k_connected,
@@ -27,6 +29,8 @@ from minconn.minimality import (
     is_vertex_min_k_edge_connected,
 )
 from minconn.constructions import band_graph, multipath
+
+from test_connectivity import multigraphs
 
 
 @st.composite
@@ -37,66 +41,116 @@ def graphs(draw, min_n=2, max_n=7):
     return Graph(n, [p for p, b in zip(pairs, mask) if b])
 
 
-def brute_edge_min_k_connected(g, k):
+# The literal deletion loops: delete each element in turn and run a full
+# connectivity check on the copy.  They are the oracle for the local
+# tests in minimality.py, which must agree on holds, reason and certificate.
+
+
+def literal_edge_min_k_connected(g, k):
     if not is_k_connected(g, k):
-        return False
-    return all(not is_k_connected(g.delete_edge(u, v), k) for u, v in g.edges())
+        return PredicateResult(False, f"not {k}-connected")
+    if is_k_connected(g, k + 1):
+        e = g.edges()[0]
+        return PredicateResult(False, f"{k + 1}-connected, so deleting edge {e} keeps {k}-connectivity", e)
+    for e in g.edges():
+        if is_k_connected(g.delete_edge(*e), k):
+            return PredicateResult(False, f"deleting edge {e} keeps {k}-connectivity", e)
+    return PredicateResult(True)
 
 
-def brute_vertex_min_k_connected(g, k):
+def literal_vertex_min_k_connected(g, k):
     if k == 1:
-        return False
+        return PredicateResult(False, _K1_EMPTY)
     if not is_k_connected(g, k):
-        return False
-    return all(not is_k_connected(g.delete_vertex(v)[0], k) for v in range(g.n))
+        return PredicateResult(False, f"not {k}-connected")
+    if is_k_connected(g, k + 1):
+        return PredicateResult(False, f"{k + 1}-connected, so deleting vertex 0 keeps {k}-connectivity", 0)
+    for v in range(g.n):
+        if is_k_connected(g.delete_vertex(v)[0], k):
+            return PredicateResult(False, f"deleting vertex {v} keeps {k}-connectivity", v)
+    return PredicateResult(True)
 
 
-def brute_edge_min_k_edge_connected(g, k):
+def literal_edge_min_k_edge_connected(g, k):
     if not is_k_edge_connected(g, k):
-        return False
-    if isinstance(g, MultiGraph):
-        return all(
-            not is_k_edge_connected(g.delete_one_edge(u, v), k)
-            for u, v in g.edge_classes()
-        )
-    return all(not is_k_edge_connected(g.delete_edge(u, v), k) for u, v in g.edges())
+        return PredicateResult(False, f"not {k}-edge-connected")
+    multi = isinstance(g, MultiGraph)
+    classes = g.edge_classes() if multi else g.edges()
+    if is_k_edge_connected(g, k + 1):
+        e = classes[0]
+        return PredicateResult(False, f"{k + 1}-edge-connected, so deleting edge {e} keeps {k}-edge-connectivity", e)
+    for e in classes:
+        h = g.delete_one_edge(*e) if multi else g.delete_edge(*e)
+        if is_k_edge_connected(h, k):
+            deleting = "deleting one copy of edge" if multi else "deleting edge"
+            return PredicateResult(False, f"{deleting} {e} keeps {k}-edge-connectivity", e)
+    return PredicateResult(True)
 
 
-def brute_vertex_min_k_edge_connected(g, k):
+def literal_vertex_min_k_edge_connected(g, k):
     if k == 1:
-        return False
+        return PredicateResult(False, _K1_EMPTY)
     if not is_k_edge_connected(g, k):
-        return False
-    return all(
-        g.n - 1 < 2 or not is_k_edge_connected(g.delete_vertex(v)[0], k)
-        for v in range(g.n)
-    )
+        return PredicateResult(False, f"not {k}-edge-connected")
+    for v in range(g.n):
+        if is_k_edge_connected(g.delete_vertex(v)[0], k):
+            return PredicateResult(False, f"deleting vertex {v} keeps {k}-edge-connectivity", v)
+    return PredicateResult(True)
 
 
-BRUTES = {
-    MinimalityClass.EDGE_MIN_CONN: brute_edge_min_k_connected,
-    MinimalityClass.VERTEX_MIN_CONN: brute_vertex_min_k_connected,
-    MinimalityClass.EDGE_MIN_EDGE_CONN: brute_edge_min_k_edge_connected,
-    MinimalityClass.VERTEX_MIN_EDGE_CONN: brute_vertex_min_k_edge_connected,
+LITERAL = {
+    MinimalityClass.EDGE_MIN_CONN: literal_edge_min_k_connected,
+    MinimalityClass.VERTEX_MIN_CONN: literal_vertex_min_k_connected,
+    MinimalityClass.EDGE_MIN_EDGE_CONN: literal_edge_min_k_edge_connected,
+    MinimalityClass.VERTEX_MIN_EDGE_CONN: literal_vertex_min_k_edge_connected,
 }
+
+
+EDGE_CONN_CLASSES = (MinimalityClass.EDGE_MIN_EDGE_CONN, MinimalityClass.VERTEX_MIN_EDGE_CONN)
+
+
+def reversed_labels(g):
+    return Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])
+
+
+def assert_same_as_literal(g, ks, classes=tuple(LITERAL)):
+    for k in ks:
+        for cls in classes:
+            assert check_class(g, cls, k) == LITERAL[cls](g, k), (cls, k, g.n, g.edges())
 
 
 class TestAgainstBruteForce:
     @given(graphs(), st.integers(1, 4))
     @settings(max_examples=150, deadline=None)
     def test_all_predicates(self, g, k):
-        for cls, brute in BRUTES.items():
-            assert check_class(g, cls, k).holds == brute(g, k), (cls, k, g.edges())
+        assert_same_as_literal(g, [k])
 
-    def test_corpus_k2(self, small_corpus):
-        for g in small_corpus:
-            for cls, brute in BRUTES.items():
-                assert check_class(g, cls, 2).holds == brute(g, 2)
+    def test_corpus7_k1_to_4(self, corpus7):
+        for g in corpus7:
+            assert_same_as_literal(g, range(1, 5))
 
-    def test_random_corpus_k3(self, random_corpus):
+    def test_corpus7_reversed_k1_to_4(self, corpus7):
+        # Corpus labels put low degrees first; reversed, the high-degree
+        # vertices come first in the walk and certify the others.
+        for g in corpus7:
+            assert_same_as_literal(reversed_labels(g), range(1, 5))
+
+    def test_random_corpus_k1_to_4(self, random_corpus):
         for g in random_corpus:
-            for cls, brute in BRUTES.items():
-                assert check_class(g, cls, 3).holds == brute(g, 3)
+            assert_same_as_literal(g, range(1, 5))
+
+    @given(multigraphs(), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_multigraph_edge_classes(self, g, k):
+        assert_same_as_literal(g, [k], EDGE_CONN_CLASSES)
+
+    def test_multipaths(self):
+        assert_same_as_literal(multipath(3, 5), range(1, 6), EDGE_CONN_CLASSES)
+        thick = MultiGraph(3, [(0, 1, 3), (1, 2, 2)])
+        assert_same_as_literal(thick, range(1, 4), EDGE_CONN_CLASSES)
+        assert check_class(thick, MinimalityClass.EDGE_MIN_EDGE_CONN, 2).reason == (
+            "deleting one copy of edge (0, 1) keeps 2-edge-connectivity"
+        )
 
 
 class TestKnownMembers:
