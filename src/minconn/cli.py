@@ -35,6 +35,7 @@ from .errors import (
     MinconnError,
     NotConverged,
     PreconditionViolated,
+    TooSmall,
     ValidationFailed,
 )
 from .families import FAMILY_KINDS, _parse_params, ball, end_degree_estimate, find_end, make_family
@@ -230,8 +231,16 @@ def _verify_row(g, k: int, held: list[MinimalityClass]):
     return deg_k, deg_small, failures, witnesses
 
 
+def _check_k(k: int) -> None:
+    # Checked before any graph is read, so a bad k fails the same way
+    # whatever the corpus, with nothing on stdout.
+    if k < 1:
+        raise TooSmall("k must be at least 1")
+
+
 def cmd_verify(args) -> int:
     k = args.k
+    _check_k(k)
     wanted = _parse_class(args.cls)
     graphs = enumerate_all(args.nmax)
     if args.count:
@@ -239,7 +248,9 @@ def cmd_verify(args) -> int:
 
     rows = []
     for g in graphs:
-        if g.n < 2:
+        # Every class implies k-edge-connectivity, so a member on n >= 2
+        # vertices has minimum degree at least k.
+        if g.n < 2 or g.min_degree() < k:
             continue
         rep = classify(g, k)
         held = [
@@ -386,12 +397,15 @@ def cmd_enumerate(args) -> int:
     if wanted is not None and args.k is None:
         print("--class needs --k", file=sys.stderr)
         return EXIT_USAGE
+    if args.k is not None:
+        _check_k(args.k)
     graphs = enumerate_all(args.nmax)
     if args.count:
         graphs = chain(graphs, random_graphs(args.count, args.rand_nmax, args.seed))
     for g in graphs:
         if args.k is not None:
-            if g.n < 2:
+            # as in cmd_verify: members on n >= 2 vertices have degree >= k
+            if g.n < 2 or g.min_degree() < args.k:
                 continue
             if wanted is not None:
                 if not check_class(g, wanted, args.k).holds:

@@ -435,6 +435,13 @@ class TestEnumerate:
         assert out == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+def test_bad_k_fails_before_any_output(command, capsys):
+    # the same one-line error whether or not the corpus reaches n >= 2
+    small, full = [invoke([command, "--k", "0", "--nmax", nmax], capsys) for nmax in ("1", "7")]
+    assert small == full == (1, "", "error: k must be at least 1\n")
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         code, out, _ = invoke(["--version"], capsys)

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,35 @@ def permuted(g: Graph, perm: list[int]) -> Graph:
     return Graph(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
 
 
+def edge_mask(g: Graph) -> int:
+    index = {e: p for p, e in enumerate(combinations(range(g.n), 2))}
+    return sum(1 << index[tuple(sorted(e))] for e in g.edges())
+
+
+def reference_graphs(n: int) -> list[Graph]:
+    """The unpruned sweep: every mask whose degrees are nondecreasing by
+    label, in increasing order, keeping the first mask of each canonical
+    key."""
+    import numpy as np
+
+    pos = list(combinations(range(n), 2))
+    masks = np.arange(1 << len(pos), dtype=np.uint32)
+    degs = np.zeros((n, masks.size), dtype=np.uint8)
+    for p, (u, v) in enumerate(pos):
+        bit = (masks >> p & 1).astype(np.uint8)
+        degs[u] += bit
+        degs[v] += bit
+    sorted_masks = masks[np.all(degs[:-1] <= degs[1:], axis=0)].tolist()
+    seen, out = set(), []
+    for mask in sorted_masks:
+        g = Graph(n, (e for p, e in enumerate(pos) if mask >> p & 1))
+        key = canonical_key(g)
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
+    return out
+
+
 class TestExhaustive:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_class_counts(self, n):
@@ -42,6 +73,37 @@ class TestExhaustive:
 
     def test_orders_are_exact(self):
         assert all(g.n == 6 for g in enumerate_graphs(6))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_same_graphs_as_unpruned_sweep(self, n):
+        assert [g.edges() for g in enumerate_graphs(n)] == [
+            g.edges() for g in reference_graphs(n)
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_each_graph_is_its_least_degree_sorted_mask(self, n):
+        for g in enumerate_graphs(n):
+            degs = g.degrees()
+            least = min(
+                edge_mask(permuted(g, list(perm)))
+                for perm in permutations(range(n))
+                # perm sends v to perm[v]; keep the new degrees nondecreasing
+                if all(degs[perm.index(i)] <= degs[perm.index(i + 1)] for i in range(n - 1))
+            )
+            assert edge_mask(g) == least, g.edges()
+
+    def test_matches_networkx_atlas(self):
+        nx = pytest.importorskip("networkx")
+        emitted = {canonical_key(g) for n in range(1, 8) for g in enumerate_graphs(n)}
+        matched = Counter()
+        for h in nx.graph_atlas_g():
+            if 1 <= h.number_of_nodes() <= 7:
+                h = nx.convert_node_labels_to_integers(h)
+                key = canonical_key(Graph(h.number_of_nodes(), h.edges()))
+                assert key in emitted
+                matched[key] += 1
+        assert set(matched.values()) == {1} and len(matched) == len(emitted)
+        assert Counter(n for n, _ in matched) == KNOWN_COUNTS
 
     def test_cap(self):
         with pytest.raises(TooLarge):
