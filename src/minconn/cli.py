@@ -178,6 +178,9 @@ def _explain_trace(g, cls: MinimalityClass, k: int):
 
 
 def cmd_witness(args) -> int:
+    if args.explain and args.format != "json":
+        print("--explain needs --format json", file=sys.stderr)
+        return EXIT_USAGE
     try:
         graphs = _read_graphs(args)
     except InvalidParams as exc:

@@ -296,7 +296,8 @@ def min_cut_containing_edge(g, e: Edge) -> Cut:
 
 
 def _decompose_paths(net: FlowNetwork, caps: list[int], source: int, sink: int, node_of) -> list[tuple[int, ...]]:
-    # Walk unit flows from source to sink, consuming them arc by arc.
+    # Walk unit flows from source to sink, consuming them arc by arc.  An
+    # undirected pair carries its flow on whichever arc points along it.
     flow = [caps[a] - net.cap[a] for a in range(len(net.cap))]
     paths = []
     while True:
@@ -304,7 +305,7 @@ def _decompose_paths(net: FlowNetwork, caps: list[int], source: int, sink: int, 
         u = source
         while u != sink:
             for a in net.adj[u]:
-                if a % 2 == 0 and flow[a] > 0:
+                if flow[a] > 0:
                     flow[a] -= 1
                     walk.append(a)
                     u = net.to[a]

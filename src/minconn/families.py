@@ -61,7 +61,6 @@ class Ball:
     """
 
     family: "Family"
-    center: Tag
     radius: int
     tags: tuple[Tag, ...]
     index: dict
@@ -116,9 +115,6 @@ class Family:
     def direction_tag_at(self, end: EndDescriptor, dist: int) -> Tag:
         """A tag of the representative ray at the given center distance."""
         raise NotImplementedError
-
-    def ray_tags(self, end: EndDescriptor, length: int) -> list[Tag]:
-        return [self.direction_tag_at(end, i) for i in range(1, length + 1)]
 
     # -- estimator tuning ------------------------------------------------
     def base_radius(self) -> int:
@@ -689,8 +685,8 @@ def find_end(f: Family, label: str) -> EndDescriptor:
 
 
 @lru_cache(maxsize=16)
-def ball(f: Family, radius: int, center: Tag = None) -> Ball:
-    """The ball of the given radius around the center (default: family's).
+def ball(f: Family, radius: int) -> Ball:
+    """The ball of the given radius around the family's center.
 
     Vertices are indexed in BFS discovery order, which the deterministic
     neighbor lists make reproducible.  One pass asks the oracle once per
@@ -703,7 +699,7 @@ def ball(f: Family, radius: int, center: Tag = None) -> Ball:
     """
     if radius < 0:
         raise InvalidParams("radius must be non-negative")
-    c = f.center() if center is None else center
+    c = f.center()
     index = {c: 0}
     tags: list[Tag] = [c]
     dist = array("i", [0])
@@ -730,7 +726,7 @@ def ball(f: Family, radius: int, center: Tag = None) -> Ball:
     # BFS order makes the frontier an index suffix; taking its members from
     # the index's values shares their int objects instead of making new ones.
     frontier = frozenset(islice(index.values(), bisect_left(dist, radius), None))
-    return Ball(f, c, radius, tuple(tags), index, dist, offsets, targets, frontier)
+    return Ball(f, radius, tuple(tags), index, dist, offsets, targets, frontier)
 
 
 def _csr(n: int, heads: array, tails: array) -> tuple[array, array]:

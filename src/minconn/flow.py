@@ -1,10 +1,15 @@
-"""Unit-capacity oriented max-flow kernel (Dinic's algorithm).
+"""Max-flow kernel: shortest augmenting paths (Edmonds and Karp, J. ACM 1972).
 
 Every connectivity routine in this package reduces to max-flow on a small
 network: edge cuts use the graph directly, vertex separators use the
 standard vertex-splitting transform.  The kernel therefore exposes the raw
 arc arrays so callers can read off minimum cuts (residual reachability)
 and decompose unit flows into paths.
+
+Callers read the residual only after a flow that stopped below its limit.
+Such a flow is maximum, and for every maximum flow the nodes reachable in
+the residual graph are the source side of the one source-minimal minimum
+cut, so cuts and separators do not depend on which maximum flow was found.
 """
 
 from __future__ import annotations
@@ -44,69 +49,41 @@ class FlowNetwork:
     def max_flow(self, s: int, t: int, limit: int = INF) -> int:
         """Push flow from s to t, stopping once `limit` is reached."""
         assert s != t
+        to, cap = self.to, self.cap
         flow = 0
         while flow < limit:
-            level = self._bfs_levels(s, t)
-            if level[t] < 0:
+            via = self._bfs(s, t)
+            if t not in via:
                 break
-            it = [0] * self.n
-            while flow < limit:
-                pushed = self._dfs(s, t, limit - flow, level, it)
-                if not pushed:
-                    break
-                flow += pushed
+            path = []
+            v = t
+            while v != s:
+                a = via[v]
+                path.append(a)
+                v = to[a ^ 1]
+            pushed = min(limit - flow, min(cap[a] for a in path))
+            for a in path:
+                cap[a] -= pushed
+                cap[a ^ 1] += pushed
+            flow += pushed
         return flow
 
-    def _bfs_levels(self, s: int, t: int) -> list[int]:
-        level = [-1] * self.n
-        level[s] = 0
+    def _bfs(self, s: int, t: int = -1) -> dict[int, int]:
+        # Breadth-first search of the residual graph: maps each node reached
+        # to the arc that first reached it (s to -1), stopping once t is.
+        to, cap, adj = self.to, self.cap, self.adj
+        via = {s: -1}
         q = deque([s])
         while q:
-            u = q.popleft()
-            for a in self.adj[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+            for a in adj[q.popleft()]:
+                v = to[a]
+                if cap[a] > 0 and v not in via:
+                    via[v] = a
+                    if v == t:
+                        return via
                     q.append(v)
-        return level
-
-    def _dfs(self, s: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
-        # Iterative blocking-flow DFS along level-increasing residual arcs.
-        path: list[int] = []
-        u = s
-        while True:
-            if u == t:
-                pushed = min(limit, min(self.cap[a] for a in path))
-                for a in path:
-                    self.cap[a] -= pushed
-                    self.cap[a ^ 1] += pushed
-                return pushed
-            advanced = False
-            while it[u] < len(self.adj[u]):
-                a = self.adj[u][it[u]]
-                v = self.to[a]
-                if self.cap[a] > 0 and level[v] == level[u] + 1:
-                    path.append(a)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if not advanced:
-                if u == s:
-                    return 0
-                level[u] = -1
-                u = self.to[path[-1] ^ 1]
-                path.pop()
+        return via
 
     def residual_reachable(self, s: int) -> set[int]:
         """Nodes reachable from s along arcs with leftover capacity."""
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for a in self.adj[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
+        return set(self._bfs(s))

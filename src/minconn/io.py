@@ -8,8 +8,6 @@ multigraph variant appends a multiplicity column.
 
 from __future__ import annotations
 
-import json
-
 from .errors import InvalidParams
 from .graphs import Graph, MultiGraph
 
@@ -147,6 +145,3 @@ def to_json_obj(g, labels: dict[str, int] | None = None, **extra) -> dict:
     obj.update(extra)
     return obj
 
-
-def dumps(g, labels=None, **extra) -> str:
-    return json.dumps(to_json_obj(g, labels, **extra), sort_keys=True)

@@ -180,6 +180,11 @@ class TestWitness:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("g6", [C6, "not-graph6"])
+    def test_explain_needs_json_before_reading_input(self, capsys, g6):
+        argv = ["witness", g6, "--k", "2", "--class", "b", "--explain", "--format", "text"]
+        assert invoke(argv, capsys) == (1, "", "--explain needs --format json\n")
+
     @pytest.mark.parametrize("cls", ["b", "c", "d"])
     @pytest.mark.parametrize("g6", [P4, "C~"])  # not 2-connected; 3-connected K4
     def test_explain_fails_on_membership_alone(self, capsys, cls, g6):

@@ -229,23 +229,58 @@ class TestSeparators:
         assert cut.size == 2  # (1,2) and (3,0), both multiplicity 1
 
 
+def _reaches(g: Graph, a, b, dead_vertices=(), dead_edges=()) -> bool:
+    """Whether some vertex of a reaches b avoiding the dead vertices and edges."""
+    dead_e = {frozenset(e) for e in dead_edges}
+    seen = set(a) - set(dead_vertices)
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        for w in g.neighbors(u):
+            if w not in seen and w not in dead_vertices and frozenset((u, w)) not in dead_e:
+                seen.add(w)
+                stack.append(w)
+    return bool(seen & set(b))
+
+
 class TestDisjointPaths:
+    @pytest.mark.parametrize(
+        "mode,exempt",
+        [("vertex", True), ("vertex", False), ("edge", True)],
+        ids=["vertex-exempt", "vertex-strict", "edge"],
+    )
     @given(graphs(min_n=4, max_n=7), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_menger_duality_vertex(self, g, data):
+    def test_menger_duality(self, mode, exempt, g, data):
         a = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=2))
         b_pool = sorted(set(range(g.n)) - a)
-        if not b_pool:
-            return
         b = data.draw(st.sets(st.sampled_from(b_pool), min_size=1, max_size=2))
-        res = max_disjoint_paths(g, sorted(a), sorted(b), mode="vertex")
-        # paths are pairwise internally disjoint and connect the sides
-        seen = set()
+        res = max_disjoint_paths(g, sorted(a), sorted(b), mode=mode, endpoint_exempt=exempt)
+        assert len(res.paths) == res.count
         for p in res.paths:
-            assert p[0] in a and p[-1] in b
-            inner = set(p[1:-1])
-            assert not (inner & seen)
-            seen |= inner
+            assert p[0] in a and p[-1] in b and len(p) >= 2
+            assert all(g.has_edge(u, v) for u, v in zip(p, p[1:]))
+        if mode == "edge":
+            # edge-disjoint, dual to an A-B edge cut of the same size
+            used = [frozenset(e) for p in res.paths for e in zip(p, p[1:])]
+            assert len(used) == len(set(used))
+            assert res.count == res.cut.size == len(res.cut.edges)
+            assert not _reaches(g, a, b, dead_edges=res.cut.edges)
+        elif exempt:
+            # internally disjoint; the dual separator avoids A and B, and the
+            # direct A-B edges, each a path of its own, complete it
+            inner = [v for p in res.paths for v in p[1:-1]]
+            assert len(inner) == len(set(inner))
+            direct = [p for p in res.paths if len(p) == 2]
+            assert not set(res.separator.vertices) & (a | b)
+            assert res.count == res.separator.size + len(direct)
+            assert not _reaches(g, a, b, res.separator.vertices, direct)
+        else:
+            # disjoint everywhere, dual to a separator that may meet A or B
+            used = [v for p in res.paths for v in p]
+            assert len(used) == len(set(used))
+            assert res.count == res.separator.size
+            assert not _reaches(g, a, b, res.separator.vertices)
 
     def test_vertex_paths_on_cycle(self):
         g = cycle_graph(6)

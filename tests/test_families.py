@@ -163,7 +163,7 @@ class TestFamilyStructure:
     def test_direction_rays(self, spec):
         f = make_family(spec)
         for end in f.ends(f.witness_end_depth()):
-            tags = f.ray_tags(end, 6)
+            tags = [f.direction_tag_at(end, d) for d in range(1, 7)]
             assert len(set(tags)) == 6
             start = f.witness_end_depth()
             for d, t in enumerate(tags, start=1):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from minconn.errors import InvalidParams
 from minconn.graphs import Graph, MultiGraph, complete_graph, cycle_graph
 from minconn.io import (
-    dumps,
     from_edge_list,
     from_graph6,
     read_graph6_stream,
@@ -147,7 +146,6 @@ class TestJson:
         obj = to_json_obj(g)
         assert obj["edges"] == [[0, 1, 1], [1, 2, 2]]
 
-    def test_dumps_is_valid_json(self):
-        text = dumps(cycle_graph(4), labels={"start": 0})
-        parsed = json.loads(text)
-        assert parsed["labels"] == {"start": 0}
+    def test_json_obj_labels(self):
+        obj = to_json_obj(cycle_graph(4), labels={"start": 0})
+        assert json.loads(json.dumps(obj))["labels"] == {"start": 0}
