@@ -17,9 +17,11 @@ same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import chain
+from typing import Iterator
 
 from . import __version__
 from .constructions import (
@@ -39,7 +41,7 @@ from .errors import (
     ValidationFailed,
 )
 from .families import FAMILY_KINDS, _parse_params, ball, end_degree_estimate, find_end, make_family
-from .graphs import MultiGraph, small_degree_set
+from .graphs import Graph, MultiGraph, small_degree_set
 from .io import (
     from_edge_list,
     from_graph6,
@@ -241,20 +243,22 @@ def _check_k(k: int) -> None:
         raise TooSmall("k must be at least 1")
 
 
+def _corpus(args, k: int | None) -> Iterator[Graph]:
+    """The exhaustive graphs up to --nmax, then --count random graphs, with
+    all arguments checked at the call.  With k, only graphs on n >= 2
+    vertices of minimum degree >= k: every class implies k-edge-connectivity."""
+    graphs = enumerate_all(args.nmax)
+    if args.count:
+        graphs = chain(graphs, random_graphs(args.count, args.rand_nmax, args.seed))
+    return graphs if k is None else (g for g in graphs if g.n >= 2 and g.min_degree() >= k)
+
+
 def cmd_verify(args) -> int:
     k = args.k
     _check_k(k)
     wanted = _parse_class(args.cls)
-    graphs = enumerate_all(args.nmax)
-    if args.count:
-        graphs = chain(graphs, random_graphs(args.count, args.rand_nmax, args.seed))
-
     rows = []
-    for g in graphs:
-        # Every class implies k-edge-connectivity, so a member on n >= 2
-        # vertices has minimum degree at least k.
-        if g.n < 2 or g.min_degree() < k:
-            continue
+    for g in _corpus(args, k):
         rep = classify(g, k)
         held = [
             cls
@@ -402,14 +406,8 @@ def cmd_enumerate(args) -> int:
         return EXIT_USAGE
     if args.k is not None:
         _check_k(args.k)
-    graphs = enumerate_all(args.nmax)
-    if args.count:
-        graphs = chain(graphs, random_graphs(args.count, args.rand_nmax, args.seed))
-    for g in graphs:
+    for g in _corpus(args, args.k):
         if args.k is not None:
-            # as in cmd_verify: members on n >= 2 vertices have degree >= k
-            if g.n < 2 or g.min_degree() < args.k:
-                continue
             if wanted is not None:
                 if not check_class(g, wanted, args.k).holds:
                     continue
@@ -439,6 +437,7 @@ def _add_graph_input(sub) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
     p = _Parser(prog="minconn", description=__doc__.split("\n\n")[0])
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

@@ -432,12 +432,15 @@ class TestEnumerate:
             ["enumerate", "--nmax", "2", "--count", "2", "--rand-nmax", "-1"],
             ["enumerate", "--nmax", "2", "--count", "-1"],
             ["enumerate", "--nmax", "8"],
+            ["enumerate", "--nmax", "-2"],
+            ["verify", "--k", "2", "--nmax", "0"],
         ],
     )
     def test_bad_random_arguments_fail_before_any_output(self, argv, capsys):
-        code, out, _ = invoke(argv, capsys)
+        code, out, err = invoke(argv, capsys)
         assert code == 1
         assert out == ""
+        assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "enumerate"])

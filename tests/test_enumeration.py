@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import minconn
 from minconn.enumeration import (
+    _candidate_masks,
     canonical_key,
     enumerate_all,
     enumerate_graphs,
@@ -21,6 +22,8 @@ from minconn.graphs import Graph
 
 # number of isomorphism classes of graphs on n vertices
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+# masks that survive the degree-order and adjacent-swap tests
+CANDIDATE_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 158, 7: 1144}
 
 
 def permuted(g: Graph, perm: list[int]) -> Graph:
@@ -36,24 +39,38 @@ def reference_graphs(n: int) -> list[Graph]:
     """The unpruned sweep: every mask whose degrees are nondecreasing by
     label, in increasing order, keeping the first mask of each canonical
     key."""
-    import numpy as np
-
     pos = list(combinations(range(n), 2))
-    masks = np.arange(1 << len(pos), dtype=np.uint32)
-    degs = np.zeros((n, masks.size), dtype=np.uint8)
-    for p, (u, v) in enumerate(pos):
-        bit = (masks >> p & 1).astype(np.uint8)
-        degs[u] += bit
-        degs[v] += bit
-    sorted_masks = masks[np.all(degs[:-1] <= degs[1:], axis=0)].tolist()
+    incidence = [sum(1 << p for p, e in enumerate(pos) if v in e) for v in range(n)]
     seen, out = set(), []
-    for mask in sorted_masks:
-        g = Graph(n, (e for p, e in enumerate(pos) if mask >> p & 1))
-        key = canonical_key(g)
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
+    for mask in range(1 << len(pos)):
+        prev = 0
+        for inc in incidence:
+            deg = (mask & inc).bit_count()
+            if deg < prev:
+                break
+            prev = deg
+        else:
+            g = Graph(n, (e for p, e in enumerate(pos) if mask >> p & 1))
+            key = canonical_key(g)
+            if key not in seen:
+                seen.add(key)
+                out.append(g)
     return out
+
+
+def is_candidate(g: Graph) -> bool:
+    """The definition of a candidate mask, by explicit relabelling:
+    degrees nondecreasing by label, and no swap of two adjacent labels of
+    equal degree gives a smaller mask."""
+    degs = g.degrees()
+    for i in range(g.n - 1):
+        if degs[i] > degs[i + 1]:
+            return False
+        swap = list(range(g.n))
+        swap[i], swap[i + 1] = i + 1, i
+        if degs[i] == degs[i + 1] and edge_mask(permuted(g, swap)) < edge_mask(g):
+            return False
+    return True
 
 
 class TestExhaustive:
@@ -79,6 +96,19 @@ class TestExhaustive:
         assert [g.edges() for g in enumerate_graphs(n)] == [
             g.edges() for g in reference_graphs(n)
         ]
+
+    def test_candidate_counts(self):
+        assert {n: len(_candidate_masks(n)) for n in range(1, 8)} == CANDIDATE_COUNTS
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_candidates_match_their_definition(self, n):
+        pos = list(combinations(range(n), 2))
+        expected = [
+            mask
+            for mask in range(1 << len(pos))
+            if is_candidate(Graph(n, (e for p, e in enumerate(pos) if mask >> p & 1)))
+        ]
+        assert _candidate_masks(n) == expected
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_each_graph_is_its_least_degree_sorted_mask(self, n):
@@ -160,11 +190,17 @@ class TestRandomGraphs:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # only the exhaustive sweep needs numpy, so it is imported there
+    # nothing imports numpy, and the full sweep runs where it cannot be imported
     src = str(Path(minconn.__file__).resolve().parents[1])
-    probe = "import sys, minconn.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import sys, minconn.cli; print('numpy' in sys.modules); "
+        "sys.modules['numpy'] = None; "
+        "sys.exit(minconn.cli.main(['enumerate', '--nmax', '7']))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout == "False\n"
+    first, *graphs = out.stdout.splitlines()
+    assert first == "False"
+    assert len(graphs) == 1252
