@@ -14,6 +14,14 @@ one unit above the best value so far, so a pair that ties the final
 minimum runs to its full maximum flow, and ties keep the
 lexicographically smallest separator (or `Cut.edges`).
 
+The threshold questions kappa >= j and lambda >= j go through one
+`_Connectivity` record per graph, which the minimality predicates share.
+It builds at most one split network and one edge network, answers each
+question about the graph once, and answers lambda >= j without a flow
+once kappa >= j is known (Whitney, Amer. J. Math. 1932: kappa <= lambda).
+The same questions about G - v are asked on G's networks with v's arcs
+cut, not on a copy of G - v.
+
 Conventions: disconnected graphs have connectivity 0, complete graphs have
 vertex connectivity n-1, and single-vertex graphs are rejected.
 """
@@ -21,6 +29,7 @@ vertex connectivity n-1, and single-vertex graphs are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import NoSuchEdge, TooLarge, TooSmall
@@ -70,8 +79,9 @@ class DisjointPaths:
 
 
 def _split_network(g: Graph, uncapped=frozenset()) -> FlowNetwork:
-    # node 2v = v_in, 2v+1 = v_out; the last two nodes are the super-source
-    # and sink of `max_disjoint_paths`, isolated in the pair scans
+    # node 2v = v_in, 2v+1 = v_out, and arc 2v is v_in->v_out; the last two
+    # nodes are the super-source and sink of `max_disjoint_paths`, isolated
+    # in the pair scans
     net = FlowNetwork(2 * g.n + 2)
     for v in range(g.n):
         net.add_arc(2 * v, 2 * v + 1, INF if v in uncapped else 1)
@@ -90,17 +100,21 @@ def _separator(g: Graph, vertices: tuple[int, ...]) -> Separator:
     return Separator(vertices, tuple(components_of_subset(g, set(range(g.n)) - set(vertices))))
 
 
-def _kappa_pairs(g: Graph):
+def _kappa_pairs(g: Graph, removed: int | None = None):
     """Pair list sufficient for vertex connectivity, fixed-source style.
 
     Any minimum separator either avoids the anchor v0 (then it separates
     v0 from some non-neighbour) or contains it (then it separates two
     non-adjacent neighbours of v0, since a minimum separator sees every
-    component).
+    component).  With `removed`, the pairs of G - removed in G's labels:
+    the list for `g.delete_vertex(removed)`, mapped back through its
+    old-index tuple.
     """
-    v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
-    nb = g.neighbors(v0)
-    for w in range(g.n):
+    gone = g.neighbors(removed) if removed is not None else frozenset()
+    rest = [v for v in range(g.n) if v != removed]
+    v0 = min(rest, key=lambda v: (g.degree(v) - (v in gone), v))
+    nb = g.neighbors(v0) - {removed}
+    for w in rest:
         if w != v0 and w not in nb:
             yield v0, w
     for x, y in combinations(sorted(nb), 2):
@@ -112,14 +126,12 @@ def _vertex_scan(g: Graph) -> tuple[int, tuple[int, ...] | None]:
     """kappa of a connected graph and the lexicographically smallest
     minimum separator among those the pairs realise (None when complete).
     """
-    net = _split_network(g)
-    caps = list(net.cap)
+    network = _Connectivity(g).split
     best, best_sep = g.n - 1, None
     for s, t in _kappa_pairs(g):
-        net.cap[:] = caps
-        value = net.max_flow(2 * s + 1, 2 * t, best + 1)
+        value = _restored_flow(network, 2 * s + 1, 2 * t, best + 1)
         if value <= best:
-            sep = _separator_from_residual(g, net, 2 * s + 1)
+            sep = _separator_from_residual(g, network[0], 2 * s + 1)
             if value < best or best_sep is None or sep < best_sep:
                 best, best_sep = value, sep
     return best, best_sep
@@ -134,21 +146,6 @@ def vertex_connectivity(g: Graph) -> int:
     return _vertex_scan(g)[0]
 
 
-def _separator_below(g: Graph, k: int) -> tuple[int, ...] | None:
-    """None when kappa(G) >= k.  Otherwise () when G has at most k
-    vertices or is disconnected, else the separator of fewer than k
-    vertices that the first failing flow leaves in its residual."""
-    if g.n < k + 1 or not g.is_connected():
-        return ()
-    net = _split_network(g)
-    caps = list(net.cap)
-    for s, t in _kappa_pairs(g):
-        net.cap[:] = caps
-        if net.max_flow(2 * s + 1, 2 * t, k) < k:
-            return _separator_from_residual(g, net, 2 * s + 1)
-    return None
-
-
 def is_k_connected(g: Graph, k: int) -> bool:
     """kappa(G) >= k, with flows cut off at k (cheaper than full kappa).
 
@@ -156,7 +153,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     """
     if k < 1:
         raise TooSmall("k must be at least 1")
-    return _separator_below(g, k) is None
+    return _Connectivity(g).separator_below(k) is None
 
 
 def min_vertex_separator(g: Graph) -> Separator | None:
@@ -224,16 +221,14 @@ def _edge_scan(g) -> tuple[int, Cut]:
     from a minimum-degree vertex v0 to every other vertex."""
     degs = g.degrees()
     v0 = min(range(g.n), key=lambda v: (degs[v], v))
-    net = _edge_network(g)
-    caps = list(net.cap)
+    network = _Connectivity(g).edge
     best, best_cut = degs[v0], None
     for t in range(g.n):
         if t == v0:
             continue
-        net.cap[:] = caps
-        value = net.max_flow(v0, t, best + 1)
+        value = _restored_flow(network, v0, t, best + 1)
         if value <= best:
-            cut = _cut_from_side(g, net.residual_reachable(v0))
+            cut = _cut_from_side(g, network[0].residual_reachable(v0))
             if value < best or best_cut is None or cut.edges < best_cut.edges:
                 best, best_cut = value, cut
     return best, best_cut
@@ -252,19 +247,7 @@ def is_k_edge_connected(g, k: int) -> bool:
     """lambda(G) >= k with early cutoff; K^1 rejected for every k >= 1."""
     if k < 1:
         raise TooSmall("k must be at least 1")
-    if g.n < 2:
-        return False
-    if not g.is_connected():
-        return False
-    if min(g.degrees()) < k:
-        return False
-    net = _edge_network(g)
-    caps = list(net.cap)
-    for t in range(1, g.n):
-        net.cap[:] = caps
-        if net.max_flow(0, t, k) < k:
-            return False
-    return True
+    return _Connectivity(g).edge_connected(k)
 
 
 def min_edge_cut(g) -> Cut:
@@ -288,6 +271,107 @@ def min_cut_containing_edge(g, e: Edge) -> Cut:
     net = _edge_network(g)
     net.max_flow(u, v)
     return _cut_from_side(g, net.residual_reachable(u))
+
+
+# ---------------------------------------------------------------------------
+# threshold questions, one record per graph
+# ---------------------------------------------------------------------------
+
+
+def _restored_flow(network: tuple[FlowNetwork, list[int]], s: int, t: int,
+                   limit: int, cut=()) -> int:
+    # One flow on a shared network: its snapshot restored, the arcs in
+    # `cut` at capacity 0.
+    net, caps = network
+    net.cap[:] = caps
+    for a in cut:
+        net.cap[a] = 0
+    return net.max_flow(s, t, limit)
+
+
+class _Connectivity:
+    """kappa >= j and lambda >= j for one Graph or MultiGraph, and for its
+    one-vertex deletions, each question about G answered once.
+
+    `split` and `edge` are the graph's two networks, each built on first
+    use with its capacity snapshot; every flow starts from the snapshot.
+    A deletion is asked on G's network with the deleted element's arcs
+    cut, which leaves the flows of the smaller graph.
+    """
+
+    def __init__(self, g):
+        self.g = g
+        self._below: dict[int, tuple[int, ...] | None] = {}
+        self._edge_conn: dict[int, bool] = {}
+
+    @cached_property
+    def split(self) -> tuple[FlowNetwork, list[int]]:
+        net = _split_network(self.g)
+        return net, list(net.cap)
+
+    @cached_property
+    def edge(self) -> tuple[FlowNetwork, list[int]]:
+        net = _edge_network(self.g)
+        return net, list(net.cap)
+
+    def separator_below(self, j: int, removed: int | None = None) -> tuple[int, ...] | None:
+        """None when kappa >= j, of G or with `removed` of G - removed.
+
+        Otherwise a separator of fewer than j vertices, in G's labels: ()
+        when the graph has at most j vertices (or is G and disconnected),
+        else the one the first failing flow leaves in its residual.
+        """
+        g = self.g
+        if removed is None:
+            if j not in self._below:
+                self._below[j] = self._kappa_flows(j, None) if g.n > j and g.is_connected() else ()
+            return self._below[j]
+        return self._kappa_flows(j, removed) if g.n - 1 > j else ()
+
+    def edge_connected(self, j: int, removed: int | None = None) -> bool:
+        """lambda >= j, of G or with `removed` of G - removed; K^1 is not.
+
+        About G the answer is true without a flow once kappa >= j is known.
+        """
+        g = self.g
+        if removed is None:
+            if j not in self._edge_conn:
+                kappa_reached = any(sep is None for i, sep in self._below.items() if i >= j)
+                self._edge_conn[j] = kappa_reached or (
+                    g.n > 1 and g.is_connected() and min(g.degrees()) >= j
+                    and self._lambda_flows(j, None))
+            return self._edge_conn[j]
+        if g.n < 3:
+            return False
+        degs = list(g.degrees())
+        multi = isinstance(g, MultiGraph)
+        for w in g.neighbors(removed):
+            degs[w] -= g.multiplicity(removed, w) if multi else 1
+        del degs[removed]
+        return min(degs) >= j and self._lambda_flows(j, removed)
+
+    def _kappa_flows(self, j: int, removed: int | None) -> tuple[int, ...] | None:
+        # G - v: v_in->v_out cut, and v, whose v_in the residual may reach,
+        # dropped from the separator.
+        cut = () if removed is None else (2 * removed,)
+        for s, t in _kappa_pairs(self.g, removed):
+            if _restored_flow(self.split, 2 * s + 1, 2 * t, j, cut) < j:
+                sep = _separator_from_residual(self.g, self.split[0], 2 * s + 1)
+                return tuple(v for v in sep if v != removed)
+        return None
+
+    def _lambda_flows(self, j: int, removed: int | None) -> bool:
+        # From the least vertex to every other one; for G - v both arcs of
+        # every pair at v are cut.
+        cut = ()
+        if removed is not None:
+            net = self.edge[0]
+            cut = [b for a in net.adj[removed] for b in (a, a ^ 1)]
+        s = 1 if removed == 0 else 0
+        return all(
+            _restored_flow(self.edge, s, t, j, cut) >= j
+            for t in range(s + 1, self.g.n) if t != removed
+        )
 
 
 # ---------------------------------------------------------------------------

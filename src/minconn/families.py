@@ -24,7 +24,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, islice, product
+from itertools import islice, product
 
 from .connectivity import max_disjoint_paths
 from .errors import InvalidParams, NotConverged, ValidationFailed
@@ -690,12 +690,11 @@ def ball(f: Family, radius: int) -> Ball:
 
     Vertices are indexed in BFS discovery order, which the deterministic
     neighbor lists make reproducible.  One pass asks the oracle once per
-    vertex, frontier included.  A vertex's list discovers the next layer
-    and gives the vertex's edges to higher-indexed ball vertices: by the
-    time a list is read, every ball vertex on it has an index, because
-    inner vertices index their new neighbours as they read them and the
-    frontier is read only after the last layer is complete.  Each edge
-    thus comes from its lower endpoint's list, duplicates dropped.
+    vertex, frontier included, and the vertex's list is its whole CSR
+    row: by the time a list is read, every ball vertex on it has an
+    index, because inner vertices index their new neighbours as they
+    read them and the frontier is read only after the last layer is
+    complete.  The row is the sorted list, loops and duplicates dropped.
     """
     if radius < 0:
         raise InvalidParams("radius must be non-negative")
@@ -703,11 +702,11 @@ def ball(f: Family, radius: int) -> Ball:
     index = {c: 0}
     tags: list[Tag] = [c]
     dist = array("i", [0])
-    heads, tails = array("i"), array("i")  # edges u < v, in lexicographic order
+    offsets, targets = array("i", [0]), array("i")
     u = 0
     while u < len(tags):
         d = dist[u]
-        up = set()
+        row = set()
         for nb in f.neighbors(tags[u]):
             v = index.get(nb)
             if v is None:
@@ -716,40 +715,15 @@ def ball(f: Family, radius: int) -> Ball:
                 v = index[nb] = len(tags)
                 tags.append(nb)
                 dist.append(d + 1)
-            if v > u:
-                up.add(v)
-        for v in sorted(up):
-            heads.append(u)
-            tails.append(v)
+            row.add(v)
+        row.discard(u)
+        targets.extend(sorted(row))
+        offsets.append(len(targets))
         u += 1
-    offsets, targets = _csr(len(tags), heads, tails)
     # BFS order makes the frontier an index suffix; taking its members from
     # the index's values shares their int objects instead of making new ones.
     frontier = frozenset(islice(index.values(), bisect_left(dist, radius), None))
     return Ball(f, radius, tuple(tags), index, dist, offsets, targets, frontier)
-
-
-def _csr(n: int, heads: array, tails: array) -> tuple[array, array]:
-    """CSR arrays of the graph on n vertices with edges (heads[i], tails[i]).
-
-    With the edges in lexicographic order (u < v), every row comes out
-    sorted: a row's lower neighbours arrive in edge order before its
-    higher ones, which are its own edges.
-    """
-    degree = array("i", bytes(4 * n))
-    for u in heads:
-        degree[u] += 1
-    for v in tails:
-        degree[v] += 1
-    offsets = array("i", accumulate(degree, initial=0))
-    fill = offsets[:-1]
-    targets = array("i", bytes(4 * offsets[n]))
-    for u, v in zip(heads, tails):
-        targets[fill[u]] = v
-        fill[u] += 1
-        targets[fill[v]] = u
-        fill[v] += 1
-    return offsets, targets
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ Callers read the residual only after a flow that stopped below its limit.
 Such a flow is maximum, and for every maximum flow the nodes reachable in
 the residual graph are the source side of the one source-minimal minimum
 cut, so cuts and separators do not depend on which maximum flow was found.
+The flow's last, failing search has already reached exactly those nodes,
+so the network keeps them instead of searching again.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
+        # (source, nodes reached) of the last flow's failing search, if any
+        self._reached: tuple[int, dict[int, int]] | None = None
 
     def add_arc(self, u: int, v: int, cap: int, rcap: int = 0) -> int:
         """Add arc u->v with capacity `cap`; the reverse arc gets `rcap`.
@@ -50,10 +54,12 @@ class FlowNetwork:
         """Push flow from s to t, stopping once `limit` is reached."""
         assert s != t
         to, cap = self.to, self.cap
+        self._reached = None
         flow = 0
         while flow < limit:
             via = self._bfs(s, t)
             if t not in via:
+                self._reached = s, via
                 break
             path = []
             v = t
@@ -68,7 +74,7 @@ class FlowNetwork:
             flow += pushed
         return flow
 
-    def _bfs(self, s: int, t: int = -1) -> dict[int, int]:
+    def _bfs(self, s: int, t: int) -> dict[int, int]:
         # Breadth-first search of the residual graph: maps each node reached
         # to the arc that first reached it (s to -1), stopping once t is.
         to, cap, adj = self.to, self.cap, self.adj
@@ -85,5 +91,9 @@ class FlowNetwork:
         return via
 
     def residual_reachable(self, s: int) -> set[int]:
-        """Nodes reachable from s along arcs with leftover capacity."""
-        return set(self._bfs(s))
+        """Nodes reachable from s along arcs with leftover capacity, after
+        a flow from s that stopped below its limit."""
+        assert self._reached is not None and self._reached[0] == s, (
+            "the residual is read only after a flow from s that stopped below its limit"
+        )
+        return set(self._reached[1])

@@ -29,6 +29,16 @@ connectivity scan of the deleted graph:
 
 Class d has no such fact: deleting a vertex can lower edge connectivity
 by more than one, so each G - v gets a full k-edge-connectivity check.
+
+`classify` hands one `_Connectivity` record to all four predicates, so
+each graph gets at most one split network and one edge network and
+each question about G is asked once: class b reuses class a's answers
+and (k+1)-separator, class c takes lambda >= k (and >= k+1) for free
+when kappa already reached it, and class d reuses class c's lambda >= k.
+Deletions never copy the graph: each flow restores the network's
+capacity snapshot and cuts the deleted element's arcs, u_out->v_in for
+class a, v_in->v_out for class b and both arcs of every pair at v for
+class d.  A predicate called on its own builds its own record.
 """
 
 from __future__ import annotations
@@ -36,13 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .connectivity import (
-    _edge_network,
-    _separator_below,
-    _split_network,
-    is_k_connected,
-    is_k_edge_connected,
-)
+from .connectivity import _Connectivity, _restored_flow
 from .errors import InvalidParams, TooSmall
 from .graphs import Edge, Graph, MultiGraph
 from .io import graph_id
@@ -112,77 +116,77 @@ def _check_pre(g, k: int) -> None:
         raise TooSmall("need at least 2 vertices")
 
 
-def is_edge_min_k_connected(g: Graph, k: int) -> PredicateResult:
+def is_edge_min_k_connected(g: Graph, k: int, conn: _Connectivity | None = None) -> PredicateResult:
     """k-connected, and deleting any single edge destroys that."""
     _check_pre(g, k)
-    if not is_k_connected(g, k):
+    conn = conn or _Connectivity(g)
+    if conn.separator_below(k) is not None:
         return PredicateResult(False, f"not {k}-connected")
-    if is_k_connected(g, k + 1):
+    if conn.separator_below(k + 1) is None:
         e = g.edges()[0]
         return PredicateResult(False, f"{k + 1}-connected, so deleting edge {e} keeps {k}-connectivity", e)
-    net = _split_network(g)
-    caps = list(net.cap)
+    net = conn.split[0]
     for e in g.edges():
         u, v = e
-        net.cap[:] = caps
         # Cut the arc u_out->v_in; its twin v_out->u_in leaves the sink,
         # so no u-v flow can use it.
-        net.cap[next(a for a in net.adj[2 * u + 1] if net.to[a] == 2 * v)] = 0
-        if net.max_flow(2 * u + 1, 2 * v, k) == k:
+        arc = next(a for a in net.adj[2 * u + 1] if net.to[a] == 2 * v)
+        if _restored_flow(conn.split, 2 * u + 1, 2 * v, k, (arc,)) == k:
             return PredicateResult(False, f"deleting edge {e} keeps {k}-connectivity", e)
     return PredicateResult(True)
 
 
-def is_vertex_min_k_connected(g: Graph, k: int) -> PredicateResult:
+def is_vertex_min_k_connected(g: Graph, k: int, conn: _Connectivity | None = None) -> PredicateResult:
     """k-connected, and deleting any single vertex destroys that."""
     _check_pre(g, k)
     if k == 1:
         return PredicateResult(False, _K1_EMPTY)
-    if not is_k_connected(g, k):
+    conn = conn or _Connectivity(g)
+    if conn.separator_below(k) is not None:
         return PredicateResult(False, f"not {k}-connected")
-    sep = _separator_below(g, k + 1)
+    sep = conn.separator_below(k + 1)
     if sep is None:
         return PredicateResult(False, f"{k + 1}-connected, so deleting vertex 0 keeps {k}-connectivity", 0)
     critical = set(sep)
     for v in range(g.n):
         if v in critical:
             continue
-        h, old = g.delete_vertex(v)
-        sub = _separator_below(h, k)
+        sub = conn.separator_below(k, removed=v)
         if sub is None:
             return PredicateResult(False, f"deleting vertex {v} keeps {k}-connectivity", v)
-        critical.update(old[w] for w in sub)
+        critical.update(sub)
     return PredicateResult(True)
 
 
-def is_edge_min_k_edge_connected(g: Graph | MultiGraph, k: int) -> PredicateResult:
+def is_edge_min_k_edge_connected(g: Graph | MultiGraph, k: int,
+                                 conn: _Connectivity | None = None) -> PredicateResult:
     """k-edge-connected, and deleting any single edge copy destroys that."""
     _check_pre(g, k)
-    if not is_k_edge_connected(g, k):
+    conn = conn or _Connectivity(g)
+    if not conn.edge_connected(k):
         return PredicateResult(False, f"not {k}-edge-connected")
     multi = isinstance(g, MultiGraph)
     # Parallel copies are interchangeable, so one check per class.
     classes = g.edge_classes() if multi else g.edges()
-    if is_k_edge_connected(g, k + 1):
+    if conn.edge_connected(k + 1):
         e = classes[0]
         return PredicateResult(False, f"{k + 1}-edge-connected, so deleting edge {e} keeps {k}-edge-connectivity", e)
     deleting = "deleting one copy of edge" if multi else "deleting edge"
-    net = _edge_network(g)
-    caps = list(net.cap)
+    net = conn.edge[0]
     essential: set[Edge] = set()
     for e in classes:
         if e in essential:
             continue
         u, v = e
-        net.cap[:] = caps
-        if net.max_flow(u, v, k + 1) > k:
+        if _restored_flow(conn.edge, u, v, k + 1) > k:
             return PredicateResult(False, f"{deleting} {e} keeps {k}-edge-connectivity", e)
         side = net.residual_reachable(u)
         essential.update(f for f in classes if (f[0] in side) != (f[1] in side))
     return PredicateResult(True)
 
 
-def is_vertex_min_k_edge_connected(g: Graph | MultiGraph, k: int) -> PredicateResult:
+def is_vertex_min_k_edge_connected(g: Graph | MultiGraph, k: int,
+                                   conn: _Connectivity | None = None) -> PredicateResult:
     """k-edge-connected, and deleting any single vertex destroys that.
 
     No shortcut here: unlike edge deletion, removing a vertex can lower
@@ -191,11 +195,11 @@ def is_vertex_min_k_edge_connected(g: Graph | MultiGraph, k: int) -> PredicateRe
     _check_pre(g, k)
     if k == 1:
         return PredicateResult(False, _K1_EMPTY)
-    if not is_k_edge_connected(g, k):
+    conn = conn or _Connectivity(g)
+    if not conn.edge_connected(k):
         return PredicateResult(False, f"not {k}-edge-connected")
     for v in range(g.n):
-        h, _ = g.delete_vertex(v)
-        if is_k_edge_connected(h, k):
+        if conn.edge_connected(k, removed=v):
             return PredicateResult(False, f"deleting vertex {v} keeps {k}-edge-connectivity", v)
     return PredicateResult(True)
 
@@ -251,10 +255,12 @@ class ClassificationReport:
 
 
 def classify(g: Graph | MultiGraph, k: int) -> ClassificationReport:
-    """Evaluate every applicable class predicate for g at k."""
+    """Evaluate every applicable class predicate for g at k, all on one
+    connectivity record."""
     if isinstance(g, MultiGraph):
         wanted = [MinimalityClass.EDGE_MIN_EDGE_CONN, MinimalityClass.VERTEX_MIN_EDGE_CONN]
     else:
         wanted = list(MinimalityClass)
-    results = {cls: _PREDICATES[cls](g, k) for cls in wanted}
+    conn = _Connectivity(g)
+    results = {cls: _PREDICATES[cls](g, k, conn) for cls in wanted}
     return ClassificationReport(graph_id(g), k, results)

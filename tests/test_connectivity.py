@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minconn.connectivity import (
+    _Connectivity,
     _cut_from_side,
     _edge_network,
     _kappa_pairs,
@@ -18,10 +19,12 @@ from minconn.connectivity import (
     vertex_connectivity,
 )
 from minconn.errors import NoSeparatorThroughVertex, TooSmall
+from minconn.flow import FlowNetwork
 from minconn.graphs import (
     Graph,
     MultiGraph,
     complete_graph,
+    components_of_subset,
     cycle_graph,
     path_graph,
 )
@@ -116,6 +119,44 @@ class TestOracleAgreement:
     def test_corpus_agreement(self, small_corpus):
         for g in small_corpus:
             assert (vertex_connectivity(g), edge_connectivity(g)) == brute_force_connectivity(g)
+
+
+class TestSharedRecord:
+    """The record's questions about G - v, asked on G's networks with v's
+    arcs cut, against the same questions about the copy G - v."""
+
+    def test_vertex_deletions_on_corpus(self, small_corpus):
+        for g in small_corpus:
+            conn = _Connectivity(g)
+            for v in range(g.n):
+                h, old = g.delete_vertex(v)
+                rest = set(old)
+                for j in range(1, 5):
+                    sep = conn.separator_below(j, removed=v)
+                    assert (sep is None) == (h.n >= 2 and is_k_connected(h, j)), (v, j, g.edges())
+                    if sep is not None:
+                        assert len(sep) < j and v not in sep
+                    if sep is not None and h.n > j:  # else () for "too small"
+                        assert len(components_of_subset(g, rest - set(sep))) > 1
+                    lam = h.n >= 2 and is_k_edge_connected(h, j)
+                    assert conn.edge_connected(j, removed=v) == lam, (v, j, g.edges())
+
+    @given(multigraphs(min_n=3), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_multigraph_vertex_deletions(self, g, k):
+        conn = _Connectivity(g)
+        for v in range(g.n):
+            assert conn.edge_connected(k, removed=v) == is_k_edge_connected(g.delete_vertex(v)[0], k)
+
+    def test_whitney_answers_lambda_without_flow(self, small_corpus, monkeypatch):
+        for g in small_corpus:
+            conn = _Connectivity(g)
+            for j in range(1, 5):
+                if conn.separator_below(j) is None:
+                    with monkeypatch.context() as mp:
+                        mp.setattr(FlowNetwork, "max_flow", None)
+                        assert conn.edge_connected(j)
+                assert conn.edge_connected(j) == is_k_edge_connected(g, j)
 
 
 class TestOnePassMatchesTwoPass:

@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from minconn.flow import INF, FlowNetwork
@@ -76,3 +77,18 @@ def test_second_flow_after_restore(net, data):
         s, t = data.draw(terminals(net.n))
         check_flow(net, caps, s, t, data.draw(st.sampled_from(LIMITS)))
 
+
+
+def test_residual_needs_a_flow_below_its_limit():
+    net = FlowNetwork(3)
+    net.add_arc(0, 1, 2)
+    net.add_arc(1, 2, 1)
+    with pytest.raises(AssertionError):
+        net.residual_reachable(0)  # no flow yet
+    assert net.max_flow(0, 2, 1) == 1
+    with pytest.raises(AssertionError):
+        net.residual_reachable(0)  # the flow reached its limit
+    assert net.max_flow(0, 2) == 0
+    assert net.residual_reachable(0) == {0, 1}
+    with pytest.raises(AssertionError):
+        net.residual_reachable(1)  # the flow came from 0

@@ -8,6 +8,7 @@ from minconn.connectivity import (
     vertex_connectivity,
 )
 from minconn.errors import InvalidParams, TooSmall
+from minconn.flow import FlowNetwork
 from minconn.graphs import (
     Graph,
     MultiGraph,
@@ -114,30 +115,35 @@ def reversed_labels(g):
 
 
 def assert_same_as_literal(g, ks, classes=tuple(LITERAL)):
+    # `classes` are the ones classify reports for g
     for k in ks:
+        report = classify(g, k)
+        assert list(report.results) == list(classes)
         for cls in classes:
-            assert check_class(g, cls, k) == LITERAL[cls](g, k), (cls, k, g.n, g.edges())
+            want = LITERAL[cls](g, k)
+            assert check_class(g, cls, k) == want, (cls, k, g.n, g.edges())
+            assert report.results[cls] == want, (cls, k, g.n, g.edges())
 
 
 class TestAgainstBruteForce:
-    @given(graphs(), st.integers(1, 4))
+    @given(graphs(), st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
     def test_all_predicates(self, g, k):
         assert_same_as_literal(g, [k])
 
-    def test_corpus7_k1_to_4(self, corpus7):
+    def test_corpus7_k1_to_5(self, corpus7):
         for g in corpus7:
-            assert_same_as_literal(g, range(1, 5))
+            assert_same_as_literal(g, range(1, 6))
 
-    def test_corpus7_reversed_k1_to_4(self, corpus7):
+    def test_corpus7_reversed_k1_to_5(self, corpus7):
         # Corpus labels put low degrees first; reversed, the high-degree
         # vertices come first in the walk and certify the others.
         for g in corpus7:
-            assert_same_as_literal(reversed_labels(g), range(1, 5))
+            assert_same_as_literal(reversed_labels(g), range(1, 6))
 
-    def test_random_corpus_k1_to_4(self, random_corpus):
+    def test_random_corpus_k1_to_5(self, random_corpus):
         for g in random_corpus:
-            assert_same_as_literal(g, range(1, 5))
+            assert_same_as_literal(g, range(1, 6))
 
     @given(multigraphs(), st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
@@ -151,6 +157,41 @@ class TestAgainstBruteForce:
         assert check_class(thick, MinimalityClass.EDGE_MIN_EDGE_CONN, 2).reason == (
             "deleting one copy of edge (0, 1) keeps 2-edge-connectivity"
         )
+
+
+class TestSharedNetworks:
+    """classify builds at most one split network (2n+2 nodes) and one edge
+    network (n+2 nodes) per graph, shared by the four predicates."""
+
+    @staticmethod
+    def network_sizes(monkeypatch):
+        sizes = []
+        init = FlowNetwork.__init__
+
+        def counting_init(self, n):
+            sizes.append(n)
+            init(self, n)
+
+        monkeypatch.setattr(FlowNetwork, "__init__", counting_init)
+        return sizes
+
+    def assert_shared(self, sizes, g, k):
+        classify(g, k)
+        splits, edges = sizes.count(2 * g.n + 2), sizes.count(g.n + 2)
+        assert splits <= 1 and edges <= 1 and len(sizes) == splits + edges, (k, g.n, sizes)
+        sizes.clear()
+
+    def test_corpus7(self, corpus7, monkeypatch):
+        sizes = self.network_sizes(monkeypatch)
+        for g in corpus7:
+            for k in range(1, 6):
+                self.assert_shared(sizes, g, k)
+
+    @given(multigraphs(), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_multigraphs(self, g, k):
+        with pytest.MonkeyPatch.context() as mp:
+            self.assert_shared(self.network_sizes(mp), g, k)
 
 
 class TestKnownMembers:
