@@ -1,10 +1,9 @@
 """Vertex and edge connectivity with explicit dual certificates.
 
-All quantities are computed two ways in this package: the routines here
-reduce to max-flow (vertex-splitting for separators, plain unit/multiplicity
-capacities for cuts), while `brute_force_connectivity` re-derives both
-numbers by subset enumeration.  The test suite holds the two routes equal
-on an exhaustive small-graph corpus.
+The routines here reduce to max-flow (vertex-splitting for separators,
+plain unit/multiplicity capacities for cuts).  The test suite holds them
+equal, on an exhaustive small-graph corpus, to a brute-force oracle that
+re-derives both numbers by subset enumeration (`tests/oracles.py`).
 
 Each cut kind is one scan over one network per graph, after Even and
 Tarjan's fixed-source pair list (SIAM J. Comput. 1975): the network is
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import NoSuchEdge, TooLarge, TooSmall
+from .errors import NoSuchEdge, TooSmall
 from .flow import INF, FlowNetwork
 from .graphs import Edge, Graph, MultiGraph, components_of_subset
 
@@ -464,49 +463,3 @@ def max_disjoint_paths(g: Graph, a_side, b_side, mode: str = "vertex",
     )
     assert value == size, "Menger duality must certify the count"
     return DisjointPaths(mode, value + len(direct), tuple(direct) + tuple(paths), sep, cut)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def brute_force_connectivity(g) -> tuple[int, int]:
-    """(kappa, lambda) by raw subset enumeration; guard at 12 vertices.
-
-    This is the independent oracle for the flow route: vertex connectivity
-    tries all deletion sets by size, edge connectivity scans all
-    bipartitions.  Accepts MultiGraph for the lambda part (kappa is then
-    computed on the skeleton, where parallel edges are irrelevant).
-    """
-    if g.n < 2:
-        raise TooSmall("need at least 2 vertices")
-    if g.n > 12:
-        raise TooLarge("brute force capped at 12 vertices")
-    simple = g.skeleton() if isinstance(g, MultiGraph) else g
-
-    kappa = simple.n - 1
-    found = False
-    for size in range(simple.n - 1):
-        for sub in combinations(range(simple.n), size):
-            rest = set(range(simple.n)) - set(sub)
-            if len(components_of_subset(simple, rest)) > 1:
-                kappa = size
-                found = True
-                break
-        if found:
-            break
-
-    if isinstance(g, MultiGraph):
-        weight = dict(g.mult)
-        ew = list(weight.items())
-    else:
-        ew = [(e, 1) for e in g.edges()]
-    lam = sum(w for _, w in ew) + 1
-    for mask in range(2 ** (g.n - 1)):
-        side = {0} | {v + 1 for v in range(g.n - 1) if mask >> v & 1}
-        if len(side) == g.n:
-            continue
-        crossing = sum(w for (u, v), w in ew if (u in side) != (v in side))
-        lam = min(lam, crossing)
-    return kappa, lam

@@ -9,6 +9,11 @@ always come with the truncation that produced them.  A ball is built in
 one pass over the oracle and stored as compact arrays (distances and a
 CSR adjacency); its `Graph` is only built when a caller asks for it.
 
+On a clique tree a vertex's BFS index is its rk-ary heap number, because
+the oracle lists a vertex's children first and in order, so BFS
+discovers them in order.  Its balls and its end-degree recheck therefore
+work on indices by arithmetic and never ask the tag oracle.
+
 A family's ends are described by directions: for the double-ray-like
 families the two column signs, for tree-like families the branch
 prefixes.  The vertex- or edge-degree of an end is estimated by a
@@ -24,7 +29,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
-from itertools import islice, product
+from itertools import count, islice, product
 
 from .connectivity import max_disjoint_paths
 from .errors import InvalidParams, NotConverged, ValidationFailed
@@ -376,6 +381,11 @@ class CliqueTree(Family):
     k-1 clique edges, a cut of size k through every edge -- yet the
     minimum degree is rk, so no vertex witnesses the degree theorem;
     every end has edge-degree k instead.
+
+    A vertex's BFS index is its rk-ary heap number: vertex i has parent
+    (i - 1) // rk and children rk*i + 1 ... rk*i + rk, and its clique
+    siblings are the rest of its aligned group of k among its parent's
+    children.  The index methods below are that arithmetic.
     """
 
     name = "clique-tree"
@@ -435,6 +445,32 @@ class CliqueTree(Family):
 
     def expected_end_degree(self, end, mode):
         return 1 if mode == "vertex" else self.k
+
+    # -- level-order indices ---------------------------------------------
+    def ball_size(self, radius: int) -> int:
+        """The number of vertices within `radius` of the root."""
+        rk = self.r * self.k
+        return (rk ** (radius + 1) - 1) // (rk - 1)
+
+    def index_of(self, tag: tuple[int, ...]) -> int:
+        """The heap number of a tag, read off its child-index path."""
+        i, rk = 0, self.r * self.k
+        for c in tag:
+            i = rk * i + 1 + c
+        return i
+
+    def index_row(self, i: int, n: int) -> list[int]:
+        """The sorted neighbour indices of vertex i in the ball of
+        n = ball_size(radius) vertices: parent, clique siblings, children."""
+        rk, k = self.r * self.k, self.k
+        c = rk * i + 1  # the first child; a ball holds all children or none
+        children = range(c, c + rk) if c < n else ()
+        if not i:
+            return [*children]
+        first = i - (i - 1) % k  # k divides rk, so the groups align
+        row = [(i - 1) // rk, *range(first, first + k), *children]
+        row.remove(i)
+        return row
 
 
 # ---------------------------------------------------------------------------
@@ -689,15 +725,49 @@ def ball(f: Family, radius: int) -> Ball:
     """The ball of the given radius around the family's center.
 
     Vertices are indexed in BFS discovery order, which the deterministic
-    neighbor lists make reproducible.  One pass asks the oracle once per
-    vertex, frontier included, and the vertex's list is its whole CSR
-    row: by the time a list is read, every ball vertex on it has an
-    index, because inner vertices index their new neighbours as they
-    read them and the frontier is read only after the last layer is
-    complete.  The row is the sorted list, loops and duplicates dropped.
+    neighbor lists make reproducible.  On a clique tree that order is
+    the rk-ary heap numbering, because its oracle lists a vertex's
+    children first and in order, so BFS discovers them in order; its
+    balls are built by that arithmetic.  Every other family's ball comes
+    from one oracle pass (`_oracle_ball`).
     """
     if radius < 0:
         raise InvalidParams("radius must be non-negative")
+    if isinstance(f, CliqueTree):
+        return _level_order_ball(f, radius)
+    return _oracle_ball(f, radius)
+
+
+def _level_order_ball(f: CliqueTree, radius: int) -> Ball:
+    """The clique tree's ball from its heap numbering: tags level by
+    level, rows from `CliqueTree.index_row`."""
+    rk, n = f.r * f.k, f.ball_size(radius)
+    tags = [()]
+    dist = array("i", [0])
+    for d in range(1, radius + 1):
+        parents = islice(tags, len(tags) - rk ** (d - 1), None)
+        tags += [t + (c,) for t in parents for c in range(rk)]
+        dist += array("i", [d]) * rk ** d
+    offsets, targets = array("i", [0]), array("i")
+    for i in range(n):
+        targets.fromlist(f.index_row(i, n))
+        offsets.append(len(targets))
+    tags = tuple(tags)
+    index = dict(zip(tags, count()))  # on CPython 3.11, range()'s ints take 4 bytes more
+    frontier = frozenset(islice(index.values(), bisect_left(dist, radius), None))
+    return Ball(f, radius, tags, index, dist, offsets, targets, frontier)
+
+
+def _oracle_ball(f: Family, radius: int) -> Ball:
+    """The ball built in one pass over the family's neighbor oracle.
+
+    The pass asks the oracle once per vertex, frontier included, and the
+    vertex's list is its whole CSR row: by the time a list is read, every
+    ball vertex on it has an index, because inner vertices index their
+    new neighbours as they read them and the frontier is read only after
+    the last layer is complete.  The row is the sorted list, loops and
+    duplicates dropped.
+    """
     c = f.center()
     index = {c: 0}
     tags: list[Tag] = [c]
@@ -781,37 +851,16 @@ def _certificate_separates(f: Family, end: EndDescriptor, mode: str,
     Explored from the direction side: a representative-ray tag at full
     distance seeds a search of its component in the ball minus the
     certificate; separation holds exactly when no base tag is reached.
-    Families without an exact distance oracle fall back to searching the
-    materialised ball from the base side.
+    A clique tree walks heap numbers (`_index_separates`), other families
+    with an exact distance oracle walk tags (`_oracle_separates`), and
+    the rest fall back to searching the materialised ball from the base
+    side.
     """
-    blocked_v = set(certificate) if mode == "vertex" else set()
-    blocked_e = (
-        {frozenset(e) for e in certificate} if mode == "edge" else set()
-    )
-
+    if isinstance(f, CliqueTree):
+        return _index_separates(f, end, mode, certificate, radius, base_tags)
     if f.distance(f.center()) is not None:
-        seed = f.direction_tag_at(end, radius)
-        assert f.distance(seed) == radius, "representative ray must be radial"
-        if seed in blocked_v:
-            return True
-        seen = {seed}
-        queue = [seed]
-        while queue:
-            t = queue.pop()
-            for nb in f.neighbors(t):
-                if nb in seen or nb in blocked_v:
-                    continue
-                d = f.distance(nb)
-                if d is None or d > radius:
-                    continue
-                if frozenset((t, nb)) in blocked_e:
-                    continue
-                if nb in base_tags:
-                    return False
-                seen.add(nb)
-                queue.append(nb)
-        return True
-
+        return _oracle_separates(f, end, mode, certificate, radius, base_tags)
+    blocked_v = set(certificate) if mode == "vertex" else set()
     b = ball(f, radius)
     blocked_iv = {b.index[t] for t in blocked_v if t in b.index}
     blocked_ie = {
@@ -833,6 +882,68 @@ def _certificate_separates(f: Family, end: EndDescriptor, mode: str,
             if frozenset((v, w)) in blocked_ie:
                 continue
             if w in goal:
+                return False
+            seen.add(w)
+            queue.append(w)
+    return True
+
+
+def _oracle_separates(f: Family, end: EndDescriptor, mode: str,
+                      certificate: tuple, radius: int, base_tags: set) -> bool:
+    """`_certificate_separates` by a search over tags, for families with an
+    exact distance oracle."""
+    blocked_v = set(certificate) if mode == "vertex" else set()
+    blocked_e = {frozenset(e) for e in certificate} if mode == "edge" else set()
+    seed = f.direction_tag_at(end, radius)
+    assert f.distance(seed) == radius, "representative ray must be radial"
+    if seed in blocked_v:
+        return True
+    seen = {seed}
+    queue = [seed]
+    while queue:
+        t = queue.pop()
+        for nb in f.neighbors(t):
+            if nb in seen or nb in blocked_v:
+                continue
+            d = f.distance(nb)
+            if d is None or d > radius:
+                continue
+            if frozenset((t, nb)) in blocked_e:
+                continue
+            if nb in base_tags:
+                return False
+            seen.add(nb)
+            queue.append(nb)
+    return True
+
+
+def _index_separates(f: CliqueTree, end: EndDescriptor, mode: str,
+                     certificate: tuple, radius: int, base_tags: set) -> bool:
+    """`_certificate_separates` by a search over heap numbers: distance
+    <= radius is index < ball_size(radius), and blocked edges are coded
+    u * n + w with u < w."""
+    n, idx = f.ball_size(radius), f.index_of
+    if mode == "vertex":
+        blocked_v, blocked_e = {idx(t) for t in certificate}, set()
+    else:
+        blocked_v = set()
+        blocked_e = {min(u, w) * n + max(u, w) for u, w in
+                     ((idx(a), idx(b)) for a, b in certificate)}
+    base = {idx(t) for t in base_tags}
+    seed = idx(f.direction_tag_at(end, radius))
+    assert f.ball_size(radius - 1) <= seed < n, "representative ray must be radial"
+    if seed in blocked_v:
+        return True
+    seen = {seed}
+    queue = [seed]
+    while queue:
+        v = queue.pop()
+        for w in f.index_row(v, n):
+            if w in seen or w in blocked_v:
+                continue
+            if blocked_e and (v * n + w if v < w else w * n + v) in blocked_e:
+                continue
+            if w in base:
                 return False
             seen.add(w)
             queue.append(w)
@@ -872,7 +983,9 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
     for r in range(start, r_hi + 1):
         b = ball(f, r)
         a_idx = [b.index[t] for t in base.tags]
-        b_idx = [i for i in sorted(b.frontier) if f.in_direction(b.tags[i], end)]
+        # BFS order makes the frontier the index suffix at distance r.
+        frontier = range(bisect_left(b.dist, r), len(b.tags))
+        b_idx = [i for i in frontier if f.in_direction(b.tags[i], end)]
         if not b_idx:
             raise ValidationFailed(
                 f"direction {end.label!r} has an empty frontier at radius {r}"

@@ -1,0 +1,47 @@
+"""Independent oracles that the test suite holds the package's routines to."""
+
+from itertools import combinations
+
+from minconn.errors import TooLarge, TooSmall
+from minconn.graphs import MultiGraph, components_of_subset
+
+
+def brute_force_connectivity(g) -> tuple[int, int]:
+    """(kappa, lambda) by raw subset enumeration; guard at 12 vertices.
+
+    This is the independent oracle for the flow route: vertex connectivity
+    tries all deletion sets by size, edge connectivity scans all
+    bipartitions.  Accepts MultiGraph for the lambda part (kappa is then
+    computed on the skeleton, where parallel edges are irrelevant).
+    """
+    if g.n < 2:
+        raise TooSmall("need at least 2 vertices")
+    if g.n > 12:
+        raise TooLarge("brute force capped at 12 vertices")
+    simple = g.skeleton() if isinstance(g, MultiGraph) else g
+
+    kappa = simple.n - 1
+    found = False
+    for size in range(simple.n - 1):
+        for sub in combinations(range(simple.n), size):
+            rest = set(range(simple.n)) - set(sub)
+            if len(components_of_subset(simple, rest)) > 1:
+                kappa = size
+                found = True
+                break
+        if found:
+            break
+
+    if isinstance(g, MultiGraph):
+        weight = dict(g.mult)
+        ew = list(weight.items())
+    else:
+        ew = [(e, 1) for e in g.edges()]
+    lam = sum(w for _, w in ew) + 1
+    for mask in range(2 ** (g.n - 1)):
+        side = {0} | {v + 1 for v in range(g.n - 1) if mask >> v & 1}
+        if len(side) == g.n:
+            continue
+        crossing = sum(w for (u, v), w in ew if (u in side) != (v in side))
+        lam = min(lam, crossing)
+    return kappa, lam

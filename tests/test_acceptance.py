@@ -14,11 +14,7 @@ import math
 
 import pytest
 
-from minconn.connectivity import (
-    brute_force_connectivity,
-    edge_connectivity,
-    vertex_connectivity,
-)
+from minconn.connectivity import edge_connectivity, vertex_connectivity
 from minconn.constructions import (
     band_graph,
     cycle_clique_strong,
@@ -40,6 +36,7 @@ from minconn.witnesses import (
     edge_min_witness_pair,
     vertex_min_edge_witness_pair,
 )
+from oracles import brute_force_connectivity
 
 A = MinimalityClass.EDGE_MIN_CONN
 B = MinimalityClass.VERTEX_MIN_CONN

@@ -7,7 +7,6 @@ from minconn.connectivity import (
     _edge_network,
     _kappa_pairs,
     _split_network,
-    brute_force_connectivity,
     edge_connectivity,
     is_k_connected,
     is_k_edge_connected,
@@ -28,6 +27,7 @@ from minconn.graphs import (
     cycle_graph,
     path_graph,
 )
+from oracles import brute_force_connectivity
 
 
 @st.composite

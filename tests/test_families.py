@@ -1,11 +1,15 @@
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minconn.errors import InvalidParams, NotConverged
 from minconn.families import (
     DoubleRay,
     _blocks_containing,
+    _certificate_separates,
+    _oracle_ball,
+    _oracle_separates,
     ball,
     certify_essential_edges,
     end_degree_estimate,
@@ -146,6 +150,73 @@ class TestBall:
         assert len(b.tags) == 601 and max(b.dist) == 300
         assert b.frontier == {b.index[-300], b.index[300]}
         assert b.graph.m == 600
+
+
+# clique trees (r, k) and the largest radius whose ball the oracle build
+# makes in well under a second
+LEVEL_ORDER_TREES = [(1, 2, 6), (1, 3, 6), (2, 2, 6), (3, 2, 6), (2, 4, 5)]
+RECHECK_TREES = ["clique-tree:r=1,k=2", "clique-tree:r=2,k=2", "clique-tree:r=1,k=3"]
+
+
+class TestLevelOrderIndex:
+    """A clique tree's balls and recheck walk heap numbers; both must agree
+    with the tag oracle they replace."""
+
+    @pytest.mark.parametrize("r,k,r_max", LEVEL_ORDER_TREES)
+    def test_ball_equals_oracle_build(self, r, k, r_max):
+        f = make_family(f"clique-tree:r={r},k={k}")
+        for radius in range(r_max + 1):
+            b, o = ball(f, radius), _oracle_ball(f, radius)
+            assert b.tags == o.tags
+            assert list(b.index.items()) == list(o.index.items())
+            assert (b.dist, b.offsets, b.targets) == (o.dist, o.offsets, o.targets)
+            assert b.frontier == o.frontier
+            assert len(b.tags) == f.ball_size(radius)
+            assert [f.index_of(t) for t in b.tags] == list(range(len(b.tags)))
+
+    def test_ball_keeps_its_cache(self):
+        f = make_family("clique-tree:r=2,k=2")
+        hits = ball.cache_info().hits
+        assert ball(f, 3) is ball(f, 3)
+        assert ball.cache_info().hits > hits
+
+    @pytest.mark.parametrize("spec", RECHECK_TREES)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_recheck_equals_oracle_recheck(self, spec, depth, mode):
+        f = make_family(spec)
+        base_tags = set(ball(f, f.base_radius()).tags)
+        ends = f.ends(depth)
+        for end in (ends[0], ends[len(ends) // 2], ends[-1]):
+            est = end_degree_estimate(f, end, mode=mode)
+            cert, radius = est.certificate, est.recheck_radius
+            assert _certificate_separates(f, end, mode, cert, radius, base_tags)
+            assert _oracle_separates(f, end, mode, cert, radius, base_tags)
+            for i in range(len(cert)):
+                less = cert[:i] + cert[i + 1:]
+                assert _certificate_separates(f, end, mode, less, radius, base_tags) == (
+                    _oracle_separates(f, end, mode, less, radius, base_tags)
+                )
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_recheck_on_drawn_sets(self, data):
+        f = make_family(data.draw(st.sampled_from(RECHECK_TREES)))
+        end = data.draw(st.sampled_from(f.ends(data.draw(st.integers(1, 3)))))
+        mode = data.draw(st.sampled_from(["vertex", "edge"]))
+        radius = data.draw(st.integers(1, 5))
+        b = ball(f, radius)
+        if mode == "vertex":
+            drawn = data.draw(st.sets(st.integers(0, len(b.tags) - 1), max_size=5))
+            cert = tuple(b.tags[v] for v in sorted(drawn))
+        else:
+            edges = [(u, w) for u in range(len(b.tags)) for w in b.neighbors(u) if u < w]
+            drawn = data.draw(st.sets(st.sampled_from(edges), max_size=5))
+            cert = tuple((b.tags[u], b.tags[w]) for u, w in sorted(drawn))
+        base_tags = set(ball(f, f.base_radius()).tags)
+        assert _certificate_separates(f, end, mode, cert, radius, base_tags) == (
+            _oracle_separates(f, end, mode, cert, radius, base_tags)
+        )
 
 
 class TestFamilyStructure:
