@@ -245,12 +245,16 @@ def _check_k(k: int) -> None:
 
 def _corpus(args, k: int | None) -> Iterator[Graph]:
     """The exhaustive graphs up to --nmax, then --count random graphs, with
-    all arguments checked at the call.  With k, only graphs on n >= 2
-    vertices of minimum degree >= k: every class implies k-edge-connectivity."""
-    graphs = enumerate_all(args.nmax)
+    all arguments checked at the call.  With k, only graphs of minimum
+    degree >= k, so on n >= 2 vertices: every class implies
+    k-edge-connectivity.  The enumerator cuts that floor inside its
+    candidate recursion; the random graphs are filtered as drawn."""
+    floor = k or 0
+    graphs = enumerate_all(args.nmax, floor)
     if args.count:
-        graphs = chain(graphs, random_graphs(args.count, args.rand_nmax, args.seed))
-    return graphs if k is None else (g for g in graphs if g.n >= 2 and g.min_degree() >= k)
+        drawn = random_graphs(args.count, args.rand_nmax, args.seed)
+        graphs = chain(graphs, (g for g in drawn if g.min_degree() >= floor))
+    return graphs
 
 
 def cmd_verify(args) -> int:

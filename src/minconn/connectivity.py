@@ -226,10 +226,14 @@ def _edge_scan(g) -> tuple[int, Cut]:
         if t == v0:
             continue
         value = _restored_flow(network, v0, t, best + 1)
-        if value <= best:
-            cut = _cut_from_side(g, network[0].residual_reachable(v0))
-            if value < best or best_cut is None or cut.edges < best_cut.edges:
-                best, best_cut = value, cut
+        if value > best:
+            continue
+        side = network[0].residual_reachable(v0)
+        if value == best and best_cut is not None and side == best_cut.sides[0]:
+            continue  # the same side cuts the same edges
+        cut = _cut_from_side(g, side)
+        if value < best or best_cut is None or cut.edges < best_cut.edges:
+            best, best_cut = value, cut
     return best, best_cut
 
 

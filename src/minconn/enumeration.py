@@ -9,8 +9,11 @@ row at a time.  Once row u is placed, deg(u) is final, and a row that makes
 it smaller than deg(u - 1) is dropped.  If the two are equal, swapping
 labels u - 1 and u keeps the labeling degree-sorted, so the least mask
 never has a smaller image; the swap changes no row after u, so this test
-is decided at row u.  At n = 7, 1,144 candidates get a key, for 1,044
-classes.
+is decided at row u.  A floor K on the minimum degree is deg(0) >= K,
+decided at row 0, so a short row 0 cuts its whole subtree; isomorphic
+graphs share their minimum degree, so the floored stream is the full
+stream filtered.  At n = 7, 1,144 candidates get a key, for 1,044
+classes; with K = 2, 3, 4, only 568, 168 and 32 do.
 
 The key is the lexicographically smallest adjacency bitstring over all
 orderings that respect the stable neighborhood-refinement classes; equal
@@ -30,11 +33,11 @@ from .graphs import Graph
 MAX_EXHAUSTIVE_N = 7
 
 
-def _candidate_masks(n: int) -> list[int]:
+def _candidate_masks(n: int, min_degree: int = 0) -> list[int]:
     """Increasing edge bitmasks that may be the least degree-sorted mask
     of their isomorphism class: the degree sequence is nondecreasing by
-    label, and no swap of two adjacent labels of equal degree gives a
-    smaller mask."""
+    label and starts at min_degree or more, and no swap of two adjacent
+    labels of equal degree gives a smaller mask."""
     field = (1 << n) - 1
     # spread[row] << (u + 1) * n + u sets bit u of column u + 1 + j per bit j of row u
     spread = [0]
@@ -53,7 +56,7 @@ def _candidate_masks(n: int) -> list[int]:
             deg = base + row.bit_count()
             if deg < prev_deg:
                 continue
-            if deg == prev_deg:
+            if deg == prev_deg and u:
                 # the swap's image: row u - 1 less its edge to u as row u, and
                 # columns u - 1 and u exchanged in the earlier rows
                 moved = prev_row >> 1
@@ -63,7 +66,7 @@ def _candidate_masks(n: int) -> list[int]:
             placed = cols | spread[row] << (u + 1) * n + u
             yield from rows(u + 1, mask | row << shift, placed, deg, row)
 
-    return sorted(rows(0, 0, 0, -1, 0))
+    return sorted(rows(0, 0, 0, min_degree, 0))
 
 
 def refinement_classes(g: Graph) -> list[int]:
@@ -126,8 +129,9 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     return (g.n, key)
 
 
-def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """Every graph on exactly n vertices, one per isomorphism class.
+def enumerate_graphs(n: int, min_degree: int = 0) -> Iterator[Graph]:
+    """Every graph on exactly n vertices of minimum degree >= min_degree,
+    one per isomorphism class.
 
     The order is checked at the call, before any graph is built.
     """
@@ -138,13 +142,13 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
             f"exhaustive enumeration is capped at {MAX_EXHAUSTIVE_N} vertices; "
             "use random_graphs for larger sizes"
         )
-    return _canonical_graphs(n)
+    return _canonical_graphs(n, min_degree)
 
 
-def _canonical_graphs(n: int) -> Iterator[Graph]:
+def _canonical_graphs(n: int, min_degree: int) -> Iterator[Graph]:
     pos = list(combinations(range(n), 2))
     seen: set[tuple[int, int]] = set()
-    for mask in _candidate_masks(n):
+    for mask in _candidate_masks(n, min_degree):
         g = Graph(n, (e for p, e in enumerate(pos) if mask >> p & 1))
         key = canonical_key(g)
         if key not in seen:
@@ -152,12 +156,12 @@ def _canonical_graphs(n: int) -> Iterator[Graph]:
             yield g
 
 
-def enumerate_all(n_max: int) -> Iterator[Graph]:
-    """Graphs of every order from 1 up to n_max, smallest first; every
-    order is checked at the call."""
+def enumerate_all(n_max: int, min_degree: int = 0) -> Iterator[Graph]:
+    """Graphs of every order from 1 up to n_max, smallest first, of minimum
+    degree >= min_degree; every order is checked at the call."""
     if n_max < 1:
         raise InvalidParams("need n_max >= 1")
-    return chain.from_iterable([enumerate_graphs(n) for n in range(1, n_max + 1)])
+    return chain.from_iterable([enumerate_graphs(n, min_degree) for n in range(1, n_max + 1)])
 
 
 def random_graphs(count: int, n_max: int, seed: int = 0) -> Iterator[Graph]:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -441,6 +442,28 @@ class TestEnumerate:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
+
+
+# sha256 of the stdout of full n <= 7 sweeps, recorded before the degree
+# floor moved into the candidate recursion; any change to the stream, its
+# order or a row's fields shows here.
+SWEEP_DIGESTS = {
+    ("verify", "1", "csv"): "ccf44a904a36fb0a922649bacdc58be663604538b6e8a59d9fd8564b72fc106e",
+    ("verify", "2", "csv"): "77e7c2300e276f85fb4613ec409a90ce010a0fd4971284472b048289fb481e44",
+    ("verify", "3", "csv"): "259a223ae647cc18eabaf26db0c4a9b245f5156b946adc2b81d3b3ff19971246",
+    ("verify", "4", "csv"): "04208047b28fc018af64ffc0040fc28d2ece8d9326c0d40475fd3ace968f6616",
+    ("verify", "3", "json"): "bcd4aa814a154992e3fa13a073ca55dc051468ead802eec72abde214f013d623",
+    ("enumerate", "2", None): "25aad3d6ab5809ab3ead39724c3631ec70bc4e9e46beb7011d864d196d59c035",
+    ("enumerate", "3", None): "170428a368f36ddb76cbaac75dd8d7a147588be5c5633e4675ff752accf1e693",
+}
+
+
+@pytest.mark.parametrize("command, k, fmt", sorted(SWEEP_DIGESTS, key=str))
+def test_sweep_stdout_is_byte_identical(command, k, fmt, capsys):
+    argv = [command, "--k", k, "--nmax", "7"] + (["--format", fmt] if fmt else [])
+    code, out, _ = invoke(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[command, k, fmt]
 
 
 @pytest.mark.parametrize("command", ["verify", "enumerate"])

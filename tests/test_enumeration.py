@@ -24,6 +24,12 @@ from minconn.graphs import Graph
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 # masks that survive the degree-order and adjacent-swap tests
 CANDIDATE_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 158, 7: 1144}
+# the same with the degree floor K, for n = 1..7
+FLOORED_CANDIDATE_COUNTS = {
+    2: [0, 0, 1, 3, 11, 62, 568],
+    3: [0, 0, 0, 1, 3, 19, 168],
+    4: [0, 0, 0, 0, 1, 4, 32],
+}
 
 
 def permuted(g: Graph, perm: list[int]) -> Graph:
@@ -134,6 +140,31 @@ class TestExhaustive:
                 matched[key] += 1
         assert set(matched.values()) == {1} and len(matched) == len(emitted)
         assert Counter(n for n, _ in matched) == KNOWN_COUNTS
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_floored_candidates_are_the_filtered_candidates(self, n):
+        pos = list(combinations(range(n), 2))
+        floors = {
+            mask: Graph(n, (e for p, e in enumerate(pos) if mask >> p & 1)).min_degree()
+            for mask in _candidate_masks(n)
+        }
+        for k in range(7):
+            assert _candidate_masks(n, k) == [m for m, d in floors.items() if d >= k], k
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_floored_stream_is_the_filtered_stream(self, k, corpus7):
+        assert [g.edges() for g in enumerate_all(7, k)] == [
+            g.edges() for g in corpus7 if g.min_degree() >= k
+        ]
+
+    def test_floored_candidate_counts(self):
+        assert {
+            k: [len(_candidate_masks(n, k)) for n in range(1, 8)] for k in FLOORED_CANDIDATE_COUNTS
+        } == FLOORED_CANDIDATE_COUNTS
+
+    def test_floored_candidate_counts_at_eight_vertices(self):
+        # past MAX_EXHAUSTIVE_N, so asked of the recursion directly
+        assert [len(_candidate_masks(8, k)) for k in (3, 4)] == [3281, 541]
 
     def test_cap(self):
         with pytest.raises(TooLarge):
