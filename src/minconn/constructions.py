@@ -20,12 +20,6 @@ class LabeledGraph:
     def index_of(self, label: str) -> int:
         return self.labels[label]
 
-    def label_of(self, v: int) -> str:
-        for name, i in self.labels.items():
-            if i == v:
-                return name
-        return str(v)
-
 
 def band_graph(k: int, length: int) -> LabeledGraph:
     """Chain of `length` cliques K^{2(k-1)} with two degree-k end vertices.

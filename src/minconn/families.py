@@ -11,8 +11,10 @@ CSR adjacency); its `Graph` is only built when a caller asks for it.
 
 On a clique tree a vertex's BFS index is its rk-ary heap number, because
 the oracle lists a vertex's children first and in order, so BFS
-discovers them in order.  Its balls and its end-degree recheck therefore
-work on indices by arithmetic and never ask the tag oracle.
+discovers them in order.  Its balls, its end-degree recheck and its
+essential-edge certification therefore work on indices by arithmetic and
+never ask the tag oracle; certification reads each edge's block off the
+numbering and builds no ball at all, decoding tags only for its report.
 
 A family's ends are described by directions: for the double-ray-like
 families the two column signs, for tree-like families the branch
@@ -458,6 +460,14 @@ class CliqueTree(Family):
         for c in tag:
             i = rk * i + 1 + c
         return i
+
+    def tag_of(self, i: int) -> tuple[int, ...]:
+        """The tag of heap number i: the inverse of `index_of`."""
+        rk, path = self.r * self.k, []
+        while i:
+            i, c = divmod(i - 1, rk)
+            path.append(c)
+        return tuple(reversed(path))
 
     def index_row(self, i: int, n: int) -> list[int]:
         """The sorted neighbour indices of vertex i in the ball of
@@ -1169,34 +1179,88 @@ def certify_essential_edges(f: Family, radius: int, pad: int, k: int) -> Certify
     edges have capacity 1 and rim edges capacity k+1, so any flow of
     value k certifies a cut of exactly k inner edges.  Flows run inside
     the edge's biconnected block -- disjoint paths never leave it, and a
-    block-local cut separates in the whole ball.
+    block-local cut separates in the whole ball.  A clique tree's blocks
+    come from heap-number arithmetic (`_index_blocks`) and no ball is
+    built; other families' from Tarjan's algorithm over ball(radius + 2
+    pad) (`_ball_blocks`).  Both list each block's edges in the same
+    order, so the reports are equal.
     """
+    if radius < 0:
+        raise InvalidParams("radius must be non-negative")
     if pad < 1:
         raise InvalidParams("pad must be at least 1")
     if k < 1:
         raise InvalidParams("k must be at least 1")
-    b = ball(f, radius + 2 * pad)
+    if isinstance(f, CliqueTree):
+        source = _index_blocks(f, radius, radius + pad)
+    else:
+        source = _ball_blocks(ball(f, radius + 2 * pad), radius, radius + pad)
+    return _certify_blocks(f, radius, pad, k, source)
+
+
+def _ball_blocks(b: Ball, radius: int, rim: int):
+    """The block source of a ball b: `inner`, the edges (u, v), u < v, of
+    ball(radius) in index order; `block_of(u, v)`, the sorted vertices of
+    the edge's block and its edges (a, b), a < b, in Tarjan's pop order
+    on all of b; `n_rim`, as distance <= rim is index < n_rim in BFS
+    order; and `tag(i)`."""
     n = len(b.tags)
-    rim = radius + pad
-    # BFS order makes the vertices within `radius` an index prefix.
     n_inner = bisect_right(b.dist, radius)
     inner = [(u, v) for u in range(n_inner) for v in b.neighbors(u) if u < v < n_inner]
-    wanted = {u * n + v for u, v in inner}
-    code_block, blocks = _blocks_containing(b.offsets, b.targets, wanted)
+    code_block, kept = _blocks_containing(b.offsets, b.targets, {u * n + v for u, v in inner})
+    blocks = [
+        (sorted({c // n for c in comp} | {c % n for c in comp}), [divmod(c, n) for c in comp])
+        for comp in kept
+    ]
+    return (inner, lambda u, v: blocks[code_block[u * n + v]],
+            bisect_right(b.dist, rim), b.tags.__getitem__)
 
+
+def _index_blocks(f: CliqueTree, radius: int, rim: int):
+    """The clique tree's block source (see `_ball_blocks`) by heap-number
+    arithmetic.
+
+    Every block is a parent with one aligned group of k children, a
+    K_{k+1} (a bridge when k = 1), and the inner edge (u, v), u < v, lies
+    in the block of v's parent and v's group.  Its edges come in the
+    order `_blocks_containing` pops them from the block alone, vertices
+    in index order, and that is Tarjan's pop order on the whole ball:
+    a DFS from vertex 0 enters every block at its least index, the
+    parent, because the children are reached only through it or through
+    their own subtrees; and a subtree hanging off a block vertex meets
+    the rest of the ball only at that vertex, so its edges are pushed
+    and popped, as blocks of their own, before the search returns into
+    the block -- they never interleave with the block's own edges.
+    """
+    rk, k, m = f.r * f.k, f.k, f.k + 1
+    n_inner = f.ball_size(radius)
+    inner = [(u, v) for u in range(n_inner) for v in f.index_row(u, n_inner) if u < v]
+    offsets = array("i", range(0, m * k + 1, k))
+    targets = array("i", [w for x in range(m) for w in range(m) if w != x])
+    _, (order,) = _blocks_containing(offsets, targets, {1})  # K_m, edge 0-1 wanted
+    blocks: dict[int, tuple] = {}
+
+    def block_of(u: int, v: int) -> tuple:
+        first = v - (v - 1) % k  # v's group, which names its block
+        if first not in blocks:
+            verts = [(v - 1) // rk, *range(first, first + k)]
+            blocks[first] = verts, [(verts[c // m], verts[c % m]) for c in order]
+        return blocks[first]
+
+    return inner, block_of, f.ball_size(rim), f.tag_of
+
+
+def _certify_blocks(f: Family, radius: int, pad: int, k: int, source) -> CertifyReport:
+    """`certify_essential_edges` over a block source: one flow per edge."""
+    inner, block_of, n_rim, tag = source
     entries = []
     certified = 0
     for u, v in inner:
-        block = blocks[code_block[u * n + v]]
-        verts = sorted({c // n for c in block} | {c % n for c in block})
+        verts, arcs = block_of(u, v)
         loc = {x: i for i, x in enumerate(verts)}
         net = FlowNetwork(len(verts))
-        arcs = []
-        for c in block:
-            a, bb = c // n, c % n
-            cap = 1 if b.dist[a] <= rim and b.dist[bb] <= rim else k + 1
-            net.add_undirected(loc[a], loc[bb], cap)
-            arcs.append((a, bb))
+        for a, bb in arcs:
+            net.add_undirected(loc[a], loc[bb], 1 if bb < n_rim else k + 1)  # a < bb
         val = net.max_flow(loc[u], loc[v], k + 1)
         if val == k:
             reach = net.residual_reachable(loc[u])
@@ -1204,19 +1268,17 @@ def certify_essential_edges(f: Family, radius: int, pad: int, k: int) -> Certify
                 (a, bb) for a, bb in arcs if (loc[a] in reach) != (loc[bb] in reach)
             ]
             assert len(cut) == k, "a flow of value k pins the cut to k unit edges"
-            assert all(b.dist[a] <= rim and b.dist[bb] <= rim for a, bb in cut)
+            assert all(bb < n_rim for _, bb in cut)
             entries.append(
                 EdgeCutCertificate(
-                    (b.tags[u], b.tags[v]),
+                    (tag(u), tag(v)),
                     "certified",
-                    tuple((b.tags[a], b.tags[bb]) for a, bb in cut),
+                    tuple((tag(a), tag(bb)) for a, bb in cut),
                 )
             )
             certified += 1
         else:
-            entries.append(
-                EdgeCutCertificate((b.tags[u], b.tags[v]), "undecided", None)
-            )
+            entries.append(EdgeCutCertificate((tag(u), tag(v)), "undecided", None))
     return CertifyReport(
         family=f.describe(),
         radius=radius,

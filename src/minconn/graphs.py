@@ -83,9 +83,6 @@ class Graph:
     def min_degree(self) -> int:
         return min(self.degrees()) if self.n else 0
 
-    def max_degree(self) -> int:
-        return max(self.degrees()) if self.n else 0
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
 
@@ -217,24 +214,6 @@ class MultiGraph:
             edges.append((e[0], e[1], self.mult[e] - 1))
         return MultiGraph(self.n, edges)
 
-    def subdivide(self) -> tuple[Graph, dict]:
-        """Subdivide every edge copy once, yielding a simple graph.
-
-        Returns (graph, info) where info maps each new midpoint index to
-        the (u, v, copy) edge it represents; indices 0..n-1 are the
-        original vertices.
-        """
-        edges = []
-        info = {}
-        nxt = self.n
-        for (u, v), k in self.mult.items():
-            for c in range(k):
-                info[nxt] = (u, v, c)
-                edges.append((u, nxt))
-                edges.append((nxt, v))
-                nxt += 1
-        return Graph(nxt, edges), info
-
     def __eq__(self, other):
         return isinstance(other, MultiGraph) and self.n == other.n and self.mult == other.mult
 
@@ -327,9 +306,6 @@ class Region:
     @property
     def profound(self) -> bool:
         return bool(self.interior)
-
-    def is_k_region(self, k: int) -> bool:
-        return len(self.boundary) == k
 
     def __len__(self):
         return len(self.vertices)
@@ -455,8 +431,3 @@ def square(g: Graph) -> Graph:
         for a, b in combinations(nb, 2):
             edges.append((a, b))
     return Graph(g.n, edges)
-
-
-def ladder_graph(m: int) -> Graph:
-    """P_m box K^2 -- the ladder with m rungs."""
-    return cartesian_product(path_graph(m), complete_graph(2))

@@ -77,10 +77,6 @@ def from_graph6(line: str) -> Graph:
     return Graph(n, edges)
 
 
-def read_graph6_stream(lines) -> list[Graph]:
-    return [from_graph6(ln) for ln in lines if ln.strip()]
-
-
 def to_edge_list(g) -> str:
     """Serialise a Graph or MultiGraph as an edge list."""
     if isinstance(g, MultiGraph):

@@ -1,9 +1,41 @@
-"""Independent oracles that the test suite holds the package's routines to."""
+"""Independent oracles that the test suite holds the package's routines to,
+and the helpers only tests need."""
 
 from itertools import combinations
 
 from minconn.errors import TooLarge, TooSmall
-from minconn.graphs import MultiGraph, components_of_subset
+from minconn.graphs import (
+    Graph,
+    MultiGraph,
+    cartesian_product,
+    complete_graph,
+    components_of_subset,
+    path_graph,
+)
+
+
+def ladder_graph(m: int) -> Graph:
+    """P_m box K^2 -- the ladder with m rungs."""
+    return cartesian_product(path_graph(m), complete_graph(2))
+
+
+def subdivide(mg: MultiGraph) -> tuple[Graph, dict]:
+    """Subdivide every edge copy of a multigraph once, yielding a simple graph.
+
+    Returns (graph, info) where info maps each new midpoint index to the
+    (u, v, copy) edge it represents; indices 0..n-1 are the original
+    vertices.
+    """
+    edges = []
+    info = {}
+    nxt = mg.n
+    for (u, v), k in mg.mult.items():
+        for c in range(k):
+            info[nxt] = (u, v, c)
+            edges.append((u, nxt))
+            edges.append((nxt, v))
+            nxt += 1
+    return Graph(nxt, edges), info
 
 
 def brute_force_connectivity(g) -> tuple[int, int]:

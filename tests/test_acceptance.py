@@ -86,7 +86,7 @@ def test_criterion_2_edge_min_degree_counts(members):
         for g in members[(k, A)]:
             checked += 1
             v_k = small_degree_set(g, k)
-            need = max(math.ceil((k - 1) * g.n / (2 * k - 1)), k + 1, g.max_degree())
+            need = max(math.ceil((k - 1) * g.n / (2 * k - 1)), k + 1, max(g.degrees()))
             if g.min_degree() != k or len(v_k) < need:
                 violations.append((g, k))
     report(

@@ -27,7 +27,7 @@ from minconn.graphs import (
     cycle_graph,
     path_graph,
 )
-from oracles import brute_force_connectivity
+from oracles import brute_force_connectivity, subdivide
 
 
 @st.composite
@@ -56,7 +56,7 @@ def edge_connectivity_by_subdivision(mg: MultiGraph) -> int:
     paths in the simple graph count lambda: a second, structurally
     different route for the multigraph code path.
     """
-    simple, _ = mg.subdivide()
+    simple, _ = subdivide(mg)
     return min(max_disjoint_paths(simple, [0], [t], mode="edge").count for t in range(1, mg.n))
 
 

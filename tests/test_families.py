@@ -1,12 +1,16 @@
+import json
 from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minconn import families
 from minconn.errors import InvalidParams, NotConverged
 from minconn.families import (
     DoubleRay,
+    _ball_blocks,
     _blocks_containing,
+    _certify_blocks,
     _certificate_separates,
     _oracle_ball,
     _oracle_separates,
@@ -173,6 +177,8 @@ class TestLevelOrderIndex:
             assert b.frontier == o.frontier
             assert len(b.tags) == f.ball_size(radius)
             assert [f.index_of(t) for t in b.tags] == list(range(len(b.tags)))
+            assert [f.tag_of(f.index_of(t)) for t in b.tags] == list(b.tags)
+            assert [f.tag_of(i) for i in range(len(b.tags))] == list(b.tags)
 
     def test_ball_keeps_its_cache(self):
         f = make_family("clique-tree:r=2,k=2")
@@ -444,6 +450,9 @@ class TestCertify:
             ("cartesian-tree:r=3,k=2", 2, 2, 2, 12, 16),
             ("ray-bundle:k=4,l=4", 5, 2, 4, 34, 196),
             ("multipath-inf:k=3", 3, 2, 3, 0, 18),
+            ("clique-tree:r=2,k=2", 2, 2, 2, 30, 30),
+            ("clique-tree:r=2,k=3", 2, 1, 4, 0, 84),
+            ("clique-tree:r=2,k=1", 3, 1, 1, 14, 14),  # every edge a bridge
         ],
     )
     def test_certified_cuts_separate(self, spec, radius, pad, k, certified, total):
@@ -467,6 +476,50 @@ class TestCertify:
                         seen.add(y)
                         queue.append(y)
             assert v not in seen
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    @pytest.mark.parametrize("radius", [-1, -3])
+    def test_negative_radius(self, spec, radius):
+        f = make_family(spec)
+        before = ball.cache_info()
+        with pytest.raises(InvalidParams):
+            certify_essential_edges(f, radius, 1, 2)
+        assert ball.cache_info() == before  # refused before any ball is asked for
+
+    @pytest.mark.parametrize(
+        "spec,radius,pad,k",
+        [
+            ("clique-tree:r=2,k=4", 2, 2, 4),
+            ("clique-tree:r=2,k=4", 1, 2, 4),
+            ("clique-tree:r=1,k=3", 2, 1, 3),
+            ("clique-tree:r=3,k=2", 2, 1, 2),
+            ("clique-tree:r=2,k=2", 2, 2, 2),
+            ("clique-tree:r=2,k=3", 1, 1, 2),
+            ("clique-tree:r=2,k=3", 2, 1, 4),
+            ("clique-tree:r=2,k=1", 3, 1, 1),
+        ],
+    )
+    def test_index_blocks_equal_whole_ball_blocks(self, spec, radius, pad, k, monkeypatch):
+        # The clique tree's index path must report exactly what Tarjan's
+        # algorithm over the whole doubly padded oracle ball gives, while
+        # building no ball and searching nothing larger than one block.
+        f = make_family(spec)
+        whole = _oracle_ball(f, radius + 2 * pad)
+        expected = _certify_blocks(f, radius, pad, k, _ball_blocks(whole, radius, radius + pad))
+        del whole
+        searched = []
+
+        def spy(offsets, targets, wanted):
+            searched.append(len(offsets) - 1)
+            return _blocks_containing(offsets, targets, wanted)
+
+        monkeypatch.setattr(families, "_blocks_containing", spy)
+        before = ball.cache_info()
+        rep = certify_essential_edges(f, radius, pad, k)
+        after = ball.cache_info()
+        assert json.dumps(rep.to_json_obj()) == json.dumps(expected.to_json_obj())
+        assert after.hits + after.misses == before.hits + before.misses
+        assert searched == [f.k + 1]
 
 
 class TestValidateFamily:

@@ -1,14 +1,16 @@
+import argparse
+import io
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from minconn.errors import InvalidParams
+from minconn.cli import _read_graphs
 from minconn.graphs import Graph, MultiGraph, complete_graph, cycle_graph
 from minconn.io import (
     from_edge_list,
     from_graph6,
-    read_graph6_stream,
     to_edge_list,
     to_graph6,
     to_json_obj,
@@ -44,9 +46,10 @@ class TestGraph6:
         assert s.startswith("~")
         assert from_graph6(s) == g
 
-    def test_stream(self):
-        lines = ["C~", "", "Bw", "  "]
-        gs = read_graph6_stream(lines)
+    def test_stream(self, monkeypatch):
+        # a graph6 stream on stdin skips blank lines
+        monkeypatch.setattr("sys.stdin", io.StringIO("C~\n\nBw\n  \n"))
+        gs = _read_graphs(argparse.Namespace(input="graph6", graphs=[]))
         assert [g.n for g in gs] == [4, 3]
 
     def test_bad_bytes(self):

@@ -15,7 +15,6 @@ from minconn.graphs import (
     cartesian_product,
     complete_graph,
     cycle_graph,
-    ladder_graph,
     path_graph,
 )
 from minconn.minimality import (
@@ -31,6 +30,7 @@ from minconn.minimality import (
 )
 from minconn.constructions import band_graph, multipath
 
+from oracles import ladder_graph
 from test_connectivity import multigraphs
 
 

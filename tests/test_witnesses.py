@@ -8,7 +8,6 @@ from minconn.graphs import (
     complete_graph,
     cycle_graph,
     external_neighborhood,
-    ladder_graph,
     path_graph,
     region_of,
 )
@@ -25,6 +24,7 @@ from minconn.witnesses import (
     vertex_min_edge_witness_pair,
     witness_report,
 )
+from oracles import ladder_graph
 
 A = MinimalityClass.EDGE_MIN_CONN
 B = MinimalityClass.VERTEX_MIN_CONN
