@@ -20,9 +20,11 @@ A family's ends are described by directions: for the double-ray-like
 families the two column signs, for tree-like families the branch
 prefixes.  The vertex- or edge-degree of an end is estimated by a
 cut/path duality on growing balls -- the minimum separator (or edge cut)
-between the unit ball and the direction's frontier, certified by an
+between the base ball and the direction's frontier, certified by an
 equal-sized disjoint path family, accepted only after it stays stable
-over a window of radii and still separates on a strictly larger ball.
+over a window of radii and still separates on the ball two radii out
+(the recheck rule, `_certificate_separates`).  What a family supplies is
+the oracle contract of `Family`.
 """
 
 from __future__ import annotations
@@ -93,7 +95,13 @@ class Ball:
 
 
 class Family:
-    """Base interface: a pure neighbor oracle plus end descriptions."""
+    """Base interface: a pure neighbor oracle plus end descriptions.
+
+    The oracle contract: a `center`, a deterministic `neighbors`, so BFS
+    numbers every ball the same way, `in_direction` for the tags of a
+    direction, and the estimator's radii.  Distances and rays are read
+    off balls, never asked of the family.
+    """
 
     name = "family"
 
@@ -104,10 +112,6 @@ class Family:
     def neighbors(self, tag: Tag) -> list[Tag]:
         raise NotImplementedError
 
-    def distance(self, tag: Tag) -> int | None:
-        """Exact center distance when cheaply computable, else None."""
-        return None
-
     def real_vertex(self, tag: Tag) -> bool:
         """False for helper tags that stand for edges, not vertices."""
         return True
@@ -117,10 +121,6 @@ class Family:
         raise NotImplementedError
 
     def in_direction(self, tag: Tag, end: EndDescriptor) -> bool:
-        raise NotImplementedError
-
-    def direction_tag_at(self, end: EndDescriptor, dist: int) -> Tag:
-        """A tag of the representative ray at the given center distance."""
         raise NotImplementedError
 
     # -- estimator tuning ------------------------------------------------
@@ -135,7 +135,8 @@ class Family:
         """
         return 1
 
-    def start_radius(self) -> int:
+    def start_radius(self, end: EndDescriptor) -> int:
+        """The first radius the estimator measures the end's direction at."""
         return 3
 
     def max_radius(self) -> int:
@@ -199,14 +200,8 @@ class DoubleRay(_TwoEnded):
     def neighbors(self, tag):
         return [tag - 1, tag + 1]
 
-    def distance(self, tag):
-        return abs(tag)
-
     def column(self, tag):
         return tag
-
-    def direction_tag_at(self, end, dist):
-        return end.direction * dist
 
     def degree_set(self):
         return frozenset({2})
@@ -233,14 +228,8 @@ class DoubleRaySquare(_TwoEnded):
     def neighbors(self, tag):
         return [tag - 2, tag - 1, tag + 1, tag + 2]
 
-    def distance(self, tag):
-        return (abs(tag) + 1) // 2
-
     def column(self, tag):
         return tag
-
-    def direction_tag_at(self, end, dist):
-        return end.direction * 2 * dist
 
     def degree_set(self):
         return frozenset({4})
@@ -284,12 +273,6 @@ class MultiPathInfinite(_TwoEnded):
         _, i, _j = tag
         return [("v", i), ("v", i + 1)]
 
-    def distance(self, tag):
-        if tag[0] == "v":
-            return 2 * abs(tag[1])
-        i = tag[1]
-        return 2 * i + 1 if i >= 0 else -2 * i - 1
-
     def real_vertex(self, tag):
         return tag[0] == "v"
 
@@ -298,13 +281,6 @@ class MultiPathInfinite(_TwoEnded):
             return tag[1]
         i = tag[1]
         return i + 1 if i >= 0 else i
-
-    def direction_tag_at(self, end, dist):
-        if dist % 2 == 0:
-            return ("v", end.direction * (dist // 2))
-        if end.direction > 0:
-            return ("m", (dist - 1) // 2, 0)
-        return ("m", -(dist + 1) // 2, 0)
 
     def degree_set(self):
         return frozenset({2 * self.k})
@@ -344,9 +320,6 @@ class _Tree(Family):
             out.append(tag[:-1])
         return out
 
-    def distance(self, tag):
-        return len(tag)
-
     def ends(self, depth: int = 1) -> list[EndDescriptor]:
         if depth < 1:
             raise InvalidParams("end depth must be at least 1")
@@ -357,13 +330,15 @@ class _Tree(Family):
     def in_direction(self, tag, end):
         return tag[: len(end.direction)] == end.direction
 
-    def direction_tag_at(self, end, dist):
-        return (end.direction + (0,) * dist)[:dist]
-
     def witness_end_depth(self):
         # Depth-1 direction nodes are base-ball vertices; their whole
         # subtree must be cut around.  Depth 2 isolates single ends.
         return 2
+
+    def start_radius(self, end):
+        # A deeper direction's frontier is a single vertex at distance
+        # len(direction); start one level below it, inside its subtree.
+        return max(3, len(end.direction) + 1)
 
     def max_radius(self):
         return 9
@@ -372,8 +347,24 @@ class _Tree(Family):
         return frozenset({self.root, self.inner + 1})
 
 
+class _OnBase(Family):
+    """A family whose ends and radii are those of its `base` family."""
+
+    def ends(self, depth=1):
+        return [replace(e, family=self.describe()) for e in self.base.ends(depth)]
+
+    def witness_end_depth(self):
+        return self.base.witness_end_depth()
+
+    def start_radius(self, end):
+        return self.base.start_radius(end)
+
+    def max_radius(self):
+        return self.base.max_radius()
+
+
 @dataclass(frozen=True)
-class CliqueTree(Family):
+class CliqueTree(_OnBase):
     """A tree of k-cliques: every vertex has rk children, grouped into r
     k-cliques.
 
@@ -420,20 +411,8 @@ class CliqueTree(Family):
             ]
         return out
 
-    def distance(self, tag):
-        return len(tag)
-
-    def ends(self, depth=1):
-        return [replace(e, family=self.describe()) for e in self.base.ends(depth)]
-
     def in_direction(self, tag, end):
         return self.base.in_direction(tag, end)
-
-    def direction_tag_at(self, end, dist):
-        return self.base.direction_tag_at(end, dist)
-
-    def witness_end_depth(self):
-        return self.base.witness_end_depth()
 
     def max_radius(self):
         return 7
@@ -489,7 +468,7 @@ class CliqueTree(Family):
 
 
 @dataclass(frozen=True)
-class CliqueProduct(Family):
+class CliqueProduct(_OnBase):
     """The double ray (r None) or the r-regular tree, times a k-clique.
 
     Tags (x, c): base vertex x, clique position c.  A base vertex of
@@ -533,25 +512,8 @@ class CliqueProduct(Family):
             out += [(y, cc) for cc in range(self.k)] if self.strong else [(y, c)]
         return out
 
-    def distance(self, tag):
-        x, c = tag
-        d, step = self.base.distance(x), 1 if c else 0
-        return max(d, step) if self.strong else d + step
-
-    def ends(self, depth=1):
-        return [replace(e, family=self.describe()) for e in self.base.ends(depth)]
-
     def in_direction(self, tag, end):
         return self.base.in_direction(tag[0], end)
-
-    def direction_tag_at(self, end, dist):
-        return (self.base.direction_tag_at(end, dist), 0)
-
-    def witness_end_depth(self):
-        return self.base.witness_end_depth()
-
-    def max_radius(self):
-        return self.base.max_radius()
 
     def degree_set(self):
         k, degs = self.k, self.base.degree_set()
@@ -636,19 +598,17 @@ class RayBundle(_TwoEnded):
     def column(self, tag):
         return tag[2] if tag[0] == "r" else tag[1]
 
-    def direction_tag_at(self, end, dist):
-        return ("r", 0, end.direction * dist)
-
     def max_radius(self):
-        # Leave room for a window of radii and the recheck two radii out.
-        return max(20, self.start_radius() + 6)
+        # Leave room past the start radius, base_radius() + 2, for a window
+        # of radii and the recheck two radii out.
+        return max(20, self.base_radius() + 8)
 
     def base_radius(self):
         # The base must cover all l rays: hopping to the adjacent ray
         # block costs about two steps, and there are l/k blocks.
         return 1 + 2 * (self.l // self.k)
 
-    def start_radius(self):
+    def start_radius(self, end):
         # Wait until the ball has wrapped the whole ray ring, so the
         # frontier splits cleanly into the two column directions.
         return self.base_radius() + 2
@@ -855,105 +815,57 @@ class EndDegreeEstimate:
 
 def _certificate_separates(f: Family, end: EndDescriptor, mode: str,
                            certificate: tuple, radius: int, base_tags: set) -> bool:
-    """Does the certificate still separate the base from the direction on
-    the ball of the given radius?
+    """The recheck rule: does the certificate still separate the base from
+    the direction on the ball of the given radius?
 
-    Explored from the direction side: a representative-ray tag at full
-    distance seeds a search of its component in the ball minus the
-    certificate; separation holds exactly when no base tag is reached.
-    A clique tree walks heap numbers (`_index_separates`), other families
-    with an exact distance oracle walk tags (`_oracle_separates`), and
-    the rest fall back to searching the materialised ball from the base
-    side.
+    It does exactly when, in the ball minus the certificate (tags in
+    vertex mode, tag pairs in edge mode), a search from the base reaches
+    no frontier vertex in the direction.  A clique tree, whose balls grow
+    rk-fold per radius, walks heap numbers instead (`_index_separates`).
     """
     if isinstance(f, CliqueTree):
         return _index_separates(f, end, mode, certificate, radius, base_tags)
-    if f.distance(f.center()) is not None:
-        return _oracle_separates(f, end, mode, certificate, radius, base_tags)
-    blocked_v = set(certificate) if mode == "vertex" else set()
     b = ball(f, radius)
-    blocked_iv = {b.index[t] for t in blocked_v if t in b.index}
-    blocked_ie = {
-        frozenset((b.index[t1], b.index[t2]))
-        for t1, t2 in (certificate if mode == "edge" else ())
-        if t1 in b.index and t2 in b.index
-    }
-    goal = {
-        i for i in b.frontier if f.in_direction(b.tags[i], end)
-    }
-    seen = {b.index[t] for t in base_tags if b.index.get(t) is not None}
-    seen -= blocked_iv
-    queue = list(seen)
-    while queue:
-        v = queue.pop()
-        for w in b.neighbors(v):
-            if w in seen or w in blocked_iv:
-                continue
-            if frozenset((v, w)) in blocked_ie:
-                continue
-            if w in goal:
-                return False
-            seen.add(w)
-            queue.append(w)
-    return True
-
-
-def _oracle_separates(f: Family, end: EndDescriptor, mode: str,
-                      certificate: tuple, radius: int, base_tags: set) -> bool:
-    """`_certificate_separates` by a search over tags, for families with an
-    exact distance oracle."""
-    blocked_v = set(certificate) if mode == "vertex" else set()
-    blocked_e = {frozenset(e) for e in certificate} if mode == "edge" else set()
-    seed = f.direction_tag_at(end, radius)
-    assert f.distance(seed) == radius, "representative ray must be radial"
-    if seed in blocked_v:
-        return True
-    seen = {seed}
-    queue = [seed]
-    while queue:
-        t = queue.pop()
-        for nb in f.neighbors(t):
-            if nb in seen or nb in blocked_v:
-                continue
-            d = f.distance(nb)
-            if d is None or d > radius:
-                continue
-            if frozenset((t, nb)) in blocked_e:
-                continue
-            if nb in base_tags:
-                return False
-            seen.add(nb)
-            queue.append(nb)
-    return True
+    idx = b.index.__getitem__
+    goal = {i for i in b.frontier if f.in_direction(b.tags[i], end)}
+    return _cut_off(b.neighbors, len(b.tags), idx, mode, certificate,
+                    {idx(t) for t in base_tags}, goal)
 
 
 def _index_separates(f: CliqueTree, end: EndDescriptor, mode: str,
                      certificate: tuple, radius: int, base_tags: set) -> bool:
-    """`_certificate_separates` by a search over heap numbers: distance
-    <= radius is index < ball_size(radius), and blocked edges are coded
-    u * n + w with u < w."""
+    """`_certificate_separates` on a clique tree, by a search over heap
+    numbers from the direction side: the direction's first descendant at
+    full distance seeds it, and it fails once it reaches a base vertex.
+    Distance <= radius is index < ball_size(radius)."""
     n, idx = f.ball_size(radius), f.index_of
+    seed = idx((end.direction + (0,) * radius)[:radius])
+    assert f.ball_size(radius - 1) <= seed < n, "the seed lies at full distance"
+    return _cut_off(lambda v: f.index_row(v, n), n, idx, mode, certificate,
+                    {seed}, {idx(t) for t in base_tags})
+
+
+def _cut_off(row, n: int, idx, mode: str, certificate: tuple, sources: set,
+             targets: set) -> bool:
+    """Does the certificate, read into vertices by `idx`, cut every path
+    from `sources` to `targets` in the graph on 0..n-1 whose neighbours
+    `row` lists?  Blocked edges are coded u * n + w with u < w."""
     if mode == "vertex":
         blocked_v, blocked_e = {idx(t) for t in certificate}, set()
     else:
         blocked_v = set()
         blocked_e = {min(u, w) * n + max(u, w) for u, w in
                      ((idx(a), idx(b)) for a, b in certificate)}
-    base = {idx(t) for t in base_tags}
-    seed = idx(f.direction_tag_at(end, radius))
-    assert f.ball_size(radius - 1) <= seed < n, "representative ray must be radial"
-    if seed in blocked_v:
-        return True
-    seen = {seed}
-    queue = [seed]
+    seen = sources - blocked_v
+    queue = list(seen)
     while queue:
         v = queue.pop()
-        for w in f.index_row(v, n):
+        for w in row(v):
             if w in seen or w in blocked_v:
                 continue
             if blocked_e and (v * n + w if v < w else w * n + v) in blocked_e:
                 continue
-            if w in base:
+            if w in targets:
                 return False
             seen.add(w)
             queue.append(w)
@@ -982,7 +894,7 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
     if window < 1:
         raise InvalidParams("window must be at least 1")
     r_hi = f.max_radius() if r_max is None else min(r_max, f.max_radius())
-    start = f.start_radius()
+    start = f.start_radius(end)
     if r_hi < start:  # no radius to measure, so no bound to report
         raise InvalidParams(f"radius bound {r_hi} is below the start radius {start}")
     base = ball(f, f.base_radius())
@@ -1348,11 +1260,7 @@ def validate_family(f: Family, radius: int = 4, end_depth: int | None = None) ->
         vws = tuple(
             b.tags[i] for i in internal if b.graph.degree(i) <= bound
         )[:4]
-        mode = (
-            "edge"
-            if cls in (MinimalityClass.EDGE_MIN_CONN, MinimalityClass.EDGE_MIN_EDGE_CONN)
-            else "vertex"
-        )
+        mode = "edge" if cls.deletes_edges else "vertex"
         ews: list[str] = []
         if len(vws) < 2:
             for end in f.ends(end_depth):

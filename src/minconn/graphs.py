@@ -390,18 +390,17 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, combinations(range(n), 2))
 
 
-def _product(g: Graph, h: Graph, include_cartesian: bool, include_diagonal: bool) -> Graph:
+def _product(g: Graph, h: Graph, include_diagonal: bool) -> Graph:
     def idx(a: int, b: int) -> int:
         return a * h.n + b
 
     edges = []
-    if include_cartesian:
-        for a, b in g.edges():
-            for c in range(h.n):
-                edges.append((idx(a, c), idx(b, c)))
-        for c, d in h.edges():
-            for a in range(g.n):
-                edges.append((idx(a, c), idx(a, d)))
+    for a, b in g.edges():
+        for c in range(h.n):
+            edges.append((idx(a, c), idx(b, c)))
+    for c, d in h.edges():
+        for a in range(g.n):
+            edges.append((idx(a, c), idx(a, d)))
     if include_diagonal:
         for a, b in g.edges():
             for c, d in h.edges():
@@ -415,12 +414,12 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
     Vertex (a, c) gets index a*|h| + c.
     """
-    return _product(g, h, True, False)
+    return _product(g, h, False)
 
 
 def strong_product(g: Graph, h: Graph) -> Graph:
     """Strong product: adjacency in each coordinate, allowing equality in one."""
-    return _product(g, h, True, True)
+    return _product(g, h, True)
 
 
 def square(g: Graph) -> Graph:

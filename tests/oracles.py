@@ -77,3 +77,31 @@ def brute_force_connectivity(g) -> tuple[int, int]:
         crossing = sum(w for (u, v), w in ew if (u in side) != (v in side))
         lam = min(lam, crossing)
     return kappa, lam
+
+
+def oracle_separates(f, end, mode: str, certificate: tuple, radius: int,
+                     base_tags: set) -> bool:
+    """The r+2 recheck on a clique tree by a walk over tags, the reference
+    for its heap-number walk: the direction's first descendant at full
+    distance seeds a search in the ball minus the certificate, reading a
+    tag's distance as its length, and the search fails once it reaches a
+    base tag."""
+    blocked_v = set(certificate) if mode == "vertex" else set()
+    blocked_e = {frozenset(e) for e in certificate} if mode == "edge" else set()
+    seed = (end.direction + (0,) * radius)[:radius]
+    if seed in blocked_v:
+        return True
+    seen = {seed}
+    queue = [seed]
+    while queue:
+        t = queue.pop()
+        for nb in f.neighbors(t):
+            if nb in seen or nb in blocked_v or len(nb) > radius:
+                continue
+            if frozenset((t, nb)) in blocked_e:
+                continue
+            if nb in base_tags:
+                return False
+            seen.add(nb)
+            queue.append(nb)
+    return True

@@ -342,6 +342,7 @@ class TestEndDegree:
             ("dr-square", "left", "edge", "3"),
             ("cartesian-dr:k=2", "right", "vertex", "2"),
             ("clique-tree:r=2,k=4", "branch-0-0", "edge", "4"),
+            ("cartesian-tree:r=3,k=2", "branch-0-0-0", "vertex", "2"),
         ],
     )
     def test_converged_values(self, capsys, family, end, mode, expected):

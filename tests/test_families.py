@@ -13,7 +13,6 @@ from minconn.families import (
     _certify_blocks,
     _certificate_separates,
     _oracle_ball,
-    _oracle_separates,
     ball,
     certify_essential_edges,
     end_degree_estimate,
@@ -29,6 +28,7 @@ from minconn.graphs import (
     path_graph,
     strong_product,
 )
+from oracles import oracle_separates
 
 ALL_SPECS = [
     "double-ray",
@@ -122,8 +122,6 @@ class TestBall:
         b = ball(f, 2 if spec.startswith("clique-tree") else 3)
         n = len(b.tags)
         assert [b.index[t] for t in b.tags] == list(range(n))
-        for t, d in zip(b.tags, b.dist):
-            assert f.distance(t) in (None, d)
         expected = {
             (min(b.index[t], b.index[nb]), max(b.index[t], b.index[nb]))
             for t in b.tags
@@ -197,11 +195,11 @@ class TestLevelOrderIndex:
             est = end_degree_estimate(f, end, mode=mode)
             cert, radius = est.certificate, est.recheck_radius
             assert _certificate_separates(f, end, mode, cert, radius, base_tags)
-            assert _oracle_separates(f, end, mode, cert, radius, base_tags)
+            assert oracle_separates(f, end, mode, cert, radius, base_tags)
             for i in range(len(cert)):
                 less = cert[:i] + cert[i + 1:]
                 assert _certificate_separates(f, end, mode, less, radius, base_tags) == (
-                    _oracle_separates(f, end, mode, less, radius, base_tags)
+                    oracle_separates(f, end, mode, less, radius, base_tags)
                 )
 
     @given(st.data())
@@ -221,7 +219,7 @@ class TestLevelOrderIndex:
             cert = tuple((b.tags[u], b.tags[w]) for u, w in sorted(drawn))
         base_tags = set(ball(f, f.base_radius()).tags)
         assert _certificate_separates(f, end, mode, cert, radius, base_tags) == (
-            _oracle_separates(f, end, mode, cert, radius, base_tags)
+            oracle_separates(f, end, mode, cert, radius, base_tags)
         )
 
 
@@ -239,16 +237,16 @@ class TestFamilyStructure:
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_direction_rays(self, spec):
+        # Every direction at witness depth has ball vertices at each
+        # distance from that depth on, and no vertex lies in two.
         f = make_family(spec)
-        for end in f.ends(f.witness_end_depth()):
-            tags = [f.direction_tag_at(end, d) for d in range(1, 7)]
-            assert len(set(tags)) == 6
-            start = f.witness_end_depth()
-            for d, t in enumerate(tags, start=1):
-                if f.distance(t) is not None:
-                    assert f.distance(t) == d
-                if d >= start:
-                    assert f.in_direction(t, end)
+        b = ball(f, 4 if spec.startswith("clique-tree") else 6)
+        ends = f.ends(f.witness_end_depth())
+        for end in ends:
+            dists = {b.dist[i] for i, t in enumerate(b.tags) if f.in_direction(t, end)}
+            assert set(range(f.witness_end_depth(), b.radius + 1)) <= dists
+        for t in b.tags:
+            assert sum(f.in_direction(t, end) for end in ends) <= 1
 
     def test_two_ended_labels(self):
         f = make_family("double-ray")
@@ -337,6 +335,48 @@ class TestEndDegree:
         values = [v for _, v in est.history]
         assert values == sorted(values, reverse=True)
 
+    @pytest.mark.parametrize("spec", [s for s in ALL_SPECS if not s.startswith("clique-tree")])
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_ball_recheck_passes_own_certificates(self, spec, mode):
+        f = make_family(spec)
+        base_tags = set(ball(f, f.base_radius()).tags)
+        for end in f.ends(f.witness_end_depth()):
+            est = end_degree_estimate(f, end, mode=mode)
+            assert _certificate_separates(
+                f, end, mode, est.certificate, est.recheck_radius, base_tags
+            )
+
+    def test_recheck_rejects_joined_branch(self):
+        # Without the edge ((0,), 0)-((0, 1), 0), branch-0-1 stays joined
+        # to the base; a search of one seed's component (in branch-0-0)
+        # would miss that and accept the set.
+        f = make_family("strong-tree:r=3,k=2")
+        end = find_end(f, "branch-0")
+        est = end_degree_estimate(f, end, mode="edge")
+        joined = frozenset((((0,), 0), ((0, 1), 0)))
+        less = tuple(e for e in est.certificate if frozenset(e) != joined)
+        assert len(less) == len(est.certificate) - 1
+        base_tags = set(ball(f, f.base_radius()).tags)
+        assert not _certificate_separates(f, end, "edge", less, est.recheck_radius, base_tags)
+
+    @pytest.mark.parametrize(
+        "spec", ["strong-tree:r=3,k=2", "cartesian-tree:r=3,k=2", "clique-tree:r=1,k=2"]
+    )
+    @pytest.mark.parametrize("depth", [3, 4, 5])
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_deep_directions(self, spec, depth, mode):
+        # The sweep starts one level below the direction, so every radius
+        # measures the end's own degree; it converges whenever a window of
+        # three radii fits below the family's maximum radius.
+        f = make_family(spec)
+        end = f.ends(depth)[-1]
+        est = end_degree_estimate(f, end, mode=mode)
+        expected = f.expected_end_degree(end, mode)
+        assert est.history[0][0] == depth + 1
+        assert {v for _, v in est.history} == {expected}
+        assert est.converged == (depth + 3 <= f.max_radius())
+        assert est.value == (expected if est.converged else None)
+
     def test_all_directions_agree(self):
         f = make_family("strong-tree:r=3,k=2")
         vals = {
@@ -357,7 +397,7 @@ class TestEndDegree:
         with pytest.raises(InvalidParams):
             end_degree_estimate(f, f.ends()[0], r_max=2)
         f = make_family("ray-bundle:k=2,l=20")
-        assert f.start_radius() > 20
+        assert f.start_radius(f.ends()[0]) > 20
         with pytest.raises(InvalidParams):
             end_degree_estimate(f, f.ends()[0], r_max=20)
 
