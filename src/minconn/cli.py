@@ -50,7 +50,7 @@ from .io import (
     to_graph6,
     to_json_obj,
 )
-from .minimality import MinimalityClass, check_class, classify
+from .minimality import ClassificationReport, MinimalityClass, check_class, classify
 from .witnesses import (
     crossing_separators_witness,
     default_profound_region,
@@ -115,44 +115,29 @@ def cmd_check(args) -> int:
         return EXIT_PARSE
 
     wanted = _parse_class(args.cls)
-    reports = []
-    for g in graphs:
-        if wanted is not None:
-            res = check_class(g, wanted, args.k)
-            reports.append((g, {wanted: res}))
-        else:
-            rep = classify(g, args.k)
-            reports.append((g, rep.results))
+    reports = [
+        ClassificationReport(graph_id(g), args.k, {wanted: check_class(g, wanted, args.k)})
+        if wanted is not None else classify(g, args.k)
+        for g in graphs
+    ]
 
     if args.format == "json":
-        _print_json(
-            [
-                {
-                    "graph": graph_id(g),
-                    "k": args.k,
-                    "classes": {
-                        cls.flag_name(args.k): r.to_json_obj()
-                        for cls, r in results.items()
-                    },
-                }
-                for g, results in reports
-            ]
-        )
+        _print_json([rep.to_json_obj() for rep in reports])
     elif args.format == "csv":
         print("graph,n,k,a,b,c,d")
-        for g, results in reports:
+        for g, rep in zip(graphs, reports):
             cells = [
-                ("yes" if results[cls].holds else "no") if cls in results else "-"
+                ("yes" if rep.holds(cls) else "no") if cls in rep.results else "-"
                 for cls in MinimalityClass
             ]
-            print(f"{graph_id(g)},{g.n},{args.k},{','.join(cells)}")
+            print(f"{rep.graph_id},{g.n},{args.k},{','.join(cells)}")
     else:
-        for g, results in reports:
+        for rep in reports:
             flags = " ".join(
                 f"{cls.flag_name(args.k)}={'yes' if r.holds else 'no'}"
-                for cls, r in results.items()
+                for cls, r in rep.results.items()
             )
-            print(f"{graph_id(g)}: {flags}")
+            print(f"{rep.graph_id}: {flags}")
     return EXIT_OK
 
 

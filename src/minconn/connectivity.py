@@ -5,21 +5,18 @@ plain unit/multiplicity capacities for cuts).  The test suite holds them
 equal, on an exhaustive small-graph corpus, to a brute-force oracle that
 re-derives both numbers by subset enumeration (`tests/oracles.py`).
 
-Each cut kind is one scan over one network per graph, after Even and
-Tarjan's fixed-source pair list (SIAM J. Comput. 1975): the network is
-built once and its capacities are restored before every pair.  The
-minimum and its certificate come from the same pass.  Each flow stops
-one unit above the best value so far, so a pair that ties the final
-minimum runs to its full maximum flow, and ties keep the
-lexicographically smallest separator (or `Cut.edges`).
-
-The threshold questions kappa >= j and lambda >= j go through one
-`_Connectivity` record per graph, which the minimality predicates share.
-It builds at most one split network and one edge network, answers each
-question about the graph once, and answers lambda >= j without a flow
-once kappa >= j is known (Whitney, Amer. J. Math. 1932: kappa <= lambda).
-The same questions about G - v are asked on G's networks with v's arcs
-cut, not on a copy of G - v.
+Pair flows live in one `_Connectivity` record per graph, shared by the
+minimality predicates and the witness procedures.  It builds at most one
+split network and one edge network, and each cut kind has one pair loop
+(`vertex_flows`, `edge_flows`) after Even and Tarjan's fixed-source pair
+list (SIAM J. Comput. 1975).  A loop restores the network's capacity
+snapshot before every pair, stops each flow one unit above the best value
+so far and yields every pair that reaches it.  The scans keep the minimum
+and, among its ties, the lexicographically smallest separator (or
+`Cut.edges`); kappa >= j and lambda >= j take the first pair below j,
+and lambda >= j needs no flow once kappa >= j is known (Whitney, Amer. J.
+Math. 1932: kappa <= lambda).  G - x is asked on G's networks with x's
+arcs cut, never on a copy.
 
 Conventions: disconnected graphs have connectivity 0, complete graphs have
 vertex connectivity n-1, and single-vertex graphs are rejected.
@@ -33,7 +30,7 @@ from itertools import combinations
 
 from .errors import NoSuchEdge, TooSmall
 from .flow import INF, FlowNetwork
-from .graphs import Edge, Graph, MultiGraph, components_of_subset
+from .graphs import Edge, Graph, MultiGraph, components_of_subset, edge_boundary
 
 
 @dataclass(frozen=True)
@@ -78,9 +75,10 @@ class DisjointPaths:
 
 
 def _split_network(g: Graph, uncapped=frozenset()) -> FlowNetwork:
-    # node 2v = v_in, 2v+1 = v_out, and arc 2v is v_in->v_out; the last two
-    # nodes are the super-source and sink of `max_disjoint_paths`, isolated
-    # in the pair scans
+    # node 2v = v_in, 2v+1 = v_out, and arc 2v is v_in->v_out; edge i of
+    # `g.edges()` follows as arcs 2n + 4i (u_out->v_in) and 2n + 4i + 2
+    # (v_out->u_in).  The last two nodes are the super-source and sink of
+    # `max_disjoint_paths`, isolated in the pair loops
     net = FlowNetwork(2 * g.n + 2)
     for v in range(g.n):
         net.add_arc(2 * v, 2 * v + 1, INF if v in uncapped else 1)
@@ -99,6 +97,18 @@ def _separator(g: Graph, vertices: tuple[int, ...]) -> Separator:
     return Separator(vertices, tuple(components_of_subset(g, set(range(g.n)) - set(vertices))))
 
 
+def _degrees_without(g, removed: int | None) -> dict[int, int]:
+    """Degree of each vertex of G - removed (of G when None), by G's
+    labels in increasing order."""
+    degs = dict(enumerate(g.degrees()))
+    if removed is not None:
+        multi = isinstance(g, MultiGraph)
+        for w in g.neighbors(removed):
+            degs[w] -= g.multiplicity(removed, w) if multi else 1
+        del degs[removed]
+    return degs
+
+
 def _kappa_pairs(g: Graph, removed: int | None = None):
     """Pair list sufficient for vertex connectivity, fixed-source style.
 
@@ -107,13 +117,13 @@ def _kappa_pairs(g: Graph, removed: int | None = None):
     non-adjacent neighbours of v0, since a minimum separator sees every
     component).  With `removed`, the pairs of G - removed in G's labels:
     the list for `g.delete_vertex(removed)`, mapped back through its
-    old-index tuple.
+    old-index tuple.  That relabelling is monotone, so it keeps the order
+    of every tuple the scans compare.
     """
-    gone = g.neighbors(removed) if removed is not None else frozenset()
-    rest = [v for v in range(g.n) if v != removed]
-    v0 = min(rest, key=lambda v: (g.degree(v) - (v in gone), v))
+    degs = _degrees_without(g, removed)
+    v0 = min(degs, key=degs.get)  # the least of minimum degree
     nb = g.neighbors(v0) - {removed}
-    for w in rest:
+    for w in degs:
         if w != v0 and w not in nb:
             yield v0, w
     for x, y in combinations(sorted(nb), 2):
@@ -121,18 +131,14 @@ def _kappa_pairs(g: Graph, removed: int | None = None):
             yield x, y
 
 
-def _vertex_scan(g: Graph) -> tuple[int, tuple[int, ...] | None]:
-    """kappa of a connected graph and the lexicographically smallest
-    minimum separator among those the pairs realise (None when complete).
-    """
-    network = _Connectivity(g).split
-    best, best_sep = g.n - 1, None
-    for s, t in _kappa_pairs(g):
-        value = _restored_flow(network, 2 * s + 1, 2 * t, best + 1)
-        if value <= best:
-            sep = _separator_from_residual(g, network[0], 2 * s + 1)
-            if value < best or best_sep is None or sep < best_sep:
-                best, best_sep = value, sep
+def _vertex_scan(conn: "_Connectivity", removed: int | None = None) -> tuple[int, tuple[int, ...] | None]:
+    """kappa of a connected graph (or of G - removed, connected) and the
+    lexicographically smallest minimum separator among those the pairs
+    realise (None when complete)."""
+    best, best_sep = conn.g.n - 1 - (removed is not None), None
+    for value, sep in conn.vertex_flows(best, removed):
+        if value < best or best_sep is None or sep < best_sep:
+            best, best_sep = value, sep
     return best, best_sep
 
 
@@ -142,7 +148,7 @@ def vertex_connectivity(g: Graph) -> int:
         raise TooSmall("vertex connectivity needs at least 2 vertices")
     if not g.is_connected():
         return 0
-    return _vertex_scan(g)[0]
+    return _vertex_scan(_Connectivity(g))[0]
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -162,10 +168,10 @@ def min_vertex_separator(g: Graph) -> Separator | None:
         raise TooSmall("need at least 2 vertices")
     if not g.is_connected():
         return _separator(g, ())
-    k, best = _vertex_scan(g)
-    if k == g.n - 1:
+    k, best = _vertex_scan(_Connectivity(g))
+    if best is None:
         return None
-    assert best is not None and len(best) == k
+    assert len(best) == k
     return _separator(g, best)
 
 
@@ -178,11 +184,12 @@ def min_separator_containing(g: Graph, x: int) -> Separator | None:
     """
     if g.n < 3:
         raise TooSmall("need at least 3 vertices")
-    h, old = g.delete_vertex(x)
-    sub = min_vertex_separator(h)
+    if len(components_of_subset(g, set(range(g.n)) - {x})) > 1:
+        return _separator(g, (x,))
+    _, sub = _vertex_scan(_Connectivity(g), x)
     if sub is None:
         return None
-    return _separator(g, tuple(sorted({x} | {old[v] for v in sub.vertices})))
+    return _separator(g, tuple(sorted((x, *sub))))
 
 
 # ---------------------------------------------------------------------------
@@ -202,37 +209,25 @@ def _edge_network(g) -> FlowNetwork:
     return net
 
 
-def _cut_from_side(g, side: set[int]) -> Cut:
+def _cut_from_side(g, side, removed: int | None = None) -> Cut:
+    # The cut of G (or of G - removed) whose first side is `side`.
     a = frozenset(side)
-    b = frozenset(range(g.n)) - a
-    if isinstance(g, MultiGraph):
-        edges = tuple(sorted(e for e in g.mult if (e[0] in a) != (e[1] in a)))
-        size = sum(g.mult[e] for e in edges)
-    else:
-        edges = tuple(e for e in g.edges() if (e[0] in a) != (e[1] in a))
-        size = len(edges)
+    b = frozenset(range(g.n)) - a - {removed}
+    edges = tuple(sorted(e for e in edge_boundary(g, a) if removed not in e))
+    size = sum(map(g.mult.__getitem__, edges)) if isinstance(g, MultiGraph) else len(edges)
     return Cut(edges, (a, b), size)
 
 
-def _edge_scan(g) -> tuple[int, Cut]:
-    """lambda of a connected graph and the minimum cut with the
-    lexicographically smallest `Cut.edges` among those realised by flows
-    from a minimum-degree vertex v0 to every other vertex."""
-    degs = g.degrees()
-    v0 = min(range(g.n), key=lambda v: (degs[v], v))
-    network = _Connectivity(g).edge
-    best, best_cut = degs[v0], None
-    for t in range(g.n):
-        if t == v0:
-            continue
-        value = _restored_flow(network, v0, t, best + 1)
-        if value > best:
-            continue
-        side = network[0].residual_reachable(v0)
-        if value == best and best_cut is not None and side == best_cut.sides[0]:
+def _edge_scan(conn: "_Connectivity", removed: int | None = None) -> tuple[int, Cut]:
+    """lambda of a connected graph (or of G - removed, connected, with at
+    least two vertices) and the minimum cut with the lexicographically
+    smallest `Cut.edges` among those `edge_flows` realises."""
+    best, best_cut = INF, None
+    for value, side in conn.edge_flows(best, removed):
+        if value == best and side == best_cut.sides[0]:
             continue  # the same side cuts the same edges
-        cut = _cut_from_side(g, side)
-        if value < best or best_cut is None or cut.edges < best_cut.edges:
+        cut = _cut_from_side(conn.g, side, removed)
+        if value < best or cut.edges < best_cut.edges:
             best, best_cut = value, cut
     return best, best_cut
 
@@ -243,7 +238,7 @@ def edge_connectivity(g) -> int:
         raise TooSmall("edge connectivity needs at least 2 vertices")
     if not g.is_connected():
         return 0
-    return _edge_scan(g)[0]
+    return _edge_scan(_Connectivity(g))[0]
 
 
 def is_k_edge_connected(g, k: int) -> bool:
@@ -260,8 +255,8 @@ def min_edge_cut(g) -> Cut:
     if not g.is_connected():
         comp = components_of_subset(g.skeleton() if isinstance(g, MultiGraph) else g, range(g.n))
         return _cut_from_side(g, set(comp[0]))
-    k, best = _edge_scan(g)
-    assert best is not None and best.size == k
+    k, best = _edge_scan(_Connectivity(g))
+    assert best.size == k
     return best
 
 
@@ -277,7 +272,7 @@ def min_cut_containing_edge(g, e: Edge) -> Cut:
 
 
 # ---------------------------------------------------------------------------
-# threshold questions, one record per graph
+# pair flows, one record per graph
 # ---------------------------------------------------------------------------
 
 
@@ -293,13 +288,14 @@ def _restored_flow(network: tuple[FlowNetwork, list[int]], s: int, t: int,
 
 
 class _Connectivity:
-    """kappa >= j and lambda >= j for one Graph or MultiGraph, and for its
-    one-vertex deletions, each question about G answered once.
+    """The pair flows of one Graph or MultiGraph and of its one-vertex
+    deletions; kappa >= j and lambda >= j about G, each answered once.
 
     `split` and `edge` are the graph's two networks, each built on first
     use with its capacity snapshot; every flow starts from the snapshot.
-    A deletion is asked on G's network with the deleted element's arcs
-    cut, which leaves the flows of the smaller graph.
+    G - v is asked with v's arcs cut, which leaves the flows of G - v.
+    Each cut kind's pair loop caps every flow at best + 1, yields each
+    pair that reaches at most best and then lowers best to it.
     """
 
     def __init__(self, g):
@@ -317,19 +313,53 @@ class _Connectivity:
         net = _edge_network(self.g)
         return net, list(net.cap)
 
+    def vertex_flows(self, best: int, removed: int | None = None):
+        """(value, separator) over `_kappa_pairs(g, removed)`.
+
+        For G - v the arc v_in->v_out is cut, and v, whose v_in the
+        residual may reach, is dropped from the separator.
+        """
+        cut = () if removed is None else (2 * removed,)
+        # the network is built at the first pair, so a complete graph builds none
+        for s, t in _kappa_pairs(self.g, removed):
+            value = _restored_flow(self.split, 2 * s + 1, 2 * t, best + 1, cut)
+            if value <= best:
+                sep = _separator_from_residual(self.g, self.split[0], 2 * s + 1)
+                yield value, tuple(v for v in sep if v != removed)
+                best = value
+
+    def edge_flows(self, best: int, removed: int | None = None):
+        """(value, residual side) of the flows from a minimum-degree vertex
+        v0 of G - removed to every other vertex.
+
+        For G - v both arcs of every pair at v are cut, so no side holds v.
+        """
+        degs = _degrees_without(self.g, removed)
+        v0 = min(degs, key=degs.get)
+        net = self.edge[0]
+        cut = () if removed is None else [b for a in net.adj[removed] for b in (a, a ^ 1)]
+        for t in degs:
+            if t == v0:
+                continue
+            value = _restored_flow(self.edge, v0, t, best + 1, cut)
+            if value <= best:
+                yield value, net.residual_reachable(v0)
+                best = value
+
     def separator_below(self, j: int, removed: int | None = None) -> tuple[int, ...] | None:
         """None when kappa >= j, of G or with `removed` of G - removed.
 
         Otherwise a separator of fewer than j vertices, in G's labels: ()
         when the graph has at most j vertices (or is G and disconnected),
-        else the one the first failing flow leaves in its residual.
+        else the one the first flow below j leaves in its residual.
         """
         g = self.g
+        first = lambda: next((sep for _, sep in self.vertex_flows(j - 1, removed)), None)
         if removed is None:
             if j not in self._below:
-                self._below[j] = self._kappa_flows(j, None) if g.n > j and g.is_connected() else ()
+                self._below[j] = first() if g.n > j and g.is_connected() else ()
             return self._below[j]
-        return self._kappa_flows(j, removed) if g.n - 1 > j else ()
+        return first() if g.n - 1 > j else ()
 
     def edge_connected(self, j: int, removed: int | None = None) -> bool:
         """lambda >= j, of G or with `removed` of G - removed; K^1 is not.
@@ -337,44 +367,14 @@ class _Connectivity:
         About G the answer is true without a flow once kappa >= j is known.
         """
         g = self.g
+        none_below = lambda: next(self.edge_flows(j - 1, removed), None) is None
         if removed is None:
             if j not in self._edge_conn:
                 kappa_reached = any(sep is None for i, sep in self._below.items() if i >= j)
                 self._edge_conn[j] = kappa_reached or (
-                    g.n > 1 and g.is_connected() and min(g.degrees()) >= j
-                    and self._lambda_flows(j, None))
+                    g.n > 1 and g.is_connected() and min(g.degrees()) >= j and none_below())
             return self._edge_conn[j]
-        if g.n < 3:
-            return False
-        degs = list(g.degrees())
-        multi = isinstance(g, MultiGraph)
-        for w in g.neighbors(removed):
-            degs[w] -= g.multiplicity(removed, w) if multi else 1
-        del degs[removed]
-        return min(degs) >= j and self._lambda_flows(j, removed)
-
-    def _kappa_flows(self, j: int, removed: int | None) -> tuple[int, ...] | None:
-        # G - v: v_in->v_out cut, and v, whose v_in the residual may reach,
-        # dropped from the separator.
-        cut = () if removed is None else (2 * removed,)
-        for s, t in _kappa_pairs(self.g, removed):
-            if _restored_flow(self.split, 2 * s + 1, 2 * t, j, cut) < j:
-                sep = _separator_from_residual(self.g, self.split[0], 2 * s + 1)
-                return tuple(v for v in sep if v != removed)
-        return None
-
-    def _lambda_flows(self, j: int, removed: int | None) -> bool:
-        # From the least vertex to every other one; for G - v both arcs of
-        # every pair at v are cut.
-        cut = ()
-        if removed is not None:
-            net = self.edge[0]
-            cut = [b for a in net.adj[removed] for b in (a, a ^ 1)]
-        s = 1 if removed == 0 else 0
-        return all(
-            _restored_flow(self.edge, s, t, j, cut) >= j
-            for t in range(s + 1, self.g.n) if t != removed
-        )
+        return g.n > 2 and min(_degrees_without(g, removed).values()) >= j and none_below()
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +434,18 @@ def max_disjoint_paths(g: Graph, a_side, b_side, mode: str = "vertex",
         raise ValueError(f"unknown mode {mode!r}")
     direct: list[tuple[int, ...]] = []
     if mode == "vertex":
-        work = g
+        uncapped = (A | B) if endpoint_exempt else frozenset()
+        net, width = _split_network(g, uncapped), 2
         if endpoint_exempt:
             # A direct A-B edge is itself a path and would otherwise give the
-            # exempted endpoints unbounded throughput; peel such edges off
-            # first (the adjacent-endpoints case of Menger's theorem).
-            for u, v in g.edges():
+            # exempted endpoints unbounded throughput; take such edges out
+            # first (the adjacent-endpoints case of Menger's theorem) by
+            # zeroing both of their arcs.
+            for i, (u, v) in enumerate(g.edges()):
                 if (u in A and v in B) or (v in A and u in B):
                     direct.append((u, v) if u in A else (v, u))
-                    work = work.delete_edge(u, v)
-        uncapped = (A | B) if endpoint_exempt else frozenset()
-        net, width = _split_network(work, uncapped), 2
+                    a = 2 * g.n + 4 * i
+                    net.cap[a] = net.cap[a + 2] = 0
     else:
         net, width = _edge_network(g), 1
     # vertex v enters the network at width*v and leaves at width*v + width-1

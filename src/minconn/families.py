@@ -59,9 +59,10 @@ class Ball:
     """The induced subgraph on all tags within `radius` of the center.
 
     `tags[i]` is the tag of vertex i (discovery order), `index` the
-    inverse map, `dist[i]` the distance to the center and `frontier` the
-    vertices at distance exactly `radius` -- precisely the vertices whose
-    ball degree may undercount their true degree.
+    inverse map and `dist[i]` the distance to the center.  `frontier` is
+    the range of vertices at distance exactly `radius` -- precisely the
+    vertices whose ball degree may undercount their true degree; BFS order
+    makes it an index suffix.
 
     The adjacency is stored in CSR form: the neighbours of vertex v are
     `targets[offsets[v]:offsets[v + 1]]`, in increasing order.  `dist`,
@@ -76,7 +77,10 @@ class Ball:
     dist: array
     offsets: array
     targets: array
-    frontier: frozenset[int]
+
+    @property
+    def frontier(self) -> range:
+        return range(bisect_left(self.dist, self.radius), len(self.tags))
 
     def neighbors(self, v: int) -> array:
         return self.targets[self.offsets[v]:self.offsets[v + 1]]
@@ -91,7 +95,7 @@ class Ball:
 
     def internal(self) -> list[int]:
         """Vertices with their full neighborhood inside the ball."""
-        return [v for v in range(len(self.tags)) if v not in self.frontier]
+        return list(range(self.frontier.start))
 
 
 class Family:
@@ -724,8 +728,7 @@ def _level_order_ball(f: CliqueTree, radius: int) -> Ball:
         offsets.append(len(targets))
     tags = tuple(tags)
     index = dict(zip(tags, count()))  # on CPython 3.11, range()'s ints take 4 bytes more
-    frontier = frozenset(islice(index.values(), bisect_left(dist, radius), None))
-    return Ball(f, radius, tags, index, dist, offsets, targets, frontier)
+    return Ball(f, radius, tags, index, dist, offsets, targets)
 
 
 def _oracle_ball(f: Family, radius: int) -> Ball:
@@ -760,10 +763,7 @@ def _oracle_ball(f: Family, radius: int) -> Ball:
         targets.extend(sorted(row))
         offsets.append(len(targets))
         u += 1
-    # BFS order makes the frontier an index suffix; taking its members from
-    # the index's values shares their int objects instead of making new ones.
-    frontier = frozenset(islice(index.values(), bisect_left(dist, radius), None))
-    return Ball(f, radius, tuple(tags), index, dist, offsets, targets, frontier)
+    return Ball(f, radius, tuple(tags), index, dist, offsets, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -905,9 +905,7 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
     for r in range(start, r_hi + 1):
         b = ball(f, r)
         a_idx = [b.index[t] for t in base.tags]
-        # BFS order makes the frontier the index suffix at distance r.
-        frontier = range(bisect_left(b.dist, r), len(b.tags))
-        b_idx = [i for i in frontier if f.in_direction(b.tags[i], end)]
+        b_idx = [i for i in b.frontier if f.in_direction(b.tags[i], end)]
         if not b_idx:
             raise ValidationFailed(
                 f"direction {end.label!r} has an empty frontier at radius {r}"

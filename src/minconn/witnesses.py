@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .connectivity import (
+    _Connectivity,
+    _edge_scan,
     min_cut_containing_edge,
     min_edge_cut,
     min_separator_containing,
@@ -28,6 +30,7 @@ from .errors import (
     ClassMismatch,
     NoSeparatorThroughVertex,
     PreconditionViolated,
+    TooSmall,
 )
 from .graphs import (
     Edge,
@@ -37,14 +40,14 @@ from .graphs import (
     Region,
     components_of_subset,
     delete_mixed,
+    edge_boundary,
     external_neighborhood,
     is_connected_subset,
     region_of,
     small_degree_set,
     vertex_boundary,
-    _norm_edge,
 )
-from .minimality import MinimalityClass, check_class
+from .minimality import MinimalityClass, check_class, is_vertex_min_k_edge_connected
 
 EXACT_REGION_LIMIT = 12
 
@@ -55,16 +58,6 @@ def boundary_edge_count(g: Graph | MultiGraph, vertices) -> int:
     if isinstance(g, MultiGraph):
         return sum(m for (u, v), m in g.mult.items() if (u in vs) != (v in vs))
     return sum(1 for v in vs for w in g.neighbors(v) if w not in vs)
-
-
-def _edges_leaving(g: Graph | MultiGraph, inside, outside) -> frozenset[Edge]:
-    ins, outs = set(inside), set(outside)
-    out = set()
-    for v in ins:
-        for w in g.neighbors(v):
-            if w in outs:
-                out.add(_norm_edge(v, w))
-    return frozenset(out)
 
 
 def _edge_count_between(g: Graph | MultiGraph, left, right) -> int:
@@ -619,22 +612,24 @@ class VertexMinEdgeWitnessTrace:
         }
 
 
-def _one_vertex_cut_sides(g, x: int) -> tuple[int, list[set[int]]]:
-    """Minimum cut value of G - x and its sides, in original labels.
+def _one_vertex_cut_sides(conn: _Connectivity, x: int) -> tuple[int, list[set[int]]]:
+    """Minimum cut value of G - x and its sides, asked on G's record.
 
     When G - x is disconnected the value is 0 and every component is a
     side; otherwise the two sides of a minimum cut.
     """
-    h, old = g.delete_vertex(x)
-    skel = h.skeleton() if isinstance(h, MultiGraph) else h
-    if not skel.is_connected():
-        comps = components_of_subset(skel, range(skel.n))
-        return 0, [{old[v] for v in comp} for comp in comps]
-    cut = min_edge_cut(h)
-    return cut.size, [{old[v] for v in side} for side in cut.sides]
+    g = conn.g
+    skel = g.skeleton() if isinstance(g, MultiGraph) else g
+    comps = components_of_subset(skel, set(range(g.n)) - {x})
+    if len(comps) > 1:
+        return 0, [set(comp) for comp in comps]
+    if g.n < 3:
+        raise TooSmall("need at least 2 vertices")
+    lam, cut = _edge_scan(conn, x)
+    return lam, [set(side) for side in cut.sides]
 
 
-def _descend_region(g: Graph, k: int, C: set[int], x: int) -> VertexMinEdgeSideTrace:
+def _descend_region(conn: _Connectivity, k: int, C: set[int], x: int) -> VertexMinEdgeSideTrace:
     """Shrink a candidate region (C, x) until the counting argument applies.
 
     Invariant: the edges leaving C - x within G - x form a minimum cut of
@@ -643,6 +638,7 @@ def _descend_region(g: Graph, k: int, C: set[int], x: int) -> VertexMinEdgeSideT
     candidate; otherwise every vertex of C - x sends an edge out, the
     counting argument applies, and a degree-k vertex falls out.
     """
+    g = conn.g
     start = tuple(sorted(C))
     x0 = x
     steps: list[RegionStep] = []
@@ -655,7 +651,7 @@ def _descend_region(g: Graph, k: int, C: set[int], x: int) -> VertexMinEdgeSideT
         if not confined:
             # Every vertex of C - x sends an edge into D, so each component
             # of C - x is at most as large as its share of the cut edges.
-            cut_edges = _edges_leaving(g, C - {x}, D)
+            cut_edges = {e for e in edge_boundary(g, C - {x}) if x not in e}
             s = MixedSet.of([x], cut_edges)
             assert len(s) <= k, "the candidate invariant keeps the mixed set small"
             comp = components_of_subset(g, C - {x})[0]
@@ -675,7 +671,7 @@ def _descend_region(g: Graph, k: int, C: set[int], x: int) -> VertexMinEdgeSideT
             )
 
         y = confined[0]
-        lam_y, sides = _one_vertex_cut_sides(g, y)
+        lam_y, sides = _one_vertex_cut_sides(conn, y)
         if lam_y >= k:
             raise PreconditionViolated(
                 f"removing vertex {y} keeps {k}-edge-connectivity; "
@@ -712,16 +708,18 @@ def vertex_min_edge_witness_pair(g: Graph, k: int,
 
     The first candidate region is the smallest one-vertex-deleted cut side
     (plus its vertex); the second run starts from the complement of the
-    first result, which keeps the two witnesses apart.
+    first result, which keeps the two witnesses apart.  Every cut of a
+    G - x, for every x and in both runs, is asked on one record of G.
     """
+    conn = _Connectivity(g)
     if verify:
-        res = check_class(g, MinimalityClass.VERTEX_MIN_EDGE_CONN, k)
+        res = is_vertex_min_k_edge_connected(g, k, conn)
         if not res:
             raise PreconditionViolated(f"not vertex-minimally {k}-edge-connected: {res.reason}")
 
     candidates: list[tuple[int, tuple[int, ...], int]] = []
     for x in range(g.n):
-        lam_x, sides = _one_vertex_cut_sides(g, x)
+        lam_x, sides = _one_vertex_cut_sides(conn, x)
         if lam_x >= k:
             raise PreconditionViolated(
                 f"removing vertex {x} keeps edge connectivity {lam_x} >= {k}; "
@@ -730,10 +728,10 @@ def vertex_min_edge_witness_pair(g: Graph, k: int,
         for side in sides:
             candidates.append((len(side) + 1, tuple(sorted(side | {x})), x))
     size, verts, x = min(candidates)
-    first = _descend_region(g, k, set(verts), x)
+    first = _descend_region(conn, k, set(verts), x)
 
     complement = set(range(g.n)) - (set(first.final_region) - {first.final_x})
-    second = _descend_region(g, k, complement, first.final_x)
+    second = _descend_region(conn, k, complement, first.final_x)
     assert first.witness != second.witness, "the second region avoids the first witness"
     assert second.witness not in set(first.final_region) - {first.final_x}
     return VertexMinEdgeWitnessTrace(k=k, first=first, second=second)

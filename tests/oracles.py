@@ -3,6 +3,7 @@ and the helpers only tests need."""
 
 from itertools import combinations
 
+from minconn.connectivity import min_edge_cut, min_vertex_separator
 from minconn.errors import TooLarge, TooSmall
 from minconn.graphs import (
     Graph,
@@ -77,6 +78,26 @@ def brute_force_connectivity(g) -> tuple[int, int]:
         crossing = sum(w for (u, v), w in ew if (u in side) != (v in side))
         lam = min(lam, crossing)
     return kappa, lam
+
+
+def separator_containing_by_copy(g: Graph, x: int) -> tuple[int, ...] | None:
+    """The vertices of `min_separator_containing(g, x)` by the copy route:
+    a minimum separator of the copy G - x, mapped back through its
+    old-index tuple, plus x."""
+    h, old = g.delete_vertex(x)
+    sub = min_vertex_separator(h)
+    if sub is None:
+        return None
+    return tuple(sorted({x} | {old[v] for v in sub.vertices}))
+
+
+def cut_without_by_copy(g, x: int):
+    """(size, edges, sides) of the minimum cut of the copy G - x, mapped
+    back to G's labels; G - x must be connected with two or more vertices."""
+    h, old = g.delete_vertex(x)
+    cut = min_edge_cut(h)
+    edges = tuple((old[u], old[v]) for u, v in cut.edges)
+    return cut.size, edges, tuple(frozenset(old[v] for v in side) for side in cut.sides)
 
 
 def oracle_separates(f, end, mode: str, certificate: tuple, radius: int,

@@ -467,6 +467,30 @@ def test_sweep_stdout_is_byte_identical(command, k, fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[command, k, fmt]
 
 
+# sha256 of `construct SPEC | witness --k K --class C --explain` stdout,
+# recorded before the witness procedures asked G - x on G's networks
+# instead of on a copy; any change to a trace's bytes shows here.
+TRACE_DIGESTS = {
+    ("band:k=4,l=3", "4", "b"): "16f53edd80bb95754d263a887d11b924a271cd2b587fcf737dbf2b6bd2126e68",
+    ("cycle-clique:k=4,l=6", "4", "b"): "ae66f96c81bcc3899906db133f8c8c5020855c403a53d28d8acf5f7a0edadf69",
+    ("path-square:l=20", "3", "c"): "c9b64fd8d4716370c5388dbb2bd785138eba9de986c0ce996167b8f2b42d4582",
+    ("multipath:k=3,m=5", "3", "c"): "9dd900b751749c5a389e9a22327c82dbe00843c93a74f67e7eccfdf540da789b",
+    ("band:k=3,l=4", "3", "d"): "a6c0a7c6dea98825582c97f408e5903274f454fef92b25f5176518c44b88ea36",
+    ("band:k=4,l=3", "4", "d"): "dbb5e186b132c4db9e31a6b133c3e2a8a0560fc19d1f1727b6cc632041904a96",
+}
+
+
+@pytest.mark.parametrize("spec, k, cls", sorted(TRACE_DIGESTS))
+def test_witness_trace_is_byte_identical(spec, k, cls, capsys, monkeypatch):
+    code, graph, _ = invoke(["construct", spec], capsys)
+    assert code == 0
+    multi = ["--input", "edge-list", "--multi"] if spec.startswith("multipath") else []
+    argv = ["witness", *multi, "--k", k, "--class", cls, "--explain"]
+    code, out, _ = invoke(argv, capsys, monkeypatch, stdin_text=graph)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACE_DIGESTS[spec, k, cls]
+
+
 @pytest.mark.parametrize("command", ["verify", "enumerate"])
 def test_bad_k_fails_before_any_output(command, capsys):
     # the same one-line error whether or not the corpus reaches n >= 2

@@ -5,6 +5,7 @@ from minconn.connectivity import (
     _Connectivity,
     _cut_from_side,
     _edge_network,
+    _edge_scan,
     _kappa_pairs,
     _split_network,
     edge_connectivity,
@@ -27,7 +28,12 @@ from minconn.graphs import (
     cycle_graph,
     path_graph,
 )
-from oracles import brute_force_connectivity, subdivide
+from oracles import (
+    brute_force_connectivity,
+    cut_without_by_copy,
+    separator_containing_by_copy,
+    subdivide,
+)
 
 
 @st.composite
@@ -159,18 +165,55 @@ class TestSharedRecord:
                 assert conn.edge_connected(j) == is_k_edge_connected(g, j)
 
 
+def assert_deletions_match_copies(g):
+    """Every G - x asked on G's record, against the copy route."""
+    conn = _Connectivity(g)
+    for x in range(g.n):
+        rest = set(range(g.n)) - {x}
+        if isinstance(g, Graph) and g.n >= 3:
+            sep = min_separator_containing(g, x)
+            assert (sep and sep.vertices) == separator_containing_by_copy(g, x), (x, g.edges())
+            if sep is not None:
+                assert sep.sides == tuple(components_of_subset(g, rest - set(sep.vertices)))
+        skel = g.skeleton() if isinstance(g, MultiGraph) else g
+        if g.n >= 3 and len(components_of_subset(skel, rest)) == 1:
+            lam, cut = _edge_scan(conn, x)
+            assert lam == cut.size
+            assert (cut.size, cut.edges, cut.sides) == cut_without_by_copy(g, x), (x, g)
+
+
+class TestDeletionsAsArcCuts:
+    """`min_separator_containing` and the record's `removed=x` edge scan
+    equal the copy route (delete x, scan the copy, map back) for every x."""
+
+    def test_corpus7(self, corpus7):
+        for g in corpus7:
+            assert_deletions_match_copies(g)
+
+    def test_random_corpus(self, random_corpus):
+        for g in random_corpus:
+            assert_deletions_match_copies(g)
+
+    @given(multigraphs(min_n=3))
+    @settings(max_examples=150, deadline=None)
+    def test_multigraphs(self, g):
+        assert_deletions_match_copies(g)
+
+
 class TestOnePassMatchesTwoPass:
     """One scan per cut kind returns what the two-pass definition picks."""
 
-    def test_separators_on_corpus(self, small_corpus):
-        for g in small_corpus:
+    def test_separators_on_corpus(self, corpus7):
+        for g in corpus7:
             if not g.is_connected():
                 continue
             sep = min_vertex_separator(g)
             assert (sep and sep.vertices) == two_pass_separator(g), g.edges()
 
-    def test_cuts_on_corpus(self, small_corpus):
-        for g in small_corpus:
+    def test_cuts_on_corpus(self, corpus7):
+        # n = 7 holds the one corpus graph whose first minimum cut is not
+        # the lexicographically smallest
+        for g in corpus7:
             if g.is_connected():
                 assert min_edge_cut(g) == two_pass_cut(g), g.edges()
 

@@ -2,6 +2,7 @@ import pytest
 
 from minconn.constructions import band_graph, multipath, path_square_example
 from minconn.errors import ClassMismatch, PreconditionViolated
+from minconn.flow import FlowNetwork
 from minconn.graphs import (
     MixedSet,
     MultiGraph,
@@ -272,6 +273,26 @@ class TestRegionDescent:
     def test_rejects_non_member(self):
         with pytest.raises(PreconditionViolated):
             vertex_min_edge_witness_pair(cycle_graph(6), 3)
+
+    def test_one_edge_network_per_graph(self, corpus7, monkeypatch):
+        # Every G - x, for every x and in both descents, and the
+        # membership check are asked on one record of G.
+        members = [(g, k) for g in corpus7 for k in (2, 3)
+                   if g.min_degree() >= k and check_class(g, D, k)]
+        members += [(band_graph(3, 4).graph, 3), (band_graph(4, 2).graph, 4), (ladder_graph(5), 2)]
+        sizes = []
+        init = FlowNetwork.__init__
+
+        def counting_init(self, n):
+            sizes.append(n)
+            init(self, n)
+
+        monkeypatch.setattr(FlowNetwork, "__init__", counting_init)
+        for g, k in members:
+            for verify in (False, True):
+                sizes.clear()
+                vertex_min_edge_witness_pair(g, k, verify=verify)
+                assert sizes == [g.n + 2], (g, k, verify)
 
 
 class TestReports:
