@@ -30,7 +30,7 @@ from itertools import combinations
 
 from .errors import NoSuchEdge, TooSmall
 from .flow import INF, FlowNetwork
-from .graphs import Edge, Graph, MultiGraph, components_of_subset, edge_boundary
+from .graphs import Edge, Graph, components_of_subset, edge_boundary
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,8 @@ def _degrees_without(g, removed: int | None) -> dict[int, int]:
     labels in increasing order."""
     degs = dict(enumerate(g.degrees()))
     if removed is not None:
-        multi = isinstance(g, MultiGraph)
         for w in g.neighbors(removed):
-            degs[w] -= g.multiplicity(removed, w) if multi else 1
+            degs[w] -= g.multiplicity(removed, w)
         del degs[removed]
     return degs
 
@@ -144,11 +143,8 @@ def _vertex_scan(conn: "_Connectivity", removed: int | None = None) -> tuple[int
 
 def vertex_connectivity(g: Graph) -> int:
     """kappa(G); 0 when disconnected, n-1 when complete."""
-    if g.n < 2:
-        raise TooSmall("vertex connectivity needs at least 2 vertices")
-    if not g.is_connected():
-        return 0
-    return _vertex_scan(_Connectivity(g))[0]
+    sep = _Connectivity(g).min_separator()
+    return g.n - 1 if sep is None else sep.size
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -164,32 +160,12 @@ def is_k_connected(g: Graph, k: int) -> bool:
 def min_vertex_separator(g: Graph) -> Separator | None:
     """A minimum separator, lexicographically smallest among those the
     pair scan realises; None for complete graphs."""
-    if g.n < 2:
-        raise TooSmall("need at least 2 vertices")
-    if not g.is_connected():
-        return _separator(g, ())
-    k, best = _vertex_scan(_Connectivity(g))
-    if best is None:
-        return None
-    assert len(best) == k
-    return _separator(g, best)
+    return _Connectivity(g).min_separator()
 
 
 def min_separator_containing(g: Graph, x: int) -> Separator | None:
-    """Smallest separator of G that contains the vertex x, or None.
-
-    Reduction: T is a separator through x iff T - {x} separates two
-    non-adjacent vertices of G - x, so the answer is {x} plus a minimum
-    separator of G - x (or {x} alone if G - x is already disconnected).
-    """
-    if g.n < 3:
-        raise TooSmall("need at least 3 vertices")
-    if len(components_of_subset(g, set(range(g.n)) - {x})) > 1:
-        return _separator(g, (x,))
-    _, sub = _vertex_scan(_Connectivity(g), x)
-    if sub is None:
-        return None
-    return _separator(g, tuple(sorted((x, *sub))))
+    """Smallest separator of G that contains the vertex x, or None."""
+    return _Connectivity(g).separator_containing(x)
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +174,12 @@ def min_separator_containing(g: Graph, x: int) -> Separator | None:
 
 
 def _edge_network(g) -> FlowNetwork:
-    # node v = v; the last two nodes as in `_split_network`
+    # node v = v, one undirected pair per edge class with its multiplicity
+    # as capacity; the last two nodes as in `_split_network`
     net = FlowNetwork(g.n + 2)
-    if isinstance(g, MultiGraph):
-        for (u, v), k in g.mult.items():
-            net.add_undirected(u, v, k)
-    else:
-        for u, v in g.edges():
-            net.add_undirected(u, v, 1)
+    mult = g.multiplicity
+    for u, v in g.edges():
+        net.add_undirected(u, v, mult(u, v))
     return net
 
 
@@ -214,8 +188,7 @@ def _cut_from_side(g, side, removed: int | None = None) -> Cut:
     a = frozenset(side)
     b = frozenset(range(g.n)) - a - {removed}
     edges = tuple(sorted(e for e in edge_boundary(g, a) if removed not in e))
-    size = sum(map(g.mult.__getitem__, edges)) if isinstance(g, MultiGraph) else len(edges)
-    return Cut(edges, (a, b), size)
+    return Cut(edges, (a, b), sum(g.multiplicity(u, v) for u, v in edges))
 
 
 def _edge_scan(conn: "_Connectivity", removed: int | None = None) -> tuple[int, Cut]:
@@ -234,11 +207,7 @@ def _edge_scan(conn: "_Connectivity", removed: int | None = None) -> tuple[int, 
 
 def edge_connectivity(g) -> int:
     """lambda(G) for a Graph or MultiGraph; 0 when disconnected."""
-    if g.n < 2:
-        raise TooSmall("edge connectivity needs at least 2 vertices")
-    if not g.is_connected():
-        return 0
-    return _edge_scan(_Connectivity(g))[0]
+    return _Connectivity(g).min_cut().size
 
 
 def is_k_edge_connected(g, k: int) -> bool:
@@ -250,25 +219,12 @@ def is_k_edge_connected(g, k: int) -> bool:
 
 def min_edge_cut(g) -> Cut:
     """A minimum edge cut, lexicographically smallest among those realised."""
-    if g.n < 2:
-        raise TooSmall("need at least 2 vertices")
-    if not g.is_connected():
-        comp = components_of_subset(g.skeleton() if isinstance(g, MultiGraph) else g, range(g.n))
-        return _cut_from_side(g, set(comp[0]))
-    k, best = _edge_scan(_Connectivity(g))
-    assert best.size == k
-    return best
+    return _Connectivity(g).min_cut()
 
 
 def min_cut_containing_edge(g, e: Edge) -> Cut:
     """Minimum edge cut through e = (u, v), i.e. a minimum u-v cut."""
-    u, v = e
-    has = g.multiplicity(u, v) > 0 if isinstance(g, MultiGraph) else g.has_edge(u, v)
-    if not has:
-        raise NoSuchEdge(f"({u},{v})")
-    net = _edge_network(g)
-    net.max_flow(u, v)
-    return _cut_from_side(g, net.residual_reachable(u))
+    return _Connectivity(g).cut_containing_edge(e)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +252,14 @@ class _Connectivity:
     G - v is asked with v's arcs cut, which leaves the flows of G - v.
     Each cut kind's pair loop caps every flow at best + 1, yields each
     pair that reaches at most best and then lowers best to it.
+
+    The witness procedures ask their questions of one record: a minimum
+    separator (`min_separator`) and the smallest separator through each
+    vertex x they try (`separator_containing`) for class b, a minimum cut
+    (`min_cut`) and the minimum cut through each edge they probe
+    (`cut_containing_edge`) for class c, and the minimum cut of G - x
+    (`_edge_scan` with `removed`) for class d.  The public functions of
+    the same names are these methods on a fresh record.
     """
 
     def __init__(self, g):
@@ -312,6 +276,50 @@ class _Connectivity:
     def edge(self) -> tuple[FlowNetwork, list[int]]:
         net = _edge_network(self.g)
         return net, list(net.cap)
+
+    def min_separator(self) -> Separator | None:
+        g = self.g
+        if g.n < 2:
+            raise TooSmall("need at least 2 vertices")
+        if not g.is_connected():
+            return _separator(g, ())
+        k, best = _vertex_scan(self)
+        if best is None:
+            return None
+        assert len(best) == k
+        return _separator(g, best)
+
+    def separator_containing(self, x: int) -> Separator | None:
+        """T is a separator through x iff T - {x} separates two
+        non-adjacent vertices of G - x, so the answer is {x} plus a minimum
+        separator of G - x (or {x} alone if G - x is already disconnected).
+        """
+        g = self.g
+        if g.n < 3:
+            raise TooSmall("need at least 3 vertices")
+        if len(components_of_subset(g, set(range(g.n)) - {x})) > 1:
+            return _separator(g, (x,))
+        _, sub = _vertex_scan(self, x)
+        if sub is None:
+            return None
+        return _separator(g, tuple(sorted((x, *sub))))
+
+    def min_cut(self) -> Cut:
+        g = self.g
+        if g.n < 2:
+            raise TooSmall("need at least 2 vertices")
+        if not g.is_connected():
+            return _cut_from_side(g, components_of_subset(g, range(g.n))[0])
+        k, best = _edge_scan(self)
+        assert best.size == k
+        return best
+
+    def cut_containing_edge(self, e: Edge) -> Cut:
+        u, v = e
+        if not self.g.has_edge(u, v):
+            raise NoSuchEdge(f"({u},{v})")
+        _restored_flow(self.edge, u, v, INF)
+        return _cut_from_side(self.g, self.edge[0].residual_reachable(u))
 
     def vertex_flows(self, best: int, removed: int | None = None):
         """(value, separator) over `_kappa_pairs(g, removed)`.
@@ -383,17 +391,19 @@ class _Connectivity:
 
 
 def _decompose_paths(net: FlowNetwork, caps: list[int], source: int, sink: int, node_of) -> list[tuple[int, ...]]:
-    # Walk unit flows from source to sink, consuming them arc by arc.  An
-    # undirected pair carries its flow on whichever arc points along it.
-    flow = [caps[a] - net.cap[a] for a in range(len(net.cap))]
+    # Walk unit flows from source to sink, consuming them arc by arc: the
+    # flow on arc a is caps[a] - net.cap[a], read as the walk reaches a,
+    # and a consumed unit goes back into net.cap[a].  An undirected pair
+    # carries its flow on whichever arc points along it.
+    cap = net.cap
     paths = []
     while True:
         walk = []
         u = source
         while u != sink:
             for a in net.adj[u]:
-                if flow[a] > 0:
-                    flow[a] -= 1
+                if caps[a] > cap[a]:
+                    cap[a] += 1
                     walk.append(a)
                     u = net.to[a]
                     break

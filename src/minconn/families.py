@@ -44,6 +44,10 @@ from .witnesses import degree_bound
 
 Tag = object  # any hashable value; each family documents its tag shape
 
+# The most vertices a clique tree's estimator may build a ball of: its
+# largest ball is ball(6) of an rk = 8 tree, 299,593 vertices.
+BALL_BUDGET = 300_000
+
 
 @dataclass(frozen=True)
 class EndDescriptor:
@@ -419,7 +423,8 @@ class CliqueTree(_OnBase):
         return self.base.in_direction(tag, end)
 
     def max_radius(self):
-        return 7
+        # the largest radius whose ball fits the budget: 17, 8, 6 at rk = 2, 4, 8
+        return next(r for r in count() if self.ball_size(r + 1) > BALL_BUDGET)
 
     def degree_set(self):
         rk = self.r * self.k
@@ -835,14 +840,20 @@ def _certificate_separates(f: Family, end: EndDescriptor, mode: str,
 def _index_separates(f: CliqueTree, end: EndDescriptor, mode: str,
                      certificate: tuple, radius: int, base_tags: set) -> bool:
     """`_certificate_separates` on a clique tree, by a search over heap
-    numbers from the direction side: the direction's first descendant at
-    full distance seeds it, and it fails once it reaches a base vertex.
-    Distance <= radius is index < ball_size(radius)."""
+    numbers from the direction side: the direction's whole frontier
+    seeds it, and it fails once it reaches a base vertex.  The frontier
+    is the direction's descendants at full distance, one index range
+    from its first descendant; distance <= radius is index <
+    ball_size(radius)."""
     n, idx = f.ball_size(radius), f.index_of
-    seed = idx((end.direction + (0,) * radius)[:radius])
-    assert f.ball_size(radius - 1) <= seed < n, "the seed lies at full distance"
+    below = radius - len(end.direction)
+    if below < 0:  # the direction lies outside the ball: no frontier
+        return True
+    first = idx(end.direction + (0,) * below)
+    frontier = range(first, first + (f.r * f.k) ** below)
+    assert f.ball_size(radius - 1) <= first and frontier.stop <= n, "the frontier is at full distance"
     return _cut_off(lambda v: f.index_row(v, n), n, idx, mode, certificate,
-                    {seed}, {idx(t) for t in base_tags})
+                    set(frontier), {idx(t) for t in base_tags})
 
 
 def _cut_off(row, n: int, idx, mode: str, certificate: tuple, sources: set,

@@ -2,8 +2,14 @@
 
 Graphs are immutable, with vertices 0..n-1.  Deletion operations return a
 fresh graph plus an index translation, so callers can map witnesses found
-in the smaller graph back to the original.  Multigraphs carry edge
-multiplicities and support the subdivision reduction to simple graphs.
+in the smaller graph back to the original.
+
+Multiplicity is answered here alone.  `Graph` and `MultiGraph` share one
+interface: `edges()` lists each edge class once, `neighbors` and
+`has_edge` read the underlying simple graph, `degree` and `m` count
+copies, and `multiplicity(u, v)` is the number of copies (0 or 1 in a
+`Graph`).  Counting code asks that interface, never the graph's type;
+the type decides only which classes, guarantees and formats apply.
 """
 
 from __future__ import annotations
@@ -74,6 +80,9 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
+    def multiplicity(self, u: int, v: int) -> int:
+        return int(v in self._adj[u])
+
     def edges(self) -> list[Edge]:
         return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
 
@@ -132,9 +141,13 @@ class Graph:
 
 
 class MultiGraph:
-    """Undirected multigraph: parallel edges carry a multiplicity count."""
+    """Undirected multigraph: parallel edges carry a multiplicity count.
 
-    __slots__ = ("n", "mult")
+    `mult` maps each edge class to its number of copies; the adjacency
+    and degrees are built from it once.
+    """
+
+    __slots__ = ("n", "mult", "_adj", "_deg")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -156,6 +169,12 @@ class MultiGraph:
             mult[e] = mult.get(e, 0) + k
         self.n = n
         self.mult = dict(sorted(mult.items()))
+        self._adj = Graph(n, self.mult)._adj
+        deg = [0] * n
+        for (a, b), k in self.mult.items():
+            deg[a] += k
+            deg[b] += k
+        self._deg = tuple(deg)
 
     @property
     def m(self) -> int:
@@ -164,34 +183,28 @@ class MultiGraph:
     def multiplicity(self, u: int, v: int) -> int:
         return self.mult.get(_norm_edge(u, v), 0)
 
+    def neighbors(self, v: int) -> frozenset[int]:
+        return self._adj[v]
+
     def degree(self, v: int) -> int:
-        return sum(k for (a, b), k in self.mult.items() if v in (a, b))
+        return self._deg[v]
 
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for (a, b), k in self.mult.items():
-            deg[a] += k
-            deg[b] += k
-        return tuple(deg)
+        return self._deg
 
-    def edge_classes(self) -> list[Edge]:
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self._adj[u]
+
+    def edges(self) -> list[Edge]:
+        """The edge classes, each once, in order."""
         return list(self.mult)
-
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for a, b in self.mult:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
 
     def is_connected(self) -> bool:
         return self.skeleton().is_connected()
 
     def skeleton(self) -> Graph:
         """Underlying simple graph (multiplicities flattened)."""
-        return Graph(self.n, self.mult.keys())
+        return Graph.from_adjacency(self._adj)
 
     def delete_vertex(self, v: int) -> tuple["MultiGraph", tuple[int, ...]]:
         """Return (G - v, old_index_of_new) with vertices reindexed densely."""
@@ -336,21 +349,6 @@ class MixedSet:
 
     def __len__(self):
         return len(self.vertices) + len(self.edges)
-
-
-def delete_mixed(g: Graph, s: MixedSet) -> tuple[Graph, tuple[int, ...]]:
-    """Delete a mixed vertex/edge set; returns (graph, old_index_of_new)."""
-    for u, v in s.edges:
-        if not g.has_edge(u, v):
-            raise NoSuchEdge(f"({u},{v})")
-    keep = [v for v in range(g.n) if v not in s.vertices]
-    pos = {o: i for i, o in enumerate(keep)}
-    edges = [
-        (pos[u], pos[v])
-        for u, v in g.edges()
-        if u in pos and v in pos and (u, v) not in s.edges
-    ]
-    return Graph(len(keep), edges), tuple(keep)
 
 
 # ---------------------------------------------------------------------------

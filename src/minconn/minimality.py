@@ -165,13 +165,12 @@ def is_edge_min_k_edge_connected(g: Graph | MultiGraph, k: int,
     conn = conn or _Connectivity(g)
     if not conn.edge_connected(k):
         return PredicateResult(False, f"not {k}-edge-connected")
-    multi = isinstance(g, MultiGraph)
     # Parallel copies are interchangeable, so one check per class.
-    classes = g.edge_classes() if multi else g.edges()
+    classes = g.edges()
     if conn.edge_connected(k + 1):
         e = classes[0]
         return PredicateResult(False, f"{k + 1}-edge-connected, so deleting edge {e} keeps {k}-edge-connectivity", e)
-    deleting = "deleting one copy of edge" if multi else "deleting edge"
+    deleting = "deleting one copy of edge" if isinstance(g, MultiGraph) else "deleting edge"
     net = conn.edge[0]
     essential: set[Edge] = set()
     for e in classes:
@@ -212,8 +211,9 @@ _PREDICATES = {
 }
 
 
-def check_class(g: Graph | MultiGraph, cls: MinimalityClass, k: int) -> PredicateResult:
-    """Run a single class predicate.
+def check_class(g: Graph | MultiGraph, cls: MinimalityClass, k: int,
+                conn: _Connectivity | None = None) -> PredicateResult:
+    """Run a single class predicate, on the record `conn` of g if given.
 
     Multigraphs only support the two edge-connectivity classes; for the
     vertex-connectivity classes parallel edges are irrelevant, so callers
@@ -224,7 +224,7 @@ def check_class(g: Graph | MultiGraph, cls: MinimalityClass, k: int) -> Predicat
             f"class {cls.value} is about vertex connectivity; "
             "pass the skeleton of the multigraph instead"
         )
-    return _PREDICATES[cls](g, k)
+    return _PREDICATES[cls](g, k, conn)
 
 
 @dataclass

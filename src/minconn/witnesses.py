@@ -15,20 +15,15 @@ assertion failures indicate implementation bugs, never bad inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .connectivity import (
-    _Connectivity,
-    _edge_scan,
-    min_cut_containing_edge,
-    min_edge_cut,
-    min_separator_containing,
-    min_vertex_separator,
-)
+from .connectivity import _Connectivity, _edge_scan, min_vertex_separator
 from .errors import (
     ClassMismatch,
+    InvalidParams,
     NoSeparatorThroughVertex,
+    NoSuchEdge,
     PreconditionViolated,
     TooSmall,
 )
@@ -39,7 +34,6 @@ from .graphs import (
     MultiGraph,
     Region,
     components_of_subset,
-    delete_mixed,
     edge_boundary,
     external_neighborhood,
     is_connected_subset,
@@ -55,17 +49,8 @@ EXACT_REGION_LIMIT = 12
 def boundary_edge_count(g: Graph | MultiGraph, vertices) -> int:
     """Size of the edge boundary, counting multiplicities."""
     vs = set(vertices)
-    if isinstance(g, MultiGraph):
-        return sum(m for (u, v), m in g.mult.items() if (u in vs) != (v in vs))
-    return sum(1 for v in vs for w in g.neighbors(v) if w not in vs)
-
-
-def _edge_count_between(g: Graph | MultiGraph, left, right) -> int:
-    """Number of edges with one end in each set, counting multiplicities."""
-    ls, rs = set(left), set(right)
-    if isinstance(g, MultiGraph):
-        return sum(m for (u, v), m in g.mult.items() if (u in ls and v in rs) or (u in rs and v in ls))
-    return sum(1 for v in ls for w in g.neighbors(v) if w in rs)
+    mult = g.multiplicity
+    return sum(mult(v, w) for v in vs for w in g.neighbors(v) if w not in vs)
 
 
 # ---------------------------------------------------------------------------
@@ -103,24 +88,7 @@ class CrossingSeparatorsTrace:
     witness_in_region: bool
 
     def to_json_obj(self):
-        return {
-            "procedure": "crossing-separators",
-            "k": self.k,
-            "region": list(self.region),
-            "shrink_trail": [list(t) for t in self.shrink_trail],
-            "x": self.x,
-            "boundary": list(self.boundary),
-            "separator": list(self.separator),
-            "overlap": list(self.overlap),
-            "quadrants": {k: list(v) for k, v in self.quadrants.items()},
-            "covers": {k: list(v) for k, v in self.covers.items()},
-            "small_set_name": self.small_set_name,
-            "small_set": list(self.small_set),
-            "witness": self.witness,
-            "degree": self.degree,
-            "bound": self.bound,
-            "witness_in_region": self.witness_in_region,
-        }
+        return {"procedure": "crossing-separators", **asdict(self)}
 
 
 def default_profound_region(g: Graph, k: int) -> Region | None:
@@ -151,9 +119,12 @@ def crossing_separators_witness(g: Graph, region: Region, k: int,
     quadrant behind it), it restarts there.  When the outside of the
     region is larger than its interior, the witness is guaranteed to lie
     inside the region.
+
+    Every shrink step's separator through x is asked on one record of G.
     """
+    conn = _Connectivity(g)
     if verify:
-        res = check_class(g, MinimalityClass.VERTEX_MIN_CONN, k)
+        res = check_class(g, MinimalityClass.VERTEX_MIN_CONN, k, conn)
         if not res:
             raise PreconditionViolated(f"not vertex-minimally {k}-connected: {res.reason}")
     if len(region.boundary) != k:
@@ -174,7 +145,7 @@ def crossing_separators_witness(g: Graph, region: Region, k: int,
         assert C[1], "shrinking must preserve profundity"
         x = min(C[1])
 
-        sep = min_separator_containing(g, x)
+        sep = conn.separator_containing(x)
         if sep is None:
             raise NoSeparatorThroughVertex(
                 f"no separator contains vertex {x}; the graph is not vertex-minimal"
@@ -272,16 +243,26 @@ def crossing_separators_witness(g: Graph, region: Region, k: int,
 # ---------------------------------------------------------------------------
 
 
+def _simple_only(g) -> None:
+    # Parallel edges void class d's counting argument: the doubled
+    # triangle is vertex-minimally 3-edge-connected with every degree 4.
+    if isinstance(g, MultiGraph):
+        raise InvalidParams("the class-d counting argument holds for simple graphs only")
+
+
 def small_component_witness(g: Graph, s: MixedSet, component, k: int) -> int:
     """A vertex of degree <= k inside a small component of G minus a mixed set.
 
-    Preconditions: |S| <= k and the component has at most |S_E| vertices.
+    G is a simple graph.  Preconditions: |S| <= k, S's edges are edges of
+    G, and the component has at most |S_E| vertices.  It is checked by one
+    search of G that skips S's vertices and edges, with no copy of G.
     If every component vertex had degree >= k+1, each would send at least
     k+1-|S_V|-(|C|-1) edges into the deleted edge set, forcing
     |C|(k+1-|S_V|-(|C|-1)) <= |S_E| <= k-|S_V|, which is arithmetically
     impossible; so a low-degree vertex must exist and its absence is an
     implementation bug, not an input error.
     """
+    _simple_only(g)
     if len(s) > k:
         raise PreconditionViolated(f"the mixed set has {len(s)} elements, more than k={k}")
     comp = frozenset(component)
@@ -290,10 +271,15 @@ def small_component_witness(g: Graph, s: MixedSet, component, k: int) -> int:
     if comp & s.vertices:
         raise PreconditionViolated("component overlaps the deleted vertices")
 
-    h, keep = delete_mixed(g, s)
-    pos = {o: i for i, o in enumerate(keep)}
-    comp_new = frozenset(pos[v] for v in comp)
-    if comp_new not in components_of_subset(h, range(h.n)):
+    for u, v in s.edges:
+        if not g.has_edge(u, v):
+            raise NoSuchEdge(f"({u},{v})")
+    seen, stack = set(), [min(comp)]
+    while stack:  # the component of G - S holding min(comp)
+        u = stack.pop()
+        seen.add(u)
+        stack += [w for w in g.neighbors(u) - seen - s.vertices if (min(u, w), max(u, w)) not in s.edges]
+    if seen != comp:
         raise PreconditionViolated("the given set is not a component of G minus the mixed set")
     if len(comp) > len(s.edges):
         raise PreconditionViolated(
@@ -360,31 +346,23 @@ def minimal_region_small_edge_boundary(g: Graph | MultiGraph, region: Region,
 
     H = D
     while True:
-        best: tuple[int, int, tuple[int, ...]] | None = None
-        for v in sorted(H):
-            for comp in components_of_subset(g, H - {v}):
-                b = boundary_edge_count(g, comp)
-                if b < m:
-                    cand = (b, len(comp), tuple(sorted(comp)))
-                    if best is None or cand < best:
-                        best = cand
-        if best is not None:
-            H = set(best[2])
-            continue
-        # Local pair check: single deletions are exhausted, so only pairs
-        # of boundary vertices can still reveal a smaller region.
-        bverts = sorted(vertex_boundary(g, H))
-        found = None
-        for pair in combinations(bverts, 2):
-            for comp in components_of_subset(g, H - set(pair)):
-                b = boundary_edge_count(g, comp)
-                if b < m:
-                    cand = (b, len(comp), tuple(sorted(comp)))
-                    if found is None or cand < found:
-                        found = cand
-        if found is None:
-            return MinimalRegionResult(region_of(g, H), "local")
-        H = set(found[2])
+        best = _least_sub_region(g, H, ((v,) for v in sorted(H)), m)
+        if best is None:
+            # Local pair check: single deletions are exhausted, so only
+            # pairs of boundary vertices can still reveal a smaller region.
+            best = _least_sub_region(g, H, combinations(sorted(vertex_boundary(g, H)), 2), m)
+            if best is None:
+                return MinimalRegionResult(region_of(g, H), "local")
+        H = set(best[2])
+
+
+def _least_sub_region(g, H: set[int], drops, m: int):
+    """The least (boundary, size, sorted vertices) over the components of
+    H minus one of the vertex tuples `drops` whose edge boundary is below
+    m; None when there is none."""
+    return min(((b, len(comp), tuple(sorted(comp)))
+                for drop in drops for comp in components_of_subset(g, H - set(drop))
+                if (b := boundary_edge_count(g, comp)) < m), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +380,7 @@ class DescentStep:
     descended_to: tuple[int, ...]
 
     def to_json_obj(self):
-        return {
-            "edge": list(self.edge),
-            "cut": [list(e) for e in self.cut],
-            "descended_to": list(self.descended_to),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -462,7 +436,7 @@ def _first_inner_edge(g, H: set[int]) -> Edge | None:
     return None
 
 
-def _descend_to_degree_k_vertex(g: Graph | MultiGraph, side, k: int) -> EdgeMinSideTrace:
+def _descend_to_degree_k_vertex(conn: _Connectivity, side, k: int) -> EdgeMinSideTrace:
     """Shrink one min-cut side to a single degree-k vertex.
 
     First an inclusion-minimal region with edge boundary <= k is searched;
@@ -472,6 +446,7 @@ def _descend_to_degree_k_vertex(g: Graph | MultiGraph, side, k: int) -> EdgeMinS
     a counting of the four boundary pieces always exposes a strictly
     smaller region with edge boundary <= k.
     """
+    g = conn.g
     start = region_of(g, side)
     res = minimal_region_small_edge_boundary(g, start, k + 1)
     H = set(res.region.vertices)
@@ -481,7 +456,7 @@ def _descend_to_degree_k_vertex(g: Graph | MultiGraph, side, k: int) -> EdgeMinS
         e = _first_inner_edge(g, H)
         if e is None:
             break
-        cut = min_cut_containing_edge(g, e)
+        cut = conn.cut_containing_edge(e)
         if cut.size != k:
             raise PreconditionViolated(
                 f"the smallest cut through edge {e} has {cut.size} edges, not {k}; "
@@ -492,14 +467,10 @@ def _descend_to_degree_k_vertex(g: Graph | MultiGraph, side, k: int) -> EdgeMinS
         A_H, B_H = A & H, B & H
         assert A_H and B_H, "an inner cut edge splits the region"
 
-        if boundary_edge_count(g, A_H) <= k:
-            comps = components_of_subset(g, A_H)
-            assert len(comps) == 1, "a boundary <= k admits only one component"
-            new_H = set(comps[0])
-        elif boundary_edge_count(g, B_H) <= k:
-            comps = components_of_subset(g, B_H)
-            assert len(comps) == 1
-            new_H = set(comps[0])
+        small = next((P for P in (A_H, B_H) if boundary_edge_count(g, P) <= k), None)
+        if small is not None:
+            assert len(components_of_subset(g, small)) == 1, "a boundary <= k admits only one component"
+            new_H = small
         elif A <= H:
             new_H = A
         elif B <= H:
@@ -531,17 +502,20 @@ def _descend_to_degree_k_vertex(g: Graph | MultiGraph, side, k: int) -> EdgeMinS
 def edge_min_witness_pair(g: Graph | MultiGraph, k: int,
                           verify: bool = True) -> EdgeMinWitnessTrace:
     """Two distinct degree-k vertices of an edge-minimally k-edge-connected
-    graph, found on the two sides of a minimum cut."""
+    graph, found on the two sides of a minimum cut.  The minimum cut and
+    every descent step's cut through an edge are asked on one record of G.
+    """
+    conn = _Connectivity(g)
     if verify:
-        res = check_class(g, MinimalityClass.EDGE_MIN_EDGE_CONN, k)
+        res = check_class(g, MinimalityClass.EDGE_MIN_EDGE_CONN, k, conn)
         if not res:
             raise PreconditionViolated(f"not edge-minimally {k}-edge-connected: {res.reason}")
-    cut = min_edge_cut(g)
+    cut = conn.min_cut()
     if cut.size != k:
         raise PreconditionViolated(f"minimum cut has {cut.size} edges, not {k}")
     sides = sorted(cut.sides, key=lambda s: tuple(sorted(s)))
-    first = _descend_to_degree_k_vertex(g, sides[0], k)
-    second = _descend_to_degree_k_vertex(g, sides[1], k)
+    first = _descend_to_degree_k_vertex(conn, sides[0], k)
+    second = _descend_to_degree_k_vertex(conn, sides[1], k)
     assert first.witness != second.witness, "the two cut sides are disjoint"
     return EdgeMinWitnessTrace(k=k, cut=cut.edges, first=first, second=second)
 
@@ -561,7 +535,7 @@ class RegionStep:
     descended_to: tuple[int, ...]
 
     def to_json_obj(self):
-        return {"y": self.y, "cut_size": self.cut_size, "descended_to": list(self.descended_to)}
+        return asdict(self)
 
 
 @dataclass
@@ -619,8 +593,7 @@ def _one_vertex_cut_sides(conn: _Connectivity, x: int) -> tuple[int, list[set[in
     side; otherwise the two sides of a minimum cut.
     """
     g = conn.g
-    skel = g.skeleton() if isinstance(g, MultiGraph) else g
-    comps = components_of_subset(skel, set(range(g.n)) - {x})
+    comps = components_of_subset(g, set(range(g.n)) - {x})
     if len(comps) > 1:
         return 0, [set(comp) for comp in comps]
     if g.n < 3:
@@ -682,7 +655,8 @@ def _descend_region(conn: _Connectivity, k: int, C: set[int], x: int) -> VertexM
         BC = B & C
         assert BC, "y has neighbors on the far side of its cut, all inside C"
 
-        inner_boundary = _edge_count_between(g, BC, everything - {y} - BC)
+        # the boundary of B∩C within G - y: every boundary edge but y's
+        inner_boundary = boundary_edge_count(g, BC) - sum(g.multiplicity(y, w) for w in BC)
         assert inner_boundary >= lam_y, "a non-trivial set never beats the minimum cut"
         if inner_boundary == lam_y:
             # The boundary of B∩C inside G-y equals the minimum, so B∩C
@@ -710,7 +684,10 @@ def vertex_min_edge_witness_pair(g: Graph, k: int,
     (plus its vertex); the second run starts from the complement of the
     first result, which keeps the two witnesses apart.  Every cut of a
     G - x, for every x and in both runs, is asked on one record of G.
+    Multigraphs are refused with InvalidParams: the counting step needs a
+    simple graph.
     """
+    _simple_only(g)
     conn = _Connectivity(g)
     if verify:
         res = is_vertex_min_k_edge_connected(g, k, conn)

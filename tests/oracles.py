@@ -1,7 +1,7 @@
 """Independent oracles that the test suite holds the package's routines to,
 and the helpers only tests need."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 from minconn.connectivity import min_edge_cut, min_vertex_separator
 from minconn.errors import TooLarge, TooSmall
@@ -18,6 +18,15 @@ from minconn.graphs import (
 def ladder_graph(m: int) -> Graph:
     """P_m box K^2 -- the ladder with m rungs."""
     return cartesian_product(path_graph(m), complete_graph(2))
+
+
+def small_multigraphs():
+    """Every multigraph on 2 to 4 vertices with multiplicity at most 3,
+    isolated vertices and disconnected ones included: 4,164 graphs."""
+    for n in range(2, 5):
+        pairs = list(combinations(range(n), 2))
+        for mults in product(range(4), repeat=len(pairs)):
+            yield MultiGraph(n, [(u, v, m) for (u, v), m in zip(pairs, mults) if m])
 
 
 def subdivide(mg: MultiGraph) -> tuple[Graph, dict]:
@@ -103,17 +112,16 @@ def cut_without_by_copy(g, x: int):
 def oracle_separates(f, end, mode: str, certificate: tuple, radius: int,
                      base_tags: set) -> bool:
     """The r+2 recheck on a clique tree by a walk over tags, the reference
-    for its heap-number walk: the direction's first descendant at full
-    distance seeds a search in the ball minus the certificate, reading a
-    tag's distance as its length, and the search fails once it reaches a
-    base tag."""
+    for its heap-number walk: the direction's frontier (its descendants
+    at full distance) seeds a search in the ball minus the certificate,
+    reading a tag's distance as its length, and the search fails once it
+    reaches a base tag."""
     blocked_v = set(certificate) if mode == "vertex" else set()
     blocked_e = {frozenset(e) for e in certificate} if mode == "edge" else set()
-    seed = (end.direction + (0,) * radius)[:radius]
-    if seed in blocked_v:
-        return True
-    seen = {seed}
-    queue = [seed]
+    below = radius - len(end.direction)
+    frontier = {end.direction + p for p in product(range(f.r * f.k), repeat=below)} if below >= 0 else set()
+    seen = frontier - blocked_v
+    queue = list(seen)
     while queue:
         t = queue.pop()
         for nb in f.neighbors(t):

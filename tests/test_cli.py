@@ -1,8 +1,10 @@
 import hashlib
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,14 +15,17 @@ from minconn.cli import main
 from minconn.constructions import band_graph, cycle_clique_strong, multipath
 from minconn.families import FAMILY_KINDS
 from minconn.graphs import Graph, MultiGraph
-from minconn.io import from_edge_list, from_graph6, to_graph6
-from minconn.minimality import MinimalityClass, check_class
+from minconn.io import from_edge_list, from_graph6, to_edge_list, to_graph6
+from minconn.minimality import MinimalityClass, check_class, classify
 from minconn.witnesses import (
     crossing_separators_witness,
     default_profound_region,
     edge_min_witness_pair,
     vertex_min_edge_witness_pair,
 )
+from oracles import small_multigraphs
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 C6 = "EhEG"  # the 6-cycle
 P4 = "Ch"  # the 4-path
@@ -228,6 +233,50 @@ class TestWitness:
                 assert check_class(g, MinimalityClass(cls), k).holds, (cls, k)
                 run = procedures[cls]
                 assert run(g, k, True).to_json_obj() == run(g, k, False).to_json_obj(), cls
+
+
+class TestMultigraphExplain:
+    def test_every_small_multigraph_member(self, capsys):
+        # Class c traces every member; class d refuses multigraphs with
+        # one error line, since parallel edges void its counting step.
+        runs = Counter()
+        for g in small_multigraphs():
+            text = to_edge_list(g)
+            for k in (2, 3, 4):
+                for cls in classify(g, k).member_classes():
+                    argv = ["witness", "--input", "edge-list", "--multi", "--k", str(k),
+                            "--class", cls.value, "--explain", text]
+                    code, out, err = invoke(argv, capsys)
+                    if cls is MinimalityClass.EDGE_MIN_EDGE_CONN:
+                        assert code == 0 and err == "", (text, k)
+                        assert json.loads(out)["trace"]["procedure"] == "cut-splitting"
+                    else:
+                        assert (code, out) == (1, ""), (text, k)
+                        assert err.count("\n") == 1 and "simple graphs" in err
+                    runs[cls.value] += 1
+        assert runs["d"] == 579 and runs["c"] > 0
+
+    def test_doubled_triangle(self, capsys):
+        argv = ["witness", "--input", "edge-list", "--multi", "--class", "d",
+                "3 3\n0 1 2\n1 2 2\n0 2 2\n"]
+        # a class-d member at k = 3 with every degree 4
+        code, out, _ = invoke(argv + ["--k", "3"], capsys)
+        assert code == 3 and json.loads(out)["min_degree"] == 4
+        assert invoke(argv + ["--k", "4", "--explain"], capsys)[:2] == (1, "")
+
+
+def test_class_b_member_traces_share_networks(capsys, monkeypatch, network_sizes):
+    # The 18 class-b ops of the member-traces benchmark at seed 0 build one
+    # split network each for the membership check, the default region and
+    # the crossing-separators run, whatever its shrink steps.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    ops = [op for op in workloads.build("member-traces", 0) if op["expect"]["class"] == "b"]
+    assert len(ops) == 18
+    for op in ops:
+        assert invoke(op["argv"], capsys)[0] == 0
+    assert len(network_sizes) == 54
 
 
 class TestVerify:

@@ -171,20 +171,20 @@ def assert_deletions_match_copies(g):
     for x in range(g.n):
         rest = set(range(g.n)) - {x}
         if isinstance(g, Graph) and g.n >= 3:
-            sep = min_separator_containing(g, x)
+            sep = conn.separator_containing(x)
             assert (sep and sep.vertices) == separator_containing_by_copy(g, x), (x, g.edges())
             if sep is not None:
                 assert sep.sides == tuple(components_of_subset(g, rest - set(sep.vertices)))
-        skel = g.skeleton() if isinstance(g, MultiGraph) else g
-        if g.n >= 3 and len(components_of_subset(skel, rest)) == 1:
+        if g.n >= 3 and len(components_of_subset(g, rest)) == 1:
             lam, cut = _edge_scan(conn, x)
             assert lam == cut.size
             assert (cut.size, cut.edges, cut.sides) == cut_without_by_copy(g, x), (x, g)
 
 
 class TestDeletionsAsArcCuts:
-    """`min_separator_containing` and the record's `removed=x` edge scan
-    equal the copy route (delete x, scan the copy, map back) for every x."""
+    """The record's separators through x and `removed=x` edge scans, asked
+    for every x on one record, equal the copy route (delete x, scan the
+    copy, map back)."""
 
     def test_corpus7(self, corpus7):
         for g in corpus7:
@@ -198,6 +198,27 @@ class TestDeletionsAsArcCuts:
     @settings(max_examples=150, deadline=None)
     def test_multigraphs(self, g):
         assert_deletions_match_copies(g)
+
+
+def assert_edge_cuts_match_fresh_networks(g):
+    """Every cut through an edge asked on one record, against a minimum
+    u-v cut on a network of its own."""
+    conn = _Connectivity(g)
+    for u, v in g.edges():
+        net = _edge_network(g)
+        net.max_flow(u, v)
+        assert conn.cut_containing_edge((u, v)) == _cut_from_side(g, net.residual_reachable(u))
+
+
+class TestCutsThroughEdgesOnOneRecord:
+    def test_corpus7(self, corpus7):
+        for g in corpus7:
+            assert_edge_cuts_match_fresh_networks(g)
+
+    @given(multigraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_multigraphs(self, g):
+        assert_edge_cuts_match_fresh_networks(g)
 
 
 class TestOnePassMatchesTwoPass:

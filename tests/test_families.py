@@ -1,5 +1,7 @@
 import json
 from array import array
+from dataclasses import dataclass
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from minconn import families
 from minconn.errors import InvalidParams, NotConverged
 from minconn.families import (
+    BALL_BUDGET,
+    CliqueTree,
     DoubleRay,
+    Family,
     _ball_blocks,
     _blocks_containing,
     _certify_blocks,
@@ -160,6 +165,23 @@ LEVEL_ORDER_TREES = [(1, 2, 6), (1, 3, 6), (2, 2, 6), (3, 2, 6), (2, 4, 5)]
 RECHECK_TREES = ["clique-tree:r=1,k=2", "clique-tree:r=2,k=2", "clique-tree:r=1,k=3"]
 
 
+@dataclass(frozen=True)
+class BallRouted(Family):
+    """A clique tree's oracle that is not a `CliqueTree`, so its recheck
+    takes the ball route of every other family."""
+
+    tree: CliqueTree
+
+    def center(self):
+        return self.tree.center()
+
+    def neighbors(self, tag):
+        return self.tree.neighbors(tag)
+
+    def in_direction(self, tag, end):
+        return self.tree.in_direction(tag, end)
+
+
 class TestLevelOrderIndex:
     """A clique tree's balls and recheck walk heap numbers; both must agree
     with the tag oracle they replace."""
@@ -201,6 +223,31 @@ class TestLevelOrderIndex:
                 assert _certificate_separates(f, end, mode, less, radius, base_tags) == (
                     oracle_separates(f, end, mode, less, radius, base_tags)
                 )
+
+    @pytest.mark.parametrize("r,k,expected", [(1, 2, 17), (1, 3, 11), (2, 2, 8), (2, 4, 6), (3, 3, 5)])
+    def test_max_radius_is_the_largest_ball_in_budget(self, r, k, expected):
+        f = make_family(f"clique-tree:r={r},k={k}")
+        assert f.max_radius() == expected
+        assert f.ball_size(expected) <= BALL_BUDGET < f.ball_size(expected + 1)
+
+    @pytest.mark.parametrize("spec", RECHECK_TREES)
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_recheck_equals_ball_route(self, spec, depth, mode):
+        # Every proper subset of every converged certificate: a search of
+        # one frontier vertex's component accepted some of them at r=2,
+        # k=2, depth 1, although the rest of the frontier stayed joined.
+        f = make_family(spec)
+        routed = BallRouted(f)
+        base_tags = set(ball(f, f.base_radius()).tags)
+        for end in f.ends(depth):
+            est = end_degree_estimate(f, end, mode=mode)
+            cert, radius = est.certificate, est.recheck_radius
+            for size in range(len(cert)):
+                for less in combinations(cert, size):
+                    assert _certificate_separates(f, end, mode, less, radius, base_tags) == (
+                        _certificate_separates(routed, end, mode, less, radius, base_tags)
+                    ), (end.label, less)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

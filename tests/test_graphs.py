@@ -4,14 +4,12 @@ from hypothesis import given, strategies as st
 from minconn.errors import EmptyRegion, InvalidParams, NoSuchEdge
 from minconn.graphs import (
     Graph,
-    MixedSet,
     MultiGraph,
     cartesian_product,
     complete_graph,
     components_of_subset,
     cycle_graph,
     degree_profile,
-    delete_mixed,
     edge_boundary,
     external_neighborhood,
     path_graph,
@@ -141,18 +139,6 @@ class TestSubsets:
     def test_region_must_be_nonempty(self):
         with pytest.raises(EmptyRegion):
             region_of(cycle_graph(6), [])
-
-    def test_delete_mixed(self):
-        g = cycle_graph(5)
-        s = MixedSet.of([0], [(2, 3)])
-        h, keep = delete_mixed(g, s)
-        assert keep == (1, 2, 3, 4)
-        assert h.edges() == [(0, 1), (2, 3)]
-        assert len(s) == 2
-
-    def test_delete_mixed_missing_edge(self):
-        with pytest.raises(NoSuchEdge):
-            delete_mixed(cycle_graph(5), MixedSet.of([], [(0, 2)]))
 
 
 class TestConstructors:

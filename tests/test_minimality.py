@@ -30,7 +30,7 @@ from minconn.minimality import (
 )
 from minconn.constructions import band_graph, multipath
 
-from oracles import ladder_graph
+from oracles import ladder_graph, small_multigraphs
 from test_connectivity import multigraphs
 
 
@@ -76,7 +76,7 @@ def literal_edge_min_k_edge_connected(g, k):
     if not is_k_edge_connected(g, k):
         return PredicateResult(False, f"not {k}-edge-connected")
     multi = isinstance(g, MultiGraph)
-    classes = g.edge_classes() if multi else g.edges()
+    classes = g.edges()
     if is_k_edge_connected(g, k + 1):
         e = classes[0]
         return PredicateResult(False, f"{k + 1}-edge-connected, so deleting edge {e} keeps {k}-edge-connectivity", e)
@@ -149,6 +149,10 @@ class TestAgainstBruteForce:
     @settings(max_examples=200, deadline=None)
     def test_multigraph_edge_classes(self, g, k):
         assert_same_as_literal(g, [k], EDGE_CONN_CLASSES)
+
+    def test_small_multigraphs(self):
+        for g in small_multigraphs():
+            assert_same_as_literal(g, (2, 3, 4), EDGE_CONN_CLASSES)
 
     def test_multipaths(self):
         assert_same_as_literal(multipath(3, 5), range(1, 6), EDGE_CONN_CLASSES)

@@ -1,8 +1,7 @@
 import pytest
 
-from minconn.constructions import band_graph, multipath, path_square_example
-from minconn.errors import ClassMismatch, PreconditionViolated
-from minconn.flow import FlowNetwork
+from minconn.constructions import band_graph, cycle_clique_strong, multipath, path_square_example
+from minconn.errors import ClassMismatch, InvalidParams, NoSuchEdge, PreconditionViolated
 from minconn.graphs import (
     MixedSet,
     MultiGraph,
@@ -25,7 +24,7 @@ from minconn.witnesses import (
     vertex_min_edge_witness_pair,
     witness_report,
 )
-from oracles import ladder_graph
+from oracles import ladder_graph, small_multigraphs
 
 A = MinimalityClass.EDGE_MIN_CONN
 B = MinimalityClass.VERTEX_MIN_CONN
@@ -113,6 +112,24 @@ class TestCrossingSeparators:
         with pytest.raises(PreconditionViolated):
             crossing_separators_witness(g, region, 2, verify=False)
 
+    def test_one_split_network_per_run(self, corpus7, network_sizes):
+        # The membership check and every shrink step's separator through
+        # x are asked on one record of G.
+        members = [(g, k) for g in corpus7 for k in (2, 3, 4) if check_class(g, B, k)]
+        members += [(band_graph(k, l).graph, k) for k, l in ((3, 5), (3, 8), (4, 6))]
+        members += [(cycle_clique_strong(6, 10), 6), (cycle_clique_strong(8, 10), 8)]
+        shrunk = 0
+        for g, k in members:
+            region = default_profound_region(g, k)
+            if region is None:
+                continue
+            for verify in (False, True):
+                network_sizes.clear()
+                t = crossing_separators_witness(g, region, k, verify=verify)
+                assert network_sizes == [2 * g.n + 2], (g, k, verify)
+            shrunk += bool(t.shrink_trail)
+        assert shrunk
+
 
 class TestSmallComponentWitness:
     def test_cycle_component(self):
@@ -149,6 +166,25 @@ class TestSmallComponentWitness:
         s = MixedSet.of(edges=[(0, 1), (2, 3)])
         with pytest.raises(PreconditionViolated):
             small_component_witness(g, s, {3, 4, 5, 0}, 2)
+
+    def test_search_skips_deleted_vertices_and_edges(self):
+        # C_5 minus vertex 0 and edge (2,3) leaves the paths 1-2 and 3-4.
+        g = cycle_graph(5)
+        s = MixedSet.of([0], [(2, 3)])
+        with pytest.raises(PreconditionViolated, match="more than"):
+            small_component_witness(g, s, {1, 2}, 3)  # a component, but too large
+        for not_a_component in ({1}, {2, 3}, {1, 2, 3}, {1, 2, 3, 4}):
+            with pytest.raises(PreconditionViolated, match="not a component"):
+                small_component_witness(g, s, not_a_component, 3)
+
+    def test_rejects_missing_edge(self):
+        with pytest.raises(NoSuchEdge):
+            small_component_witness(cycle_graph(5), MixedSet.of([], [(0, 2)]), {1}, 2)
+
+    def test_rejects_multigraphs(self):
+        g = MultiGraph(3, [(0, 1, 2), (1, 2, 2), (0, 2, 2)])
+        with pytest.raises(InvalidParams):
+            small_component_witness(g, MixedSet.of([0], [(1, 2)]), {1}, 3)
 
 
 class TestMinimalRegion:
@@ -234,6 +270,19 @@ class TestCutSplitting:
         with pytest.raises(PreconditionViolated):
             edge_min_witness_pair(complete_graph(4), 2)
 
+    def test_one_edge_network_per_run(self, corpus7, network_sizes):
+        # The membership check, the minimum cut and every descent step's
+        # cut through an edge are asked on one record of G.
+        members = [(g, k) for g in corpus7 for k in (1, 2, 3) if check_class(g, C, k)]
+        members += [(g, k) for g in small_multigraphs() for k in (2, 3) if check_class(g, C, k)]
+        members += [(multipath(3, 8), 3)]
+        members += [(path_square_example(l).graph, 3) for l in (20, 30)]
+        for g, k in members:
+            for verify in (False, True):
+                network_sizes.clear()
+                edge_min_witness_pair(g, k, verify=verify)
+                assert network_sizes == [g.n + 2], (g, k, verify)
+
 
 class TestRegionDescent:
     def test_triangle(self):
@@ -274,25 +323,26 @@ class TestRegionDescent:
         with pytest.raises(PreconditionViolated):
             vertex_min_edge_witness_pair(cycle_graph(6), 3)
 
-    def test_one_edge_network_per_graph(self, corpus7, monkeypatch):
+    def test_one_edge_network_per_graph(self, corpus7, network_sizes):
         # Every G - x, for every x and in both descents, and the
         # membership check are asked on one record of G.
         members = [(g, k) for g in corpus7 for k in (2, 3)
                    if g.min_degree() >= k and check_class(g, D, k)]
         members += [(band_graph(3, 4).graph, 3), (band_graph(4, 2).graph, 4), (ladder_graph(5), 2)]
-        sizes = []
-        init = FlowNetwork.__init__
-
-        def counting_init(self, n):
-            sizes.append(n)
-            init(self, n)
-
-        monkeypatch.setattr(FlowNetwork, "__init__", counting_init)
         for g, k in members:
             for verify in (False, True):
-                sizes.clear()
+                network_sizes.clear()
                 vertex_min_edge_witness_pair(g, k, verify=verify)
-                assert sizes == [g.n + 2], (g, k, verify)
+                assert network_sizes == [g.n + 2], (g, k, verify)
+
+    def test_refuses_multigraphs(self):
+        # The doubled triangle is a class-d member at k = 3 and 4, but its
+        # degrees are all 4: the counting step needs a simple graph.
+        g = MultiGraph(3, [(0, 1, 2), (1, 2, 2), (0, 2, 2)])
+        for k in (3, 4):
+            assert check_class(g, D, k)
+            with pytest.raises(InvalidParams):
+                vertex_min_edge_witness_pair(g, k)
 
 
 class TestReports:
