@@ -23,8 +23,9 @@ cut/path duality on growing balls -- the minimum separator (or edge cut)
 between the base ball and the direction's frontier, certified by an
 equal-sized disjoint path family, accepted only after it stays stable
 over a window of radii and still separates on the ball two radii out
-(the recheck rule, `_certificate_separates`).  What a family supplies is
-the oracle contract of `Family`.
+(the recheck rule, `_certificate_separates`).  The flow runs only on the
+part of the ball that the frontier reaches without crossing the base.
+What a family supplies is the oracle contract of `Family`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
-from itertools import count, islice, product
+from itertools import chain, count, islice, product
 
 from .connectivity import max_disjoint_paths
 from .errors import InvalidParams, NotConverged, ValidationFailed
@@ -840,20 +841,35 @@ def _certificate_separates(f: Family, end: EndDescriptor, mode: str,
 def _index_separates(f: CliqueTree, end: EndDescriptor, mode: str,
                      certificate: tuple, radius: int, base_tags: set) -> bool:
     """`_certificate_separates` on a clique tree, by a search over heap
-    numbers from the direction side: the direction's whole frontier
-    seeds it, and it fails once it reaches a base vertex.  The frontier
-    is the direction's descendants at full distance, one index range
-    from its first descendant; distance <= radius is index <
-    ball_size(radius)."""
-    n, idx = f.ball_size(radius), f.index_of
-    below = radius - len(end.direction)
-    if below < 0:  # the direction lies outside the ball: no frontier
+    numbers from the direction side that fails once it reaches a base
+    vertex.  Distance <= radius is index < ball_size(radius).
+
+    Only the marked vertices -- the ancestors, inclusive, of the base
+    vertices and of the certificate's vertices or edge endpoints -- need
+    their children searched.  An unmarked vertex's subtree holds no base
+    vertex and no certificate element; it is connected, and it meets the
+    rest of the tree only at its root, by the root's parent and clique
+    edges.  So the direction's frontier (its descendants at full
+    distance) reaches what the roots of its unmarked subtrees reach: the
+    search is seeded with those roots, found by walking down the marked
+    vertices from the direction, and never expands an unmarked vertex's
+    children.
+    """
+    n, idx, rk = f.ball_size(radius), f.index_of, f.r * f.k
+    if radius < len(end.direction):  # the direction lies outside the ball: no frontier
         return True
-    first = idx(end.direction + (0,) * below)
-    frontier = range(first, first + (f.r * f.k) ** below)
-    assert f.ball_size(radius - 1) <= first and frontier.stop <= n, "the frontier is at full distance"
-    return _cut_off(lambda v: f.index_row(v, n), n, idx, mode, certificate,
-                    set(frontier), {idx(t) for t in base_tags})
+    cert_tags = certificate if mode == "vertex" else [t for e in certificate for t in e]
+    marked = {idx(t[:i]) for t in chain(base_tags, cert_tags) for i in range(len(t) + 1)}
+    inner = f.ball_size(radius - 1)  # the vertices with children in the ball
+    seeds, stack = set(), [idx(end.direction)]
+    while stack:
+        v = stack.pop()
+        if v in marked and v < inner:
+            stack.extend(range(rk * v + 1, rk * v + rk + 1))
+        else:
+            seeds.add(v)
+    return _cut_off(lambda v: f.index_row(v, n if v in marked else 0), n, idx, mode,
+                    certificate, seeds, {idx(t) for t in base_tags})
 
 
 def _cut_off(row, n: int, idx, mode: str, certificate: tuple, sources: set,
@@ -883,6 +899,44 @@ def _cut_off(row, n: int, idx, mode: str, certificate: tuple, sources: set,
     return True
 
 
+def _live_flow(row, a_side, b_side, mode: str) -> tuple[int, tuple]:
+    """`max_disjoint_paths` between disjoint A and B, endpoints not
+    exempt, on the graph whose neighbours `row` lists, solved on its live
+    part: the count and the separator's vertices (vertex mode) or the
+    cut's edges (edge mode), in the graph's labels and order.
+
+    The live set L is what B reaches in G - A, found by one search that
+    stops at A.  Every A-B path has a suffix from its last A vertex, and
+    that suffix is an A-B path inside L plus one A vertex; so the flow
+    has the same value on L and the A vertices that touch L.  The other
+    components of G - A touch only A: they carry no flow and lie on the
+    source side, so the source-minimal separator or cut is the same too.
+    The kept vertices are numbered in increasing order, which keeps the
+    order of separators and cut edges.
+    """
+    a_set = set(a_side)
+    seen = set(b_side)
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        if v in a_set:
+            continue
+        for w in row(v):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    keep = sorted(seen)
+    new = dict(zip(keep, count()))
+    a_live = [new[a] for a in a_set if a in new]
+    if not a_live:  # B lies in components of G that hold no A vertex
+        return 0, ()
+    sub = Graph.from_adjacency([new[w] for w in row(v) if w in new] for v in keep)
+    res = max_disjoint_paths(sub, a_live, [new[v] for v in b_side], mode=mode, endpoint_exempt=False)
+    if mode == "vertex":
+        return res.count, tuple(keep[v] for v in res.separator.vertices)
+    return res.count, tuple((keep[u], keep[w]) for u, w in res.cut.edges)
+
+
 def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
                         r_max: int | None = None, window: int = 3,
                         strict: bool = False) -> EndDegreeEstimate:
@@ -891,7 +945,8 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
     At each radius the value is the minimum separator (vertex mode,
     endpoints not exempt) or edge cut between the family's base ball and
     the direction's frontier, Menger-certified by a disjoint path family
-    of the same size.  Values must never increase with the radius; the
+    of the same size and solved on the part of the ball that can carry
+    flow (`_live_flow`).  Values must never increase with the radius; the
     estimate converges once a full window of radii agrees and the
     certificate still separates on the ball two radii further out.
     Radii run up to `r_max`, capped by (and by default equal to) the
@@ -921,8 +976,7 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
             raise ValidationFailed(
                 f"direction {end.label!r} has an empty frontier at radius {r}"
             )
-        res = max_disjoint_paths(b.graph, a_idx, b_idx, mode=mode, endpoint_exempt=False)
-        v = res.count
+        v, dual = _live_flow(b.neighbors, a_idx, b_idx, mode)
         if upper is not None and v > upper:
             raise ValidationFailed(
                 f"estimate increased from {upper} to {v} at radius {r}"
@@ -931,9 +985,9 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
         history.append((r, v))
         if len(history) >= window and all(val == v for _, val in history[-window:]):
             if mode == "vertex":
-                cert = tuple(b.tags[i] for i in res.separator.vertices)
+                cert = tuple(b.tags[i] for i in dual)
             else:
-                cert = tuple((b.tags[e[0]], b.tags[e[1]]) for e in res.cut.edges)
+                cert = tuple((b.tags[u], b.tags[w]) for u, w in dual)
             if not _certificate_separates(f, end, mode, cert, r + 2, base_tags):
                 raise ValidationFailed(
                     f"certificate of size {v} stopped separating at radius {r + 2}"
@@ -1260,14 +1314,14 @@ def validate_family(f: Family, radius: int = 4, end_depth: int | None = None) ->
         end_depth = f.witness_end_depth()
     b = ball(f, radius)
     internal = [i for i in b.internal() if f.real_vertex(b.tags[i])]
-    degs = sorted({b.graph.degree(i) for i in internal})
+    degs = sorted({len(b.neighbors(i)) for i in internal})
     degrees_ok = set(degs) <= set(f.degree_set())
 
     out = []
     for cls, k in f.declared_classes():
         bound = degree_bound(cls, k)
         vws = tuple(
-            b.tags[i] for i in internal if b.graph.degree(i) <= bound
+            b.tags[i] for i in internal if len(b.neighbors(i)) <= bound
         )[:4]
         mode = "edge" if cls.deletes_edges else "vertex"
         ews: list[str] = []

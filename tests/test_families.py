@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minconn import families
+from minconn.connectivity import max_disjoint_paths
 from minconn.errors import InvalidParams, NotConverged
 from minconn.families import (
     BALL_BUDGET,
@@ -17,6 +18,7 @@ from minconn.families import (
     _blocks_containing,
     _certify_blocks,
     _certificate_separates,
+    _live_flow,
     _oracle_ball,
     ball,
     certify_essential_edges,
@@ -163,6 +165,8 @@ class TestBall:
 # makes in well under a second
 LEVEL_ORDER_TREES = [(1, 2, 6), (1, 3, 6), (2, 2, 6), (3, 2, 6), (2, 4, 5)]
 RECHECK_TREES = ["clique-tree:r=1,k=2", "clique-tree:r=2,k=2", "clique-tree:r=1,k=3"]
+# the trees the drawn-set recheck test samples, each with its largest radius
+DRAWN_RECHECK_TREES = [(spec, 5) for spec in RECHECK_TREES] + [("clique-tree:r=2,k=4", 3)]
 
 
 @dataclass(frozen=True)
@@ -252,22 +256,50 @@ class TestLevelOrderIndex:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_recheck_on_drawn_sets(self, data):
-        f = make_family(data.draw(st.sampled_from(RECHECK_TREES)))
+        # Sets drawn inside the direction's subtree mark it, so the search
+        # is seeded below the direction; sets drawn from the whole ball
+        # mostly leave it unmarked, so its own vertex is the one seed.
+        spec, r_max = data.draw(st.sampled_from(DRAWN_RECHECK_TREES))
+        f = make_family(spec)
         end = data.draw(st.sampled_from(f.ends(data.draw(st.integers(1, 3)))))
         mode = data.draw(st.sampled_from(["vertex", "edge"]))
-        radius = data.draw(st.integers(1, 5))
+        radius = data.draw(st.integers(1, r_max))
         b = ball(f, radius)
+        pool = range(len(b.tags))
+        if data.draw(st.booleans()):
+            pool = [v for v in pool if f.in_direction(b.tags[v], end)] or pool
         if mode == "vertex":
-            drawn = data.draw(st.sets(st.integers(0, len(b.tags) - 1), max_size=5))
+            drawn = data.draw(st.sets(st.sampled_from(pool), max_size=5))
             cert = tuple(b.tags[v] for v in sorted(drawn))
         else:
-            edges = [(u, w) for u in range(len(b.tags)) for w in b.neighbors(u) if u < w]
-            drawn = data.draw(st.sets(st.sampled_from(edges), max_size=5))
+            edges = [(u, w) for u in pool for w in b.neighbors(u) if u < w]
+            drawn = data.draw(st.sets(st.sampled_from(edges), max_size=5)) if edges else set()
             cert = tuple((b.tags[u], b.tags[w]) for u, w in sorted(drawn))
         base_tags = set(ball(f, f.base_radius()).tags)
         assert _certificate_separates(f, end, mode, cert, radius, base_tags) == (
             oracle_separates(f, end, mode, cert, radius, base_tags)
         )
+
+    @pytest.mark.parametrize("label,mode", [("branch-5-0", "vertex"), ("branch-7-2", "edge")])
+    def test_recheck_rows_follow_the_certificate(self, label, mode, monkeypatch):
+        # The r+2 recheck lists rows only around the certificate's and the
+        # base's ancestors, not the direction's subtree (149,796 rows at
+        # radius 7 when it was walked).
+        f = make_family("clique-tree:r=2,k=4")
+        end = find_end(f, label)
+        est = end_degree_estimate(f, end, mode=mode)
+        assert est.recheck_radius == 7
+        rows = []
+        index_row = CliqueTree.index_row
+
+        def counting_row(self, i, n):
+            rows.append(i)
+            return index_row(self, i, n)
+
+        monkeypatch.setattr(CliqueTree, "index_row", counting_row)
+        base_tags = set(ball(f, f.base_radius()).tags)
+        assert _certificate_separates(f, end, mode, est.certificate, 7, base_tags)
+        assert 0 < len(rows) <= 100
 
 
 class TestFamilyStructure:
@@ -366,6 +398,35 @@ END_DEGREES = [
     ("ray-bundle:k=4,l=8", "vertex", 8),
     ("ray-bundle:k=4,l=8", "edge", 8),
 ]
+
+
+@st.composite
+def graphs_with_dead_parts(draw):
+    """A random graph with disjoint vertex sets A and B, plus extra
+    vertices joined only to A and to each other: components of G - A
+    that no path from B enters."""
+    n = draw(st.integers(2, 9))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)))
+    a_side = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    rest = sorted(set(range(n)) - a_side)
+    b_side = draw(st.sets(st.sampled_from(rest), min_size=1))
+    dead = draw(st.integers(0, 4))
+    outer = sorted(a_side) + list(range(n, n + dead))
+    for d in range(n, n + dead):
+        edges |= {(min(d, u), max(d, u)) for u in draw(st.sets(st.sampled_from(outer), max_size=3)) if u != d}
+    return Graph(n + dead, edges), sorted(a_side), sorted(b_side)
+
+
+class TestLiveFlow:
+    @given(graphs_with_dead_parts(), st.sampled_from(["vertex", "edge"]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_whole_graph_flow(self, drawn, mode):
+        g, a_side, b_side = drawn
+        count, cut = _live_flow(g.neighbors, a_side, b_side, mode)
+        res = max_disjoint_paths(g, a_side, b_side, mode=mode, endpoint_exempt=False)
+        assert count == res.count
+        assert cut == (res.separator.vertices if mode == "vertex" else res.cut.edges)
 
 
 class TestEndDegree:
@@ -628,6 +689,19 @@ class TestValidateFamily:
         for res in results:
             assert res.vertex_witnesses == ()
             assert set(res.end_witnesses) == {"left", "right"}
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_degrees_are_row_lengths(self, spec):
+        # degrees and vertex witnesses read off the CSR rows equal those
+        # of the ball's Graph
+        f = make_family(spec)
+        b = ball(f, 4)
+        internal = [i for i in b.internal() if f.real_vertex(b.tags[i])]
+        degree = b.graph.degree
+        for res in validate_family(f, radius=4):
+            assert res.degrees_seen == tuple(sorted({degree(i) for i in internal}))
+            small = [b.tags[i] for i in internal if degree(i) <= res.degree_bound]
+            assert res.vertex_witnesses == tuple(small[:4])
 
     def test_json_shape(self):
         res = validate_family(make_family("dr-square"), radius=4)[0]
