@@ -206,18 +206,9 @@ def cmd_witness(args) -> int:
 def _verify_row(g, k: int, held: list[MinimalityClass]):
     deg_k = small_degree_set(g, k)
     deg_small = small_degree_set(g, degree_bound(MinimalityClass.VERTEX_MIN_CONN, k))
-    counts = {
-        MinimalityClass.EDGE_MIN_CONN: len(deg_k),
-        MinimalityClass.VERTEX_MIN_CONN: len(deg_small),
-        MinimalityClass.EDGE_MIN_EDGE_CONN: len(deg_k),
-        MinimalityClass.VERTEX_MIN_EDGE_CONN: len(deg_k),
-    }
-    failures = [
-        cls for cls in held if counts[cls] < required_count(cls, k, g)
-    ]
-    witnesses = sorted(
-        {v for cls in held for v in small_degree_set(g, degree_bound(cls, k))}
-    )
+    small = {cls: small_degree_set(g, degree_bound(cls, k)) for cls in held}
+    failures = [cls for cls in held if len(small[cls]) < required_count(cls, k, g)]
+    witnesses = sorted(set().union(*small.values()))
     return deg_k, deg_small, failures, witnesses
 
 

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import NoSuchEdge, TooSmall
+from .errors import InvalidParams, NoSuchEdge, TooSmall
 from .flow import INF, FlowNetwork
-from .graphs import Edge, Graph, components_of_subset, edge_boundary
+from .graphs import Edge, Graph, MultiGraph, components_of_subset, edge_boundary
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,14 @@ class Cut:
 
 @dataclass(frozen=True)
 class DisjointPaths:
-    """A maximum family of disjoint A-B paths plus its Menger dual."""
+    """A maximum family of disjoint A-B paths plus its Menger dual: the
+    separator's vertices in vertex mode, the cut's edges in edge mode."""
 
     mode: str
     count: int
     paths: tuple[tuple[int, ...], ...]
-    separator: Separator | None
-    cut: Cut | None
+    separator: tuple[int, ...] | None
+    cut: tuple[Edge, ...] | None
 
 
 # ---------------------------------------------------------------------------
@@ -74,23 +75,23 @@ class DisjointPaths:
 # ---------------------------------------------------------------------------
 
 
-def _split_network(g: Graph, uncapped=frozenset()) -> FlowNetwork:
+def _split_network(n: int, edges) -> FlowNetwork:
     # node 2v = v_in, 2v+1 = v_out, and arc 2v is v_in->v_out; edge i of
-    # `g.edges()` follows as arcs 2n + 4i (u_out->v_in) and 2n + 4i + 2
+    # `edges` follows as arcs 2n + 4i (u_out->v_in) and 2n + 4i + 2
     # (v_out->u_in).  The last two nodes are the super-source and sink of
     # `max_disjoint_paths`, isolated in the pair loops
-    net = FlowNetwork(2 * g.n + 2)
-    for v in range(g.n):
-        net.add_arc(2 * v, 2 * v + 1, INF if v in uncapped else 1)
-    for u, v in g.edges():
+    net = FlowNetwork(2 * n + 2)
+    for v in range(n):
+        net.add_arc(2 * v, 2 * v + 1, 1)
+    for u, v in edges:
         net.add_arc(2 * u + 1, 2 * v, INF)
         net.add_arc(2 * v + 1, 2 * u, INF)
     return net
 
 
-def _separator_from_residual(g: Graph, net: FlowNetwork, source: int) -> tuple[int, ...]:
+def _separator_from_residual(n: int, net: FlowNetwork, source: int) -> tuple[int, ...]:
     reach = net.residual_reachable(source)
-    return tuple(v for v in range(g.n) if 2 * v in reach and 2 * v + 1 not in reach)
+    return tuple(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach)
 
 
 def _separator(g: Graph, vertices: tuple[int, ...]) -> Separator:
@@ -173,13 +174,13 @@ def min_separator_containing(g: Graph, x: int) -> Separator | None:
 # ---------------------------------------------------------------------------
 
 
-def _edge_network(g) -> FlowNetwork:
+def _edge_network(n: int, edges, mult=None) -> FlowNetwork:
     # node v = v, one undirected pair per edge class with its multiplicity
-    # as capacity; the last two nodes as in `_split_network`
-    net = FlowNetwork(g.n + 2)
-    mult = g.multiplicity
-    for u, v in g.edges():
-        net.add_undirected(u, v, mult(u, v))
+    # `mult(u, v)` as capacity (1 without `mult`); the last two nodes as in
+    # `_split_network`
+    net = FlowNetwork(n + 2)
+    for u, v in edges:
+        net.add_undirected(u, v, 1 if mult is None else mult(u, v))
     return net
 
 
@@ -269,12 +270,12 @@ class _Connectivity:
 
     @cached_property
     def split(self) -> tuple[FlowNetwork, list[int]]:
-        net = _split_network(self.g)
+        net = _split_network(self.g.n, self.g.edges())
         return net, list(net.cap)
 
     @cached_property
     def edge(self) -> tuple[FlowNetwork, list[int]]:
-        net = _edge_network(self.g)
+        net = _edge_network(self.g.n, self.g.edges(), self.g.multiplicity)
         return net, list(net.cap)
 
     def min_separator(self) -> Separator | None:
@@ -332,7 +333,7 @@ class _Connectivity:
         for s, t in _kappa_pairs(self.g, removed):
             value = _restored_flow(self.split, 2 * s + 1, 2 * t, best + 1, cut)
             if value <= best:
-                sep = _separator_from_residual(self.g, self.split[0], 2 * s + 1)
+                sep = _separator_from_residual(self.g.n, self.split[0], 2 * s + 1)
                 yield value, tuple(v for v in sep if v != removed)
                 best = value
 
@@ -424,16 +425,28 @@ def _decompose_paths(net: FlowNetwork, caps: list[int], source: int, sink: int, 
     return paths
 
 
-def max_disjoint_paths(g: Graph, a_side, b_side, mode: str = "vertex",
-                       endpoint_exempt: bool = True) -> DisjointPaths:
-    """Maximum family of disjoint A-B paths with a matching dual certificate.
+def max_disjoint_paths(g, a_side, b_side, mode: str = "vertex") -> DisjointPaths:
+    """Maximum family of disjoint A-B paths with its Menger dual.
 
-    mode="vertex": paths are vertex-disjoint; with `endpoint_exempt` (the
-    classical Menger setting) vertices of A and B may be shared and the
-    dual separator avoids them, otherwise paths are disjoint everywhere
-    and the separator may cut inside A or B.
-    mode="edge": edge-disjoint paths, dual is an edge cut.
+    Paths are disjoint everywhere, endpoints included: vertex-disjoint for
+    mode="vertex", dual to the source-minimal A-B separator, which may
+    meet A and B (Menger's theorem in its A-B form); edge-disjoint for
+    mode="edge", dual to the source-minimal A-B edge cut.  `g` is anything
+    whose `neighbors(v)` lists v's neighbours, a `Graph` or a family's
+    `Ball`; a `MultiGraph` is refused, since rows carry no multiplicities.
+
+    The flow runs on the live part of G.  The live set L is what B
+    reaches in G - A, found by one search that stops at A.  Every A-B
+    path has a suffix from its last A vertex, and that suffix is an A-B
+    path inside L plus one A vertex; so the flow has the same value on L
+    and the A vertices that touch L.  The other components of G - A touch
+    only A: they carry no flow and lie on the source side, so the
+    source-minimal separator or cut is the same too.  The kept vertices
+    are numbered in increasing order, which keeps the order of
+    separators and cut edges; paths and dual come back in G's labels.
     """
+    if isinstance(g, MultiGraph):
+        raise InvalidParams("disjoint paths read neighbour rows, which carry no multiplicities")
     A = frozenset(a_side)
     B = frozenset(b_side)
     if not A or not B:
@@ -442,39 +455,42 @@ def max_disjoint_paths(g: Graph, a_side, b_side, mode: str = "vertex",
         raise TooSmall("endpoint sets must be disjoint")
     if mode not in ("vertex", "edge"):
         raise ValueError(f"unknown mode {mode!r}")
-    direct: list[tuple[int, ...]] = []
+    seen = set(B)
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        if v in A:
+            continue
+        for w in g.neighbors(v):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    keep = sorted(seen)
+    new = {v: i for i, v in enumerate(keep)}
+    edges = [(i, new[w]) for i, v in enumerate(keep)
+             for w in sorted(g.neighbors(v)) if w > v and w in new]
+    n = len(keep)
     if mode == "vertex":
-        uncapped = (A | B) if endpoint_exempt else frozenset()
-        net, width = _split_network(g, uncapped), 2
-        if endpoint_exempt:
-            # A direct A-B edge is itself a path and would otherwise give the
-            # exempted endpoints unbounded throughput; take such edges out
-            # first (the adjacent-endpoints case of Menger's theorem) by
-            # zeroing both of their arcs.
-            for i, (u, v) in enumerate(g.edges()):
-                if (u in A and v in B) or (v in A and u in B):
-                    direct.append((u, v) if u in A else (v, u))
-                    a = 2 * g.n + 4 * i
-                    net.cap[a] = net.cap[a + 2] = 0
+        net, width = _split_network(n, edges), 2
     else:
-        net, width = _edge_network(g), 1
+        net, width = _edge_network(n, edges), 1
     # vertex v enters the network at width*v and leaves at width*v + width-1
     src, snk = net.n - 2, net.n - 1
-    for a in sorted(A):
-        net.add_arc(src, width * a, INF)
+    for a in sorted(A.intersection(new)):
+        net.add_arc(src, width * new[a], INF)
     for b in sorted(B):
-        net.add_arc(width * b + width - 1, snk, INF)
+        net.add_arc(width * new[b] + width - 1, snk, INF)
     caps = list(net.cap)
     value = net.max_flow(src, snk)
-    sep = cut = None
     if mode == "vertex":
-        sep = _separator(g, _separator_from_residual(g, net, src))
-        size = sep.size
+        dual = tuple(keep[v] for v in _separator_from_residual(n, net, src))
     else:
-        cut = _cut_from_side(g, {v for v in net.residual_reachable(src) if v < g.n})
-        size = cut.size
-    paths = _decompose_paths(
-        net, caps, src, snk, lambda node: node // width if node < width * g.n else None
-    )
-    assert value == size, "Menger duality must certify the count"
-    return DisjointPaths(mode, value + len(direct), tuple(direct) + tuple(paths), sep, cut)
+        reach = net.residual_reachable(src)
+        dual = tuple((keep[u], keep[w]) for u, w in edges if (u in reach) != (w in reach))
+    assert value == len(dual), "Menger duality must certify the count"
+    paths = tuple(_decompose_paths(
+        net, caps, src, snk, lambda node: keep[node // width] if node < width * n else None
+    ))
+    if mode == "vertex":
+        return DisjointPaths(mode, value, paths, dual, None)
+    return DisjointPaths(mode, value, paths, None, dual)

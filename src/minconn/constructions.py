@@ -102,13 +102,12 @@ def cycle_clique_strong(k: int, length: int) -> Graph:
     return strong_product(cycle_graph(length), complete_graph(k // 2))
 
 
-def cycle_clique_strong_odd(k: int, length: int, drop: tuple[tuple[int, int], tuple[int, int]] = ((0, 0), (1, 0))) -> Graph:
+def cycle_clique_strong_odd(k: int, length: int) -> Graph:
     """Odd-k analogue of `cycle_clique_strong`, by deletion.
 
-    Builds C_length boxtimes K^{(k+1)/2} and removes two vertices from
-    adjacent cycle positions.  Which two are removed is a free choice
-    (`drop` gives (position, clique-slot) pairs); no canonical variant is
-    claimed, only that the default produces vertices of degree
+    Builds C_length boxtimes K^{(k+1)/2} and removes slot 0 at cycle
+    positions 0 and 1, two adjacent vertices.  No canonical choice of the
+    pair is claimed, only that this one produces vertices of degree
     floor(3k/2)-1.
     """
     if k % 2 == 0 or k < 3:
@@ -116,9 +115,6 @@ def cycle_clique_strong_odd(k: int, length: int, drop: tuple[tuple[int, int], tu
     if length < 5:
         raise InvalidParams("need cycle length >= 5")
     w = (k + 1) // 2
-    (p1, c1), (p2, c2) = drop
-    if (p2 - p1) % length not in (1, length - 1):
-        raise InvalidParams("the two deleted vertices must sit on adjacent cycle positions")
     base = strong_product(cycle_graph(length), complete_graph(w))
-    g, _ = base.delete_vertices({p1 * w + c1, p2 * w + c2})
+    g, _ = base.delete_vertices({0, w})
     return g

@@ -14,11 +14,7 @@ class TooSmall(MinconnError):
 
 
 class TooLarge(MinconnError):
-    """Input exceeds a hard guard (e.g. brute-force connectivity beyond 12 vertices)."""
-
-
-class NotConnected(MinconnError):
-    """A connected graph was required."""
+    """Input exceeds a hard guard (the exhaustive enumerator's vertex cap)."""
 
 
 class EmptyRegion(MinconnError):

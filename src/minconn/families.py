@@ -899,56 +899,19 @@ def _cut_off(row, n: int, idx, mode: str, certificate: tuple, sources: set,
     return True
 
 
-def _live_flow(row, a_side, b_side, mode: str) -> tuple[int, tuple]:
-    """`max_disjoint_paths` between disjoint A and B, endpoints not
-    exempt, on the graph whose neighbours `row` lists, solved on its live
-    part: the count and the separator's vertices (vertex mode) or the
-    cut's edges (edge mode), in the graph's labels and order.
-
-    The live set L is what B reaches in G - A, found by one search that
-    stops at A.  Every A-B path has a suffix from its last A vertex, and
-    that suffix is an A-B path inside L plus one A vertex; so the flow
-    has the same value on L and the A vertices that touch L.  The other
-    components of G - A touch only A: they carry no flow and lie on the
-    source side, so the source-minimal separator or cut is the same too.
-    The kept vertices are numbered in increasing order, which keeps the
-    order of separators and cut edges.
-    """
-    a_set = set(a_side)
-    seen = set(b_side)
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        if v in a_set:
-            continue
-        for w in row(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    keep = sorted(seen)
-    new = dict(zip(keep, count()))
-    a_live = [new[a] for a in a_set if a in new]
-    if not a_live:  # B lies in components of G that hold no A vertex
-        return 0, ()
-    sub = Graph.from_adjacency([new[w] for w in row(v) if w in new] for v in keep)
-    res = max_disjoint_paths(sub, a_live, [new[v] for v in b_side], mode=mode, endpoint_exempt=False)
-    if mode == "vertex":
-        return res.count, tuple(keep[v] for v in res.separator.vertices)
-    return res.count, tuple((keep[u], keep[w]) for u, w in res.cut.edges)
-
-
 def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
                         r_max: int | None = None, window: int = 3,
                         strict: bool = False) -> EndDegreeEstimate:
     """Estimate the vertex- or edge-degree of an end on growing balls.
 
-    At each radius the value is the minimum separator (vertex mode,
-    endpoints not exempt) or edge cut between the family's base ball and
-    the direction's frontier, Menger-certified by a disjoint path family
-    of the same size and solved on the part of the ball that can carry
-    flow (`_live_flow`).  Values must never increase with the radius; the
-    estimate converges once a full window of radii agrees and the
-    certificate still separates on the ball two radii further out.
+    At each radius the value is the minimum separator (vertex mode, which
+    may meet the base or the frontier) or edge cut between the family's
+    base ball and the direction's frontier, Menger-certified by a
+    disjoint path family of the same size (`max_disjoint_paths`, which
+    solves on the part of the ball that can carry flow).  Values must
+    never increase with the radius; the estimate converges once a full
+    window of radii agrees and the certificate still separates on the
+    ball two radii further out.
     Radii run up to `r_max`, capped by (and by default equal to) the
     family's `max_radius()`.
 
@@ -965,18 +928,19 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
         raise InvalidParams(f"radius bound {r_hi} is below the start radius {start}")
     base = ball(f, f.base_radius())
     base_tags = set(base.tags)
+    n_base = len(base.tags)  # BFS numbering makes the base an index prefix of every ball
 
     history: list[tuple[int, int]] = []
     upper: int | None = None
     for r in range(start, r_hi + 1):
         b = ball(f, r)
-        a_idx = [b.index[t] for t in base.tags]
         b_idx = [i for i in b.frontier if f.in_direction(b.tags[i], end)]
         if not b_idx:
             raise ValidationFailed(
                 f"direction {end.label!r} has an empty frontier at radius {r}"
             )
-        v, dual = _live_flow(b.neighbors, a_idx, b_idx, mode)
+        res = max_disjoint_paths(b, range(n_base), b_idx, mode)
+        v = res.count
         if upper is not None and v > upper:
             raise ValidationFailed(
                 f"estimate increased from {upper} to {v} at radius {r}"
@@ -985,9 +949,9 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
         history.append((r, v))
         if len(history) >= window and all(val == v for _, val in history[-window:]):
             if mode == "vertex":
-                cert = tuple(b.tags[i] for i in dual)
+                cert = tuple(b.tags[i] for i in res.separator)
             else:
-                cert = tuple((b.tags[u], b.tags[w]) for u, w in dual)
+                cert = tuple((b.tags[u], b.tags[w]) for u, w in res.cut)
             if not _certificate_separates(f, end, mode, cert, r + 2, base_tags):
                 raise ValidationFailed(
                     f"certificate of size {v} stopped separating at radius {r + 2}"

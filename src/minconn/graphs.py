@@ -86,9 +86,6 @@ class Graph:
     def edges(self) -> list[Edge]:
         return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def min_degree(self) -> int:
         return min(self.degrees()) if self.n else 0
 

@@ -129,7 +129,7 @@ def graph_id(g) -> str:
     return to_graph6(g)
 
 
-def to_json_obj(g, labels: dict[str, int] | None = None, **extra) -> dict:
+def to_json_obj(g, labels: dict[str, int] | None = None) -> dict:
     """JSON-ready dict: {"n":…, "edges":[[u,v],…], "labels":{…}}."""
     if isinstance(g, MultiGraph):
         edges = [[u, v, k] for (u, v), k in sorted(g.mult.items())]
@@ -138,6 +138,5 @@ def to_json_obj(g, labels: dict[str, int] | None = None, **extra) -> dict:
     obj = {"n": g.n, "edges": edges}
     if labels is not None:
         obj["labels"] = dict(sorted(labels.items()))
-    obj.update(extra)
     return obj
 

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 from minconn.connectivity import min_edge_cut, min_vertex_separator
 from minconn.errors import TooLarge, TooSmall
+from minconn.flow import INF, FlowNetwork
 from minconn.graphs import (
     Graph,
     MultiGraph,
@@ -107,6 +108,34 @@ def cut_without_by_copy(g, x: int):
     cut = min_edge_cut(h)
     edges = tuple((old[u], old[v]) for u, v in cut.edges)
     return cut.size, edges, tuple(frozenset(old[v] for v in side) for side in cut.sides)
+
+
+def whole_graph_flow(g: Graph, a_side, b_side, mode: str) -> tuple[int, tuple]:
+    """The A-B max flow on all of G, paths disjoint at their endpoints too,
+    with its source-minimal dual: the separator's vertices (vertex mode)
+    or the cut's edges (edge mode).  The reference for
+    `max_disjoint_paths`, which solves on the live part only."""
+    width = 2 if mode == "vertex" else 1
+    src, snk = width * g.n, width * g.n + 1
+    net = FlowNetwork(width * g.n + 2)
+    for u, v in g.edges():
+        if mode == "vertex":
+            net.add_arc(2 * u + 1, 2 * v, INF)
+            net.add_arc(2 * v + 1, 2 * u, INF)
+        else:
+            net.add_undirected(u, v, 1)
+    if mode == "vertex":
+        for v in range(g.n):
+            net.add_arc(2 * v, 2 * v + 1, 1)
+    for a in a_side:
+        net.add_arc(src, width * a, INF)
+    for b in b_side:
+        net.add_arc(width * b + width - 1, snk, INF)
+    value = net.max_flow(src, snk)
+    reach = net.residual_reachable(src)
+    if mode == "vertex":
+        return value, tuple(v for v in range(g.n) if 2 * v in reach and 2 * v + 1 not in reach)
+    return value, tuple(sorted((u, v) for u, v in g.edges() if (u in reach) != (v in reach)))
 
 
 def oracle_separates(f, end, mode: str, certificate: tuple, radius: int,

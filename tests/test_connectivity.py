@@ -18,7 +18,7 @@ from minconn.connectivity import (
     min_vertex_separator,
     vertex_connectivity,
 )
-from minconn.errors import NoSeparatorThroughVertex, TooSmall
+from minconn.errors import InvalidParams, NoSeparatorThroughVertex, TooSmall
 from minconn.flow import FlowNetwork
 from minconn.graphs import (
     Graph,
@@ -74,7 +74,7 @@ def two_pass_separator(g: Graph) -> tuple[int, ...] | None:
     kappa, _ = brute_force_connectivity(g)
     best = None
     for s, t in _kappa_pairs(g):
-        net = _split_network(g)
+        net = _split_network(g.n, g.edges())
         if net.max_flow(2 * s + 1, 2 * t, kappa + 1) == kappa:
             reach = net.residual_reachable(2 * s + 1)
             sep = tuple(v for v in range(g.n) if 2 * v in reach and 2 * v + 1 not in reach)
@@ -93,7 +93,7 @@ def two_pass_cut(g):
     best = None
     for t in range(g.n):
         if t != v0:
-            net = _edge_network(g)
+            net = _edge_network(g.n, g.edges(), g.multiplicity)
             if net.max_flow(v0, t, lam + 1) == lam:
                 cut = _cut_from_side(g, net.residual_reachable(v0))
                 if best is None or cut.edges < best.edges:
@@ -205,7 +205,7 @@ def assert_edge_cuts_match_fresh_networks(g):
     u-v cut on a network of its own."""
     conn = _Connectivity(g)
     for u, v in g.edges():
-        net = _edge_network(g)
+        net = _edge_network(g.n, g.edges(), g.multiplicity)
         net.max_flow(u, v)
         assert conn.cut_containing_edge((u, v)) == _cut_from_side(g, net.residual_reachable(u))
 
@@ -349,18 +349,14 @@ def _reaches(g: Graph, a, b, dead_vertices=(), dead_edges=()) -> bool:
 
 
 class TestDisjointPaths:
-    @pytest.mark.parametrize(
-        "mode,exempt",
-        [("vertex", True), ("vertex", False), ("edge", True)],
-        ids=["vertex-exempt", "vertex-strict", "edge"],
-    )
+    @pytest.mark.parametrize("mode", ["vertex", "edge"], ids=["vertex-strict", "edge"])
     @given(graphs(min_n=4, max_n=7), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_menger_duality(self, mode, exempt, g, data):
+    def test_menger_duality(self, mode, g, data):
         a = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=2))
         b_pool = sorted(set(range(g.n)) - a)
         b = data.draw(st.sets(st.sampled_from(b_pool), min_size=1, max_size=2))
-        res = max_disjoint_paths(g, sorted(a), sorted(b), mode=mode, endpoint_exempt=exempt)
+        res = max_disjoint_paths(g, sorted(a), sorted(b), mode=mode)
         assert len(res.paths) == res.count
         for p in res.paths:
             assert p[0] in a and p[-1] in b and len(p) >= 2
@@ -369,29 +365,20 @@ class TestDisjointPaths:
             # edge-disjoint, dual to an A-B edge cut of the same size
             used = [frozenset(e) for p in res.paths for e in zip(p, p[1:])]
             assert len(used) == len(set(used))
-            assert res.count == res.cut.size == len(res.cut.edges)
-            assert not _reaches(g, a, b, dead_edges=res.cut.edges)
-        elif exempt:
-            # internally disjoint; the dual separator avoids A and B, and the
-            # direct A-B edges, each a path of its own, complete it
-            inner = [v for p in res.paths for v in p[1:-1]]
-            assert len(inner) == len(set(inner))
-            direct = [p for p in res.paths if len(p) == 2]
-            assert not set(res.separator.vertices) & (a | b)
-            assert res.count == res.separator.size + len(direct)
-            assert not _reaches(g, a, b, res.separator.vertices, direct)
+            assert res.separator is None and res.count == len(res.cut)
+            assert not _reaches(g, a, b, dead_edges=res.cut)
         else:
             # disjoint everywhere, dual to a separator that may meet A or B
             used = [v for p in res.paths for v in p]
             assert len(used) == len(set(used))
-            assert res.count == res.separator.size
-            assert not _reaches(g, a, b, res.separator.vertices)
+            assert res.cut is None and res.count == len(res.separator)
+            assert not _reaches(g, a, b, res.separator)
 
     def test_vertex_paths_on_cycle(self):
-        g = cycle_graph(6)
-        res = max_disjoint_paths(g, [0], [3], mode="vertex")
-        assert res.count == 2
-        assert res.separator is not None and len(res.separator.vertices) == 2
+        # the endpoints are not exempt, so the one vertex of A separates
+        res = max_disjoint_paths(cycle_graph(6), [0], [3], mode="vertex")
+        assert res.count == 1
+        assert res.separator == (0,)
 
     def test_edge_paths_on_cycle(self):
         g = cycle_graph(6)
@@ -402,6 +389,14 @@ class TestDisjointPaths:
         # With endpoints not exempt the two leaves of a path are split
         # by any single inner vertex, and even by a side vertex itself.
         g = path_graph(5)
-        res = max_disjoint_paths(g, [0], [4], mode="vertex", endpoint_exempt=False)
+        res = max_disjoint_paths(g, [0], [4], mode="vertex")
         assert res.count == 1
-        assert res.separator is not None and len(res.separator.vertices) == 1
+        assert res.separator is not None and len(res.separator) == 1
+
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_multigraph_refused(self, mode):
+        # neighbour rows carry no multiplicities, so a multigraph would be
+        # solved as its skeleton
+        g = MultiGraph(3, [(0, 1, 2), (1, 2, 2)])
+        with pytest.raises(InvalidParams):
+            max_disjoint_paths(g, [0], [2], mode=mode)

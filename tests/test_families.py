@@ -18,7 +18,6 @@ from minconn.families import (
     _blocks_containing,
     _certify_blocks,
     _certificate_separates,
-    _live_flow,
     _oracle_ball,
     ball,
     certify_essential_edges,
@@ -35,7 +34,7 @@ from minconn.graphs import (
     path_graph,
     strong_product,
 )
-from oracles import oracle_separates
+from oracles import oracle_separates, whole_graph_flow
 
 ALL_SPECS = [
     "double-ray",
@@ -422,11 +421,11 @@ class TestLiveFlow:
     @given(graphs_with_dead_parts(), st.sampled_from(["vertex", "edge"]))
     @settings(max_examples=300, deadline=None)
     def test_equals_whole_graph_flow(self, drawn, mode):
+        # `max_disjoint_paths` solves on the live part only
         g, a_side, b_side = drawn
-        count, cut = _live_flow(g.neighbors, a_side, b_side, mode)
-        res = max_disjoint_paths(g, a_side, b_side, mode=mode, endpoint_exempt=False)
-        assert count == res.count
-        assert cut == (res.separator.vertices if mode == "vertex" else res.cut.edges)
+        res = max_disjoint_paths(g, a_side, b_side, mode=mode)
+        dual = res.separator if mode == "vertex" else res.cut
+        assert (res.count, dual) == whole_graph_flow(g, a_side, b_side, mode)
 
 
 class TestEndDegree:

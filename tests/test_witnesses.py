@@ -1,5 +1,6 @@
 import pytest
 
+from minconn import witnesses
 from minconn.constructions import band_graph, cycle_clique_strong, multipath, path_square_example
 from minconn.errors import ClassMismatch, InvalidParams, NoSuchEdge, PreconditionViolated
 from minconn.graphs import (
@@ -13,6 +14,7 @@ from minconn.graphs import (
 )
 from minconn.minimality import MinimalityClass, check_class
 from minconn.witnesses import (
+    MinimalRegionResult,
     boundary_edge_count,
     crossing_separators_witness,
     default_profound_region,
@@ -269,6 +271,34 @@ class TestCutSplitting:
     def test_rejects_non_member(self):
         with pytest.raises(PreconditionViolated):
             edge_min_witness_pair(complete_graph(4), 2)
+
+    @pytest.mark.parametrize("g,k", [
+        (path_square_example(10).graph, 3),
+        (path_square_example(12).graph, 3),
+        (path_square_example(20).graph, 3),
+        (multipath(2, 5), 2),
+        (multipath(3, 8), 3),
+        (cycle_graph(9), 2),
+    ], ids=["path-square-10", "path-square-12", "path-square-20",
+            "multipath-2-5", "multipath-3-8", "cycle-9"])
+    def test_cut_splitting_from_unshrunk_sides(self, monkeypatch, g, k):
+        # The region search ends on one vertex on every input we have, so
+        # the cut-splitting loop is reached only when the search hands back
+        # the min-cut side itself, as a local search may.
+        monkeypatch.setattr(witnesses, "minimal_region_small_edge_boundary",
+                            lambda host, region, m: MinimalRegionResult(region, "local"))
+        t = edge_min_witness_pair(g, k)
+        assert sum(len(side.steps) for side in (t.first, t.second)) >= 1
+        for side in (t.first, t.second):
+            assert side.region == side.side and side.search_flag == "local"
+            current = set(side.region)
+            for step in side.steps:
+                assert sum(g.multiplicity(u, v) for u, v in step.cut) == k
+                nxt = set(step.descended_to)
+                assert nxt < current
+                current = nxt
+            assert current == {side.witness}
+            assert side.degree == g.degree(side.witness) == k
 
     def test_one_edge_network_per_run(self, corpus7, network_sizes):
         # The membership check, the minimum cut and every descent step's
