@@ -11,10 +11,10 @@ CSR adjacency); its `Graph` is only built when a caller asks for it.
 
 On a clique tree a vertex's BFS index is its rk-ary heap number, because
 the oracle lists a vertex's children first and in order, so BFS
-discovers them in order.  Its balls, its end-degree recheck and its
-essential-edge certification therefore work on indices by arithmetic and
-never ask the tag oracle; certification reads each edge's block off the
-numbering and builds no ball at all, decoding tags only for its report.
+discovers them in order.  Its end-degree estimate, recheck and
+essential-edge certification read balls as heap numbers -- rows by
+arithmetic, a direction's frontier as one index range, tags decoded only
+for reports -- and build no ball but the estimator's base.
 
 A family's ends are described by directions: for the double-ray-like
 families the two column signs, for tree-like families the branch
@@ -34,7 +34,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
-from itertools import chain, count, islice, product
+from itertools import chain, count, product
+from types import SimpleNamespace
 
 from .connectivity import max_disjoint_paths
 from .errors import InvalidParams, NotConverged, ValidationFailed
@@ -45,8 +46,9 @@ from .witnesses import degree_bound
 
 Tag = object  # any hashable value; each family documents its tag shape
 
-# The most vertices a clique tree's estimator may build a ball of: its
-# largest ball is ball(6) of an rk = 8 tree, 299,593 vertices.
+# The most vertices of the heap window ball(r) a clique tree's estimator
+# may measure on (it lists only the live rows): the largest is ball(6) of
+# an rk = 8 tree, 299,593 vertices.
 BALL_BUDGET = 300_000
 
 
@@ -424,7 +426,7 @@ class CliqueTree(_OnBase):
         return self.base.in_direction(tag, end)
 
     def max_radius(self):
-        # the largest radius whose ball fits the budget: 17, 8, 6 at rk = 2, 4, 8
+        # the largest radius whose heap window fits the budget: 17, 8, 6 at rk = 2, 4, 8
         return next(r for r in count() if self.ball_size(r + 1) > BALL_BUDGET)
 
     def degree_set(self):
@@ -651,7 +653,7 @@ FAMILY_KINDS = {
 
 
 def _parse_params(head: str, rest: str, keys: tuple[str, ...]) -> dict[str, int]:
-    """The integer parameters of a spec "head:key=value,...", all of `keys`."""
+    """The integer parameters of a spec "head:key=value,...", each of `keys` once."""
     params: dict[str, int] = {}
     if rest:
         for part in rest.split(","):
@@ -659,6 +661,8 @@ def _parse_params(head: str, rest: str, keys: tuple[str, ...]) -> dict[str, int]
             key = key.strip()
             if key not in keys:
                 raise InvalidParams(f"{head!r} takes {keys}, not {key!r}")
+            if key in params:
+                raise InvalidParams(f"{head!r} is given {key!r} twice")
             try:
                 params[key] = int(val)
             except ValueError as exc:
@@ -702,39 +706,16 @@ def find_end(f: Family, label: str) -> EndDescriptor:
 
 @lru_cache(maxsize=16)
 def ball(f: Family, radius: int) -> Ball:
-    """The ball of the given radius around the family's center.
+    """The ball of the given radius around the family's center, built in
+    one oracle pass (`_oracle_ball`).
 
     Vertices are indexed in BFS discovery order, which the deterministic
-    neighbor lists make reproducible.  On a clique tree that order is
-    the rk-ary heap numbering, because its oracle lists a vertex's
-    children first and in order, so BFS discovers them in order; its
-    balls are built by that arithmetic.  Every other family's ball comes
-    from one oracle pass (`_oracle_ball`).
+    neighbor lists make reproducible; on a clique tree that order is the
+    rk-ary heap numbering.
     """
     if radius < 0:
         raise InvalidParams("radius must be non-negative")
-    if isinstance(f, CliqueTree):
-        return _level_order_ball(f, radius)
     return _oracle_ball(f, radius)
-
-
-def _level_order_ball(f: CliqueTree, radius: int) -> Ball:
-    """The clique tree's ball from its heap numbering: tags level by
-    level, rows from `CliqueTree.index_row`."""
-    rk, n = f.r * f.k, f.ball_size(radius)
-    tags = [()]
-    dist = array("i", [0])
-    for d in range(1, radius + 1):
-        parents = islice(tags, len(tags) - rk ** (d - 1), None)
-        tags += [t + (c,) for t in parents for c in range(rk)]
-        dist += array("i", [d]) * rk ** d
-    offsets, targets = array("i", [0]), array("i")
-    for i in range(n):
-        targets.fromlist(f.index_row(i, n))
-        offsets.append(len(targets))
-    tags = tuple(tags)
-    index = dict(zip(tags, count()))  # on CPython 3.11, range()'s ints take 4 bytes more
-    return Ball(f, radius, tags, index, dist, offsets, targets)
 
 
 def _oracle_ball(f: Family, radius: int) -> Ball:
@@ -915,6 +896,11 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
     Radii run up to `r_max`, capped by (and by default equal to) the
     family's `max_radius()`.
 
+    A clique tree's ball(r) is read as heap numbers, not built: rows from
+    `index_row`, and the direction's frontier, its descendants m = r - depth
+    levels down, as the rk^m numbers from index_of(direction) * rk^m +
+    ball_size(m - 1).
+
     With `strict`, a non-converged estimate raises NotConverged instead
     of being returned.
     """
@@ -933,13 +919,21 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
     history: list[tuple[int, int]] = []
     upper: int | None = None
     for r in range(start, r_hi + 1):
-        b = ball(f, r)
-        b_idx = [i for i in b.frontier if f.in_direction(b.tags[i], end)]
+        if isinstance(f, CliqueTree):
+            rk, m = f.r * f.k, r - len(end.direction)
+            first = f.index_of(end.direction) * rk ** m + f.ball_size(m - 1)
+            b_idx = range(first, first + rk ** m)
+            g = SimpleNamespace(neighbors=partial(f.index_row, n=f.ball_size(r)))
+            tag = f.tag_of
+        else:
+            g = ball(f, r)
+            b_idx = [i for i in g.frontier if f.in_direction(g.tags[i], end)]
+            tag = g.tags.__getitem__
         if not b_idx:
             raise ValidationFailed(
                 f"direction {end.label!r} has an empty frontier at radius {r}"
             )
-        res = max_disjoint_paths(b, range(n_base), b_idx, mode)
+        res = max_disjoint_paths(g, range(n_base), b_idx, mode)
         v = res.count
         if upper is not None and v > upper:
             raise ValidationFailed(
@@ -949,9 +943,9 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
         history.append((r, v))
         if len(history) >= window and all(val == v for _, val in history[-window:]):
             if mode == "vertex":
-                cert = tuple(b.tags[i] for i in res.separator)
+                cert = tuple(map(tag, res.separator))
             else:
-                cert = tuple((b.tags[u], b.tags[w]) for u, w in res.cut)
+                cert = tuple((tag(u), tag(w)) for u, w in res.cut)
             if not _certificate_separates(f, end, mode, cert, r + 2, base_tags):
                 raise ValidationFailed(
                     f"certificate of size {v} stopped separating at radius {r + 2}"

@@ -441,10 +441,16 @@ def _descend_to_degree_k_vertex(conn: _Connectivity, side, k: int) -> EdgeMinSid
 
     First an inclusion-minimal region with edge boundary <= k is searched;
     if it still has an inner edge (possible only when the search was
-    heuristic), the cut-splitting argument strictly shrinks it: a k-cut
-    through the inner edge splits the region into two non-empty parts, and
-    a counting of the four boundary pieces always exposes a strictly
-    smaller region with edge boundary <= k.
+    heuristic), the cut-splitting argument strictly shrinks it.  A k-cut
+    through an inner edge of the region H has sides A and B, each holding
+    one end of the edge, so A∩H and B∩H are non-empty proper parts of H.
+    Write d for the edge boundary, counted with multiplicity: d(H) <= k,
+    and d(A) = k is G's edge-connectivity, which `edge_min_witness_pair`
+    checks.  If B ⊄ H, then A∪H is a proper non-empty vertex set, so
+    d(A∪H) >= k, and submodularity gives
+    d(A∩H) <= d(A) + d(H) - d(A∪H) <= k.  If B ⊆ H, then B∩H = B and
+    d(B) = d(A) = k.  So the region becomes the first of A∩H and B∩H
+    with d <= k; one always exists.
     """
     g = conn.g
     start = region_of(g, side)
@@ -467,22 +473,9 @@ def _descend_to_degree_k_vertex(conn: _Connectivity, side, k: int) -> EdgeMinSid
         A_H, B_H = A & H, B & H
         assert A_H and B_H, "an inner cut edge splits the region"
 
-        small = next((P for P in (A_H, B_H) if boundary_edge_count(g, P) <= k), None)
-        if small is not None:
-            assert len(components_of_subset(g, small)) == 1, "a boundary <= k admits only one component"
-            new_H = small
-        elif A <= H:
-            new_H = A
-        elif B <= H:
-            comps = components_of_subset(g, B)
-            assert len(comps) == 1
-            new_H = B
-        else:
-            raise PreconditionViolated(
-                "cut splitting failed; the graph is not edge-minimally "
-                f"{k}-edge-connected"
-            )
-        assert new_H < H, "descent must make strict progress"
+        new_H = next((P for P in (A_H, B_H) if boundary_edge_count(g, P) <= k), None)
+        assert new_H is not None, "submodularity leaves A∩H or B∩H with boundary <= k"
+        assert len(components_of_subset(g, new_H)) == 1, "a boundary <= k admits only one component"
         steps.append(DescentStep(e, cut.edges, tuple(sorted(new_H))))
         H = new_H
 

@@ -382,6 +382,15 @@ class TestConstruct:
         code, _, err = invoke(["construct", "hypercube:d=4"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["band:k=3,l=2,l=3"],
+        ["clique-tree:r=1,k=2,r=2", "--radius", "2"],
+    ])
+    def test_repeated_param(self, capsys, argv):
+        code, out, err = invoke(["construct", *argv], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "twice" in err
+
 
 class TestEndDegree:
     @pytest.mark.parametrize(
@@ -447,6 +456,13 @@ class TestEndDegree:
             ["end-degree", "strong-tree:r=3,k=2", "branch-9", "vertex"], capsys
         )
         assert code == 1
+
+    def test_repeated_param(self, capsys):
+        code, out, err = invoke(
+            ["end-degree", "clique-tree:r=1,k=2,k=3", "branch-0-0", "edge"], capsys
+        )
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "twice" in err
 
 
 class TestEnumerate:

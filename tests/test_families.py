@@ -70,6 +70,13 @@ class TestMakeFamily:
         with pytest.raises(InvalidParams):
             make_family("strong-dr:k=two")
 
+    @pytest.mark.parametrize("spec", ["clique-tree:r=1,k=2,k=3", "ray-bundle:l=4,k=4,l=8",
+                                      "strong-dr:k=2,k=2"])
+    def test_repeated_param(self, spec):
+        # the last value must not silently win, not even an equal one
+        with pytest.raises(InvalidParams, match="twice"):
+            make_family(spec)
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -186,22 +193,38 @@ class BallRouted(Family):
 
 
 class TestLevelOrderIndex:
-    """A clique tree's balls and recheck walk heap numbers; both must agree
-    with the tag oracle they replace."""
+    """A clique tree's estimator, recheck and certification read balls as
+    heap numbers; the arithmetic must agree with the oracle-built ball."""
 
     @pytest.mark.parametrize("r,k,r_max", LEVEL_ORDER_TREES)
     def test_ball_equals_oracle_build(self, r, k, r_max):
+        # The heap-numbered ball the estimator reads: rows, tags, and each
+        # direction's frontier as one range, the rk^m numbers from
+        # index_of(direction) * rk^m + ball_size(m - 1), m = radius - depth.
         f = make_family(f"clique-tree:r={r},k={k}")
+        rk = r * k
         for radius in range(r_max + 1):
-            b, o = ball(f, radius), _oracle_ball(f, radius)
-            assert b.tags == o.tags
-            assert list(b.index.items()) == list(o.index.items())
-            assert (b.dist, b.offsets, b.targets) == (o.dist, o.offsets, o.targets)
-            assert b.frontier == o.frontier
-            assert len(b.tags) == f.ball_size(radius)
-            assert [f.index_of(t) for t in b.tags] == list(range(len(b.tags)))
-            assert [f.tag_of(f.index_of(t)) for t in b.tags] == list(b.tags)
-            assert [f.tag_of(i) for i in range(len(b.tags))] == list(b.tags)
+            o = _oracle_ball(f, radius)
+            n = len(o.tags)
+            assert n == f.ball_size(radius)
+            assert all(f.index_row(i, n) == list(o.neighbors(i)) for i in range(n))
+            assert [f.index_of(t) for t in o.tags] == list(range(n))
+            assert [f.tag_of(f.index_of(t)) for t in o.tags] == list(o.tags)
+            assert [f.tag_of(i) for i in range(n)] == list(o.tags)
+            for depth in range(1, min(3, radius - 1) + 1):
+                # `in_direction` is prefix equality, so grouping the frontier
+                # by prefix lists [i for i in o.frontier if in_direction] for
+                # every direction in one pass
+                in_dir: dict[tuple, list[int]] = {}
+                for i in o.frontier:
+                    in_dir.setdefault(o.tags[i][:depth], []).append(i)
+                m = radius - depth
+                for end in f.ends(depth):
+                    first = f.index_of(end.direction) * rk ** m + f.ball_size(m - 1)
+                    heap = range(first, first + rk ** m)
+                    assert list(heap) == in_dir[end.direction]
+                    assert all(f.in_direction(o.tags[i], end) for i in heap)
+                assert len(in_dir) == len(f.ends(depth))
 
     def test_ball_keeps_its_cache(self):
         f = make_family("clique-tree:r=2,k=2")
@@ -299,6 +322,23 @@ class TestLevelOrderIndex:
         base_tags = set(ball(f, f.base_radius()).tags)
         assert _certificate_separates(f, end, mode, est.certificate, 7, base_tags)
         assert 0 < len(rows) <= 100
+
+    @pytest.mark.parametrize("label,mode", [("branch-5-0", "vertex"), ("branch-7-2", "edge")])
+    def test_estimator_builds_only_the_base_ball(self, label, mode, monkeypatch):
+        # Radii 3-5 and the recheck at 7 read heap numbers; the base ball
+        # is the one ball built.
+        f = make_family("clique-tree:r=2,k=4")
+        built = []
+
+        def recording_build(fam, radius):
+            built.append(radius)
+            return _oracle_ball(fam, radius)
+
+        monkeypatch.setattr(families, "_oracle_ball", recording_build)
+        ball.cache_clear()
+        est = end_degree_estimate(f, find_end(f, label), mode=mode)
+        assert est.converged and est.history[-1][0] == 5
+        assert built == [f.base_radius()]
 
 
 class TestFamilyStructure:
