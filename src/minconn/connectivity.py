@@ -9,14 +9,17 @@ Pair flows live in one `_Connectivity` record per graph, shared by the
 minimality predicates and the witness procedures.  It builds at most one
 split network and one edge network, and each cut kind has one pair loop
 (`vertex_flows`, `edge_flows`) after Even and Tarjan's fixed-source pair
-list (SIAM J. Comput. 1975).  A loop restores the network's capacity
-snapshot before every pair, stops each flow one unit above the best value
-so far and yields every pair that reaches it.  The scans keep the minimum
+list (SIAM J. Comput. 1975).  Each pair's flow resumes from that pair's
+last flow on the network, with the units on the arcs it cuts cancelled.
+A loop stops each flow one unit above the best value so far and yields
+every pair that reaches it.  The scans keep the minimum
 and, among its ties, the lexicographically smallest separator (or
 `Cut.edges`); kappa >= j and lambda >= j take the first pair below j,
 and lambda >= j needs no flow once kappa >= j is known (Whitney, Amer. J.
 Math. 1932: kappa <= lambda).  G - x is asked on G's networks with x's
-arcs cut, never on a copy.
+arcs cut, never on a copy.  A resumed flow that stops below its limit is
+maximum, and every maximum flow leaves the same residual side, so no
+answer depends on where a flow started.
 
 Conventions: disconnected graphs have connectivity 0, complete graphs have
 vertex connectivity n-1, and single-vertex graphs are rejected.
@@ -134,12 +137,15 @@ def _kappa_pairs(g: Graph, removed: int | None = None):
 def _vertex_scan(conn: "_Connectivity", removed: int | None = None) -> tuple[int, tuple[int, ...] | None]:
     """kappa of a connected graph (or of G - removed, connected) and the
     lexicographically smallest minimum separator among those the pairs
-    realise (None when complete)."""
-    best, best_sep = conn.g.n - 1 - (removed is not None), None
-    for value, sep in conn.vertex_flows(best, removed):
-        if value < best or best_sep is None or sep < best_sep:
-            best, best_sep = value, sep
-    return best, best_sep
+    realise (None when complete).  Each is scanned once per record."""
+    key = "vertex", removed
+    if key not in conn._scans:
+        best, best_sep = conn.g.n - 1 - (removed is not None), None
+        for value, sep in conn.vertex_flows(best, removed):
+            if value < best or best_sep is None or sep < best_sep:
+                best, best_sep = value, sep
+        conn._scans[key] = best, best_sep
+    return conn._scans[key]
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -195,15 +201,19 @@ def _cut_from_side(g, side, removed: int | None = None) -> Cut:
 def _edge_scan(conn: "_Connectivity", removed: int | None = None) -> tuple[int, Cut]:
     """lambda of a connected graph (or of G - removed, connected, with at
     least two vertices) and the minimum cut with the lexicographically
-    smallest `Cut.edges` among those `edge_flows` realises."""
-    best, best_cut = INF, None
-    for value, side in conn.edge_flows(best, removed):
-        if value == best and side == best_cut.sides[0]:
-            continue  # the same side cuts the same edges
-        cut = _cut_from_side(conn.g, side, removed)
-        if value < best or cut.edges < best_cut.edges:
-            best, best_cut = value, cut
-    return best, best_cut
+    smallest `Cut.edges` among those `edge_flows` realises.  Each is
+    scanned once per record."""
+    key = "edge", removed
+    if key not in conn._scans:
+        best, best_cut = INF, None
+        for value, side in conn.edge_flows(best, removed):
+            if value == best and side == best_cut.sides[0]:
+                continue  # the same side cuts the same edges
+            cut = _cut_from_side(conn.g, side, removed)
+            if value < best or cut.edges < best_cut.edges:
+                best, best_cut = value, cut
+        conn._scans[key] = best, best_cut
+    return conn._scans[key]
 
 
 def edge_connectivity(g) -> int:
@@ -233,15 +243,33 @@ def min_cut_containing_edge(g, e: Edge) -> Cut:
 # ---------------------------------------------------------------------------
 
 
-def _restored_flow(network: tuple[FlowNetwork, list[int]], s: int, t: int,
+def _restored_flow(network: tuple[FlowNetwork, list[int], dict], s: int, t: int,
                    limit: int, cut=()) -> int:
-    # One flow on a shared network: its snapshot restored, the arcs in
-    # `cut` at capacity 0.
-    net, caps = network
-    net.cap[:] = caps
+    # One s-t flow on a shared network with the arcs in `cut` at capacity
+    # 0, resumed from the pair's last flow (from the snapshot if none):
+    # the units on the cut arcs are cancelled, and the flow searches only
+    # when the value left is below `limit`.  The result is kept as a flow
+    # of the whole graph: the cut arcs carry none, so they go back to
+    # their snapshot capacity.  Every flow that stops below its limit is
+    # maximum whatever it started from, and every maximum flow leaves the
+    # same residual side, the source-minimal minimum cut; so values and
+    # residuals, and every answer read from them, equal a cold start's.
+    net, caps, flows = network
+    value, start = flows.get((s, t), (0, caps))
+    cap = net.cap = list(start)
     for a in cut:
-        net.cap[a] = 0
-    return net.max_flow(s, t, limit)
+        if cap[a] != caps[a]:
+            value -= net.cancel(caps, a, s, t)
+    for a in cut:
+        cap[a] = 0
+    if value < limit:
+        value += net.max_flow(s, t, limit - value)
+    else:
+        net._reached = None
+    for a in cut:
+        cap[a] = caps[a]
+    flows[s, t] = value, cap
+    return value if value < limit else limit
 
 
 class _Connectivity:
@@ -249,8 +277,11 @@ class _Connectivity:
     deletions; kappa >= j and lambda >= j about G, each answered once.
 
     `split` and `edge` are the graph's two networks, each built on first
-    use with its capacity snapshot; every flow starts from the snapshot.
-    G - v is asked with v's arcs cut, which leaves the flows of G - v.
+    use with its capacity snapshot and a dict of each pair's last flow, a
+    flow of G; a pair's first flow starts from the snapshot, and every
+    later one from that flow (`_restored_flow`).  G - v is asked with v's
+    arcs cut, which leaves the flows of G - v.  Each `_vertex_scan` and
+    `_edge_scan`, of G or of a G - v, runs once per record.
     Each cut kind's pair loop caps every flow at best + 1, yields each
     pair that reaches at most best and then lowers best to it.
 
@@ -267,16 +298,18 @@ class _Connectivity:
         self.g = g
         self._below: dict[int, tuple[int, ...] | None] = {}
         self._edge_conn: dict[int, bool] = {}
+        # ("vertex" or "edge", removed) -> what `_vertex_scan` or `_edge_scan` found
+        self._scans: dict[tuple[str, int | None], tuple] = {}
 
     @cached_property
-    def split(self) -> tuple[FlowNetwork, list[int]]:
+    def split(self) -> tuple[FlowNetwork, list[int], dict]:
         net = _split_network(self.g.n, self.g.edges())
-        return net, list(net.cap)
+        return net, list(net.cap), {}
 
     @cached_property
-    def edge(self) -> tuple[FlowNetwork, list[int]]:
+    def edge(self) -> tuple[FlowNetwork, list[int], dict]:
         net = _edge_network(self.g.n, self.g.edges(), self.g.multiplicity)
-        return net, list(net.cap)
+        return net, list(net.cap), {}
 
     def min_separator(self) -> Separator | None:
         g = self.g

@@ -12,6 +12,12 @@ the residual graph are the source side of the one source-minimal minimum
 cut, so cuts and separators do not depend on which maximum flow was found.
 The flow's last, failing search has already reached exactly those nodes,
 so the network keeps them instead of searching again.
+
+The same fact lets a flow resume instead of starting from zero: `cancel`
+takes the units off an arc pair that is about to be cut, and `max_flow`
+then augments the flow that is left.  Where that flow stops below its
+limit, it is maximum, and its residual side is the one a flow from zero
+would leave.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ class FlowNetwork:
         return self.add_arc(u, v, cap, cap)
 
     def max_flow(self, s: int, t: int, limit: int = INF) -> int:
-        """Push flow from s to t, stopping once `limit` is reached."""
+        """Push flow from s to t on top of the flow already in `cap`,
+        stopping once `limit` more is pushed; returns the amount pushed."""
         assert s != t
         to, cap = self.to, self.cap
         self._reached = None
@@ -73,6 +80,48 @@ class FlowNetwork:
                 cap[a ^ 1] += pushed
             flow += pushed
         return flow
+
+    def cancel(self, caps0: list[int], a: int, s: int, t: int) -> int:
+        """Take every unit of flow off the arc pair (a, a^1); returns how
+        much the net outflow of s fell.
+
+        The flow on an arc b is caps0[b] - cap[b], caps0 the capacities
+        it started from.  Each unit comes off whichever arc of the pair
+        carries it, and then off a walk of flow-carrying arcs forward
+        from that arc's head.  The walk ends at the arc's tail (the unit
+        went round a cycle) or at s or t; in the last case a second walk
+        goes backward from the tail to s or t.  Every other node stays
+        conserved.  Each step takes a unit off some arc, so the walks end
+        even where the flow has cycles; they go one unit at a time, so
+        the flow should be small.
+        """
+        to, cap, adj = self.to, self.cap, self.adj
+        if caps0[a] < cap[a]:
+            a ^= 1
+        u = to[a ^ 1]
+        fell = 0
+        for _ in range(caps0[a] - cap[a]):
+            cap[a] += 1
+            cap[a ^ 1] -= 1
+            v = to[a]
+            while v != u and v != s and v != t:
+                b = next(b for b in adj[v] if caps0[b] > cap[b])  # out of v
+                cap[b] += 1
+                cap[b ^ 1] -= 1
+                v = to[b]
+            if v == u:
+                continue
+            if v == s:
+                fell -= 1  # the unit came back into s
+            v = u
+            while v != s and v != t:
+                b = next(b ^ 1 for b in adj[v] if caps0[b ^ 1] > cap[b ^ 1])  # into v
+                cap[b] += 1
+                cap[b ^ 1] -= 1
+                v = to[b ^ 1]
+            if v == s:
+                fell += 1  # the unit had left s
+        return fell
 
     def _bfs(self, s: int, t: int) -> dict[int, int]:
         # Breadth-first search of the residual graph: maps each node reached

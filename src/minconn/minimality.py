@@ -35,10 +35,13 @@ each graph gets at most one split network and one edge network and
 each question about G is asked once: class b reuses class a's answers
 and (k+1)-separator, class c takes lambda >= k (and >= k+1) for free
 when kappa already reached it, and class d reuses class c's lambda >= k.
-Deletions never copy the graph: each flow restores the network's
-capacity snapshot and cuts the deleted element's arcs, u_out->v_in for
-class a, v_in->v_out for class b and both arcs of every pair at v for
-class d.  A predicate called on its own builds its own record.
+Deletions never copy the graph: each flow cuts the deleted element's
+arcs, u_out->v_in for class a, v_in->v_out for class b and both arcs of
+every pair at v for class d, and resumes from the pair's last flow with
+the units on those arcs cancelled.  A flow that stops below its limit is
+maximum from wherever it started, and every maximum flow leaves the same
+residual side, so each certificate is the one a flow from zero gives.
+A predicate called on its own builds its own record.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from minconn.connectivity import (
     _edge_scan,
     _kappa_pairs,
     _split_network,
+    _vertex_scan,
     edge_connectivity,
     is_k_connected,
     is_k_edge_connected,
@@ -163,6 +166,50 @@ class TestSharedRecord:
                         mp.setattr(FlowNetwork, "max_flow", None)
                         assert conn.edge_connected(j)
                 assert conn.edge_connected(j) == is_k_edge_connected(g, j)
+
+
+def record_questions(g):
+    """Every question a record answers about g and its one-vertex
+    deletions, as functions of the record.  Vertex questions are asked of
+    simple graphs only, and scans only of connected graphs."""
+    questions = []
+    for removed in [None, *range(g.n)]:
+        simple = isinstance(g, Graph)
+        for j in range(1, 5):
+            if simple:
+                questions.append(lambda c, j=j, r=removed: c.separator_below(j, r))
+            questions.append(lambda c, j=j, r=removed: c.edge_connected(j, r))
+        left = set(range(g.n)) - {removed}
+        if len(left) >= 2 and len(components_of_subset(g, left)) == 1:
+            if simple:
+                questions.append(lambda c, r=removed: _vertex_scan(c, r))
+            questions.append(lambda c, r=removed: _edge_scan(c, r))
+    for e in g.edges():
+        questions.append(lambda c, e=e: c.cut_containing_edge(e))
+    return questions
+
+
+def assert_warm_equals_cold(g, order):
+    """Each question asked in `order` of one record, whose flows resume
+    from the pair's last flow, equals it asked of a fresh record."""
+    questions = record_questions(g)
+    warm = _Connectivity(g)
+    for i in order:
+        assert questions[i](warm) == questions[i](_Connectivity(g)), (i, g)
+
+
+class TestWarmEqualsCold:
+    def test_corpus(self, small_corpus):
+        rng = random.Random(20)
+        for g in small_corpus:
+            m = len(record_questions(g))
+            assert_warm_equals_cold(g, [rng.randrange(m) for _ in range(2 * m)])
+
+    @given(multigraphs(min_n=3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_multigraphs(self, g, data):
+        m = len(record_questions(g))
+        assert_warm_equals_cold(g, data.draw(st.lists(st.integers(0, m - 1), max_size=2 * m)))
 
 
 def assert_deletions_match_copies(g):

@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from minconn.flow import INF, FlowNetwork
 
@@ -45,17 +45,25 @@ def min_cuts(net, caps, s, t):
     return best, by_value[best]
 
 
-def check_flow(net, caps, s, t, limit):
-    value = net.max_flow(s, t, limit)
-    best, sides = min_cuts(net, caps, s, t)
-    assert value == min(limit, best)
-    # the arc pairs conserve capacity and every node but s and t conserves flow
+def assert_flow(net, caps, s, t, value):
+    """The arc pairs conserve capacity, no arc is over capacity, and every
+    node but s and t conserves the flow caps - cap, which sends `value`
+    from s to t."""
     for a in range(0, len(caps), 2):
         assert net.cap[a] + net.cap[a + 1] == caps[a] + caps[a + 1]
     assert all(c >= 0 for c in net.cap)
     for u in range(net.n):
         out = sum(caps[a] - net.cap[a] for a in net.adj[u])
         assert out == (value if u == s else -value if u == t else 0)
+
+
+def check_flow(net, caps, s, t, limit, start=0):
+    """A flow from s to t, resumed from one of value `start` already in
+    net.cap, against brute-force minimum cuts."""
+    value = start + net.max_flow(s, t, limit - start)
+    best, sides = min_cuts(net, caps, s, t)
+    assert value == min(limit, best)
+    assert_flow(net, caps, s, t, value)
     if value < limit:
         assert net.residual_reachable(s) == set.intersection(*sides)
 
@@ -77,6 +85,40 @@ def test_second_flow_after_restore(net, data):
         s, t = data.draw(terminals(net.n))
         check_flow(net, caps, s, t, data.draw(st.sampled_from(LIMITS)))
 
+
+@given(networks(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_cancel_then_resume(net, data):
+    # the record's G - x flows: a pair's last flow, the units on a cut arc
+    # pair cancelled, the pair set to capacity 0, the flow resumed
+    caps = list(net.cap)
+    s, t = data.draw(terminals(net.n))
+    limit = data.draw(st.sampled_from(LIMITS))
+    value = net.max_flow(s, t, limit)
+    assume(caps and value < INF)  # cancel walks one unit at a time
+    a = data.draw(st.integers(0, len(caps) - 1))
+    value -= net.cancel(caps, a, s, t)
+    assert net.cap[a] == caps[a] and net.cap[a ^ 1] == caps[a ^ 1]
+    assert_flow(net, caps, s, t, value)
+    cut = list(caps)
+    cut[a] = cut[a ^ 1] = net.cap[a] = net.cap[a ^ 1] = 0
+    check_flow(net, cut, s, t, limit, value)
+
+
+def test_cancel_walks_around_a_flow_cycle():
+    # 0 -> 1 -> 2 -> 3 carries one unit and the cycle 1 -> 2 -> 4 -> 1
+    # another; cancelling 2 -> 4 leaves the path and the value
+    net = FlowNetwork(5)
+    path = [net.add_arc(0, 1, 1), net.add_arc(1, 2, 2), net.add_arc(2, 3, 1)]
+    cycle = [net.add_arc(2, 4, 1), net.add_arc(4, 1, 1)]
+    caps = list(net.cap)
+    for a in path + [path[1]] + cycle:
+        net.cap[a] -= 1
+        net.cap[a ^ 1] += 1
+    assert net.cancel(caps, cycle[0], 0, 3) == 0
+    assert [caps[a] - net.cap[a] for a in path + cycle] == [1, 1, 1, 0, 0]
+    assert net.cancel(caps, path[1], 0, 3) == 1
+    assert net.cap == caps
 
 
 def test_residual_needs_a_flow_below_its_limit():
