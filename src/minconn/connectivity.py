@@ -33,7 +33,7 @@ from itertools import combinations
 
 from .errors import InvalidParams, NoSuchEdge, TooSmall
 from .flow import INF, FlowNetwork
-from .graphs import Edge, Graph, MultiGraph, components_of_subset, edge_boundary
+from .graphs import Edge, Graph, MultiGraph, components_of_subset, edge_boundary, reachable
 
 
 @dataclass(frozen=True)
@@ -331,8 +331,9 @@ class _Connectivity:
         g = self.g
         if g.n < 3:
             raise TooSmall("need at least 3 vertices")
-        if len(components_of_subset(g, set(range(g.n)) - {x})) > 1:
-            return _separator(g, (x,))
+        comps = components_of_subset(g, set(range(g.n)) - {x})
+        if len(comps) > 1:
+            return Separator((x,), tuple(comps))
         _, sub = _vertex_scan(self, x)
         if sub is None:
             return None
@@ -342,8 +343,9 @@ class _Connectivity:
         g = self.g
         if g.n < 2:
             raise TooSmall("need at least 2 vertices")
-        if not g.is_connected():
-            return _cut_from_side(g, components_of_subset(g, range(g.n))[0])
+        side = reachable(g.neighbors, [0])
+        if len(side) < g.n:
+            return _cut_from_side(g, side)
         k, best = _edge_scan(self)
         assert best.size == k
         return best
@@ -488,17 +490,7 @@ def max_disjoint_paths(g, a_side, b_side, mode: str = "vertex") -> DisjointPaths
         raise TooSmall("endpoint sets must be disjoint")
     if mode not in ("vertex", "edge"):
         raise ValueError(f"unknown mode {mode!r}")
-    seen = set(B)
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        if v in A:
-            continue
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    keep = sorted(seen)
+    keep = sorted(reachable(lambda v: () if v in A else g.neighbors(v), B))
     new = {v: i for i, v in enumerate(keep)}
     edges = [(i, new[w]) for i, v in enumerate(keep)
              for w in sorted(g.neighbors(v)) if w > v and w in new]

@@ -40,7 +40,7 @@ from types import SimpleNamespace
 from .connectivity import max_disjoint_paths
 from .errors import InvalidParams, NotConverged, ValidationFailed
 from .flow import FlowNetwork
-from .graphs import Graph
+from .graphs import Graph, reachable
 from .minimality import MinimalityClass
 from .witnesses import degree_bound
 
@@ -815,7 +815,7 @@ def _certificate_separates(f: Family, end: EndDescriptor, mode: str,
     b = ball(f, radius)
     idx = b.index.__getitem__
     goal = {i for i in b.frontier if f.in_direction(b.tags[i], end)}
-    return _cut_off(b.neighbors, len(b.tags), idx, mode, certificate,
+    return _cut_off(b.neighbors, idx, mode, certificate,
                     {idx(t) for t in base_tags}, goal)
 
 
@@ -849,35 +849,24 @@ def _index_separates(f: CliqueTree, end: EndDescriptor, mode: str,
             stack.extend(range(rk * v + 1, rk * v + rk + 1))
         else:
             seeds.add(v)
-    return _cut_off(lambda v: f.index_row(v, n if v in marked else 0), n, idx, mode,
+    return _cut_off(lambda v: f.index_row(v, n if v in marked else 0), idx, mode,
                     certificate, seeds, {idx(t) for t in base_tags})
 
 
-def _cut_off(row, n: int, idx, mode: str, certificate: tuple, sources: set,
-             targets: set) -> bool:
+def _cut_off(row, idx, mode: str, certificate: tuple, sources: set, targets: set) -> bool:
     """Does the certificate, read into vertices by `idx`, cut every path
-    from `sources` to `targets` in the graph on 0..n-1 whose neighbours
-    `row` lists?  Blocked edges are coded u * n + w with u < w."""
+    from `sources` to `targets` in the graph whose neighbours `row` lists?
+    A source that is itself a target does not count.  Only the rows of a
+    cut edge's endpoints are filtered."""
+    avoid, cut = set(), {}
     if mode == "vertex":
-        blocked_v, blocked_e = {idx(t) for t in certificate}, set()
+        avoid = {idx(t) for t in certificate}
     else:
-        blocked_v = set()
-        blocked_e = {min(u, w) * n + max(u, w) for u, w in
-                     ((idx(a), idx(b)) for a, b in certificate)}
-    seen = sources - blocked_v
-    queue = list(seen)
-    while queue:
-        v = queue.pop()
-        for w in row(v):
-            if w in seen or w in blocked_v:
-                continue
-            if blocked_e and (v * n + w if v < w else w * n + v) in blocked_e:
-                continue
-            if w in targets:
-                return False
-            seen.add(w)
-            queue.append(w)
-    return True
+        for u, w in ((idx(a), idx(b)) for a, b in certificate):
+            cut.setdefault(u, set()).add(w)
+            cut.setdefault(w, set()).add(u)
+    live = lambda v: [w for w in row(v) if w not in cut[v]] if v in cut else row(v)
+    return targets.isdisjoint(reachable(live, sources, avoid) - sources)
 
 
 def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",

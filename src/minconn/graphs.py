@@ -104,7 +104,7 @@ class Graph:
         return components_of_subset(self, range(self.n))
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or len(reachable(self.neighbors, [0])) == self.n
 
     # -- derived graphs ------------------------------------------------
 
@@ -197,7 +197,7 @@ class MultiGraph:
         return list(self.mult)
 
     def is_connected(self) -> bool:
-        return self.skeleton().is_connected()
+        return self.n <= 1 or len(reachable(self.neighbors, [0])) == self.n
 
     def skeleton(self) -> Graph:
         """Underlying simple graph (multiplicities flattened)."""
@@ -236,33 +236,38 @@ class MultiGraph:
 # ---------------------------------------------------------------------------
 
 
+def reachable(row, sources, avoid=frozenset()) -> set[int]:
+    """Every vertex that a search from `sources` reaches without entering
+    `avoid`, where `row(v)` lists v's neighbours.  A source in `avoid` is
+    not reached."""
+    seen = {v for v in sources if v not in avoid}
+    stack = list(seen)
+    while stack:
+        for w in row(stack.pop()):
+            if w not in seen and w not in avoid:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def components_of_subset(g: Graph, vertices) -> list[frozenset[int]]:
     """Connected components of the subgraph induced on `vertices`.
 
     Sorted by smallest member, so the result is deterministic.
     """
     left = set(vertices)
+    outside = set(range(g.n)) - left
     comps = []
     while left:
-        start = min(left)
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in left and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        left -= seen
-        comps.append(frozenset(seen))
-    return sorted(comps, key=min)
+        comp = reachable(g.neighbors, [min(left)], outside)
+        left -= comp
+        comps.append(frozenset(comp))
+    return comps
 
 
 def is_connected_subset(g: Graph, vertices) -> bool:
     vs = set(vertices)
-    if not vs:
-        return False
-    return len(components_of_subset(g, vs)) == 1
+    return bool(vs) and reachable(g.neighbors, [min(vs)], set(range(g.n)) - vs) == vs
 
 
 def vertex_boundary(g: Graph, vertices) -> frozenset[int]:

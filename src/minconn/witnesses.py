@@ -37,6 +37,7 @@ from .graphs import (
     edge_boundary,
     external_neighborhood,
     is_connected_subset,
+    reachable,
     region_of,
     small_degree_set,
     vertex_boundary,
@@ -274,12 +275,8 @@ def small_component_witness(g: Graph, s: MixedSet, component, k: int) -> int:
     for u, v in s.edges:
         if not g.has_edge(u, v):
             raise NoSuchEdge(f"({u},{v})")
-    seen, stack = set(), [min(comp)]
-    while stack:  # the component of G - S holding min(comp)
-        u = stack.pop()
-        seen.add(u)
-        stack += [w for w in g.neighbors(u) - seen - s.vertices if (min(u, w), max(u, w)) not in s.edges]
-    if seen != comp:
+    row = lambda u: [w for w in g.neighbors(u) if (min(u, w), max(u, w)) not in s.edges]
+    if reachable(row, [min(comp)], s.vertices) != comp:
         raise PreconditionViolated("the given set is not a component of G minus the mixed set")
     if len(comp) > len(s.edges):
         raise PreconditionViolated(

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minconn.connectivity import (
     _Connectivity,
@@ -290,6 +290,15 @@ class TestOnePassMatchesTwoPass:
     def test_cuts_on_multigraphs(self, g):
         if g.is_connected():
             assert min_edge_cut(g) == two_pass_cut(g)
+
+
+class TestMultiGraphConnected:
+    @given(multigraphs(min_n=1))
+    @example(MultiGraph(4, [(0, 1, 2), (2, 3, 2)]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_skeleton(self, mg):
+        # one search over the multigraph's own rows, no skeleton Graph
+        assert mg.is_connected() == mg.skeleton().is_connected()
 
 
 class TestWhitney:

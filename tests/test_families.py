@@ -302,6 +302,19 @@ class TestLevelOrderIndex:
             oracle_separates(f, end, mode, cert, radius, base_tags)
         )
 
+    def test_recheck_source_that_is_a_target(self):
+        # At radius 1 the direction's vertex (0,) is both the search's one
+        # seed and a base vertex.  The certificate cuts every edge of the
+        # ball, so it separates: a seed that is itself a target is not a
+        # path to the base.  Drawn sets reach this case only sometimes.
+        f = make_family("clique-tree:r=1,k=2")
+        end = find_end(f, "branch-0")
+        cert = (((), (0,)), ((), (1,)), ((0,), (1,)))
+        base_tags = set(ball(f, f.base_radius()).tags)
+        assert (0,) in base_tags and end.direction == (0,)
+        assert oracle_separates(f, end, "edge", cert, 1, base_tags)
+        assert _certificate_separates(f, end, "edge", cert, 1, base_tags)
+
     @pytest.mark.parametrize("label,mode", [("branch-5-0", "vertex"), ("branch-7-2", "edge")])
     def test_recheck_rows_follow_the_certificate(self, label, mode, monkeypatch):
         # The r+2 recheck lists rows only around the certificate's and the

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,9 @@ from minconn.graphs import (
     degree_profile,
     edge_boundary,
     external_neighborhood,
+    is_connected_subset,
     path_graph,
+    reachable,
     region_of,
     small_degree_set,
     square,
@@ -110,6 +114,46 @@ class TestMultiGraph:
         g = MultiGraph(2, [(0, 1, 2)])
         h = g.delete_one_edge(0, 1)
         assert h.multiplicity(0, 1) == 1
+
+
+def bfs_reach(adj: dict[int, list[int]], sources, avoid) -> set[int]:
+    """Plain breadth-first search over an explicit adjacency."""
+    seen = {v for v in sources if v not in avoid}
+    queue = deque(seen)
+    while queue:
+        for w in adj[queue.popleft()]:
+            if w not in seen and w not in avoid:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+class TestReachable:
+    @given(st.data())
+    def test_equals_plain_bfs(self, data):
+        # duplicate sources, sources inside `avoid`, and rows that a
+        # caller filters (here: with some edges dropped)
+        g = data.draw(graphs(8))
+        vertex = st.integers(0, g.n - 1)
+        sources = data.draw(st.lists(vertex, max_size=4))
+        avoid = data.draw(st.sets(vertex, max_size=3))
+        dropped = data.draw(st.sets(st.sampled_from(g.edges()), max_size=3)) if g.m else set()
+        adj = {v: [w for w in range(g.n) if g.has_edge(v, w) and (min(v, w), max(v, w)) not in dropped]
+               for v in range(g.n)}
+        row = lambda v: [w for w in g.neighbors(v) if (min(v, w), max(v, w)) not in dropped]
+        assert reachable(row, sources, avoid) == bfs_reach(adj, sources, avoid)
+        assert reachable(g.neighbors, sources) == bfs_reach(
+            {v: sorted(g.neighbors(v)) for v in range(g.n)}, sources, set())
+
+    @given(graphs(8), st.data())
+    def test_components_of_subset_equal_plain_bfs(self, g, data):
+        vs = data.draw(st.sets(st.integers(0, g.n - 1)))
+        outside = set(range(g.n)) - vs
+        adj = {v: sorted(g.neighbors(v)) for v in range(g.n)}
+        comps = {frozenset(bfs_reach(adj, [v], outside)) for v in vs}
+        assert components_of_subset(g, vs) == sorted(comps, key=min)
+        assert is_connected_subset(g, vs) == (len(comps) == 1)
+        assert g.is_connected() == (len(bfs_reach(adj, [0], set())) == g.n)
 
 
 class TestSubsets:
