@@ -56,7 +56,6 @@ from .witnesses import (
     default_profound_region,
     degree_bound,
     edge_min_witness_pair,
-    required_count,
     vertex_min_edge_witness_pair,
     witness_report,
 )
@@ -203,15 +202,6 @@ def cmd_witness(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_row(g, k: int, held: list[MinimalityClass]):
-    deg_k = small_degree_set(g, k)
-    deg_small = small_degree_set(g, degree_bound(MinimalityClass.VERTEX_MIN_CONN, k))
-    small = {cls: small_degree_set(g, degree_bound(cls, k)) for cls in held}
-    failures = [cls for cls in held if len(small[cls]) < required_count(cls, k, g)]
-    witnesses = sorted(set().union(*small.values()))
-    return deg_k, deg_small, failures, witnesses
-
-
 def _check_k(k: int) -> None:
     # Checked before any graph is read, so a bad k fails the same way
     # whatever the corpus, with nothing on stdout.
@@ -247,18 +237,19 @@ def cmd_verify(args) -> int:
         ]
         if not held:
             continue
-        deg_k, deg_small, failures, witnesses = _verify_row(g, k, held)
+        reports = [witness_report(g, cls, k, verify=False) for cls in held]
+        failures = [r for r in reports if not r.satisfied]
         g6 = to_graph6(g)
         row = {
             "graph6": g6,
             "n": g.n,
             "k": k,
             "classes": "".join(cls.value for cls in held),
-            "deg_k": len(deg_k),
-            "deg_small": len(deg_small),
+            "deg_k": len(small_degree_set(g, k)),
+            "deg_small": len(small_degree_set(g, degree_bound(MinimalityClass.VERTEX_MIN_CONN, k))),
             "min_degree": g.min_degree(),
             "satisfied": not failures,
-            "witnesses": " ".join(map(str, witnesses)),
+            "witnesses": " ".join(map(str, sorted({v for r in reports for v, _ in r.witnesses}))),
         }
         rows.append(row)
         if failures:
@@ -266,12 +257,10 @@ def cmd_verify(args) -> int:
             print(f"  graph6: {g6}", file=sys.stderr)
             print(f"  edges: {g.edges()}", file=sys.stderr)
             print(f"  degrees: {g.degrees()}", file=sys.stderr)
-            for cls in failures:
+            for r in failures:
                 print(
-                    f"  class {cls.value} ({cls.flag_name(k)}): required "
-                    f"{required_count(cls, k, g)} vertices of degree <= "
-                    f"{degree_bound(cls, k)}, found "
-                    f"{len(small_degree_set(g, degree_bound(cls, k)))}",
+                    f"  class {r.cls.value} ({r.cls.flag_name(k)}): required {r.required} "
+                    f"vertices of degree <= {r.bound}, found {len(r.witnesses)}",
                     file=sys.stderr,
                 )
             _emit_verify(args, rows)
@@ -288,11 +277,8 @@ def _emit_verify(args, rows) -> None:
     print(f"# schema: {VERIFY_SCHEMA}")
     print(VERIFY_COLUMNS)
     for r in rows:
-        print(
-            f"{r['graph6']},{r['n']},{r['k']},{r['classes']},{r['deg_k']},"
-            f"{r['deg_small']},{r['min_degree']},"
-            f"{'yes' if r['satisfied'] else 'no'},{r['witnesses']}"
-        )
+        cells = (r[col] for col in VERIFY_COLUMNS.split(","))
+        print(",".join(("yes" if v else "no") if isinstance(v, bool) else str(v) for v in cells))
 
 
 # ---------------------------------------------------------------------------

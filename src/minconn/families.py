@@ -40,7 +40,7 @@ from types import SimpleNamespace
 from .connectivity import max_disjoint_paths
 from .errors import InvalidParams, NotConverged, ValidationFailed
 from .flow import FlowNetwork
-from .graphs import Graph, reachable
+from .graphs import Graph, product_row, reachable
 from .minimality import MinimalityClass
 from .witnesses import degree_bound
 
@@ -516,13 +516,11 @@ class CliqueProduct(_OnBase):
         return (self.base.center(), 0)
 
     def neighbors(self, tag):
-        # Clique first, then base neighbors in base order: this order fixes
-        # ball indices, hence separators and certificates.
-        x, c = tag
-        out = [(x, cc) for cc in range(self.k) if cc != c]
-        for y in self.base.neighbors(x):
-            out += [(y, cc) for cc in range(self.k)] if self.strong else [(y, c)]
-        return out
+        # The product rule's order fixes ball indices, hence certificates.
+        return product_row(self.base.neighbors, self._clique_row, *tag, self.strong)
+
+    def _clique_row(self, c):
+        return [d for d in range(self.k) if d != c]
 
     def in_direction(self, tag, end):
         return self.base.in_direction(tag[0], end)

@@ -15,7 +15,7 @@ the type decides only which classes, guarantees and formats apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import EmptyRegion, InvalidParams, NoSuchEdge
 
@@ -390,23 +390,20 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, combinations(range(n), 2))
 
 
-def _product(g: Graph, h: Graph, include_diagonal: bool) -> Graph:
-    def idx(a: int, b: int) -> int:
-        return a * h.n + b
+def product_row(base_row, fiber_row, x, c, strong: bool) -> list:
+    """The neighbours of (x, c) in the cartesian or strong product, where
+    `base_row` and `fiber_row` list neighbours: (x, d) for each fiber
+    neighbour d, then for each base neighbour y, (y, c) -- or, in the
+    strong product, (y, d) for d = c and every fiber neighbour d, in order."""
+    near = fiber_row(c)
+    column = sorted((c, *near)) if strong else (c,)
+    return [(x, d) for d in near] + list(product(base_row(x), column))
 
-    edges = []
-    for a, b in g.edges():
-        for c in range(h.n):
-            edges.append((idx(a, c), idx(b, c)))
-    for c, d in h.edges():
-        for a in range(g.n):
-            edges.append((idx(a, c), idx(a, d)))
-    if include_diagonal:
-        for a, b in g.edges():
-            for c, d in h.edges():
-                edges.append((idx(a, c), idx(b, d)))
-                edges.append((idx(a, d), idx(b, c)))
-    return Graph(g.n * h.n, edges)
+
+def _product(g: Graph, h: Graph, strong: bool) -> Graph:
+    rows = (product_row(g.neighbors, h.neighbors, x, c, strong)
+            for x in range(g.n) for c in range(h.n))
+    return Graph.from_adjacency([y * h.n + d for y, d in row] for row in rows)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

@@ -21,6 +21,19 @@ def ladder_graph(m: int) -> Graph:
     return cartesian_product(path_graph(m), complete_graph(2))
 
 
+def product_graph(g: Graph, h: Graph, strong: bool) -> Graph:
+    """The cartesian or strong product from the definition, pair by pair:
+    (a,c)~(b,d) iff (a=b and c~d) or (a~b and c=d), or in the strong
+    product also a~b and c~d.  Vertex (a, c) is numbered a*|h| + c."""
+    pairs = list(product(range(g.n), range(h.n)))
+    return Graph(len(pairs), [
+        (i, j)
+        for (i, (a, c)), (j, (b, d)) in combinations(enumerate(pairs), 2)
+        if (a == b and h.has_edge(c, d))
+        or (g.has_edge(a, b) and (c == d or (strong and h.has_edge(c, d))))
+    ])
+
+
 def small_multigraphs():
     """Every multigraph on 2 to 4 vertices with multiplicity at most 3,
     isolated vertices and disconnected ones included: 4,164 graphs."""

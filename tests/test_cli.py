@@ -317,6 +317,25 @@ class TestVerify:
         assert len(rows) == 4
         assert all(r["classes"] == "d" for r in rows)
 
+    def test_violation_dump(self, capsys, monkeypatch):
+        # Every class asks for one more small-degree vertex than it
+        # guarantees, so K4 fails classes a and c at k=3 (b and d need 2).
+        required = witnesses.required_count
+        monkeypatch.setattr(
+            witnesses, "required_count", lambda cls, k, g: required(cls, k, g) + 1
+        )
+        code, out, err = invoke(["verify", "--k", "3", "--nmax", "6"], capsys)
+        assert code == 3
+        assert err.splitlines() == [
+            "degree-theorem violation:",
+            "  graph6: C~",
+            "  edges: [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]",
+            "  degrees: (3, 3, 3, 3)",
+            "  class a (edge-min-3-conn): required 5 vertices of degree <= 3, found 4",
+            "  class c (edge-min-3-edge-conn): required 5 vertices of degree <= 3, found 4",
+        ]
+        assert out.splitlines()[2:] == ["C~,4,3,abcd,4,4,3,no,0 1 2 3"]
+
 
 class TestConstruct:
     def test_band_round_trip(self, capsys):

@@ -401,6 +401,16 @@ class TestFamilyStructure:
         edges = [(index[t], index[u]) for t in index for u in f.neighbors(t) if u in index]
         assert Graph(len(index), edges) == finite(path_graph(2 * m + 1), complete_graph(k))
 
+    def test_product_neighbour_order(self):
+        # The clique first, then each base neighbour's column in clique
+        # order: this order fixes ball indices, hence certificates.
+        assert make_family("strong-dr:k=3").neighbors((0, 1)) == [
+            (0, 0), (0, 2), (-1, 0), (-1, 1), (-1, 2), (1, 0), (1, 1), (1, 2)
+        ]
+        assert make_family("cartesian-dr:k=3").neighbors((0, 1)) == [
+            (0, 0), (0, 2), (-1, 1), (1, 1)
+        ]
+
     def test_find_end(self):
         f = make_family("cartesian-tree:r=3,k=2")
         end = find_end(f, "branch-2-1-0")

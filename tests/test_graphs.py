@@ -23,15 +23,15 @@ from minconn.graphs import (
     strong_product,
     vertex_boundary,
 )
-from oracles import ladder_graph, subdivide
+from oracles import ladder_graph, product_graph, subdivide
 
 
-def graphs(max_n=8):
+def graphs(max_n=8, min_n=2):
     """Random simple graphs as a hypothesis strategy."""
 
     @st.composite
     def build(draw):
-        n = draw(st.integers(2, max_n))
+        n = draw(st.integers(min_n, max_n))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         return Graph(n, [p for p, b in zip(pairs, mask) if b])
@@ -214,3 +214,8 @@ class TestConstructors:
         assert strong_product(g, h).m == (
             cartesian_product(g, h).m + g.m * h.m * 2
         )
+
+    @given(graphs(max_n=4, min_n=1), graphs(max_n=4, min_n=1))
+    def test_products_match_definition(self, g, h):
+        assert cartesian_product(g, h) == product_graph(g, h, strong=False)
+        assert strong_product(g, h) == product_graph(g, h, strong=True)
