@@ -24,6 +24,7 @@ from itertools import chain
 from typing import Iterator
 
 from . import __version__
+from .connectivity import _Connectivity
 from .constructions import (
     band_graph,
     cycle_clique_strong,
@@ -145,22 +146,25 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _explain_trace(g, cls: MinimalityClass, k: int):
+def _explain_trace(g, cls: MinimalityClass, k: int, conn: _Connectivity):
     """The constructive procedure trace appropriate for the class.
 
-    `cmd_witness` has already checked membership in `witness_report`, so
-    the procedures run with `verify=False` and do not check it again.
+    `cmd_witness` builds one connectivity record of g and shares it across
+    the membership check in `witness_report`, the default region and the
+    traced procedure, so each question asked twice is answered from the
+    record.  Membership is already checked, so the procedures run with
+    `verify=False` and do not check it again.
     """
     if cls is MinimalityClass.EDGE_MIN_CONN:
         return {"note": "witnesses come from the degree-counting bound; no descent trace"}
     if cls is MinimalityClass.VERTEX_MIN_CONN:
-        region = default_profound_region(g, k)
+        region = default_profound_region(g, k, conn)
         if region is None:
             return {"note": "complete graph: no separator, counting bound only"}
-        return crossing_separators_witness(g, region, k, verify=False).to_json_obj()
+        return crossing_separators_witness(g, region, k, verify=False, conn=conn).to_json_obj()
     if cls is MinimalityClass.EDGE_MIN_EDGE_CONN:
-        return edge_min_witness_pair(g, k, verify=False).to_json_obj()
-    return vertex_min_edge_witness_pair(g, k, verify=False).to_json_obj()
+        return edge_min_witness_pair(g, k, verify=False, conn=conn).to_json_obj()
+    return vertex_min_edge_witness_pair(g, k, verify=False, conn=conn).to_json_obj()
 
 
 def cmd_witness(args) -> int:
@@ -178,11 +182,12 @@ def cmd_witness(args) -> int:
     g = graphs[0]
     cls = MinimalityClass(args.cls)
 
-    report = witness_report(g, cls, args.k)
+    conn = _Connectivity(g)
+    report = witness_report(g, cls, args.k, conn=conn)
     obj = report.to_json_obj()
     obj["graph"] = graph_id(g)
     if args.explain:
-        obj["trace"] = _explain_trace(g, cls, args.k)
+        obj["trace"] = _explain_trace(g, cls, args.k, conn)
 
     if args.format == "text":
         ws = " ".join(f"{v}({d})" for v, d in report.witnesses)

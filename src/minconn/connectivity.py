@@ -6,7 +6,9 @@ equal, on an exhaustive small-graph corpus, to a brute-force oracle that
 re-derives both numbers by subset enumeration (`tests/oracles.py`).
 
 Pair flows live in one `_Connectivity` record per graph, shared by the
-minimality predicates and the witness procedures.  It builds at most one
+minimality predicates and the witness procedures; `witness` builds one
+and shares it across the report's membership check, the default region
+and the traced procedure.  It builds at most one
 split network and one edge network, and each cut kind has one pair loop
 (`vertex_flows`, `edge_flows`) after Even and Tarjan's fixed-source pair
 list (SIAM J. Comput. 1975).  Each pair's flow resumes from that pair's
@@ -19,7 +21,7 @@ and lambda >= j needs no flow once kappa >= j is known (Whitney, Amer. J.
 Math. 1932: kappa <= lambda).  G - x is asked on G's networks with x's
 arcs cut, never on a copy.  A resumed flow that stops below its limit is
 maximum, and every maximum flow leaves the same residual side, so no
-answer depends on where a flow started.
+answer depends on where a flow started, nor on which caller asked first.
 
 Conventions: disconnected graphs have connectivity 0, complete graphs have
 vertex connectivity n-1, and single-vertex graphs are rejected.
@@ -285,13 +287,16 @@ class _Connectivity:
     Each cut kind's pair loop caps every flow at best + 1, yields each
     pair that reaches at most best and then lowers best to it.
 
-    The witness procedures ask their questions of one record: a minimum
-    separator (`min_separator`) and the smallest separator through each
-    vertex x they try (`separator_containing`) for class b, a minimum cut
-    (`min_cut`) and the minimum cut through each edge they probe
-    (`cut_containing_edge`) for class c, and the minimum cut of G - x
-    (`_edge_scan` with `removed`) for class d.  The public functions of
-    the same names are these methods on a fresh record.
+    `cmd_witness` builds one record and shares it across the report's
+    membership check, the default region and the traced procedure, which
+    ask their questions of it: a minimum separator (`min_separator`) and
+    the smallest separator through each vertex x they try
+    (`separator_containing`) for class b, a minimum cut (`min_cut`) and
+    the minimum cut through each edge they probe (`cut_containing_edge`)
+    for class c, and the minimum cut of G - x (`_edge_scan` with
+    `removed`) for class d.  Called without one, each builds its own.
+    The public functions of the same names are these methods on a fresh
+    record.
     """
 
     def __init__(self, g):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .connectivity import _Connectivity, _edge_scan, min_vertex_separator
+from .connectivity import _Connectivity, _edge_scan
 from .errors import (
     ClassMismatch,
     InvalidParams,
@@ -92,14 +92,16 @@ class CrossingSeparatorsTrace:
         return {"procedure": "crossing-separators", **asdict(self)}
 
 
-def default_profound_region(g: Graph, k: int) -> Region | None:
+def default_profound_region(g: Graph, k: int,
+                            conn: _Connectivity | None = None) -> Region | None:
     """A profound k-region built from a minimum separator; None if complete.
 
-    Takes the first side of a minimum separator T together with T itself.
+    Takes the first side of a minimum separator T, asked of the record
+    `conn` of g if given, together with T itself.
     Every vertex of a minimum separator has neighbors in every component,
     so the vertex boundary of the result is exactly T.
     """
-    sep = min_vertex_separator(g)
+    sep = (conn or _Connectivity(g)).min_separator()
     if sep is None:
         return None
     if sep.size != k:
@@ -109,8 +111,8 @@ def default_profound_region(g: Graph, k: int) -> Region | None:
     return region_of(g, set(sep.sides[0]) | set(sep.vertices))
 
 
-def crossing_separators_witness(g: Graph, region: Region, k: int,
-                                verify: bool = True) -> CrossingSeparatorsTrace:
+def crossing_separators_witness(g: Graph, region: Region, k: int, verify: bool = True,
+                                conn: _Connectivity | None = None) -> CrossingSeparatorsTrace:
     """Locate a vertex of degree <= floor(3k/2)-1 in a vertex-minimally
     k-connected graph, starting from a profound k-region.
 
@@ -121,9 +123,10 @@ def crossing_separators_witness(g: Graph, region: Region, k: int,
     region is larger than its interior, the witness is guaranteed to lie
     inside the region.
 
-    Every shrink step's separator through x is asked on one record of G.
+    Every shrink step's separator through x is asked on one record of G,
+    `conn` if given.
     """
-    conn = _Connectivity(g)
+    conn = conn or _Connectivity(g)
     if verify:
         res = check_class(g, MinimalityClass.VERTEX_MIN_CONN, k, conn)
         if not res:
@@ -489,13 +492,14 @@ def _descend_to_degree_k_vertex(conn: _Connectivity, side, k: int) -> EdgeMinSid
     )
 
 
-def edge_min_witness_pair(g: Graph | MultiGraph, k: int,
-                          verify: bool = True) -> EdgeMinWitnessTrace:
+def edge_min_witness_pair(g: Graph | MultiGraph, k: int, verify: bool = True,
+                          conn: _Connectivity | None = None) -> EdgeMinWitnessTrace:
     """Two distinct degree-k vertices of an edge-minimally k-edge-connected
     graph, found on the two sides of a minimum cut.  The minimum cut and
-    every descent step's cut through an edge are asked on one record of G.
+    every descent step's cut through an edge are asked on one record of G,
+    `conn` if given.
     """
-    conn = _Connectivity(g)
+    conn = conn or _Connectivity(g)
     if verify:
         res = check_class(g, MinimalityClass.EDGE_MIN_EDGE_CONN, k, conn)
         if not res:
@@ -665,20 +669,21 @@ def _descend_region(conn: _Connectivity, k: int, C: set[int], x: int) -> VertexM
         C, x = new_C, y
 
 
-def vertex_min_edge_witness_pair(g: Graph, k: int,
-                                 verify: bool = True) -> VertexMinEdgeWitnessTrace:
+def vertex_min_edge_witness_pair(g: Graph, k: int, verify: bool = True,
+                                 conn: _Connectivity | None = None) -> VertexMinEdgeWitnessTrace:
     """Two distinct degree-k vertices of a vertex-minimally k-edge-connected
     graph.
 
     The first candidate region is the smallest one-vertex-deleted cut side
     (plus its vertex); the second run starts from the complement of the
     first result, which keeps the two witnesses apart.  Every cut of a
-    G - x, for every x and in both runs, is asked on one record of G.
+    G - x, for every x and in both runs, is asked on one record of G,
+    `conn` if given.
     Multigraphs are refused with InvalidParams: the counting step needs a
     simple graph.
     """
     _simple_only(g)
-    conn = _Connectivity(g)
+    conn = conn or _Connectivity(g)
     if verify:
         res = is_vertex_min_k_edge_connected(g, k, conn)
         if not res:
@@ -769,13 +774,14 @@ class WitnessReport:
 
 
 def witness_report(g: Graph | MultiGraph, cls: MinimalityClass, k: int,
-                   verify: bool = True) -> WitnessReport:
+                   verify: bool = True, conn: _Connectivity | None = None) -> WitnessReport:
     """Count the vertices within the class degree bound and compare with
     the guaranteed count.  The ratio field reports |V_bound| / n --
     informative for the edge-minimal edge-connectivity class, where no
-    exact constant is asserted."""
+    exact constant is asserted.  Membership is checked on the record
+    `conn` of g if given."""
     if verify:
-        res = check_class(g, cls, k)
+        res = check_class(g, cls, k, conn)
         if not res:
             raise ClassMismatch(
                 f"graph is not in class {cls.value} for k={k}: {res.reason}"

@@ -12,16 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 import minconn.witnesses as witnesses
 from minconn.cli import main
+from minconn.connectivity import _Connectivity
 from minconn.constructions import band_graph, cycle_clique_strong, multipath
 from minconn.families import FAMILY_KINDS
 from minconn.graphs import Graph, MultiGraph
-from minconn.io import from_edge_list, from_graph6, to_edge_list, to_graph6
+from minconn.io import from_edge_list, from_graph6, graph_id, to_edge_list, to_graph6
 from minconn.minimality import MinimalityClass, check_class, classify
 from minconn.witnesses import (
     crossing_separators_witness,
     default_profound_region,
     edge_min_witness_pair,
     vertex_min_edge_witness_pair,
+    witness_report,
 )
 from oracles import small_multigraphs
 
@@ -235,6 +237,43 @@ class TestWitness:
                 assert run(g, k, True).to_json_obj() == run(g, k, False).to_json_obj(), cls
 
 
+def _fresh_trace(g, cls: str, k: int):
+    """The traced procedure's JSON object, every record of g built fresh."""
+    if cls == "b":
+        region = default_profound_region(g, k)
+        if region is None:
+            return {"note": "complete graph: no separator, counting bound only"}
+        return crossing_separators_witness(g, region, k, verify=False).to_json_obj()
+    if cls == "c":
+        return edge_min_witness_pair(g, k, verify=False).to_json_obj()
+    return vertex_min_edge_witness_pair(g, k, verify=False).to_json_obj()
+
+
+def test_shared_record_traces_equal_fresh_records(corpus7, capsys, monkeypatch):
+    # `witness --explain` asks one record for the membership check, the
+    # default region and the trace; its stdout must be what fresh records
+    # give, on every corpus member and on the member-traces relabellings.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    runs = [(g, cls, k, ["witness", "--k", str(k), "--class", cls, "--explain", to_graph6(g)])
+            for g in corpus7 for k in (2, 3, 4) for cls in "bcd"
+            if check_class(g, MinimalityClass(cls), k).holds]
+    for seed in range(3):
+        for op in workloads.build("member-traces", seed):
+            argv, text = op["argv"], op["argv"][-1]
+            g = from_edge_list(text, multigraph=True) if "--multi" in argv else from_graph6(text)
+            runs.append((g, op["expect"]["class"], op["expect"]["k"], argv))
+    assert len(runs) > 3 * 103
+    for g, cls, k, argv in runs:
+        code, out, err = invoke(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        expected = witness_report(g, MinimalityClass(cls), k).to_json_obj()
+        expected["graph"] = graph_id(g)
+        expected["trace"] = _fresh_trace(g, cls, k)
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", argv
+
+
 class TestMultigraphExplain:
     def test_every_small_multigraph_member(self, capsys):
         # Class c traces every member; class d refuses multigraphs with
@@ -265,18 +304,27 @@ class TestMultigraphExplain:
         assert invoke(argv + ["--k", "4", "--explain"], capsys)[:2] == (1, "")
 
 
-def test_class_b_member_traces_share_networks(capsys, monkeypatch, network_sizes):
-    # The 18 class-b ops of the member-traces benchmark at seed 0 build one
-    # split network each for the membership check, the default region and
-    # the crossing-separators run, whatever its shrink steps.
+@pytest.mark.parametrize("cls, count", [("b", 18), ("c", 74), ("d", 11)])
+def test_member_traces_build_one_network_per_op(cls, count, capsys, monkeypatch, network_sizes):
+    # Each member-traces op of the class at seed 0 builds one connectivity
+    # record and one flow network, shared by the membership check, the
+    # default region and the traced procedure, whatever its steps.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
-    ops = [op for op in workloads.build("member-traces", 0) if op["expect"]["class"] == "b"]
-    assert len(ops) == 18
+    records = []
+    init = _Connectivity.__init__
+
+    def counting_init(self, g):
+        records.append(g.n)
+        init(self, g)
+
+    monkeypatch.setattr(_Connectivity, "__init__", counting_init)
+    ops = [op for op in workloads.build("member-traces", 0) if op["expect"]["class"] == cls]
+    assert len(ops) == count
     for op in ops:
         assert invoke(op["argv"], capsys)[0] == 0
-    assert len(network_sizes) == 54
+    assert len(records) == len(network_sizes) == count
 
 
 class TestVerify:

@@ -186,6 +186,11 @@ def record_questions(g):
             questions.append(lambda c, r=removed: _edge_scan(c, r))
     for e in g.edges():
         questions.append(lambda c, e=e: c.cut_containing_edge(e))
+    questions.append(lambda c: c.min_cut())
+    if simple:
+        questions.append(lambda c: c.min_separator())
+        if g.n >= 3:
+            questions += [lambda c, x=x: c.separator_containing(x) for x in range(g.n)]
     return questions
 
 
@@ -196,6 +201,20 @@ def assert_warm_equals_cold(g, order):
     warm = _Connectivity(g)
     for i in order:
         assert questions[i](warm) == questions[i](_Connectivity(g)), (i, g)
+
+
+@st.composite
+def connected_graphs(draw, multi: bool, min_n=3, max_n=9):
+    """A random spanning tree plus random further edges, with
+    multiplicities 1-3 when `multi`."""
+    n = draw(st.integers(min_n, max_n))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mults = draw(st.lists(st.integers(0, 3 if multi else 1), min_size=len(pairs), max_size=len(pairs)))
+    mults = [max(m, int(p in tree)) for p, m in zip(pairs, mults)]
+    if multi:
+        return MultiGraph(n, [(u, v, m) for (u, v), m in zip(pairs, mults) if m])
+    return Graph(n, [p for p, m in zip(pairs, mults) if m])
 
 
 class TestWarmEqualsCold:
@@ -210,6 +229,14 @@ class TestWarmEqualsCold:
     def test_multigraphs(self, g, data):
         m = len(record_questions(g))
         assert_warm_equals_cold(g, data.draw(st.lists(st.integers(0, m - 1), max_size=2 * m)))
+
+    # one record shared by every caller, in any order: the membership
+    # check, the default region and the traced procedure of one witness run
+    @given(st.one_of(connected_graphs(multi=False), connected_graphs(multi=True)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_connected_in_any_order(self, g, data):
+        m = len(record_questions(g))
+        assert_warm_equals_cold(g, data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=2 * m)))
 
 
 def assert_deletions_match_copies(g):

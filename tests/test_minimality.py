@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from minconn.connectivity import (
     edge_connectivity,
@@ -8,7 +8,6 @@ from minconn.connectivity import (
     vertex_connectivity,
 )
 from minconn.errors import InvalidParams, TooSmall
-from minconn.flow import FlowNetwork
 from minconn.graphs import (
     Graph,
     MultiGraph,
@@ -167,35 +166,23 @@ class TestSharedNetworks:
     """classify builds at most one split network (2n+2 nodes) and one edge
     network (n+2 nodes) per graph, shared by the four predicates."""
 
-    @staticmethod
-    def network_sizes(monkeypatch):
-        sizes = []
-        init = FlowNetwork.__init__
-
-        def counting_init(self, n):
-            sizes.append(n)
-            init(self, n)
-
-        monkeypatch.setattr(FlowNetwork, "__init__", counting_init)
-        return sizes
-
     def assert_shared(self, sizes, g, k):
+        sizes.clear()
         classify(g, k)
         splits, edges = sizes.count(2 * g.n + 2), sizes.count(g.n + 2)
         assert splits <= 1 and edges <= 1 and len(sizes) == splits + edges, (k, g.n, sizes)
-        sizes.clear()
 
-    def test_corpus7(self, corpus7, monkeypatch):
-        sizes = self.network_sizes(monkeypatch)
+    def test_corpus7(self, corpus7, network_sizes):
         for g in corpus7:
             for k in range(1, 6):
-                self.assert_shared(sizes, g, k)
+                self.assert_shared(network_sizes, g, k)
 
+    # one patch serves every example: each assertion clears the sizes first
     @given(multigraphs(), st.integers(1, 5))
-    @settings(max_examples=100, deadline=None)
-    def test_multigraphs(self, g, k):
-        with pytest.MonkeyPatch.context() as mp:
-            self.assert_shared(self.network_sizes(mp), g, k)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_multigraphs(self, network_sizes, g, k):
+        self.assert_shared(network_sizes, g, k)
 
 
 class TestKnownMembers:
