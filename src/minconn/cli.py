@@ -152,8 +152,8 @@ def _explain_trace(g, cls: MinimalityClass, k: int, conn: _Connectivity):
     `cmd_witness` builds one connectivity record of g and shares it across
     the membership check in `witness_report`, the default region and the
     traced procedure, so each question asked twice is answered from the
-    record.  Membership is already checked, so the procedures run with
-    `verify=False` and do not check it again.
+    record.  The procedure's own membership check reads the verdict the
+    report left on the record.
     """
     if cls is MinimalityClass.EDGE_MIN_CONN:
         return {"note": "witnesses come from the degree-counting bound; no descent trace"}
@@ -161,10 +161,10 @@ def _explain_trace(g, cls: MinimalityClass, k: int, conn: _Connectivity):
         region = default_profound_region(g, k, conn)
         if region is None:
             return {"note": "complete graph: no separator, counting bound only"}
-        return crossing_separators_witness(g, region, k, verify=False, conn=conn).to_json_obj()
+        return crossing_separators_witness(g, region, k, conn=conn).to_json_obj()
     if cls is MinimalityClass.EDGE_MIN_EDGE_CONN:
-        return edge_min_witness_pair(g, k, verify=False, conn=conn).to_json_obj()
-    return vertex_min_edge_witness_pair(g, k, verify=False, conn=conn).to_json_obj()
+        return edge_min_witness_pair(g, k, conn=conn).to_json_obj()
+    return vertex_min_edge_witness_pair(g, k, conn=conn).to_json_obj()
 
 
 def cmd_witness(args) -> int:
@@ -228,21 +228,24 @@ def _corpus(args, k: int | None) -> Iterator[Graph]:
     return graphs
 
 
+def _held(g: Graph, k: int, wanted: MinimalityClass | None, conn: _Connectivity) -> list[MinimalityClass]:
+    """The classes g is in at k, among `wanted` (every class when None),
+    asked on the record `conn` of g."""
+    return [cls for cls in MinimalityClass
+            if wanted in (None, cls) and check_class(g, cls, k, conn)]
+
+
 def cmd_verify(args) -> int:
     k = args.k
     _check_k(k)
     wanted = _parse_class(args.cls)
     rows = []
     for g in _corpus(args, k):
-        rep = classify(g, k)
-        held = [
-            cls
-            for cls in rep.results
-            if rep.holds(cls) and (wanted is None or cls is wanted)
-        ]
+        conn = _Connectivity(g)
+        held = _held(g, k, wanted, conn)
         if not held:
             continue
-        reports = [witness_report(g, cls, k, verify=False) for cls in held]
+        reports = [witness_report(g, cls, k, conn=conn) for cls in held]
         failures = [r for r in reports if not r.satisfied]
         g6 = to_graph6(g)
         row = {
@@ -378,13 +381,8 @@ def cmd_enumerate(args) -> int:
     if args.k is not None:
         _check_k(args.k)
     for g in _corpus(args, args.k):
-        if args.k is not None:
-            if wanted is not None:
-                if not check_class(g, wanted, args.k).holds:
-                    continue
-            elif not classify(g, args.k).member_classes():
-                continue
-        print(to_graph6(g))
+        if args.k is None or _held(g, args.k, wanted, _Connectivity(g)):
+            print(to_graph6(g))
     return EXIT_OK
 
 

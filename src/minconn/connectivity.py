@@ -6,9 +6,7 @@ equal, on an exhaustive small-graph corpus, to a brute-force oracle that
 re-derives both numbers by subset enumeration (`tests/oracles.py`).
 
 Pair flows live in one `_Connectivity` record per graph, shared by the
-minimality predicates and the witness procedures; `witness` builds one
-and shares it across the report's membership check, the default region
-and the traced procedure.  It builds at most one
+minimality predicates and the witness procedures.  It builds at most one
 split network and one edge network, and each cut kind has one pair loop
 (`vertex_flows`, `edge_flows`) after Even and Tarjan's fixed-source pair
 list (SIAM J. Comput. 1975).  Each pair's flow resumes from that pair's
@@ -55,11 +53,12 @@ class Cut:
     """An edge set whose removal disconnects the host graph.
 
     `edges` lists each parallel class once; `size` counts multiplicities,
-    so for simple graphs size == len(edges).
+    so for simple graphs size == len(edges).  `sides` are two, or every
+    component of G - x when `cut_without(x)` finds it disconnected.
     """
 
     edges: tuple[Edge, ...]
-    sides: tuple[frozenset[int], frozenset[int]]
+    sides: tuple[frozenset[int], ...]
     size: int
 
 
@@ -276,7 +275,8 @@ def _restored_flow(network: tuple[FlowNetwork, list[int], dict], s: int, t: int,
 
 class _Connectivity:
     """The pair flows of one Graph or MultiGraph and of its one-vertex
-    deletions; kappa >= j and lambda >= j about G, each answered once.
+    deletions, the answers read from them, and the class verdicts asked
+    of it; kappa >= j and lambda >= j about G, each answered once.
 
     `split` and `edge` are the graph's two networks, each built on first
     use with its capacity snapshot and a dict of each pair's last flow, a
@@ -287,16 +287,19 @@ class _Connectivity:
     Each cut kind's pair loop caps every flow at best + 1, yields each
     pair that reaches at most best and then lowers best to it.
 
-    `cmd_witness` builds one record and shares it across the report's
-    membership check, the default region and the traced procedure, which
-    ask their questions of it: a minimum separator (`min_separator`) and
-    the smallest separator through each vertex x they try
-    (`separator_containing`) for class b, a minimum cut (`min_cut`) and
-    the minimum cut through each edge they probe (`cut_containing_edge`)
-    for class c, and the minimum cut of G - x (`_edge_scan` with
-    `removed`) for class d.  Called without one, each builds its own.
-    The public functions of the same names are these methods on a fresh
-    record.
+    Callers outside this module ask questions and read no network: the
+    predicates ask `separator_below`, `edge_connected`, and per edge
+    `paths_avoiding_edge` (class a) or `edge_side` (c), and `check_class`
+    keeps each verdict in `verdicts`.  The witness procedures ask a
+    minimum separator (`min_separator`) and the smallest separator
+    through each vertex x they try (`separator_containing`) for class b,
+    a minimum cut (`min_cut`) and the minimum cut through each edge they
+    probe (`cut_containing_edge`) for class c, and the minimum cut of
+    each G - x (`cut_without`) for class d.  `cmd_witness` builds one
+    record and shares it across the report's membership check, the
+    default region and the traced procedure; called without one, each
+    builds its own.  The public functions of the same names are these
+    methods on a fresh record.
     """
 
     def __init__(self, g):
@@ -305,6 +308,8 @@ class _Connectivity:
         self._edge_conn: dict[int, bool] = {}
         # ("vertex" or "edge", removed) -> what `_vertex_scan` or `_edge_scan` found
         self._scans: dict[tuple[str, int | None], tuple] = {}
+        # (class, k) -> the PredicateResult `check_class` found
+        self.verdicts: dict = {}
 
     @cached_property
     def split(self) -> tuple[FlowNetwork, list[int], dict]:
@@ -355,12 +360,40 @@ class _Connectivity:
         assert best.size == k
         return best
 
+    def cut_without(self, x: int) -> Cut:
+        """A minimum cut of G - x, the edge analogue of
+        `separator_containing`: when G - x is disconnected, the empty cut
+        with every component as a side; otherwise `_edge_scan`'s cut."""
+        g = self.g
+        if g.n < 3:
+            raise TooSmall("need at least 3 vertices")
+        comps = components_of_subset(g, set(range(g.n)) - {x})
+        if len(comps) > 1:
+            return Cut((), tuple(comps), 0)
+        return _edge_scan(self, x)[1]
+
+    def paths_avoiding_edge(self, e: Edge, limit: int) -> int:
+        """Internally disjoint u-v paths avoiding e = (u, v), counted up to
+        `limit`: the u_out->v_in flow with that arc cut (its twin
+        v_out->u_in leaves the sink, so no u-v flow can use it)."""
+        u, v = e
+        net = self.split[0]
+        arc = next(a for a in net.adj[2 * u + 1] if net.to[a] == 2 * v)
+        return _restored_flow(self.split, 2 * u + 1, 2 * v, limit, (arc,))
+
+    def edge_side(self, e: Edge, limit: int = INF) -> set[int] | None:
+        """u's side of the source-minimal minimum u-v cut for e = (u, v);
+        None when the u-v flow reaches `limit`."""
+        u, v = e
+        if _restored_flow(self.edge, u, v, limit) == limit:
+            return None
+        return self.edge[0].residual_reachable(u)
+
     def cut_containing_edge(self, e: Edge) -> Cut:
         u, v = e
         if not self.g.has_edge(u, v):
             raise NoSuchEdge(f"({u},{v})")
-        _restored_flow(self.edge, u, v, INF)
-        return _cut_from_side(self.g, self.edge[0].residual_reachable(u))
+        return _cut_from_side(self.g, self.edge_side(e))
 
     def vertex_flows(self, best: int, removed: int | None = None):
         """(value, separator) over `_kappa_pairs(g, removed)`.

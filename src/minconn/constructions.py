@@ -116,5 +116,5 @@ def cycle_clique_strong_odd(k: int, length: int) -> Graph:
         raise InvalidParams("need cycle length >= 5")
     w = (k + 1) // 2
     base = strong_product(cycle_graph(length), complete_graph(w))
-    g, _ = base.delete_vertices({0, w})
+    g, _ = base.induced(set(range(base.n)) - {0, w})
     return g

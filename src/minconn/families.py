@@ -48,7 +48,7 @@ Tag = object  # any hashable value; each family documents its tag shape
 
 # The most vertices of the heap window ball(r) a clique tree's estimator
 # may measure on (it lists only the live rows): the largest is ball(6) of
-# an rk = 8 tree, 299,593 vertices.
+# an rk = 8 tree, 299,593 vertices.  No built ball may exceed it either.
 BALL_BUDGET = 300_000
 
 
@@ -724,8 +724,10 @@ def _oracle_ball(f: Family, radius: int) -> Ball:
     ball vertex on it has an index, because inner vertices index their
     new neighbours as they read them and the frontier is read only after
     the last layer is complete.  The row is the sorted list, loops and
-    duplicates dropped.
+    duplicates dropped.  A ball of more than BALL_BUDGET vertices is
+    refused with InvalidParams at its first vertex over the budget.
     """
+    budget = BALL_BUDGET
     c = f.center()
     index = {c: 0}
     tags: list[Tag] = [c]
@@ -741,6 +743,9 @@ def _oracle_ball(f: Family, radius: int) -> Ball:
                 if d == radius:
                     continue
                 v = index[nb] = len(tags)
+                if v == budget:
+                    raise InvalidParams(
+                        f"ball({radius}) of {f.describe()} has more than {budget} vertices")
                 tags.append(nb)
                 dist.append(d + 1)
             row.add(v)

@@ -113,11 +113,6 @@ class Graph:
         keep = [u for u in range(self.n) if u != v]
         return self.induced(keep)
 
-    def delete_vertices(self, vs) -> tuple["Graph", tuple[int, ...]]:
-        drop = set(vs)
-        keep = [u for u in range(self.n) if u not in drop]
-        return self.induced(keep)
-
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
             raise NoSuchEdge(f"({u},{v})")

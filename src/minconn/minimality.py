@@ -35,13 +35,14 @@ each graph gets at most one split network and one edge network and
 each question about G is asked once: class b reuses class a's answers
 and (k+1)-separator, class c takes lambda >= k (and >= k+1) for free
 when kappa already reached it, and class d reuses class c's lambda >= k.
-Deletions never copy the graph: each flow cuts the deleted element's
-arcs, u_out->v_in for class a, v_in->v_out for class b and both arcs of
-every pair at v for class d, and resumes from the pair's last flow with
-the units on those arcs cancelled.  A flow that stops below its limit is
-maximum from wherever it started, and every maximum flow leaves the same
-residual side, so each certificate is the one a flow from zero gives.
-A predicate called on its own builds its own record.
+The predicates ask the record questions and read no network.  Deletions
+never copy the graph: the record answers G - uv (`paths_avoiding_edge`)
+and G - v (`removed=v`) on G's networks with the deleted element's arcs
+cut, resuming each flow from the pair's last one, and a u-v cut of G
+(`edge_side`) from the pair's flow.  Every answer is the one a flow from
+zero gives.  `check_class` keeps each verdict on the record, so a later
+caller with the same record gets it without a flow.  A predicate called
+on its own builds its own record.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .connectivity import _Connectivity, _restored_flow
+from .connectivity import _Connectivity
 from .errors import InvalidParams, TooSmall
 from .graphs import Edge, Graph, MultiGraph
 from .io import graph_id
@@ -128,13 +129,8 @@ def is_edge_min_k_connected(g: Graph, k: int, conn: _Connectivity | None = None)
     if conn.separator_below(k + 1) is None:
         e = g.edges()[0]
         return PredicateResult(False, f"{k + 1}-connected, so deleting edge {e} keeps {k}-connectivity", e)
-    net = conn.split[0]
     for e in g.edges():
-        u, v = e
-        # Cut the arc u_out->v_in; its twin v_out->u_in leaves the sink,
-        # so no u-v flow can use it.
-        arc = next(a for a in net.adj[2 * u + 1] if net.to[a] == 2 * v)
-        if _restored_flow(conn.split, 2 * u + 1, 2 * v, k, (arc,)) == k:
+        if conn.paths_avoiding_edge(e, k) == k:
             return PredicateResult(False, f"deleting edge {e} keeps {k}-connectivity", e)
     return PredicateResult(True)
 
@@ -174,15 +170,13 @@ def is_edge_min_k_edge_connected(g: Graph | MultiGraph, k: int,
         e = classes[0]
         return PredicateResult(False, f"{k + 1}-edge-connected, so deleting edge {e} keeps {k}-edge-connectivity", e)
     deleting = "deleting one copy of edge" if isinstance(g, MultiGraph) else "deleting edge"
-    net = conn.edge[0]
     essential: set[Edge] = set()
     for e in classes:
         if e in essential:
             continue
-        u, v = e
-        if _restored_flow(conn.edge, u, v, k + 1) > k:
+        side = conn.edge_side(e, k + 1)
+        if side is None:
             return PredicateResult(False, f"{deleting} {e} keeps {k}-edge-connectivity", e)
-        side = net.residual_reachable(u)
         essential.update(f for f in classes if (f[0] in side) != (f[1] in side))
     return PredicateResult(True)
 
@@ -217,6 +211,7 @@ _PREDICATES = {
 def check_class(g: Graph | MultiGraph, cls: MinimalityClass, k: int,
                 conn: _Connectivity | None = None) -> PredicateResult:
     """Run a single class predicate, on the record `conn` of g if given.
+    The record keeps the verdict, so asking it again runs nothing.
 
     Multigraphs only support the two edge-connectivity classes; for the
     vertex-connectivity classes parallel edges are irrelevant, so callers
@@ -227,7 +222,10 @@ def check_class(g: Graph | MultiGraph, cls: MinimalityClass, k: int,
             f"class {cls.value} is about vertex connectivity; "
             "pass the skeleton of the multigraph instead"
         )
-    return _PREDICATES[cls](g, k, conn)
+    conn = conn or _Connectivity(g)
+    if (cls, k) not in conn.verdicts:
+        conn.verdicts[cls, k] = _PREDICATES[cls](g, k, conn)
+    return conn.verdicts[cls, k]
 
 
 @dataclass
@@ -265,5 +263,5 @@ def classify(g: Graph | MultiGraph, k: int) -> ClassificationReport:
     else:
         wanted = list(MinimalityClass)
     conn = _Connectivity(g)
-    results = {cls: _PREDICATES[cls](g, k, conn) for cls in wanted}
+    results = {cls: check_class(g, cls, k, conn) for cls in wanted}
     return ClassificationReport(graph_id(g), k, results)

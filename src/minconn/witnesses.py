@@ -8,9 +8,11 @@ the arguments behind those guarantees as deterministic algorithms whose
 intermediate objects (separators, cuts, regions, counting sets) come back
 in a trace that can be checked step by step.
 
-All procedures re-verify their preconditions unless told otherwise, and
-raise PreconditionViolated naming the failed assumption; internal
-assertion failures indicate implementation bugs, never bad inputs.
+Every procedure checks that the graph is in its class, and raises
+PreconditionViolated naming the failed assumption; internal assertion
+failures indicate implementation bugs, never bad inputs.  The check asks
+`check_class` on the procedure's connectivity record, so a caller that
+has checked already and passes its record gets the kept verdict.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .connectivity import _Connectivity, _edge_scan
+from .connectivity import _Connectivity
 from .errors import (
     ClassMismatch,
     InvalidParams,
     NoSeparatorThroughVertex,
     NoSuchEdge,
     PreconditionViolated,
-    TooSmall,
 )
 from .graphs import (
     Edge,
@@ -42,9 +43,16 @@ from .graphs import (
     small_degree_set,
     vertex_boundary,
 )
-from .minimality import MinimalityClass, check_class, is_vertex_min_k_edge_connected
+from .minimality import MinimalityClass, check_class
 
 EXACT_REGION_LIMIT = 12
+
+
+def _require_member(g, cls: MinimalityClass, k: int, conn: _Connectivity | None,
+                    error: type[Exception] = PreconditionViolated) -> None:
+    res = check_class(g, cls, k, conn)
+    if not res:
+        raise error(f"graph is not in class {cls.value} for k={k}: {res.reason}")
 
 
 def boundary_edge_count(g: Graph | MultiGraph, vertices) -> int:
@@ -111,7 +119,7 @@ def default_profound_region(g: Graph, k: int,
     return region_of(g, set(sep.sides[0]) | set(sep.vertices))
 
 
-def crossing_separators_witness(g: Graph, region: Region, k: int, verify: bool = True,
+def crossing_separators_witness(g: Graph, region: Region, k: int, *,
                                 conn: _Connectivity | None = None) -> CrossingSeparatorsTrace:
     """Locate a vertex of degree <= floor(3k/2)-1 in a vertex-minimally
     k-connected graph, starting from a profound k-region.
@@ -127,10 +135,7 @@ def crossing_separators_witness(g: Graph, region: Region, k: int, verify: bool =
     `conn` if given.
     """
     conn = conn or _Connectivity(g)
-    if verify:
-        res = check_class(g, MinimalityClass.VERTEX_MIN_CONN, k, conn)
-        if not res:
-            raise PreconditionViolated(f"not vertex-minimally {k}-connected: {res.reason}")
+    _require_member(g, MinimalityClass.VERTEX_MIN_CONN, k, conn)
     if len(region.boundary) != k:
         raise PreconditionViolated(
             f"need a k-region: boundary has {len(region.boundary)} vertices, not {k}"
@@ -463,11 +468,7 @@ def _descend_to_degree_k_vertex(conn: _Connectivity, side, k: int) -> EdgeMinSid
         if e is None:
             break
         cut = conn.cut_containing_edge(e)
-        if cut.size != k:
-            raise PreconditionViolated(
-                f"the smallest cut through edge {e} has {cut.size} edges, not {k}; "
-                "the graph is not edge-minimal"
-            )
+        assert cut.size == k, "in class c every edge lies in a k-cut"
         A = set(cut.sides[0]) if e[0] in cut.sides[0] else set(cut.sides[1])
         B = set(range(g.n)) - A
         A_H, B_H = A & H, B & H
@@ -492,7 +493,7 @@ def _descend_to_degree_k_vertex(conn: _Connectivity, side, k: int) -> EdgeMinSid
     )
 
 
-def edge_min_witness_pair(g: Graph | MultiGraph, k: int, verify: bool = True,
+def edge_min_witness_pair(g: Graph | MultiGraph, k: int, *,
                           conn: _Connectivity | None = None) -> EdgeMinWitnessTrace:
     """Two distinct degree-k vertices of an edge-minimally k-edge-connected
     graph, found on the two sides of a minimum cut.  The minimum cut and
@@ -500,13 +501,9 @@ def edge_min_witness_pair(g: Graph | MultiGraph, k: int, verify: bool = True,
     `conn` if given.
     """
     conn = conn or _Connectivity(g)
-    if verify:
-        res = check_class(g, MinimalityClass.EDGE_MIN_EDGE_CONN, k, conn)
-        if not res:
-            raise PreconditionViolated(f"not edge-minimally {k}-edge-connected: {res.reason}")
+    _require_member(g, MinimalityClass.EDGE_MIN_EDGE_CONN, k, conn)
     cut = conn.min_cut()
-    if cut.size != k:
-        raise PreconditionViolated(f"minimum cut has {cut.size} edges, not {k}")
+    assert cut.size == k, "class c is exactly k-edge-connected"
     sides = sorted(cut.sides, key=lambda s: tuple(sorted(s)))
     first = _descend_to_degree_k_vertex(conn, sides[0], k)
     second = _descend_to_degree_k_vertex(conn, sides[1], k)
@@ -580,22 +577,6 @@ class VertexMinEdgeWitnessTrace:
         }
 
 
-def _one_vertex_cut_sides(conn: _Connectivity, x: int) -> tuple[int, list[set[int]]]:
-    """Minimum cut value of G - x and its sides, asked on G's record.
-
-    When G - x is disconnected the value is 0 and every component is a
-    side; otherwise the two sides of a minimum cut.
-    """
-    g = conn.g
-    comps = components_of_subset(g, set(range(g.n)) - {x})
-    if len(comps) > 1:
-        return 0, [set(comp) for comp in comps]
-    if g.n < 3:
-        raise TooSmall("need at least 2 vertices")
-    lam, cut = _edge_scan(conn, x)
-    return lam, [set(side) for side in cut.sides]
-
-
 def _descend_region(conn: _Connectivity, k: int, C: set[int], x: int) -> VertexMinEdgeSideTrace:
     """Shrink a candidate region (C, x) until the counting argument applies.
 
@@ -638,13 +619,10 @@ def _descend_region(conn: _Connectivity, k: int, C: set[int], x: int) -> VertexM
             )
 
         y = confined[0]
-        lam_y, sides = _one_vertex_cut_sides(conn, y)
-        if lam_y >= k:
-            raise PreconditionViolated(
-                f"removing vertex {y} keeps {k}-edge-connectivity; "
-                "the graph is not vertex-minimal"
-            )
-        A = next(side for side in sides if x in side)
+        cut = conn.cut_without(y)
+        lam_y = cut.size
+        assert lam_y < k, "in class d every G - y is below k-edge-connectivity"
+        A = next(side for side in cut.sides if x in side)
         B = (everything - {y}) - A
         BC = B & C
         assert BC, "y has neighbors on the far side of its cut, all inside C"
@@ -669,7 +647,7 @@ def _descend_region(conn: _Connectivity, k: int, C: set[int], x: int) -> VertexM
         C, x = new_C, y
 
 
-def vertex_min_edge_witness_pair(g: Graph, k: int, verify: bool = True,
+def vertex_min_edge_witness_pair(g: Graph, k: int, *,
                                  conn: _Connectivity | None = None) -> VertexMinEdgeWitnessTrace:
     """Two distinct degree-k vertices of a vertex-minimally k-edge-connected
     graph.
@@ -684,20 +662,13 @@ def vertex_min_edge_witness_pair(g: Graph, k: int, verify: bool = True,
     """
     _simple_only(g)
     conn = conn or _Connectivity(g)
-    if verify:
-        res = is_vertex_min_k_edge_connected(g, k, conn)
-        if not res:
-            raise PreconditionViolated(f"not vertex-minimally {k}-edge-connected: {res.reason}")
+    _require_member(g, MinimalityClass.VERTEX_MIN_EDGE_CONN, k, conn)
 
     candidates: list[tuple[int, tuple[int, ...], int]] = []
     for x in range(g.n):
-        lam_x, sides = _one_vertex_cut_sides(conn, x)
-        if lam_x >= k:
-            raise PreconditionViolated(
-                f"removing vertex {x} keeps edge connectivity {lam_x} >= {k}; "
-                "the graph is not vertex-minimal"
-            )
-        for side in sides:
+        cut = conn.cut_without(x)
+        assert cut.size < k, "in class d every G - x is below k-edge-connectivity"
+        for side in cut.sides:
             candidates.append((len(side) + 1, tuple(sorted(side | {x})), x))
     size, verts, x = min(candidates)
     first = _descend_region(conn, k, set(verts), x)
@@ -773,19 +744,14 @@ class WitnessReport:
         }
 
 
-def witness_report(g: Graph | MultiGraph, cls: MinimalityClass, k: int,
-                   verify: bool = True, conn: _Connectivity | None = None) -> WitnessReport:
+def witness_report(g: Graph | MultiGraph, cls: MinimalityClass, k: int, *,
+                   conn: _Connectivity | None = None) -> WitnessReport:
     """Count the vertices within the class degree bound and compare with
     the guaranteed count.  The ratio field reports |V_bound| / n --
     informative for the edge-minimal edge-connectivity class, where no
-    exact constant is asserted.  Membership is checked on the record
-    `conn` of g if given."""
-    if verify:
-        res = check_class(g, cls, k, conn)
-        if not res:
-            raise ClassMismatch(
-                f"graph is not in class {cls.value} for k={k}: {res.reason}"
-            )
+    exact constant is asserted.  Membership is checked, raising
+    ClassMismatch, on the record `conn` of g if given."""
+    _require_member(g, cls, k, conn, ClassMismatch)
     bound = degree_bound(cls, k)
     degs = g.degrees()
     vs = small_degree_set(g, bound)

@@ -178,7 +178,7 @@ def test_criterion_6_procedure_traces(members):
             if region is None:
                 vacuous += 1  # complete graph: the argument never starts
                 continue
-            t = crossing_separators_witness(g, region, k, verify=False)
+            t = crossing_separators_witness(g, region, k)
             traced += 1
             covers = t.covers
             pairing = (
@@ -199,7 +199,7 @@ def test_criterion_6_procedure_traces(members):
     pairs_c = 0
     for k in (1, 2, 3, 4):
         for g in members[(k, C)]:
-            t = edge_min_witness_pair(g, k, verify=False)
+            t = edge_min_witness_pair(g, k)
             pairs_c += 1
             w1, w2 = t.witnesses
             if w1 == w2 or g.degree(w1) != k or g.degree(w2) != k:
@@ -208,7 +208,7 @@ def test_criterion_6_procedure_traces(members):
     pairs_d = 0
     for k in (2, 3, 4):
         for g in members[(k, D)]:
-            t = vertex_min_edge_witness_pair(g, k, verify=False)
+            t = vertex_min_edge_witness_pair(g, k)
             pairs_d += 1
             w1, w2 = t.witnesses
             if w1 == w2 or g.degree(w1) != k or g.degree(w2) != k:

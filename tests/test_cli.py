@@ -10,6 +10,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import minconn.families as families
+import minconn.minimality as minimality
 import minconn.witnesses as witnesses
 from minconn.cli import main
 from minconn.connectivity import _Connectivity
@@ -207,22 +209,23 @@ class TestWitness:
 
     @pytest.mark.parametrize("cls", ["b", "c", "d"])
     def test_explain_checks_membership_once(self, capsys, monkeypatch, cls):
+        # The report and the procedure both check membership, but the
+        # procedure reads the verdict the report left on the shared record.
         calls = []
-        real = witnesses.check_class
-        monkeypatch.setattr(
-            witnesses, "check_class", lambda *a: calls.append(a) or real(*a)
-        )
+        predicate = minimality._PREDICATES[MinimalityClass(cls)]
+        monkeypatch.setitem(minimality._PREDICATES, MinimalityClass(cls),
+                            lambda *a: calls.append(a) or predicate(*a))
         code, _, _ = invoke(["witness", C6, "--k", "2", "--class", cls, "--explain"], capsys)
         assert code == 0
         assert len(calls) == 1
 
-    def test_trace_same_with_and_without_verify(self):
+    def test_trace_same_on_fresh_and_shared_records(self):
         procedures = {
-            "b": lambda g, k, verify: crossing_separators_witness(
-                g, default_profound_region(g, k), k, verify
+            "b": lambda g, k, conn: crossing_separators_witness(
+                g, default_profound_region(g, k, conn), k, conn=conn
             ),
-            "c": edge_min_witness_pair,
-            "d": vertex_min_edge_witness_pair,
+            "c": lambda g, k, conn: edge_min_witness_pair(g, k, conn=conn),
+            "d": lambda g, k, conn: vertex_min_edge_witness_pair(g, k, conn=conn),
         }
         members = [
             (from_graph6(C6), "bcd", 2),
@@ -231,10 +234,12 @@ class TestWitness:
             (multipath(3, 5), "c", 3),
         ]
         for g, classes, k in members:
+            shared = _Connectivity(g)
             for cls in classes:
-                assert check_class(g, MinimalityClass(cls), k).holds, (cls, k)
+                assert check_class(g, MinimalityClass(cls), k, shared).holds, (cls, k)
+            for cls in classes:
                 run = procedures[cls]
-                assert run(g, k, True).to_json_obj() == run(g, k, False).to_json_obj(), cls
+                assert run(g, k, None).to_json_obj() == run(g, k, shared).to_json_obj(), cls
 
 
 def _fresh_trace(g, cls: str, k: int):
@@ -243,10 +248,10 @@ def _fresh_trace(g, cls: str, k: int):
         region = default_profound_region(g, k)
         if region is None:
             return {"note": "complete graph: no separator, counting bound only"}
-        return crossing_separators_witness(g, region, k, verify=False).to_json_obj()
+        return crossing_separators_witness(g, region, k).to_json_obj()
     if cls == "c":
-        return edge_min_witness_pair(g, k, verify=False).to_json_obj()
-    return vertex_min_edge_witness_pair(g, k, verify=False).to_json_obj()
+        return edge_min_witness_pair(g, k).to_json_obj()
+    return vertex_min_edge_witness_pair(g, k).to_json_obj()
 
 
 def test_shared_record_traces_equal_fresh_records(corpus7, capsys, monkeypatch):
@@ -431,6 +436,14 @@ class TestConstruct:
         g = from_graph6(out.strip())
         assert code == 0 and (g.n, g.m, max(g.degrees())) == (601, 600, 2)
         assert g.is_connected()
+
+    def test_ball_over_budget_is_one_error_line(self, capsys, monkeypatch):
+        # ball(9) of this tree has about 1.5e8 vertices; the pass stops at
+        # the first vertex over the budget, lowered here to keep it quick.
+        monkeypatch.setattr(families, "BALL_BUDGET", 1000)
+        code, out, err = invoke(["construct", "clique-tree:r=2,k=4", "--radius", "9"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: ball(9) of clique-tree:r=2,k=4 has more than 1000 vertices\n"
 
     def test_family_needs_radius(self, capsys):
         code, _, err = invoke(["construct", "clique-tree:r=2,k=4"], capsys)

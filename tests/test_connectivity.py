@@ -23,6 +23,7 @@ from minconn.connectivity import (
 )
 from minconn.errors import InvalidParams, NoSeparatorThroughVertex, TooSmall
 from minconn.flow import FlowNetwork
+from minconn.minimality import MinimalityClass, check_class
 from minconn.graphs import (
     Graph,
     MultiGraph,
@@ -170,11 +171,12 @@ class TestSharedRecord:
 
 def record_questions(g):
     """Every question a record answers about g and its one-vertex
-    deletions, as functions of the record.  Vertex questions are asked of
-    simple graphs only, and scans only of connected graphs."""
+    deletions, and every class verdict it keeps, as functions of the
+    record.  Vertex questions are asked of simple graphs only, and scans
+    only of connected graphs."""
     questions = []
+    simple = isinstance(g, Graph)
     for removed in [None, *range(g.n)]:
-        simple = isinstance(g, Graph)
         for j in range(1, 5):
             if simple:
                 questions.append(lambda c, j=j, r=removed: c.separator_below(j, r))
@@ -186,11 +188,21 @@ def record_questions(g):
             questions.append(lambda c, r=removed: _edge_scan(c, r))
     for e in g.edges():
         questions.append(lambda c, e=e: c.cut_containing_edge(e))
+        questions.append(lambda c, e=e: c.edge_side(e))
+        for j in range(1, 5):
+            questions.append(lambda c, e=e, j=j: c.edge_side(e, j))
+            if simple:
+                questions.append(lambda c, e=e, j=j: c.paths_avoiding_edge(e, j))
     questions.append(lambda c: c.min_cut())
+    if g.n >= 3:
+        questions += [lambda c, x=x: c.cut_without(x) for x in range(g.n)]
     if simple:
         questions.append(lambda c: c.min_separator())
         if g.n >= 3:
             questions += [lambda c, x=x: c.separator_containing(x) for x in range(g.n)]
+    for cls in MinimalityClass:
+        if simple or cls.uses_edge_connectivity:
+            questions += [lambda c, cls=cls, j=j: check_class(c.g, cls, j, c) for j in range(1, 5)]
     return questions
 
 
@@ -249,16 +261,19 @@ def assert_deletions_match_copies(g):
             assert (sep and sep.vertices) == separator_containing_by_copy(g, x), (x, g.edges())
             if sep is not None:
                 assert sep.sides == tuple(components_of_subset(g, rest - set(sep.vertices)))
-        if g.n >= 3 and len(components_of_subset(g, rest)) == 1:
-            lam, cut = _edge_scan(conn, x)
-            assert lam == cut.size
-            assert (cut.size, cut.edges, cut.sides) == cut_without_by_copy(g, x), (x, g)
+        if g.n >= 3:
+            cut = conn.cut_without(x)
+            comps = components_of_subset(g, rest)
+            if len(comps) > 1:
+                assert (cut.size, cut.edges, cut.sides) == (0, (), tuple(comps)), (x, g)
+            else:
+                assert (cut.size, cut.edges, cut.sides) == cut_without_by_copy(g, x), (x, g)
 
 
 class TestDeletionsAsArcCuts:
-    """The record's separators through x and `removed=x` edge scans, asked
-    for every x on one record, equal the copy route (delete x, scan the
-    copy, map back)."""
+    """The record's separators through x and minimum cuts of G - x
+    (`cut_without`), asked for every x on one record, equal the copy route
+    (delete x, scan the copy, map back)."""
 
     def test_corpus7(self, corpus7):
         for g in corpus7:
@@ -383,7 +398,7 @@ class TestSeparators:
                 continue
             assert len(sep.vertices) == vertex_connectivity(g)
             assert len(sep.sides) >= 2
-            rest, keep = g.delete_vertices(sep.vertices)
+            rest, keep = g.induced(set(range(g.n)) - set(sep.vertices))
             assert not rest.is_connected()
 
     def test_min_edge_cut_disconnects(self, small_corpus):

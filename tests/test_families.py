@@ -129,6 +129,28 @@ class TestBall:
         with pytest.raises(InvalidParams):
             ball(make_family("double-ray"), -1)
 
+    def test_over_budget_is_refused_at_the_first_vertex_over(self, monkeypatch):
+        # ball(r) of the double ray has 2r + 1 vertices; radius 11 is
+        # asked nowhere else, so `ball` cannot answer from its cache.
+        f = make_family("double-ray")
+        monkeypatch.setattr(families, "BALL_BUDGET", 21)
+        assert len(_oracle_ball(f, 10).tags) == 21
+        with pytest.raises(InvalidParams, match=r"ball\(11\) of double-ray has more than 21 vertices"):
+            ball(f, 11)
+
+    def test_over_budget_stops_inside_a_layer(self, monkeypatch):
+        # An rk = 8 clique tree's layers hold 1, 8, 64, 512, ... vertices.
+        # With a budget of 20 the pass stops at vertex 21, within the
+        # third neighbour list it reads, not at the end of layer 2.
+        f = make_family("clique-tree:r=2,k=4")
+        calls = []
+        oracle = type(f).neighbors
+        monkeypatch.setattr(type(f), "neighbors", lambda self, tag: calls.append(tag) or oracle(self, tag))
+        monkeypatch.setattr(families, "BALL_BUDGET", 20)
+        with pytest.raises(InvalidParams, match="more than 20 vertices"):
+            _oracle_ball(f, 9)
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_structure_matches_oracle(self, spec):
         f = make_family(spec)

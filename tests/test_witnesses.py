@@ -1,6 +1,7 @@
 import pytest
 
 from minconn import witnesses
+from minconn.connectivity import _Connectivity
 from minconn.constructions import band_graph, cycle_clique_strong, multipath, path_square_example
 from minconn.errors import ClassMismatch, InvalidParams, NoSuchEdge, PreconditionViolated
 from minconn.graphs import (
@@ -69,7 +70,7 @@ class TestCrossingSeparators:
                 region = default_profound_region(g, k)
                 if region is None:
                     continue  # complete graph: nothing to trace
-                t = crossing_separators_witness(g, region, k, verify=False)
+                t = crossing_separators_witness(g, region, k)
                 checked += 1
                 bnd, sep = set(t.boundary), set(t.separator)
                 small = set(t.small_set)
@@ -103,20 +104,21 @@ class TestCrossingSeparators:
             crossing_separators_witness(g, region, 2)
 
     def test_rejects_wrong_boundary_size(self):
-        g = cycle_graph(6)
-        region = region_of(g, {0, 1, 2})  # boundary {0,2}, not a 3-region
-        with pytest.raises(PreconditionViolated):
-            crossing_separators_witness(g, region, 3, verify=False)
+        g = band_graph(3, 2).graph  # a class-b member at k = 3
+        region = region_of(g, {0, 1, 2, 3})  # boundary {0,1,2,3}, not a 3-region
+        with pytest.raises(PreconditionViolated, match="need a k-region"):
+            crossing_separators_witness(g, region, 3)
 
     def test_rejects_shallow_region(self):
         g = cycle_graph(6)
         region = region_of(g, {0, 1})  # no interior vertex
-        with pytest.raises(PreconditionViolated):
-            crossing_separators_witness(g, region, 2, verify=False)
+        with pytest.raises(PreconditionViolated, match="not profound"):
+            crossing_separators_witness(g, region, 2)
 
     def test_one_split_network_per_run(self, corpus7, network_sizes):
         # The membership check and every shrink step's separator through
-        # x are asked on one record of G.
+        # x are asked on one record of G: a fresh one builds one network,
+        # and one already asked the membership question builds none.
         members = [(g, k) for g in corpus7 for k in (2, 3, 4) if check_class(g, B, k)]
         members += [(band_graph(k, l).graph, k) for k, l in ((3, 5), (3, 8), (4, 6))]
         members += [(cycle_clique_strong(6, 10), 6), (cycle_clique_strong(8, 10), 8)]
@@ -125,10 +127,14 @@ class TestCrossingSeparators:
             region = default_profound_region(g, k)
             if region is None:
                 continue
-            for verify in (False, True):
-                network_sizes.clear()
-                t = crossing_separators_witness(g, region, k, verify=verify)
-                assert network_sizes == [2 * g.n + 2], (g, k, verify)
+            network_sizes.clear()
+            t = crossing_separators_witness(g, region, k)
+            assert network_sizes == [2 * g.n + 2], (g, k)
+            conn = _Connectivity(g)
+            assert check_class(g, B, k, conn)
+            network_sizes.clear()
+            assert crossing_separators_witness(g, region, k, conn=conn) == t
+            assert network_sizes == [], (g, k)
             shrunk += bool(t.shrink_trail)
         assert shrunk
 
@@ -248,7 +254,7 @@ class TestCutSplitting:
             for k in (1, 2, 3):
                 if not check_class(g, C, k):
                     continue
-                t = edge_min_witness_pair(g, k, verify=False)
+                t = edge_min_witness_pair(g, k)
                 checked += 1
                 w1, w2 = t.witnesses
                 assert w1 != w2
@@ -302,16 +308,21 @@ class TestCutSplitting:
 
     def test_one_edge_network_per_run(self, corpus7, network_sizes):
         # The membership check, the minimum cut and every descent step's
-        # cut through an edge are asked on one record of G.
+        # cut through an edge are asked on one record of G: a fresh one
+        # builds one network, one already asked membership builds none.
         members = [(g, k) for g in corpus7 for k in (1, 2, 3) if check_class(g, C, k)]
         members += [(g, k) for g in small_multigraphs() for k in (2, 3) if check_class(g, C, k)]
         members += [(multipath(3, 8), 3)]
         members += [(path_square_example(l).graph, 3) for l in (20, 30)]
         for g, k in members:
-            for verify in (False, True):
-                network_sizes.clear()
-                edge_min_witness_pair(g, k, verify=verify)
-                assert network_sizes == [g.n + 2], (g, k, verify)
+            network_sizes.clear()
+            t = edge_min_witness_pair(g, k)
+            assert network_sizes == [g.n + 2], (g, k)
+            conn = _Connectivity(g)
+            assert check_class(g, C, k, conn)
+            network_sizes.clear()
+            assert edge_min_witness_pair(g, k, conn=conn) == t
+            assert network_sizes == [], (g, k)
 
 
 class TestRegionDescent:
@@ -337,7 +348,7 @@ class TestRegionDescent:
             for k in (2, 3):
                 if not check_class(g, D, k):
                     continue
-                t = vertex_min_edge_witness_pair(g, k, verify=False)
+                t = vertex_min_edge_witness_pair(g, k)
                 checked += 1
                 for side in (t.first, t.second):
                     assert g.degree(side.witness) == k
@@ -355,15 +366,20 @@ class TestRegionDescent:
 
     def test_one_edge_network_per_graph(self, corpus7, network_sizes):
         # Every G - x, for every x and in both descents, and the
-        # membership check are asked on one record of G.
+        # membership check are asked on one record of G: a fresh one
+        # builds one network, one already asked membership builds none.
         members = [(g, k) for g in corpus7 for k in (2, 3)
                    if g.min_degree() >= k and check_class(g, D, k)]
         members += [(band_graph(3, 4).graph, 3), (band_graph(4, 2).graph, 4), (ladder_graph(5), 2)]
         for g, k in members:
-            for verify in (False, True):
-                network_sizes.clear()
-                vertex_min_edge_witness_pair(g, k, verify=verify)
-                assert network_sizes == [g.n + 2], (g, k, verify)
+            network_sizes.clear()
+            t = vertex_min_edge_witness_pair(g, k)
+            assert network_sizes == [g.n + 2], (g, k)
+            conn = _Connectivity(g)
+            assert check_class(g, D, k, conn)
+            network_sizes.clear()
+            assert vertex_min_edge_witness_pair(g, k, conn=conn) == t
+            assert network_sizes == [], (g, k)
 
     def test_refuses_multigraphs(self):
         # The doubled triangle is a class-d member at k = 3 and 4, but its
@@ -422,3 +438,39 @@ class TestReports:
     def test_class_mismatch(self):
         with pytest.raises(ClassMismatch):
             witness_report(path_graph(4), B, 2)
+
+
+class TestFailsClosed:
+    """Every procedure checks membership itself, so a graph outside the
+    class fails with a package error, never with an internal assertion."""
+
+    def test_non_members_raise_package_errors(self, corpus7):
+        procedures = {
+            B: lambda g, k: crossing_separators_witness(g, region_of(g, {0}), k),
+            C: edge_min_witness_pair,
+            D: vertex_min_edge_witness_pair,
+        }
+        refused = 0
+        for g in corpus7:
+            for k in (2, 3):
+                for cls in MinimalityClass:
+                    if check_class(g, cls, k):
+                        continue
+                    with pytest.raises(ClassMismatch, match=f"not in class {cls.value} for k={k}"):
+                        witness_report(g, cls, k)
+                    if cls in procedures:
+                        with pytest.raises(PreconditionViolated, match=f"not in class {cls.value}"):
+                            procedures[cls](g, k)
+                    refused += 1
+        assert refused == 9870  # (graph, k, class) triples outside the class
+
+    def test_conn_is_keyword_only(self):
+        # A positional argument after k is an error, not a record.
+        g = cycle_graph(6)
+        region = default_profound_region(g, 2)
+        for call in (lambda: witness_report(g, B, 2, False),
+                     lambda: crossing_separators_witness(g, region, 2, False),
+                     lambda: edge_min_witness_pair(g, 2, False),
+                     lambda: vertex_min_edge_witness_pair(g, 2, False)):
+            with pytest.raises(TypeError):
+                call()
