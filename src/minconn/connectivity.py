@@ -21,6 +21,16 @@ arcs cut, never on a copy.  A resumed flow that stops below its limit is
 maximum, and every maximum flow leaves the same residual side, so no
 answer depends on where a flow started, nor on which caller asked first.
 
+Local facts answer before any flow.  kappa <= delta: `separator_below`
+returns N(v0) when the anchor v0 has degree below j.  And the easy side
+of Menger: the paths s-w-t through common neighbours w are disjoint, so
+|N(s) & N(t)| is a floor on both local connectivities, one more in edge
+mode when st is an edge (neighbour sets, so also on multigraphs).  A
+pair loop skips a pair whose floor exceeds best, and a per-edge question
+whose floor reaches its limit is answered with no flow.  The skipped
+pair's flow would have reached best + 1 and not been yielded, so no
+scan, tie or residual moves.
+
 Conventions: disconnected graphs have connectivity 0, complete graphs have
 vertex connectivity n-1, and single-vertex graphs are rejected.
 """
@@ -113,7 +123,7 @@ def _degrees_without(g, removed: int | None) -> dict[int, int]:
     return degs
 
 
-def _kappa_pairs(g: Graph, removed: int | None = None):
+def _kappa_pairs(g: Graph, removed: int | None = None, degs: dict[int, int] | None = None):
     """Pair list sufficient for vertex connectivity, fixed-source style.
 
     Any minimum separator either avoids the anchor v0 (then it separates
@@ -122,9 +132,11 @@ def _kappa_pairs(g: Graph, removed: int | None = None):
     component).  With `removed`, the pairs of G - removed in G's labels:
     the list for `g.delete_vertex(removed)`, mapped back through its
     old-index tuple.  That relabelling is monotone, so it keeps the order
-    of every tuple the scans compare.
+    of every tuple the scans compare.  `degs` are the degrees of
+    `_degrees_without(g, removed)` when the caller has them.
     """
-    degs = _degrees_without(g, removed)
+    if degs is None:
+        degs = _degrees_without(g, removed)
     v0 = min(degs, key=degs.get)  # the least of minimum degree
     nb = g.neighbors(v0) - {removed}
     for w in degs:
@@ -285,7 +297,8 @@ class _Connectivity:
     arcs cut, which leaves the flows of G - v.  Each `_vertex_scan` and
     `_edge_scan`, of G or of a G - v, runs once per record.
     Each cut kind's pair loop caps every flow at best + 1, yields each
-    pair that reaches at most best and then lowers best to it.
+    pair that reaches at most best and then lowers best to it; a pair
+    whose common neighbours already exceed best gets no flow.
 
     Callers outside this module ask questions and read no network: the
     predicates ask `separator_below`, `edge_connected`, and per edge
@@ -374,17 +387,23 @@ class _Connectivity:
 
     def paths_avoiding_edge(self, e: Edge, limit: int) -> int:
         """Internally disjoint u-v paths avoiding e = (u, v), counted up to
-        `limit`: the u_out->v_in flow with that arc cut (its twin
+        `limit`: `limit` when the paths u-w-v through common neighbours
+        reach it, else the u_out->v_in flow with that arc cut (its twin
         v_out->u_in leaves the sink, so no u-v flow can use it)."""
         u, v = e
+        if len(self.g.neighbors(u) & self.g.neighbors(v)) >= limit:
+            return limit
         net = self.split[0]
         arc = next(a for a in net.adj[2 * u + 1] if net.to[a] == 2 * v)
         return _restored_flow(self.split, 2 * u + 1, 2 * v, limit, (arc,))
 
     def edge_side(self, e: Edge, limit: int = INF) -> set[int] | None:
         """u's side of the source-minimal minimum u-v cut for e = (u, v);
-        None when the u-v flow reaches `limit`."""
+        None when the u-v flow reaches `limit`, with no flow when e and
+        the paths u-w-v through common neighbours already do."""
         u, v = e
+        if len(self.g.neighbors(u) & self.g.neighbors(v)) + 1 >= limit:
+            return None
         if _restored_flow(self.edge, u, v, limit) == limit:
             return None
         return self.edge[0].residual_reachable(u)
@@ -395,15 +414,22 @@ class _Connectivity:
             raise NoSuchEdge(f"({u},{v})")
         return _cut_from_side(self.g, self.edge_side(e))
 
-    def vertex_flows(self, best: int, removed: int | None = None):
-        """(value, separator) over `_kappa_pairs(g, removed)`.
+    def vertex_flows(self, best: int, removed: int | None = None, degs: dict[int, int] | None = None):
+        """(value, separator) over `_kappa_pairs(g, removed, degs)`.
 
         For G - v the arc v_in->v_out is cut, and v, whose v_in the
-        residual may reach, is dropped from the separator.
+        residual may reach, is dropped from the separator.  A pair with
+        more than best common neighbours in G - removed has that many
+        disjoint paths s-w-t, so its flow would reach best + 1: it is
+        skipped without one.
         """
+        nb = self.g.neighbors
         cut = () if removed is None else (2 * removed,)
-        # the network is built at the first pair, so a complete graph builds none
-        for s, t in _kappa_pairs(self.g, removed):
+        # the network is built at the first flow, so a complete graph builds none
+        for s, t in _kappa_pairs(self.g, removed, degs):
+            common = nb(s) & nb(t)
+            if len(common) - (removed in common) > best:
+                continue
             value = _restored_flow(self.split, 2 * s + 1, 2 * t, best + 1, cut)
             if value <= best:
                 sep = _separator_from_residual(self.g.n, self.split[0], 2 * s + 1)
@@ -415,13 +441,19 @@ class _Connectivity:
         v0 of G - removed to every other vertex.
 
         For G - v both arcs of every pair at v are cut, so no side holds v.
+        As in `vertex_flows`, a pair whose edge and paths v0-w-t through
+        common neighbours in G - removed exceed best is skipped.
         """
         degs = _degrees_without(self.g, removed)
         v0 = min(degs, key=degs.get)
+        nb, nb0 = self.g.neighbors, self.g.neighbors(v0)
         net = self.edge[0]
         cut = () if removed is None else [b for a in net.adj[removed] for b in (a, a ^ 1)]
         for t in degs:
             if t == v0:
+                continue
+            common = nb0 & nb(t)
+            if len(common) - (removed in common) + (t in nb0) > best:
                 continue
             value = _restored_flow(self.edge, v0, t, best + 1, cut)
             if value <= best:
@@ -432,11 +464,20 @@ class _Connectivity:
         """None when kappa >= j, of G or with `removed` of G - removed.
 
         Otherwise a separator of fewer than j vertices, in G's labels: ()
-        when the graph has at most j vertices (or is G and disconnected),
-        else the one the first flow below j leaves in its residual.
+        when the graph has at most j vertices (or is G and disconnected);
+        N(v0) with no flow when the least vertex v0 of minimum degree has
+        degree below j (kappa <= delta, and v0 has a non-neighbour); else
+        the one the first flow below j leaves in its residual.
         """
         g = self.g
-        first = lambda: next((sep for _, sep in self.vertex_flows(j - 1, removed)), None)
+
+        def first():
+            degs = _degrees_without(g, removed)
+            v0 = min(degs, key=degs.get)
+            if degs[v0] < j:
+                return tuple(sorted(g.neighbors(v0) - {removed}))
+            return next((sep for _, sep in self.vertex_flows(j - 1, removed, degs)), None)
+
         if removed is None:
             if j not in self._below:
                 self._below[j] = first() if g.n > j and g.is_connected() else ()

@@ -11,24 +11,32 @@ lowers either connectivity by at most one, and deleting a vertex lowers
 vertex connectivity by at most one, so a graph that stays k-connected
 beyond k cannot be minimal and any single element certifies that.  The
 elements are then tried in order, and the first one whose deletion keeps
-the connectivity is the certificate.  Three local facts replace a full
-connectivity scan of the deleted graph:
+the connectivity is the certificate.  Local facts skip elements that are
+already proven essential or critical, so the certificate never moves:
 
-- Class a.  For k-connected G, G - uv is k-connected iff k internally
-  disjoint u-v paths avoid uv: a separator of G - uv with fewer than k
-  vertices separates nothing in G, so it must split u from v.
+- Class a.  An edge at a vertex of degree k is essential: G - uv has a
+  vertex of degree k - 1.  For the rest, for k-connected G, G - uv is
+  k-connected iff k internally disjoint u-v paths avoid uv: a separator
+  of G - uv with fewer than k vertices separates nothing in G, so it
+  must split u from v.
 - Class b.  Every vertex x of a k-separator T of G is critical: T - x
-  separates G - x.  The failing (k+1)-connectivity flow leaves one such
-  T, and a separator S of k-1 vertices in G - v gives another, S + v.
-  Vertices so certified are not tried again.
-- Class c.  For k- but not (k+1)-edge-connected G, G minus one copy of
-  uv is k-edge-connected iff lambda(u, v) >= k+1: only the cuts between
-  u and v lose an edge.  A u-v flow of value k leaves a k-cut, and
-  deleting one copy of any of its edges leaves a (k-1)-cut, so those
-  edge classes are not tried again.
+  separates G - x.  When n > k + 1, N(w) is such a T for each w of
+  degree k; the failing (k+1)-connectivity flow leaves another, and a
+  separator S of k-1 vertices in G - v gives S + v.  Vertices so
+  certified are not tried again.
+- Class c.  An edge class at a vertex of degree k, counting copies, is
+  essential.  For the rest, for k- but not (k+1)-edge-connected G, G
+  minus one copy of uv is k-edge-connected iff lambda(u, v) >= k+1:
+  only the cuts between u and v lose an edge.  A u-v flow of value k
+  leaves a k-cut, and deleting one copy of any of its edges leaves a
+  (k-1)-cut, so those edge classes are not tried again.
+- Class d.  Deleting a vertex can lower edge connectivity by more than
+  one, so each G - v is asked lambda >= k; the record answers no when
+  G - v has a vertex of degree below k, with no flow.
 
-Class d has no such fact: deleting a vertex can lower edge connectivity
-by more than one, so each G - v gets a full k-edge-connectivity check.
+Questions that reach the record meet its own local floors before any
+flow: kappa <= delta, and disjoint paths through common neighbours (see
+`connectivity`).
 
 `classify` hands one `_Connectivity` record to all four predicates, so
 each graph gets at most one split network and one edge network and
@@ -129,7 +137,10 @@ def is_edge_min_k_connected(g: Graph, k: int, conn: _Connectivity | None = None)
     if conn.separator_below(k + 1) is None:
         e = g.edges()[0]
         return PredicateResult(False, f"{k + 1}-connected, so deleting edge {e} keeps {k}-connectivity", e)
+    degs = g.degrees()
     for e in g.edges():
+        if k in (degs[e[0]], degs[e[1]]):
+            continue  # G - e has a vertex of degree k - 1
         if conn.paths_avoiding_edge(e, k) == k:
             return PredicateResult(False, f"deleting edge {e} keeps {k}-connectivity", e)
     return PredicateResult(True)
@@ -147,6 +158,10 @@ def is_vertex_min_k_connected(g: Graph, k: int, conn: _Connectivity | None = Non
     if sep is None:
         return PredicateResult(False, f"{k + 1}-connected, so deleting vertex 0 keeps {k}-connectivity", 0)
     critical = set(sep)
+    if g.n > k + 1:  # N(w) is a k-separator, every vertex of which is critical
+        for w, d in enumerate(g.degrees()):
+            if d == k:
+                critical.update(g.neighbors(w))
     for v in range(g.n):
         if v in critical:
             continue
@@ -170,7 +185,8 @@ def is_edge_min_k_edge_connected(g: Graph | MultiGraph, k: int,
         e = classes[0]
         return PredicateResult(False, f"{k + 1}-edge-connected, so deleting edge {e} keeps {k}-edge-connectivity", e)
     deleting = "deleting one copy of edge" if isinstance(g, MultiGraph) else "deleting edge"
-    essential: set[Edge] = set()
+    degs = g.degrees()  # counting copies: a copy at a vertex of degree k is essential
+    essential = {e for e in classes if k in (degs[e[0]], degs[e[1]])}
     for e in classes:
         if e in essential:
             continue
@@ -185,8 +201,8 @@ def is_vertex_min_k_edge_connected(g: Graph | MultiGraph, k: int,
                                    conn: _Connectivity | None = None) -> PredicateResult:
     """k-edge-connected, and deleting any single vertex destroys that.
 
-    No shortcut here: unlike edge deletion, removing a vertex can lower
-    edge connectivity by more than one, so every vertex is tried.
+    No (k+1) shortcut here: unlike edge deletion, removing a vertex can
+    lower edge connectivity by more than one, so every vertex is tried.
     """
     _check_pre(g, k)
     if k == 1:

@@ -103,6 +103,34 @@ def brute_force_connectivity(g) -> tuple[int, int]:
     return kappa, lam
 
 
+def local_vertex_connectivity(g: Graph, s: int, t: int) -> int:
+    """The fewest vertices other than s and t whose deletion leaves no s-t
+    path, by subset enumeration; s and t must be distinct and non-adjacent.
+    By Menger's theorem, the most internally disjoint s-t paths."""
+    assert s != t and not g.has_edge(s, t)
+    others = [v for v in range(g.n) if v not in (s, t)]
+    for size in range(len(others) + 1):
+        for sub in combinations(others, size):
+            rest = set(range(g.n)) - set(sub)
+            if not any(s in c and t in c for c in components_of_subset(g, rest)):
+                return size
+    raise AssertionError("deleting every other vertex separates s from t")
+
+
+def local_edge_connectivity(g, s: int, t: int) -> int:
+    """The fewest edge copies whose deletion leaves no s-t path: the least
+    multiplicity crossing any vertex set that holds s but not t, by subset
+    enumeration.  By Menger's theorem, the most edge-disjoint s-t paths."""
+    assert s != t
+    others = [v for v in range(g.n) if v not in (s, t)]
+    best = None
+    for mask in range(2 ** len(others)):
+        side = {s} | {v for i, v in enumerate(others) if mask >> i & 1}
+        crossing = sum(g.multiplicity(u, v) for u, v in g.edges() if (u in side) != (v in side))
+        best = crossing if best is None else min(best, crossing)
+    return best
+
+
 def separator_containing_by_copy(g: Graph, x: int) -> tuple[int, ...] | None:
     """The vertices of `min_separator_containing(g, x)` by the copy route:
     a minimum separator of the copy G - x, mapped back through its

@@ -35,6 +35,8 @@ from minconn.graphs import (
 from oracles import (
     brute_force_connectivity,
     cut_without_by_copy,
+    local_edge_connectivity,
+    local_vertex_connectivity,
     separator_containing_by_copy,
     subdivide,
 )
@@ -167,6 +169,72 @@ class TestSharedRecord:
                         mp.setattr(FlowNetwork, "max_flow", None)
                         assert conn.edge_connected(j)
                 assert conn.edge_connected(j) == is_k_edge_connected(g, j)
+
+
+def kappa_by_pairs(g: Graph) -> int:
+    """kappa(G) as the least local vertex connectivity over non-adjacent
+    pairs: n - 1 when complete, and 0 for one vertex."""
+    pairs = [(s, t) for s in range(g.n) for t in range(s + 1, g.n) if not g.has_edge(s, t)]
+    return min((local_vertex_connectivity(g, s, t) for s, t in pairs), default=max(g.n - 1, 0))
+
+
+def lambda_by_pairs(g) -> int:
+    """lambda(G) as the least local edge connectivity from vertex 0; 0 for
+    one vertex."""
+    return min((local_edge_connectivity(g, 0, t) for t in range(1, g.n)), default=0)
+
+
+class TestLocalFloors:
+    """The questions that degrees and common neighbours may answer with no
+    flow, against local connectivity by subset enumeration on copies."""
+
+    @given(graphs(max_n=6))
+    @settings(max_examples=150, deadline=None)
+    def test_paths_avoiding_edge(self, g):
+        conn = _Connectivity(g)
+        for u, v in g.edges():
+            paths = local_vertex_connectivity(g.delete_edge(u, v), u, v)
+            for j in range(1, 6):
+                assert conn.paths_avoiding_edge((u, v), j) == min(paths, j), ((u, v), j, g.edges())
+
+    @given(graphs(max_n=6) | multigraphs(max_n=6))
+    @settings(max_examples=150, deadline=None)
+    def test_edge_side(self, g):
+        conn = _Connectivity(g)
+        for u, v in g.edges():
+            lam = local_edge_connectivity(g, u, v)
+            for j in range(1, 6):
+                side = conn.edge_side((u, v), j)
+                assert (side is None) == (lam >= j), ((u, v), j, g.edges())
+                if side is not None:
+                    assert u in side and v not in side
+                    assert sum(g.multiplicity(*f) for f in g.edges() if (f[0] in side) != (f[1] in side)) == lam
+
+    @given(graphs(max_n=6))
+    @settings(max_examples=150, deadline=None)
+    def test_separator_below(self, g):
+        conn = _Connectivity(g)
+        for removed in [None, *range(g.n)]:
+            h = g if removed is None else g.delete_vertex(removed)[0]
+            kappa = kappa_by_pairs(h)
+            for j in range(1, 6):
+                sep = conn.separator_below(j, removed)
+                assert (sep is None) == (kappa >= j), (removed, j, g.edges())
+                if sep == ():  # too few vertices, or disconnected
+                    assert h.n <= j or kappa == 0
+                elif sep is not None:
+                    rest = set(range(g.n)) - {removed} - set(sep)
+                    assert len(sep) < j and removed not in sep
+                    assert len(components_of_subset(g, rest)) > 1
+
+    @given(graphs(max_n=6) | multigraphs(max_n=6))
+    @settings(max_examples=150, deadline=None)
+    def test_edge_connected(self, g):
+        conn = _Connectivity(g)
+        for removed in [None, *range(g.n)]:
+            lam = lambda_by_pairs(g if removed is None else g.delete_vertex(removed)[0])
+            for j in range(1, 6):
+                assert conn.edge_connected(j, removed) == (lam >= j), (removed, j, g.edges())
 
 
 def record_questions(g):

@@ -117,8 +117,11 @@ class TestCrossingSeparators:
 
     def test_one_split_network_per_run(self, corpus7, network_sizes):
         # The membership check and every shrink step's separator through
-        # x are asked on one record of G: a fresh one builds one network,
-        # and one already asked the membership question builds none.
+        # x are asked on one record of G, which builds its split network
+        # at its first flow: a fresh run builds one, and a record shared
+        # by check_class and the procedure builds at most one between
+        # them.  Degrees and common neighbours may answer membership with
+        # no flow (C4 at k = 2), and then the procedure builds it.
         members = [(g, k) for g in corpus7 for k in (2, 3, 4) if check_class(g, B, k)]
         members += [(band_graph(k, l).graph, k) for k, l in ((3, 5), (3, 8), (4, 6))]
         members += [(cycle_clique_strong(6, 10), 6), (cycle_clique_strong(8, 10), 8)]
@@ -131,10 +134,10 @@ class TestCrossingSeparators:
             t = crossing_separators_witness(g, region, k)
             assert network_sizes == [2 * g.n + 2], (g, k)
             conn = _Connectivity(g)
-            assert check_class(g, B, k, conn)
             network_sizes.clear()
+            assert check_class(g, B, k, conn)
             assert crossing_separators_witness(g, region, k, conn=conn) == t
-            assert network_sizes == [], (g, k)
+            assert network_sizes in ([], [2 * g.n + 2]), (g, k)
             shrunk += bool(t.shrink_trail)
         assert shrunk
 
