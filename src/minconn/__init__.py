@@ -11,7 +11,10 @@ are tight, and estimators for the degrees of the ends of the infinite
 families that play the same role for infinite graphs.
 """
 
+from types import ModuleType as _ModuleType
+
 from .connectivity import (
+    Connectivity,
     Cut,
     DisjointPaths,
     Separator,
@@ -39,7 +42,6 @@ from .errors import (
     EmptyRegion,
     InvalidParams,
     MinconnError,
-    NoSeparatorThroughVertex,
     NoSuchEdge,
     NotConverged,
     PreconditionViolated,
@@ -105,85 +107,6 @@ from .witnesses import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cut",
-    "DisjointPaths",
-    "Separator",
-    "Graph",
-    "MixedSet",
-    "MultiGraph",
-    "Region",
-    "MinimalityClass",
-    "ClassificationReport",
-    "PredicateResult",
-    "check_class",
-    "classify",
-    "is_edge_min_k_connected",
-    "is_edge_min_k_edge_connected",
-    "is_vertex_min_k_connected",
-    "is_vertex_min_k_edge_connected",
-    "edge_connectivity",
-    "is_k_connected",
-    "is_k_edge_connected",
-    "max_disjoint_paths",
-    "min_cut_containing_edge",
-    "min_edge_cut",
-    "min_separator_containing",
-    "min_vertex_separator",
-    "vertex_connectivity",
-    "cartesian_product",
-    "complete_graph",
-    "cycle_graph",
-    "degree_profile",
-    "path_graph",
-    "region_of",
-    "small_degree_set",
-    "square",
-    "strong_product",
-    "MinconnError",
-    "InvalidParams",
-    "TooSmall",
-    "TooLarge",
-    "EmptyRegion",
-    "NoSuchEdge",
-    "NoSeparatorThroughVertex",
-    "PreconditionViolated",
-    "ClassMismatch",
-    "ValidationFailed",
-    "NotConverged",
-    "LabeledGraph",
-    "band_graph",
-    "cycle_clique_strong",
-    "cycle_clique_strong_odd",
-    "multipath",
-    "path_square_example",
-    "canonical_key",
-    "enumerate_all",
-    "enumerate_graphs",
-    "random_graphs",
-    "CrossingSeparatorsTrace",
-    "EdgeMinWitnessTrace",
-    "MinimalRegionResult",
-    "VertexMinEdgeWitnessTrace",
-    "WitnessReport",
-    "crossing_separators_witness",
-    "default_profound_region",
-    "degree_bound",
-    "edge_min_witness_pair",
-    "minimal_region_small_edge_boundary",
-    "required_count",
-    "small_component_witness",
-    "vertex_min_edge_witness_pair",
-    "witness_report",
-    "Ball",
-    "CertifyReport",
-    "EndDegreeEstimate",
-    "EndDescriptor",
-    "Family",
-    "FamilyValidation",
-    "ball",
-    "certify_essential_edges",
-    "end_degree_estimate",
-    "make_family",
-    "validate_family",
-]
+# the public API: every name imported above
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -24,8 +24,9 @@ from itertools import chain
 from typing import Iterator
 
 from . import __version__
-from .connectivity import _Connectivity
+from .connectivity import Connectivity
 from .constructions import (
+    LabeledGraph,
     band_graph,
     cycle_clique_strong,
     multipath,
@@ -146,7 +147,7 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _explain_trace(g, cls: MinimalityClass, k: int, conn: _Connectivity):
+def _explain_trace(g, cls: MinimalityClass, k: int, conn: Connectivity):
     """The constructive procedure trace appropriate for the class.
 
     `cmd_witness` builds one connectivity record of g and shares it across
@@ -182,7 +183,7 @@ def cmd_witness(args) -> int:
     g = graphs[0]
     cls = MinimalityClass(args.cls)
 
-    conn = _Connectivity(g)
+    conn = Connectivity(g)
     report = witness_report(g, cls, args.k, conn=conn)
     obj = report.to_json_obj()
     obj["graph"] = graph_id(g)
@@ -228,7 +229,7 @@ def _corpus(args, k: int | None) -> Iterator[Graph]:
     return graphs
 
 
-def _held(g: Graph, k: int, wanted: MinimalityClass | None, conn: _Connectivity) -> list[MinimalityClass]:
+def _held(g: Graph, k: int, wanted: MinimalityClass | None, conn: Connectivity) -> list[MinimalityClass]:
     """The classes g is in at k, among `wanted` (every class when None),
     asked on the record `conn` of g."""
     return [cls for cls in MinimalityClass
@@ -241,7 +242,7 @@ def cmd_verify(args) -> int:
     wanted = _parse_class(args.cls)
     rows = []
     for g in _corpus(args, k):
-        conn = _Connectivity(g)
+        conn = Connectivity(g)
         held = _held(g, k, wanted, conn)
         if not held:
             continue
@@ -294,36 +295,34 @@ def _emit_verify(args, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
+# finite constructions: spec head -> (builder, its parameters in order)
+CONSTRUCTIONS = {
+    "band": (band_graph, ("k", "l")),
+    "multipath": (multipath, ("k", "m")),
+    "path-square": (path_square_example, ("l",)),
+    "cycle-clique": (cycle_clique_strong, ("k", "l")),
+}
+
+
 def _build_construction(spec: str, radius: int | None):
     """A finite construction or a ball truncation of a family.
 
     Returns (graph, labels) where labels maps vertex names to indices.
     """
     head, _, rest = spec.strip().partition(":")
-    if head == "band":
-        p = _parse_params(head, rest, ("k", "l"))
-        lg = band_graph(p["k"], p["l"])
-        return lg.graph, lg.labels
-    if head == "multipath":
-        p = _parse_params(head, rest, ("k", "m"))
-        return multipath(p["k"], p["m"]), {}
-    if head == "path-square":
-        p = _parse_params(head, rest, ("l",))
-        lg = path_square_example(p["l"])
-        return lg.graph, lg.labels
-    if head == "cycle-clique":
-        p = _parse_params(head, rest, ("k", "l"))
-        return cycle_clique_strong(p["k"], p["l"]), {}
+    if head in CONSTRUCTIONS:
+        builder, keys = CONSTRUCTIONS[head]
+        p = _parse_params(head, rest, keys)
+        g = builder(*(p[key] for key in keys))
+        return (g.graph, g.labels) if isinstance(g, LabeledGraph) else (g, {})
     if head in FAMILY_KINDS:
         if radius is None:
             raise InvalidParams(f"family {head!r} needs --radius to truncate")
         f = make_family(spec)
         b = ball(f, radius)
         return b.graph, {repr(t): i for i, t in enumerate(b.tags)}
-    raise InvalidParams(
-        f"unknown construction {head!r}; known: band, multipath, path-square, "
-        f"cycle-clique, {', '.join(sorted(FAMILY_KINDS))}"
-    )
+    known = [*CONSTRUCTIONS, *sorted(FAMILY_KINDS)]
+    raise InvalidParams(f"unknown construction {head!r}; known: {', '.join(known)}")
 
 
 def cmd_construct(args) -> int:
@@ -381,7 +380,7 @@ def cmd_enumerate(args) -> int:
     if args.k is not None:
         _check_k(args.k)
     for g in _corpus(args, args.k):
-        if args.k is None or _held(g, args.k, wanted, _Connectivity(g)):
+        if args.k is None or _held(g, args.k, wanted, Connectivity(g)):
             print(to_graph6(g))
     return EXIT_OK
 

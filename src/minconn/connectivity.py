@@ -5,11 +5,11 @@ plain unit/multiplicity capacities for cuts).  The test suite holds them
 equal, on an exhaustive small-graph corpus, to a brute-force oracle that
 re-derives both numbers by subset enumeration (`tests/oracles.py`).
 
-Pair flows live in one `_Connectivity` record per graph, shared by the
-minimality predicates and the witness procedures.  It builds at most one
-split network and one edge network, and each cut kind has one pair loop
-(`vertex_flows`, `edge_flows`) after Even and Tarjan's fixed-source pair
-list (SIAM J. Comput. 1975).  Each pair's flow resumes from that pair's
+Every question is asked of one `Connectivity` record per graph, shared
+by the minimality predicates and the witness procedures.  It builds at
+most one split network and one edge network, and each cut kind has one
+pair loop after Even and Tarjan's fixed-source pair list (SIAM J.
+Comput. 1975).  Each pair's flow resumes from that pair's
 last flow on the network, with the units on the arcs it cuts cancelled.
 A loop stops each flow one unit above the best value so far and yields
 every pair that reaches it.  The scans keep the minimum
@@ -85,7 +85,7 @@ class DisjointPaths:
 
 
 # ---------------------------------------------------------------------------
-# vertex connectivity
+# networks and the certificates read from them
 # ---------------------------------------------------------------------------
 
 
@@ -112,87 +112,6 @@ def _separator(g: Graph, vertices: tuple[int, ...]) -> Separator:
     return Separator(vertices, tuple(components_of_subset(g, set(range(g.n)) - set(vertices))))
 
 
-def _degrees_without(g, removed: int | None) -> dict[int, int]:
-    """Degree of each vertex of G - removed (of G when None), by G's
-    labels in increasing order."""
-    degs = dict(enumerate(g.degrees()))
-    if removed is not None:
-        for w in g.neighbors(removed):
-            degs[w] -= g.multiplicity(removed, w)
-        del degs[removed]
-    return degs
-
-
-def _kappa_pairs(g: Graph, removed: int | None = None, degs: dict[int, int] | None = None):
-    """Pair list sufficient for vertex connectivity, fixed-source style.
-
-    Any minimum separator either avoids the anchor v0 (then it separates
-    v0 from some non-neighbour) or contains it (then it separates two
-    non-adjacent neighbours of v0, since a minimum separator sees every
-    component).  With `removed`, the pairs of G - removed in G's labels:
-    the list for `g.delete_vertex(removed)`, mapped back through its
-    old-index tuple.  That relabelling is monotone, so it keeps the order
-    of every tuple the scans compare.  `degs` are the degrees of
-    `_degrees_without(g, removed)` when the caller has them.
-    """
-    if degs is None:
-        degs = _degrees_without(g, removed)
-    v0 = min(degs, key=degs.get)  # the least of minimum degree
-    nb = g.neighbors(v0) - {removed}
-    for w in degs:
-        if w != v0 and w not in nb:
-            yield v0, w
-    for x, y in combinations(sorted(nb), 2):
-        if not g.has_edge(x, y):
-            yield x, y
-
-
-def _vertex_scan(conn: "_Connectivity", removed: int | None = None) -> tuple[int, tuple[int, ...] | None]:
-    """kappa of a connected graph (or of G - removed, connected) and the
-    lexicographically smallest minimum separator among those the pairs
-    realise (None when complete).  Each is scanned once per record."""
-    key = "vertex", removed
-    if key not in conn._scans:
-        best, best_sep = conn.g.n - 1 - (removed is not None), None
-        for value, sep in conn.vertex_flows(best, removed):
-            if value < best or best_sep is None or sep < best_sep:
-                best, best_sep = value, sep
-        conn._scans[key] = best, best_sep
-    return conn._scans[key]
-
-
-def vertex_connectivity(g: Graph) -> int:
-    """kappa(G); 0 when disconnected, n-1 when complete."""
-    sep = _Connectivity(g).min_separator()
-    return g.n - 1 if sep is None else sep.size
-
-
-def is_k_connected(g: Graph, k: int) -> bool:
-    """kappa(G) >= k, with flows cut off at k (cheaper than full kappa).
-
-    The one-vertex graph is not considered k-connected for any k >= 1.
-    """
-    if k < 1:
-        raise TooSmall("k must be at least 1")
-    return _Connectivity(g).separator_below(k) is None
-
-
-def min_vertex_separator(g: Graph) -> Separator | None:
-    """A minimum separator, lexicographically smallest among those the
-    pair scan realises; None for complete graphs."""
-    return _Connectivity(g).min_separator()
-
-
-def min_separator_containing(g: Graph, x: int) -> Separator | None:
-    """Smallest separator of G that contains the vertex x, or None."""
-    return _Connectivity(g).separator_containing(x)
-
-
-# ---------------------------------------------------------------------------
-# edge connectivity
-# ---------------------------------------------------------------------------
-
-
 def _edge_network(n: int, edges, mult=None) -> FlowNetwork:
     # node v = v, one undirected pair per edge class with its multiplicity
     # `mult(u, v)` as capacity (1 without `mult`); the last two nodes as in
@@ -209,51 +128,6 @@ def _cut_from_side(g, side, removed: int | None = None) -> Cut:
     b = frozenset(range(g.n)) - a - {removed}
     edges = tuple(sorted(e for e in edge_boundary(g, a) if removed not in e))
     return Cut(edges, (a, b), sum(g.multiplicity(u, v) for u, v in edges))
-
-
-def _edge_scan(conn: "_Connectivity", removed: int | None = None) -> tuple[int, Cut]:
-    """lambda of a connected graph (or of G - removed, connected, with at
-    least two vertices) and the minimum cut with the lexicographically
-    smallest `Cut.edges` among those `edge_flows` realises.  Each is
-    scanned once per record."""
-    key = "edge", removed
-    if key not in conn._scans:
-        best, best_cut = INF, None
-        for value, side in conn.edge_flows(best, removed):
-            if value == best and side == best_cut.sides[0]:
-                continue  # the same side cuts the same edges
-            cut = _cut_from_side(conn.g, side, removed)
-            if value < best or cut.edges < best_cut.edges:
-                best, best_cut = value, cut
-        conn._scans[key] = best, best_cut
-    return conn._scans[key]
-
-
-def edge_connectivity(g) -> int:
-    """lambda(G) for a Graph or MultiGraph; 0 when disconnected."""
-    return _Connectivity(g).min_cut().size
-
-
-def is_k_edge_connected(g, k: int) -> bool:
-    """lambda(G) >= k with early cutoff; K^1 rejected for every k >= 1."""
-    if k < 1:
-        raise TooSmall("k must be at least 1")
-    return _Connectivity(g).edge_connected(k)
-
-
-def min_edge_cut(g) -> Cut:
-    """A minimum edge cut, lexicographically smallest among those realised."""
-    return _Connectivity(g).min_cut()
-
-
-def min_cut_containing_edge(g, e: Edge) -> Cut:
-    """Minimum edge cut through e = (u, v), i.e. a minimum u-v cut."""
-    return _Connectivity(g).cut_containing_edge(e)
-
-
-# ---------------------------------------------------------------------------
-# pair flows, one record per graph
-# ---------------------------------------------------------------------------
 
 
 def _restored_flow(network: tuple[FlowNetwork, list[int], dict], s: int, t: int,
@@ -285,40 +159,48 @@ def _restored_flow(network: tuple[FlowNetwork, list[int], dict], s: int, t: int,
     return value if value < limit else limit
 
 
-class _Connectivity:
-    """The pair flows of one Graph or MultiGraph and of its one-vertex
-    deletions, the answers read from them, and the class verdicts asked
-    of it; kappa >= j and lambda >= j about G, each answered once.
+# ---------------------------------------------------------------------------
+# the connectivity record
+# ---------------------------------------------------------------------------
 
-    `split` and `edge` are the graph's two networks, each built on first
-    use with its capacity snapshot and a dict of each pair's last flow, a
-    flow of G; a pair's first flow starts from the snapshot, and every
-    later one from that flow (`_restored_flow`).  G - v is asked with v's
-    arcs cut, which leaves the flows of G - v.  Each `_vertex_scan` and
-    `_edge_scan`, of G or of a G - v, runs once per record.
-    Each cut kind's pair loop caps every flow at best + 1, yields each
-    pair that reaches at most best and then lowers best to it; a pair
-    whose common neighbours already exceed best gets no flow.
 
-    Callers outside this module ask questions and read no network: the
-    predicates ask `separator_below`, `edge_connected`, and per edge
-    `paths_avoiding_edge` (class a) or `edge_side` (c), and `check_class`
-    keeps each verdict in `verdicts`.  The witness procedures ask a
-    minimum separator (`min_separator`) and the smallest separator
-    through each vertex x they try (`separator_containing`) for class b,
-    a minimum cut (`min_cut`) and the minimum cut through each edge they
-    probe (`cut_containing_edge`) for class c, and the minimum cut of
-    each G - x (`cut_without`) for class d.  `cmd_witness` builds one
-    record and shares it across the report's membership check, the
-    default region and the traced procedure; called without one, each
-    builds its own.  The public functions of the same names are these
-    methods on a fresh record.
+class Connectivity:
+    """The connectivity questions about one Graph or MultiGraph G, about
+    each G - x and about each G - e, answered from G's pair flows.
+
+    About G: `min_separator()` (None when G is complete), `min_cut()`,
+    `separator_below(j)` (None when kappa >= j, else a separator of fewer
+    than j vertices) and `edge_connected(j)` (lambda >= j).  About G - x:
+    `separator_containing(x)` (the smallest separator of G through x),
+    `cut_without(x)` (a minimum cut of G - x), `separator_below(j, x)` and
+    `edge_connected(j, x)`.  About G - e and e = (u, v):
+    `paths_avoiding_edge(e, limit)` (disjoint u-v paths in G - e, up to
+    `limit`), `edge_side(e, limit)` (u's side of a minimum u-v cut) and
+    `cut_containing_edge(e)`.  Separator and cut questions keep the
+    lexicographically smallest separator (or `Cut.edges`) among the
+    minimum ones the pair flows realise, and every answer is the one a
+    fresh record gives, whatever was asked of it before.  So one record
+    serves every caller about G: `classify` hands one to the four
+    predicates, `check_class` keeps each verdict in `verdicts`, and
+    `cmd_witness` shares one between the membership check, the default
+    region and the traced procedure.  The module's shorthands, from
+    `vertex_connectivity` to `min_cut_containing_edge`, each ask a fresh
+    record.
+
+    Inside, `split` and `edge` are G's two networks, each built at its
+    first flow with its capacity snapshot and each pair's last flow, a
+    flow of G (`_restored_flow`); G - x is asked with x's arcs cut.  The
+    degrees and anchor of each deletion (`_deletion`), each scan
+    (`_vertex_scan`, `_edge_scan`), and kappa >= j and lambda >= j about
+    G are each worked out once.
     """
 
     def __init__(self, g):
         self.g = g
         self._below: dict[int, tuple[int, ...] | None] = {}
         self._edge_conn: dict[int, bool] = {}
+        # removed -> what `_deletion` found
+        self._deletions: dict[int | None, tuple[dict[int, int], int]] = {}
         # ("vertex" or "edge", removed) -> what `_vertex_scan` or `_edge_scan` found
         self._scans: dict[tuple[str, int | None], tuple] = {}
         # (class, k) -> the PredicateResult `check_class` found
@@ -340,7 +222,7 @@ class _Connectivity:
             raise TooSmall("need at least 2 vertices")
         if not g.is_connected():
             return _separator(g, ())
-        k, best = _vertex_scan(self)
+        k, best = self._vertex_scan()
         if best is None:
             return None
         assert len(best) == k
@@ -357,10 +239,33 @@ class _Connectivity:
         comps = components_of_subset(g, set(range(g.n)) - {x})
         if len(comps) > 1:
             return Separator((x,), tuple(comps))
-        _, sub = _vertex_scan(self, x)
+        _, sub = self._vertex_scan(x)
         if sub is None:
             return None
         return _separator(g, tuple(sorted((x, *sub))))
+
+    def separator_below(self, j: int, removed: int | None = None) -> tuple[int, ...] | None:
+        """None when kappa >= j, of G or with `removed` of G - removed.
+
+        Otherwise a separator of fewer than j vertices, in G's labels: ()
+        when the graph has at most j vertices (or is G and disconnected);
+        N(v0) with no flow when the anchor v0 has degree below j (kappa <=
+        delta, and v0 has a non-neighbour); else the one the first flow
+        below j leaves in its residual.
+        """
+        g = self.g
+
+        def first():
+            degs, v0 = self._deletion(removed)
+            if degs[v0] < j:
+                return tuple(sorted(g.neighbors(v0) - {removed}))
+            return next((sep for _, sep in self._vertex_flows(j - 1, removed)), None)
+
+        if removed is None:
+            if j not in self._below:
+                self._below[j] = first() if g.n > j and g.is_connected() else ()
+            return self._below[j]
+        return first() if g.n - 1 > j else ()
 
     def min_cut(self) -> Cut:
         g = self.g
@@ -369,7 +274,7 @@ class _Connectivity:
         side = reachable(g.neighbors, [0])
         if len(side) < g.n:
             return _cut_from_side(g, side)
-        k, best = _edge_scan(self)
+        k, best = self._edge_scan()
         assert best.size == k
         return best
 
@@ -383,7 +288,26 @@ class _Connectivity:
         comps = components_of_subset(g, set(range(g.n)) - {x})
         if len(comps) > 1:
             return Cut((), tuple(comps), 0)
-        return _edge_scan(self, x)[1]
+        return self._edge_scan(x)[1]
+
+    def edge_connected(self, j: int, removed: int | None = None) -> bool:
+        """lambda >= j, of G or with `removed` of G - removed; K^1 is not.
+
+        No flow runs when a vertex has degree below j, nor, about G, once
+        kappa >= j is known (Whitney: kappa <= lambda).
+        """
+        g = self.g
+
+        def none_below():
+            degs, v0 = self._deletion(removed)
+            return degs[v0] >= j and next(self._edge_flows(j - 1, removed), None) is None
+
+        if removed is None:
+            if j not in self._edge_conn:
+                kappa_reached = any(sep is None for i, sep in self._below.items() if i >= j)
+                self._edge_conn[j] = kappa_reached or (g.n > 1 and g.is_connected() and none_below())
+            return self._edge_conn[j]
+        return g.n > 2 and none_below()
 
     def paths_avoiding_edge(self, e: Edge, limit: int) -> int:
         """Internally disjoint u-v paths avoiding e = (u, v), counted up to
@@ -414,19 +338,83 @@ class _Connectivity:
             raise NoSuchEdge(f"({u},{v})")
         return _cut_from_side(self.g, self.edge_side(e))
 
-    def vertex_flows(self, best: int, removed: int | None = None, degs: dict[int, int] | None = None):
-        """(value, separator) over `_kappa_pairs(g, removed, degs)`.
+    def _deletion(self, removed: int | None = None) -> tuple[dict[int, int], int]:
+        """The degree of each vertex of G - removed (of G when None), by
+        G's labels in increasing order, and the anchor v0: the least vertex
+        of minimum degree."""
+        if removed not in self._deletions:
+            g = self.g
+            degs = dict(enumerate(g.degrees()))
+            if removed is not None:
+                for w in g.neighbors(removed):
+                    degs[w] -= g.multiplicity(removed, w)
+                del degs[removed]
+            self._deletions[removed] = degs, min(degs, key=degs.get)
+        return self._deletions[removed]
+
+    def _kappa_pairs(self, removed: int | None = None):
+        """Pair list sufficient for vertex connectivity, fixed-source style.
+
+        Any minimum separator either avoids the anchor v0 (then it separates
+        v0 from some non-neighbour) or contains it (then it separates two
+        non-adjacent neighbours of v0, since a minimum separator sees every
+        component).  With `removed`, the pairs of G - removed in G's labels:
+        the list for `g.delete_vertex(removed)`, mapped back through its
+        old-index tuple.  That relabelling is monotone, so it keeps the order
+        of every tuple the scans compare.
+        """
+        g = self.g
+        degs, v0 = self._deletion(removed)
+        nb = g.neighbors(v0) - {removed}
+        for w in degs:
+            if w != v0 and w not in nb:
+                yield v0, w
+        for x, y in combinations(sorted(nb), 2):
+            if not g.has_edge(x, y):
+                yield x, y
+
+    def _vertex_scan(self, removed: int | None = None) -> tuple[int, tuple[int, ...] | None]:
+        """kappa of a connected graph (or of G - removed, connected) and the
+        lexicographically smallest minimum separator among those the pairs
+        realise (None when complete)."""
+        key = "vertex", removed
+        if key not in self._scans:
+            best, best_sep = self.g.n - 1 - (removed is not None), None
+            for value, sep in self._vertex_flows(best, removed):
+                if value < best or best_sep is None or sep < best_sep:
+                    best, best_sep = value, sep
+            self._scans[key] = best, best_sep
+        return self._scans[key]
+
+    def _edge_scan(self, removed: int | None = None) -> tuple[int, Cut]:
+        """lambda of a connected graph (or of G - removed, connected, with at
+        least two vertices) and the minimum cut with the lexicographically
+        smallest `Cut.edges` among those `_edge_flows` realises."""
+        key = "edge", removed
+        if key not in self._scans:
+            best, best_cut = INF, None
+            for value, side in self._edge_flows(best, removed):
+                if value == best and side == best_cut.sides[0]:
+                    continue  # the same side cuts the same edges
+                cut = _cut_from_side(self.g, side, removed)
+                if value < best or cut.edges < best_cut.edges:
+                    best, best_cut = value, cut
+            self._scans[key] = best, best_cut
+        return self._scans[key]
+
+    def _vertex_flows(self, best: int, removed: int | None = None):
+        """(value, separator) over `_kappa_pairs(removed)`.
 
         For G - v the arc v_in->v_out is cut, and v, whose v_in the
         residual may reach, is dropped from the separator.  A pair with
         more than best common neighbours in G - removed has that many
         disjoint paths s-w-t, so its flow would reach best + 1: it is
-        skipped without one.
+        skipped without one.  The network is built at the first flow, so
+        a complete graph builds none.
         """
         nb = self.g.neighbors
         cut = () if removed is None else (2 * removed,)
-        # the network is built at the first flow, so a complete graph builds none
-        for s, t in _kappa_pairs(self.g, removed, degs):
+        for s, t in self._kappa_pairs(removed):
             common = nb(s) & nb(t)
             if len(common) - (removed in common) > best:
                 continue
@@ -436,68 +424,84 @@ class _Connectivity:
                 yield value, tuple(v for v in sep if v != removed)
                 best = value
 
-    def edge_flows(self, best: int, removed: int | None = None):
-        """(value, residual side) of the flows from a minimum-degree vertex
-        v0 of G - removed to every other vertex.
+    def _edge_flows(self, best: int, removed: int | None = None):
+        """(value, residual side) of the flows from the anchor v0 of
+        G - removed to every other vertex.
 
         For G - v both arcs of every pair at v are cut, so no side holds v.
-        As in `vertex_flows`, a pair whose edge and paths v0-w-t through
-        common neighbours in G - removed exceed best is skipped.
+        As in `_vertex_flows`, a pair whose edge and paths v0-w-t through
+        common neighbours in G - removed exceed best is skipped, and the
+        network is built at the first flow.
         """
-        degs = _degrees_without(self.g, removed)
-        v0 = min(degs, key=degs.get)
+        degs, v0 = self._deletion(removed)
         nb, nb0 = self.g.neighbors, self.g.neighbors(v0)
-        net = self.edge[0]
-        cut = () if removed is None else [b for a in net.adj[removed] for b in (a, a ^ 1)]
+        cut = None
         for t in degs:
             if t == v0:
                 continue
             common = nb0 & nb(t)
             if len(common) - (removed in common) + (t in nb0) > best:
                 continue
+            if cut is None:
+                net = self.edge[0]
+                cut = () if removed is None else [b for a in net.adj[removed] for b in (a, a ^ 1)]
             value = _restored_flow(self.edge, v0, t, best + 1, cut)
             if value <= best:
                 yield value, net.residual_reachable(v0)
                 best = value
 
-    def separator_below(self, j: int, removed: int | None = None) -> tuple[int, ...] | None:
-        """None when kappa >= j, of G or with `removed` of G - removed.
 
-        Otherwise a separator of fewer than j vertices, in G's labels: ()
-        when the graph has at most j vertices (or is G and disconnected);
-        N(v0) with no flow when the least vertex v0 of minimum degree has
-        degree below j (kappa <= delta, and v0 has a non-neighbour); else
-        the one the first flow below j leaves in its residual.
-        """
-        g = self.g
+# ---------------------------------------------------------------------------
+# shorthands, each on a fresh record
+# ---------------------------------------------------------------------------
 
-        def first():
-            degs = _degrees_without(g, removed)
-            v0 = min(degs, key=degs.get)
-            if degs[v0] < j:
-                return tuple(sorted(g.neighbors(v0) - {removed}))
-            return next((sep for _, sep in self.vertex_flows(j - 1, removed, degs)), None)
 
-        if removed is None:
-            if j not in self._below:
-                self._below[j] = first() if g.n > j and g.is_connected() else ()
-            return self._below[j]
-        return first() if g.n - 1 > j else ()
+def vertex_connectivity(g: Graph) -> int:
+    """kappa(G); 0 when disconnected, n-1 when complete."""
+    sep = Connectivity(g).min_separator()
+    return g.n - 1 if sep is None else sep.size
 
-    def edge_connected(self, j: int, removed: int | None = None) -> bool:
-        """lambda >= j, of G or with `removed` of G - removed; K^1 is not.
 
-        About G the answer is true without a flow once kappa >= j is known.
-        """
-        g = self.g
-        none_below = lambda: next(self.edge_flows(j - 1, removed), None) is None
-        if removed is None:
-            if j not in self._edge_conn:
-                kappa_reached = any(sep is None for i, sep in self._below.items() if i >= j)
-                self._edge_conn[j] = kappa_reached or (
-                    g.n > 1 and g.is_connected() and min(g.degrees()) >= j and none_below())
-            return self._edge_conn[j]
-        return g.n > 2 and min(_degrees_without(g, removed).values()) >= j and none_below()
+def is_k_connected(g: Graph, k: int) -> bool:
+    """kappa(G) >= k, with flows cut off at k (cheaper than full kappa).
+
+    The one-vertex graph is not considered k-connected for any k >= 1.
+    """
+    if k < 1:
+        raise TooSmall("k must be at least 1")
+    return Connectivity(g).separator_below(k) is None
+
+
+def min_vertex_separator(g: Graph) -> Separator | None:
+    """`Connectivity(g).min_separator()`."""
+    return Connectivity(g).min_separator()
+
+
+def min_separator_containing(g: Graph, x: int) -> Separator | None:
+    """`Connectivity(g).separator_containing(x)`."""
+    return Connectivity(g).separator_containing(x)
+
+
+def edge_connectivity(g) -> int:
+    """lambda(G) for a Graph or MultiGraph; 0 when disconnected."""
+    return Connectivity(g).min_cut().size
+
+
+def is_k_edge_connected(g, k: int) -> bool:
+    """lambda(G) >= k with early cutoff; K^1 rejected for every k >= 1."""
+    if k < 1:
+        raise TooSmall("k must be at least 1")
+    return Connectivity(g).edge_connected(k)
+
+
+def min_edge_cut(g) -> Cut:
+    """`Connectivity(g).min_cut()`."""
+    return Connectivity(g).min_cut()
+
+
+def min_cut_containing_edge(g, e: Edge) -> Cut:
+    """`Connectivity(g).cut_containing_edge(e)`."""
+    return Connectivity(g).cut_containing_edge(e)
 
 
 # ---------------------------------------------------------------------------

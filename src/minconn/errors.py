@@ -25,10 +25,6 @@ class NoSuchEdge(MinconnError):
     """The named edge is not present in the graph."""
 
 
-class NoSeparatorThroughVertex(MinconnError):
-    """No separator of the graph contains the requested vertex."""
-
-
 class PreconditionViolated(MinconnError):
     """A procedure's stated precondition failed on the given input."""
 

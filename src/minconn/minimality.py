@@ -20,10 +20,9 @@ already proven essential or critical, so the certificate never moves:
   of G - uv with fewer than k vertices separates nothing in G, so it
   must split u from v.
 - Class b.  Every vertex x of a k-separator T of G is critical: T - x
-  separates G - x.  When n > k + 1, N(w) is such a T for each w of
-  degree k; the failing (k+1)-connectivity flow leaves another, and a
-  separator S of k-1 vertices in G - v gives S + v.  Vertices so
-  certified are not tried again.
+  separates G - x.  The separator that `separator_below(k + 1)` finds
+  is such a T, and a separator S of k-1 vertices in G - v gives S + v.
+  Vertices so certified are not tried again.
 - Class c.  An edge class at a vertex of degree k, counting copies, is
   essential.  For the rest, for k- but not (k+1)-edge-connected G, G
   minus one copy of uv is k-edge-connected iff lambda(u, v) >= k+1:
@@ -38,7 +37,7 @@ Questions that reach the record meet its own local floors before any
 flow: kappa <= delta, and disjoint paths through common neighbours (see
 `connectivity`).
 
-`classify` hands one `_Connectivity` record to all four predicates, so
+`classify` hands one `Connectivity` record to all four predicates, so
 each graph gets at most one split network and one edge network and
 each question about G is asked once: class b reuses class a's answers
 and (k+1)-separator, class c takes lambda >= k (and >= k+1) for free
@@ -58,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .connectivity import _Connectivity
+from .connectivity import Connectivity
 from .errors import InvalidParams, TooSmall
 from .graphs import Edge, Graph, MultiGraph
 from .io import graph_id
@@ -128,10 +127,10 @@ def _check_pre(g, k: int) -> None:
         raise TooSmall("need at least 2 vertices")
 
 
-def is_edge_min_k_connected(g: Graph, k: int, conn: _Connectivity | None = None) -> PredicateResult:
+def is_edge_min_k_connected(g: Graph, k: int, conn: Connectivity | None = None) -> PredicateResult:
     """k-connected, and deleting any single edge destroys that."""
     _check_pre(g, k)
-    conn = conn or _Connectivity(g)
+    conn = conn or Connectivity(g)
     if conn.separator_below(k) is not None:
         return PredicateResult(False, f"not {k}-connected")
     if conn.separator_below(k + 1) is None:
@@ -146,22 +145,18 @@ def is_edge_min_k_connected(g: Graph, k: int, conn: _Connectivity | None = None)
     return PredicateResult(True)
 
 
-def is_vertex_min_k_connected(g: Graph, k: int, conn: _Connectivity | None = None) -> PredicateResult:
+def is_vertex_min_k_connected(g: Graph, k: int, conn: Connectivity | None = None) -> PredicateResult:
     """k-connected, and deleting any single vertex destroys that."""
     _check_pre(g, k)
     if k == 1:
         return PredicateResult(False, _K1_EMPTY)
-    conn = conn or _Connectivity(g)
+    conn = conn or Connectivity(g)
     if conn.separator_below(k) is not None:
         return PredicateResult(False, f"not {k}-connected")
     sep = conn.separator_below(k + 1)
     if sep is None:
         return PredicateResult(False, f"{k + 1}-connected, so deleting vertex 0 keeps {k}-connectivity", 0)
     critical = set(sep)
-    if g.n > k + 1:  # N(w) is a k-separator, every vertex of which is critical
-        for w, d in enumerate(g.degrees()):
-            if d == k:
-                critical.update(g.neighbors(w))
     for v in range(g.n):
         if v in critical:
             continue
@@ -173,10 +168,10 @@ def is_vertex_min_k_connected(g: Graph, k: int, conn: _Connectivity | None = Non
 
 
 def is_edge_min_k_edge_connected(g: Graph | MultiGraph, k: int,
-                                 conn: _Connectivity | None = None) -> PredicateResult:
+                                 conn: Connectivity | None = None) -> PredicateResult:
     """k-edge-connected, and deleting any single edge copy destroys that."""
     _check_pre(g, k)
-    conn = conn or _Connectivity(g)
+    conn = conn or Connectivity(g)
     if not conn.edge_connected(k):
         return PredicateResult(False, f"not {k}-edge-connected")
     # Parallel copies are interchangeable, so one check per class.
@@ -198,7 +193,7 @@ def is_edge_min_k_edge_connected(g: Graph | MultiGraph, k: int,
 
 
 def is_vertex_min_k_edge_connected(g: Graph | MultiGraph, k: int,
-                                   conn: _Connectivity | None = None) -> PredicateResult:
+                                   conn: Connectivity | None = None) -> PredicateResult:
     """k-edge-connected, and deleting any single vertex destroys that.
 
     No (k+1) shortcut here: unlike edge deletion, removing a vertex can
@@ -207,7 +202,7 @@ def is_vertex_min_k_edge_connected(g: Graph | MultiGraph, k: int,
     _check_pre(g, k)
     if k == 1:
         return PredicateResult(False, _K1_EMPTY)
-    conn = conn or _Connectivity(g)
+    conn = conn or Connectivity(g)
     if not conn.edge_connected(k):
         return PredicateResult(False, f"not {k}-edge-connected")
     for v in range(g.n):
@@ -225,7 +220,7 @@ _PREDICATES = {
 
 
 def check_class(g: Graph | MultiGraph, cls: MinimalityClass, k: int,
-                conn: _Connectivity | None = None) -> PredicateResult:
+                conn: Connectivity | None = None) -> PredicateResult:
     """Run a single class predicate, on the record `conn` of g if given.
     The record keeps the verdict, so asking it again runs nothing.
 
@@ -238,7 +233,7 @@ def check_class(g: Graph | MultiGraph, cls: MinimalityClass, k: int,
             f"class {cls.value} is about vertex connectivity; "
             "pass the skeleton of the multigraph instead"
         )
-    conn = conn or _Connectivity(g)
+    conn = conn or Connectivity(g)
     if (cls, k) not in conn.verdicts:
         conn.verdicts[cls, k] = _PREDICATES[cls](g, k, conn)
     return conn.verdicts[cls, k]
@@ -278,6 +273,6 @@ def classify(g: Graph | MultiGraph, k: int) -> ClassificationReport:
         wanted = [MinimalityClass.EDGE_MIN_EDGE_CONN, MinimalityClass.VERTEX_MIN_EDGE_CONN]
     else:
         wanted = list(MinimalityClass)
-    conn = _Connectivity(g)
+    conn = Connectivity(g)
     results = {cls: check_class(g, cls, k, conn) for cls in wanted}
     return ClassificationReport(graph_id(g), k, results)

@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .connectivity import _Connectivity
+from .connectivity import Connectivity
 from .errors import (
     ClassMismatch,
     InvalidParams,
-    NoSeparatorThroughVertex,
     NoSuchEdge,
     PreconditionViolated,
 )
@@ -48,7 +47,7 @@ from .minimality import MinimalityClass, check_class
 EXACT_REGION_LIMIT = 12
 
 
-def _require_member(g, cls: MinimalityClass, k: int, conn: _Connectivity | None,
+def _require_member(g, cls: MinimalityClass, k: int, conn: Connectivity | None,
                     error: type[Exception] = PreconditionViolated) -> None:
     res = check_class(g, cls, k, conn)
     if not res:
@@ -101,7 +100,7 @@ class CrossingSeparatorsTrace:
 
 
 def default_profound_region(g: Graph, k: int,
-                            conn: _Connectivity | None = None) -> Region | None:
+                            conn: Connectivity | None = None) -> Region | None:
     """A profound k-region built from a minimum separator; None if complete.
 
     Takes the first side of a minimum separator T, asked of the record
@@ -109,7 +108,7 @@ def default_profound_region(g: Graph, k: int,
     Every vertex of a minimum separator has neighbors in every component,
     so the vertex boundary of the result is exactly T.
     """
-    sep = (conn or _Connectivity(g)).min_separator()
+    sep = (conn or Connectivity(g)).min_separator()
     if sep is None:
         return None
     if sep.size != k:
@@ -120,7 +119,7 @@ def default_profound_region(g: Graph, k: int,
 
 
 def crossing_separators_witness(g: Graph, region: Region, k: int, *,
-                                conn: _Connectivity | None = None) -> CrossingSeparatorsTrace:
+                                conn: Connectivity | None = None) -> CrossingSeparatorsTrace:
     """Locate a vertex of degree <= floor(3k/2)-1 in a vertex-minimally
     k-connected graph, starting from a profound k-region.
 
@@ -134,7 +133,7 @@ def crossing_separators_witness(g: Graph, region: Region, k: int, *,
     Every shrink step's separator through x is asked on one record of G,
     `conn` if given.
     """
-    conn = conn or _Connectivity(g)
+    conn = conn or Connectivity(g)
     _require_member(g, MinimalityClass.VERTEX_MIN_CONN, k, conn)
     if len(region.boundary) != k:
         raise PreconditionViolated(
@@ -154,15 +153,12 @@ def crossing_separators_witness(g: Graph, region: Region, k: int, *,
         assert C[1], "shrinking must preserve profundity"
         x = min(C[1])
 
+        # G is k-connected and G - x is not, so kappa(G - x) = k - 1 >= 1
+        # (class b is empty at k = 1) and x plus a minimum separator of
+        # G - x has k vertices; unless G - x is complete, but then G is
+        # K_{k+1}, which has no profound k-region.
         sep = conn.separator_containing(x)
-        if sep is None:
-            raise NoSeparatorThroughVertex(
-                f"no separator contains vertex {x}; the graph is not vertex-minimal"
-            )
-        if sep.size != k:
-            raise NoSeparatorThroughVertex(
-                f"the smallest separator through vertex {x} has size {sep.size}, not {k}"
-            )
+        assert sep is not None and sep.size == k, "a member has a k-separator through x"
         Tp = set(sep.vertices)
         D = {1: set(sep.sides[0]), 2: set().union(*sep.sides[1:])}
         T_star = T & Tp
@@ -441,7 +437,7 @@ def _first_inner_edge(g, H: set[int]) -> Edge | None:
     return None
 
 
-def _descend_to_degree_k_vertex(conn: _Connectivity, side, k: int) -> EdgeMinSideTrace:
+def _descend_to_degree_k_vertex(conn: Connectivity, side, k: int) -> EdgeMinSideTrace:
     """Shrink one min-cut side to a single degree-k vertex.
 
     First an inclusion-minimal region with edge boundary <= k is searched;
@@ -494,13 +490,13 @@ def _descend_to_degree_k_vertex(conn: _Connectivity, side, k: int) -> EdgeMinSid
 
 
 def edge_min_witness_pair(g: Graph | MultiGraph, k: int, *,
-                          conn: _Connectivity | None = None) -> EdgeMinWitnessTrace:
+                          conn: Connectivity | None = None) -> EdgeMinWitnessTrace:
     """Two distinct degree-k vertices of an edge-minimally k-edge-connected
     graph, found on the two sides of a minimum cut.  The minimum cut and
     every descent step's cut through an edge are asked on one record of G,
     `conn` if given.
     """
-    conn = conn or _Connectivity(g)
+    conn = conn or Connectivity(g)
     _require_member(g, MinimalityClass.EDGE_MIN_EDGE_CONN, k, conn)
     cut = conn.min_cut()
     assert cut.size == k, "class c is exactly k-edge-connected"
@@ -577,7 +573,7 @@ class VertexMinEdgeWitnessTrace:
         }
 
 
-def _descend_region(conn: _Connectivity, k: int, C: set[int], x: int) -> VertexMinEdgeSideTrace:
+def _descend_region(conn: Connectivity, k: int, C: set[int], x: int) -> VertexMinEdgeSideTrace:
     """Shrink a candidate region (C, x) until the counting argument applies.
 
     Invariant: the edges leaving C - x within G - x form a minimum cut of
@@ -648,7 +644,7 @@ def _descend_region(conn: _Connectivity, k: int, C: set[int], x: int) -> VertexM
 
 
 def vertex_min_edge_witness_pair(g: Graph, k: int, *,
-                                 conn: _Connectivity | None = None) -> VertexMinEdgeWitnessTrace:
+                                 conn: Connectivity | None = None) -> VertexMinEdgeWitnessTrace:
     """Two distinct degree-k vertices of a vertex-minimally k-edge-connected
     graph.
 
@@ -661,7 +657,7 @@ def vertex_min_edge_witness_pair(g: Graph, k: int, *,
     simple graph.
     """
     _simple_only(g)
-    conn = conn or _Connectivity(g)
+    conn = conn or Connectivity(g)
     _require_member(g, MinimalityClass.VERTEX_MIN_EDGE_CONN, k, conn)
 
     candidates: list[tuple[int, tuple[int, ...], int]] = []
@@ -745,7 +741,7 @@ class WitnessReport:
 
 
 def witness_report(g: Graph | MultiGraph, cls: MinimalityClass, k: int, *,
-                   conn: _Connectivity | None = None) -> WitnessReport:
+                   conn: Connectivity | None = None) -> WitnessReport:
     """Count the vertices within the class degree bound and compare with
     the guaranteed count.  The ratio field reports |V_bound| / n --
     informative for the edge-minimal edge-connectivity class, where no

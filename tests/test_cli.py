@@ -14,7 +14,7 @@ import minconn.families as families
 import minconn.minimality as minimality
 import minconn.witnesses as witnesses
 from minconn.cli import main
-from minconn.connectivity import _Connectivity
+from minconn.connectivity import Connectivity
 from minconn.constructions import band_graph, cycle_clique_strong, multipath
 from minconn.families import FAMILY_KINDS
 from minconn.graphs import Graph, MultiGraph
@@ -234,7 +234,7 @@ class TestWitness:
             (multipath(3, 5), "c", 3),
         ]
         for g, classes, k in members:
-            shared = _Connectivity(g)
+            shared = Connectivity(g)
             for cls in classes:
                 assert check_class(g, MinimalityClass(cls), k, shared).holds, (cls, k)
             for cls in classes:
@@ -318,13 +318,13 @@ def test_member_traces_build_one_network_per_op(cls, count, capsys, monkeypatch,
     import workloads
 
     records = []
-    init = _Connectivity.__init__
+    init = Connectivity.__init__
 
     def counting_init(self, g):
         records.append(g.n)
         init(self, g)
 
-    monkeypatch.setattr(_Connectivity, "__init__", counting_init)
+    monkeypatch.setattr(Connectivity, "__init__", counting_init)
     ops = [op for op in workloads.build("member-traces", 0) if op["expect"]["class"] == cls]
     assert len(ops) == count
     for op in ops:
@@ -459,8 +459,11 @@ class TestConstruct:
         assert obj["labels"]["a"] != obj["labels"]["b"]
 
     def test_unknown_spec(self, capsys):
-        code, _, err = invoke(["construct", "hypercube:d=4"], capsys)
-        assert code == 1
+        # the finite constructions in table order, then the families sorted
+        assert invoke(["construct", "nope:k=1"], capsys) == (1, "", (
+            "error: unknown construction 'nope'; known: band, multipath, path-square, "
+            "cycle-clique, cartesian-dr, cartesian-tree, clique-tree, double-ray, dr-square, "
+            "multipath-inf, ray-bundle, strong-dr, strong-tree\n"))
 
     @pytest.mark.parametrize("argv", [
         ["band:k=3,l=2,l=3"],

@@ -3,14 +3,12 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import minconn
 from minconn.connectivity import (
-    _Connectivity,
+    Connectivity,
     _cut_from_side,
     _edge_network,
-    _edge_scan,
-    _kappa_pairs,
     _split_network,
-    _vertex_scan,
     edge_connectivity,
     is_k_connected,
     is_k_edge_connected,
@@ -21,7 +19,7 @@ from minconn.connectivity import (
     min_vertex_separator,
     vertex_connectivity,
 )
-from minconn.errors import InvalidParams, NoSeparatorThroughVertex, TooSmall
+from minconn.errors import InvalidParams, TooSmall
 from minconn.flow import FlowNetwork
 from minconn.minimality import MinimalityClass, check_class
 from minconn.graphs import (
@@ -79,7 +77,7 @@ def two_pass_separator(g: Graph) -> tuple[int, ...] | None:
     exactly kappa."""
     kappa, _ = brute_force_connectivity(g)
     best = None
-    for s, t in _kappa_pairs(g):
+    for s, t in Connectivity(g)._kappa_pairs():
         net = _split_network(g.n, g.edges())
         if net.max_flow(2 * s + 1, 2 * t, kappa + 1) == kappa:
             reach = net.residual_reachable(2 * s + 1)
@@ -139,7 +137,7 @@ class TestSharedRecord:
 
     def test_vertex_deletions_on_corpus(self, small_corpus):
         for g in small_corpus:
-            conn = _Connectivity(g)
+            conn = Connectivity(g)
             for v in range(g.n):
                 h, old = g.delete_vertex(v)
                 rest = set(old)
@@ -156,13 +154,13 @@ class TestSharedRecord:
     @given(multigraphs(min_n=3), st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
     def test_multigraph_vertex_deletions(self, g, k):
-        conn = _Connectivity(g)
+        conn = Connectivity(g)
         for v in range(g.n):
             assert conn.edge_connected(k, removed=v) == is_k_edge_connected(g.delete_vertex(v)[0], k)
 
     def test_whitney_answers_lambda_without_flow(self, small_corpus, monkeypatch):
         for g in small_corpus:
-            conn = _Connectivity(g)
+            conn = Connectivity(g)
             for j in range(1, 5):
                 if conn.separator_below(j) is None:
                     with monkeypatch.context() as mp:
@@ -191,7 +189,7 @@ class TestLocalFloors:
     @given(graphs(max_n=6))
     @settings(max_examples=150, deadline=None)
     def test_paths_avoiding_edge(self, g):
-        conn = _Connectivity(g)
+        conn = Connectivity(g)
         for u, v in g.edges():
             paths = local_vertex_connectivity(g.delete_edge(u, v), u, v)
             for j in range(1, 6):
@@ -200,7 +198,7 @@ class TestLocalFloors:
     @given(graphs(max_n=6) | multigraphs(max_n=6))
     @settings(max_examples=150, deadline=None)
     def test_edge_side(self, g):
-        conn = _Connectivity(g)
+        conn = Connectivity(g)
         for u, v in g.edges():
             lam = local_edge_connectivity(g, u, v)
             for j in range(1, 6):
@@ -213,7 +211,7 @@ class TestLocalFloors:
     @given(graphs(max_n=6))
     @settings(max_examples=150, deadline=None)
     def test_separator_below(self, g):
-        conn = _Connectivity(g)
+        conn = Connectivity(g)
         for removed in [None, *range(g.n)]:
             h = g if removed is None else g.delete_vertex(removed)[0]
             kappa = kappa_by_pairs(h)
@@ -230,7 +228,7 @@ class TestLocalFloors:
     @given(graphs(max_n=6) | multigraphs(max_n=6))
     @settings(max_examples=150, deadline=None)
     def test_edge_connected(self, g):
-        conn = _Connectivity(g)
+        conn = Connectivity(g)
         for removed in [None, *range(g.n)]:
             lam = lambda_by_pairs(g if removed is None else g.delete_vertex(removed)[0])
             for j in range(1, 6):
@@ -252,8 +250,8 @@ def record_questions(g):
         left = set(range(g.n)) - {removed}
         if len(left) >= 2 and len(components_of_subset(g, left)) == 1:
             if simple:
-                questions.append(lambda c, r=removed: _vertex_scan(c, r))
-            questions.append(lambda c, r=removed: _edge_scan(c, r))
+                questions.append(lambda c, r=removed: c._vertex_scan(r))
+            questions.append(lambda c, r=removed: c._edge_scan(r))
     for e in g.edges():
         questions.append(lambda c, e=e: c.cut_containing_edge(e))
         questions.append(lambda c, e=e: c.edge_side(e))
@@ -278,9 +276,9 @@ def assert_warm_equals_cold(g, order):
     """Each question asked in `order` of one record, whose flows resume
     from the pair's last flow, equals it asked of a fresh record."""
     questions = record_questions(g)
-    warm = _Connectivity(g)
+    warm = Connectivity(g)
     for i in order:
-        assert questions[i](warm) == questions[i](_Connectivity(g)), (i, g)
+        assert questions[i](warm) == questions[i](Connectivity(g)), (i, g)
 
 
 @st.composite
@@ -321,7 +319,7 @@ class TestWarmEqualsCold:
 
 def assert_deletions_match_copies(g):
     """Every G - x asked on G's record, against the copy route."""
-    conn = _Connectivity(g)
+    conn = Connectivity(g)
     for x in range(g.n):
         rest = set(range(g.n)) - {x}
         if isinstance(g, Graph) and g.n >= 3:
@@ -360,7 +358,7 @@ class TestDeletionsAsArcCuts:
 def assert_edge_cuts_match_fresh_networks(g):
     """Every cut through an edge asked on one record, against a minimum
     u-v cut on a network of its own."""
-    conn = _Connectivity(g)
+    conn = Connectivity(g)
     for u, v in g.edges():
         net = _edge_network(g.n, g.edges(), g.multiplicity)
         net.max_flow(u, v)
@@ -453,6 +451,39 @@ class TestKnownValues:
     def test_multigraph_edge_connectivity(self):
         g = MultiGraph(3, [(0, 1, 3), (1, 2, 2), (0, 2, 1)])
         assert edge_connectivity(g) == 3
+
+    def test_record_questions_on_a_cycle(self):
+        conn = minconn.Connectivity(cycle_graph(6))
+        assert conn.separator_below(3) == (1, 5)
+        assert conn.min_separator().vertices == (0, 2)
+        assert conn.min_cut().edges == ((0, 1), (0, 5))
+
+
+def test_public_api_pinned():
+    # every name the package exports, stated once in its imports
+    assert set(minconn.__all__) == {
+        "Ball", "CertifyReport", "ClassMismatch", "ClassificationReport", "Connectivity",
+        "CrossingSeparatorsTrace", "Cut", "DisjointPaths", "EdgeMinWitnessTrace", "EmptyRegion",
+        "EndDegreeEstimate", "EndDescriptor", "Family", "FamilyValidation", "Graph",
+        "InvalidParams", "LabeledGraph", "MinconnError", "MinimalRegionResult", "MinimalityClass",
+        "MixedSet", "MultiGraph", "NoSuchEdge", "NotConverged", "PreconditionViolated",
+        "PredicateResult", "Region", "Separator", "TooLarge", "TooSmall", "ValidationFailed",
+        "VertexMinEdgeWitnessTrace", "WitnessReport", "ball", "band_graph", "canonical_key",
+        "cartesian_product", "certify_essential_edges", "check_class", "classify",
+        "complete_graph", "crossing_separators_witness", "cycle_clique_strong",
+        "cycle_clique_strong_odd", "cycle_graph", "default_profound_region", "degree_bound",
+        "degree_profile", "edge_connectivity", "edge_min_witness_pair", "end_degree_estimate",
+        "enumerate_all", "enumerate_graphs", "is_edge_min_k_connected",
+        "is_edge_min_k_edge_connected", "is_k_connected", "is_k_edge_connected",
+        "is_vertex_min_k_connected", "is_vertex_min_k_edge_connected", "make_family",
+        "max_disjoint_paths", "min_cut_containing_edge", "min_edge_cut",
+        "min_separator_containing", "min_vertex_separator", "minimal_region_small_edge_boundary",
+        "multipath", "path_graph", "path_square_example", "random_graphs", "region_of",
+        "required_count", "small_component_witness", "small_degree_set", "square",
+        "strong_product", "validate_family", "vertex_connectivity",
+        "vertex_min_edge_witness_pair", "witness_report",
+    }
+    assert all(hasattr(minconn, name) for name in minconn.__all__)
 
 
 class TestSeparators:

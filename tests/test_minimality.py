@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from minconn.connectivity import (
-    _Connectivity,
+    Connectivity,
     edge_connectivity,
     is_k_connected,
     is_k_edge_connected,
@@ -193,12 +193,11 @@ class TestLocalFacts:
     """Degrees and common neighbours settle most of classify's questions
     on the corpus with no flow: kappa <= delta in `separator_below`, the
     common-neighbour floors of the record's pair loops and per-edge
-    questions, and each predicate's degree-k fact.  Pinned per k over
-    corpus7: breadth-first searches (`FlowNetwork._bfs` calls), which
-    read 21,154 / 11,848 / 5,190 without the facts, and the record's
-    questions per element.  Class b's fact saves questions, not searches:
-    kappa <= delta answers G - v for a neighbour v of a degree-k vertex.
-    Dropping any one fact raises at least one count."""
+    questions, and the degree-k facts of classes a and c.  Pinned per k
+    over corpus7: breadth-first searches (`FlowNetwork._bfs` calls),
+    which read 21,154 / 11,848 / 5,190 without the facts, and the
+    record's questions per element.  Dropping any one fact raises at
+    least one count."""
 
     def test_counts_pinned(self, corpus7, monkeypatch):
         counts = Counter()
@@ -211,11 +210,11 @@ class TestLocalFacts:
 
         monkeypatch.setattr(FlowNetwork, "_bfs", counting("searches", FlowNetwork._bfs))
         for name in ("separator_below", "paths_avoiding_edge", "edge_side"):
-            monkeypatch.setattr(_Connectivity, name, counting(name, getattr(_Connectivity, name)))
+            monkeypatch.setattr(Connectivity, name, counting(name, getattr(Connectivity, name)))
         want = {
-            2: {"searches": 6594, "separator_below": 3956, "paths_avoiding_edge": 416, "edge_side": 388},
-            3: {"searches": 2655, "separator_below": 2924, "paths_avoiding_edge": 132, "edge_side": 125},
-            4: {"searches": 349, "separator_below": 2578, "paths_avoiding_edge": 22, "edge_side": 22},
+            2: {"searches": 6594, "separator_below": 3991, "paths_avoiding_edge": 416, "edge_side": 388},
+            3: {"searches": 2655, "separator_below": 2984, "paths_avoiding_edge": 132, "edge_side": 125},
+            4: {"searches": 349, "separator_below": 2597, "paths_avoiding_edge": 22, "edge_side": 22},
         }
         for k in want:
             counts.clear()

@@ -1,7 +1,7 @@
 import pytest
 
 from minconn import witnesses
-from minconn.connectivity import _Connectivity
+from minconn.connectivity import Connectivity
 from minconn.constructions import band_graph, cycle_clique_strong, multipath, path_square_example
 from minconn.errors import ClassMismatch, InvalidParams, NoSuchEdge, PreconditionViolated
 from minconn.graphs import (
@@ -133,7 +133,7 @@ class TestCrossingSeparators:
             network_sizes.clear()
             t = crossing_separators_witness(g, region, k)
             assert network_sizes == [2 * g.n + 2], (g, k)
-            conn = _Connectivity(g)
+            conn = Connectivity(g)
             network_sizes.clear()
             assert check_class(g, B, k, conn)
             assert crossing_separators_witness(g, region, k, conn=conn) == t
@@ -311,8 +311,10 @@ class TestCutSplitting:
 
     def test_one_edge_network_per_run(self, corpus7, network_sizes):
         # The membership check, the minimum cut and every descent step's
-        # cut through an edge are asked on one record of G: a fresh one
-        # builds one network, one already asked membership builds none.
+        # cut through an edge are asked on one record of G, which builds
+        # its edge network at its first flow: a fresh run builds one, and
+        # a record shared by check_class and the procedure builds at most
+        # one between them.
         members = [(g, k) for g in corpus7 for k in (1, 2, 3) if check_class(g, C, k)]
         members += [(g, k) for g in small_multigraphs() for k in (2, 3) if check_class(g, C, k)]
         members += [(multipath(3, 8), 3)]
@@ -321,11 +323,11 @@ class TestCutSplitting:
             network_sizes.clear()
             t = edge_min_witness_pair(g, k)
             assert network_sizes == [g.n + 2], (g, k)
-            conn = _Connectivity(g)
-            assert check_class(g, C, k, conn)
+            conn = Connectivity(g)
             network_sizes.clear()
+            assert check_class(g, C, k, conn)
             assert edge_min_witness_pair(g, k, conn=conn) == t
-            assert network_sizes == [], (g, k)
+            assert network_sizes in ([], [g.n + 2]), (g, k)
 
 
 class TestRegionDescent:
@@ -369,8 +371,10 @@ class TestRegionDescent:
 
     def test_one_edge_network_per_graph(self, corpus7, network_sizes):
         # Every G - x, for every x and in both descents, and the
-        # membership check are asked on one record of G: a fresh one
-        # builds one network, one already asked membership builds none.
+        # membership check are asked on one record of G, which builds its
+        # edge network at its first flow: a fresh run builds one, and a
+        # record shared by check_class and the procedure builds at most
+        # one between them.
         members = [(g, k) for g in corpus7 for k in (2, 3)
                    if g.min_degree() >= k and check_class(g, D, k)]
         members += [(band_graph(3, 4).graph, 3), (band_graph(4, 2).graph, 4), (ladder_graph(5), 2)]
@@ -378,11 +382,11 @@ class TestRegionDescent:
             network_sizes.clear()
             t = vertex_min_edge_witness_pair(g, k)
             assert network_sizes == [g.n + 2], (g, k)
-            conn = _Connectivity(g)
-            assert check_class(g, D, k, conn)
+            conn = Connectivity(g)
             network_sizes.clear()
+            assert check_class(g, D, k, conn)
             assert vertex_min_edge_witness_pair(g, k, conn=conn) == t
-            assert network_sizes == [], (g, k)
+            assert network_sizes in ([], [g.n + 2]), (g, k)
 
     def test_refuses_multigraphs(self):
         # The doubled triangle is a class-d member at k = 3 and 4, but its
