@@ -19,6 +19,10 @@ The key is the lexicographically smallest adjacency bitstring over all
 orderings that respect the stable neighborhood-refinement classes; equal
 keys mean isomorphic, so deduplication never drops a class, and since
 refinement classes are isomorphism-invariant the key is in fact canonical.
+Tied prefixes that placed the same vertices, each unplaced vertex seeing
+its placed neighbours at the same positions, have the same continuations
+(a vertex's row is its row now plus its neighbours placed later), so the
+search keeps the first of them: one prefix on K_n, not n!.
 """
 
 from __future__ import annotations
@@ -96,36 +100,36 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     Vertices are grouped by refinement class (class order is itself
     canonical, being a function of degree multisets only), and within
     that constraint the order minimizing the adjacency bitstring is found
-    by extending all currently-tied prefixes one position at a time.
+    by extending all currently-tied prefixes one position at a time.  A
+    prefix is kept as its placed set and, per unplaced vertex, the row of
+    positions of its placed neighbours; tied prefixes equal in both merge.
     """
     colors = refinement_classes(g)
     by_class: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_class.setdefault(c, []).append(v)
     slots: list[list[int]] = [by_class[c] for c in sorted(by_class)]
+    nbrs = [g.neighbors(v) for v in range(g.n)]
 
-    prefixes: list[list[int]] = [[]]
-    key = 0
+    prefixes = [(0, (0,) * g.n)]
+    key = pos = 0
     for cls in slots:
         for _ in cls:
-            best_row = None
-            extended: list[list[int]] = []
-            for pre in prefixes:
-                placed = set(pre)
+            best = min(rows[v] for placed, rows in prefixes for v in cls if not placed >> v & 1)
+            extended = {}
+            for placed, rows in prefixes:
                 for v in cls:
-                    if v in placed:
-                        continue
-                    row = 0
-                    for i, u in enumerate(pre):
-                        if g.has_edge(u, v):
-                            row |= 1 << i
-                    if best_row is None or row < best_row:
-                        best_row = row
-                        extended = [pre + [v]]
-                    elif row == best_row:
-                        extended.append(pre + [v])
-            prefixes = extended
-            key = (key << len(prefixes[0]) - 1) | best_row
+                    if rows[v] == best and not placed >> v & 1:
+                        now = placed | 1 << v
+                        new = list(rows)
+                        new[v] = 0  # placed rows stay 0, so only unplaced rows tell prefixes apart
+                        for w in nbrs[v]:
+                            if not now >> w & 1:
+                                new[w] |= 1 << pos
+                        extended[now, tuple(new)] = None
+            prefixes = list(extended)
+            key = key << pos | best
+            pos += 1
     return (g.n, key)
 
 

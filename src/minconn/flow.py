@@ -18,11 +18,13 @@ takes the units off an arc pair that is about to be cut, and `max_flow`
 then augments the flow that is left.  Where that flow stops below its
 limit, it is maximum, and its residual side is the one a flow from zero
 would leave.
+
+A search takes nodes in the order it reaches them and each node's arcs in
+the order they were added, so node and arc order fix every path, and with
+them the flow, its residual side and the walks of `cancel`.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 INF = 10**9
 
@@ -69,12 +71,14 @@ class FlowNetwork:
                 self._reached = s, via
                 break
             path = []
+            pushed = limit - flow
             v = t
             while v != s:
                 a = via[v]
                 path.append(a)
+                if cap[a] < pushed:
+                    pushed = cap[a]
                 v = to[a ^ 1]
-            pushed = min(limit - flow, min(cap[a] for a in path))
             for a in path:
                 cap[a] -= pushed
                 cap[a ^ 1] += pushed
@@ -128,15 +132,16 @@ class FlowNetwork:
         # to the arc that first reached it (s to -1), stopping once t is.
         to, cap, adj = self.to, self.cap, self.adj
         via = {s: -1}
-        q = deque([s])
-        while q:
-            for a in adj[q.popleft()]:
-                v = to[a]
-                if cap[a] > 0 and v not in via:
-                    via[v] = a
-                    if v == t:
-                        return via
-                    q.append(v)
+        q = [s]
+        for u in q:  # the list grows as the loop runs, so it is the queue
+            for a in adj[u]:
+                if cap[a] > 0:
+                    v = to[a]
+                    if v not in via:
+                        via[v] = a
+                        if v == t:
+                            return via
+                        q.append(v)
         return via
 
     def residual_reachable(self, s: int) -> set[int]:

@@ -1,9 +1,13 @@
 """Independent oracles that the test suite holds the package's routines to,
 and the helpers only tests need."""
 
+from collections import deque
+from fractions import Fraction
 from itertools import combinations, product
+from math import factorial, gcd
 
 from minconn.connectivity import min_edge_cut, min_vertex_separator
+from minconn.enumeration import refinement_classes
 from minconn.errors import TooLarge, TooSmall
 from minconn.flow import INF, FlowNetwork
 from minconn.graphs import (
@@ -204,3 +208,109 @@ def oracle_separates(f, end, mode: str, certificate: tuple, radius: int,
             seen.add(nb)
             queue.append(nb)
     return True
+
+
+def reference_canonical_key(g: Graph) -> tuple[int, int]:
+    """The canonical key by keeping every tied prefix, the reference for
+    `enumeration.canonical_key`, which merges equivalent ones: n! prefixes
+    on K_n, so keep n small where every vertex is tied."""
+    colors = refinement_classes(g)
+    by_class: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by_class.setdefault(c, []).append(v)
+    slots: list[list[int]] = [by_class[c] for c in sorted(by_class)]
+
+    prefixes: list[list[int]] = [[]]
+    key = 0
+    for cls in slots:
+        for _ in cls:
+            best_row = None
+            extended: list[list[int]] = []
+            for pre in prefixes:
+                placed = set(pre)
+                for v in cls:
+                    if v in placed:
+                        continue
+                    row = 0
+                    for i, u in enumerate(pre):
+                        if g.has_edge(u, v):
+                            row |= 1 << i
+                    if best_row is None or row < best_row:
+                        best_row = row
+                        extended = [pre + [v]]
+                    elif row == best_row:
+                        extended.append(pre + [v])
+            prefixes = extended
+            key = (key << len(prefixes[0]) - 1) | best_row
+    return (g.n, key)
+
+
+def reference_bfs(net: FlowNetwork, s: int, t: int) -> dict[int, int]:
+    """The residual search on a deque, the reference for
+    `FlowNetwork._bfs`: maps each node reached to the arc that first
+    reached it (s to -1), stopping once t is."""
+    to, cap, adj = net.to, net.cap, net.adj
+    via = {s: -1}
+    q = deque([s])
+    while q:
+        for a in adj[q.popleft()]:
+            v = to[a]
+            if cap[a] > 0 and v not in via:
+                via[v] = a
+                if v == t:
+                    return via
+                q.append(v)
+    return via
+
+
+def reference_max_flow(net: FlowNetwork, s: int, t: int, limit: int = INF) -> int:
+    """`FlowNetwork.max_flow` on `reference_bfs`, taking each bottleneck
+    after the walk along its path."""
+    to, cap = net.to, net.cap
+    flow = 0
+    while flow < limit:
+        via = reference_bfs(net, s, t)
+        if t not in via:
+            break
+        path = []
+        v = t
+        while v != s:
+            a = via[v]
+            path.append(a)
+            v = to[a ^ 1]
+        pushed = min(limit - flow, min(cap[a] for a in path))
+        for a in path:
+            cap[a] -= pushed
+            cap[a ^ 1] += pushed
+        flow += pushed
+    return flow
+
+
+def partitions(n: int, largest: int | None = None):
+    """The partitions of n as nonincreasing lists of parts."""
+    if n == 0:
+        yield []
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield [part, *rest]
+
+
+def graph_count(n: int) -> int:
+    """The number of graphs on n vertices up to isomorphism, by Burnside's
+    lemma over S_n acting on the vertex pairs.  A permutation whose cycles
+    have lengths l_1, l_2, ... splits the pairs into sum floor(l_i / 2)
+    cycles inside its own cycles and sum_{i<j} gcd(l_i, l_j) between two;
+    a graph is fixed iff each pair cycle is all edges or all non-edges,
+    and n! / prod(m^c_m c_m!) permutations share a cycle type with c_m
+    cycles of length m."""
+    total = Fraction(0)
+    for lengths in partitions(n):
+        cycles = sum(l // 2 for l in lengths) + sum(gcd(a, b) for a, b in combinations(lengths, 2))
+        centralizer = 1
+        for m in set(lengths):
+            c = lengths.count(m)
+            centralizer *= m**c * factorial(c)
+        total += Fraction(2**cycles, centralizer)
+    assert total.denominator == 1
+    return int(total)

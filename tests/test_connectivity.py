@@ -19,6 +19,7 @@ from minconn.connectivity import (
     min_vertex_separator,
     vertex_connectivity,
 )
+from minconn.constructions import band_graph, cycle_clique_strong, path_square_example
 from minconn.errors import InvalidParams, TooSmall
 from minconn.flow import FlowNetwork
 from minconn.minimality import MinimalityClass, check_class
@@ -129,6 +130,34 @@ class TestOracleAgreement:
     def test_corpus_agreement(self, small_corpus):
         for g in small_corpus:
             assert (vertex_connectivity(g), edge_connectivity(g)) == brute_force_connectivity(g)
+
+    def test_matches_networkx_beyond_seven_vertices(self):
+        # the brute-force oracle stops at 12 vertices and the corpus at 7;
+        # past them, networkx's flows check kappa, lambda and the sizes of
+        # one minimum separator and one minimum cut
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(27)
+        cases = []
+        for _ in range(30):
+            n = rng.randint(8, 40)
+            p = rng.uniform(0.1, 0.6)
+            cases.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+        cases += [
+            band_graph(3, 4).graph, band_graph(4, 3).graph, cycle_clique_strong(4, 5),
+            cycle_clique_strong(6, 4), path_square_example(12).graph, path_square_example(20).graph,
+        ]
+        for g in cases:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            conn = Connectivity(g)
+            sep, cut = conn.min_separator(), conn.min_cut()
+            kappa = g.n - 1 if sep is None else sep.size
+            assert (kappa, cut.size) == (nx.node_connectivity(h), nx.edge_connectivity(h)), g.edges()
+            if nx.is_connected(h):
+                assert cut.size == len(nx.minimum_edge_cut(h))
+                if sep is not None:
+                    assert sep.size == len(nx.minimum_node_cut(h))
 
 
 class TestSharedRecord:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import combinations, permutations
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,11 @@ from minconn.enumeration import (
     enumerate_all,
     enumerate_graphs,
     random_graphs,
+    refinement_classes,
 )
 from minconn.errors import InvalidParams, TooLarge
-from minconn.graphs import Graph
+from minconn.graphs import Graph, cartesian_product, complete_graph, cycle_graph
+from oracles import graph_count, reference_canonical_key
 
 # number of isomorphism classes of graphs on n vertices
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -34,6 +37,16 @@ FLOORED_CANDIDATE_COUNTS = {
 
 def permuted(g: Graph, perm: list[int]) -> Graph:
     return Graph(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
+
+
+def mask_graph(n: int, mask: int) -> Graph:
+    return Graph(n, (e for p, e in enumerate(combinations(range(n), 2)) if mask >> p & 1))
+
+
+def petersen_graph() -> Graph:
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
 
 
 def edge_mask(g: Graph) -> int:
@@ -86,6 +99,20 @@ class TestExhaustive:
 
     def test_seven_vertex_count(self):
         assert sum(1 for _ in enumerate_graphs(7)) == KNOWN_COUNTS[7]
+
+    def test_burnside_counts(self):
+        # OEIS A000088
+        assert [graph_count(n) for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_stream_length_is_the_burnside_count(self, n):
+        assert len(list(enumerate_graphs(n))) == graph_count(n)
+
+    def test_eight_vertex_candidates_have_every_class_once(self):
+        # past MAX_EXHAUSTIVE_N: the keys of the 14,822 candidates number
+        # exactly the classes, so equal keys never join two classes here
+        keys = {canonical_key(mask_graph(8, mask)) for mask in _candidate_masks(8)}
+        assert len(keys) == graph_count(8)
 
     def test_all_orders_cumulative(self):
         assert sum(1 for _ in enumerate_all(5)) == 52
@@ -174,6 +201,45 @@ class TestExhaustive:
 
 
 class TestCanonicalKey:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_candidates_match_reference(self, n):
+        for mask in _candidate_masks(n):
+            g = mask_graph(n, mask)
+            assert canonical_key(g) == reference_canonical_key(g), mask
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, data):
+        n = data.draw(st.integers(2, 9))
+        all_pairs = list(combinations(range(n), 2))
+        g = Graph(n, data.draw(st.lists(st.sampled_from(all_pairs), unique=True)))
+        # the reference keeps up to the product of its class sizes'
+        # factorials in prefixes; the symmetric graphs past 8! are the
+        # named ones below
+        sizes = Counter(refinement_classes(g)).values()
+        if prod(map(factorial, sizes)) <= factorial(8):
+            assert canonical_key(g) == reference_canonical_key(g)
+        else:
+            assert canonical_key(g) == canonical_key(permuted(g, list(reversed(range(n)))))
+
+    def test_symmetric_graphs_match_reference(self):
+        square = cartesian_product(complete_graph(2), complete_graph(2))
+        named = [complete_graph(n) for n in range(1, 9)] + [cycle_graph(n) for n in range(3, 10)]
+        named += [
+            Graph(6, [(u, v) for u in range(3) for v in range(3, 6)]),  # K_{3,3}
+            cartesian_product(square, complete_graph(2)),  # Q_3
+            petersen_graph(),
+        ]
+        for g in named:
+            assert canonical_key(g) == reference_canonical_key(g), g.edges()
+
+    def test_large_symmetric_graphs_are_cheap(self):
+        # the reference would keep 10! tied prefixes on the first two
+        assert canonical_key(complete_graph(10)) == (10, (1 << 45) - 1)
+        assert canonical_key(Graph(10)) == (10, 0)
+        g = petersen_graph()
+        assert canonical_key(g) == canonical_key(permuted(g, [9 - v for v in range(10)]))
+
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_invariant_under_relabeling(self, data):

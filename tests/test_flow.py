@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from minconn.flow import INF, FlowNetwork
+from oracles import reference_bfs, reference_max_flow
 
 CAPS = [0, 1, 2, 3, INF]
 LIMITS = [1, 2, 3, INF]
@@ -103,6 +104,24 @@ def test_cancel_then_resume(net, data):
     cut = list(caps)
     cut[a] = cut[a ^ 1] = net.cap[a] = net.cap[a ^ 1] = 0
     check_flow(net, cut, s, t, limit, value)
+
+
+@given(networks(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_search_and_flow_match_reference(net, data):
+    # the same nodes reached by the same arcs in the same order, before
+    # and after a flow, and the same flow arc by arc: the residual sides,
+    # path decompositions and cancel walks read both
+    pairs = [(s, t) for s in range(net.n) for t in range(net.n) if s != t]
+    s, t = data.draw(st.sampled_from(pairs))
+    limit = data.draw(st.sampled_from(LIMITS))
+    ref = FlowNetwork(net.n)
+    ref.to, ref.cap, ref.adj = list(net.to), list(net.cap), net.adj
+    for _ in range(2):
+        for u, w in pairs:
+            assert list(net._bfs(u, w).items()) == list(reference_bfs(net, u, w).items())
+        assert net.max_flow(s, t, limit) == reference_max_flow(ref, s, t, limit)
+        assert net.cap == ref.cap
 
 
 def test_cancel_walks_around_a_flow_cycle():
