@@ -9,10 +9,10 @@ Every question is asked of one `Connectivity` record per graph, shared
 by the minimality predicates and the witness procedures.  It builds at
 most one split network and one edge network, and each cut kind has one
 pair loop after Even and Tarjan's fixed-source pair list (SIAM J.
-Comput. 1975).  Each pair's flow resumes from that pair's
-last flow on the network, with the units on the arcs it cuts cancelled.
-A loop stops each flow one unit above the best value so far and yields
-every pair that reaches it.  The scans keep the minimum
+Comput. 1975).  Every flow is `FlowNetwork.flow`, which resumes each
+pair's last flow on the network with the units on the cut arcs
+cancelled.  A loop stops each flow one unit above the best value so far
+and yields every pair that reaches it.  The scans keep the minimum
 and, among its ties, the lexicographically smallest separator (or
 `Cut.edges`); kappa >= j and lambda >= j take the first pair below j,
 and lambda >= j needs no flow once kappa >= j is known (Whitney, Amer. J.
@@ -130,35 +130,6 @@ def _cut_from_side(g, side, removed: int | None = None) -> Cut:
     return Cut(edges, (a, b), sum(g.multiplicity(u, v) for u, v in edges))
 
 
-def _restored_flow(network: tuple[FlowNetwork, list[int], dict], s: int, t: int,
-                   limit: int, cut=()) -> int:
-    # One s-t flow on a shared network with the arcs in `cut` at capacity
-    # 0, resumed from the pair's last flow (from the snapshot if none):
-    # the units on the cut arcs are cancelled, and the flow searches only
-    # when the value left is below `limit`.  The result is kept as a flow
-    # of the whole graph: the cut arcs carry none, so they go back to
-    # their snapshot capacity.  Every flow that stops below its limit is
-    # maximum whatever it started from, and every maximum flow leaves the
-    # same residual side, the source-minimal minimum cut; so values and
-    # residuals, and every answer read from them, equal a cold start's.
-    net, caps, flows = network
-    value, start = flows.get((s, t), (0, caps))
-    cap = net.cap = list(start)
-    for a in cut:
-        if cap[a] != caps[a]:
-            value -= net.cancel(caps, a, s, t)
-    for a in cut:
-        cap[a] = 0
-    if value < limit:
-        value += net.max_flow(s, t, limit - value)
-    else:
-        net._reached = None
-    for a in cut:
-        cap[a] = caps[a]
-    flows[s, t] = value, cap
-    return value if value < limit else limit
-
-
 # ---------------------------------------------------------------------------
 # the connectivity record
 # ---------------------------------------------------------------------------
@@ -188,8 +159,8 @@ class Connectivity:
     record.
 
     Inside, `split` and `edge` are G's two networks, each built at its
-    first flow with its capacity snapshot and each pair's last flow, a
-    flow of G (`_restored_flow`); G - x is asked with x's arcs cut.  The
+    first flow and asked through `FlowNetwork.flow`, which keeps each
+    pair's last flow; G - x is asked with x's arcs cut.  The
     degrees and anchor of each deletion (`_deletion`), each scan
     (`_vertex_scan`, `_edge_scan`), and kappa >= j and lambda >= j about
     G are each worked out once.
@@ -207,14 +178,12 @@ class Connectivity:
         self.verdicts: dict = {}
 
     @cached_property
-    def split(self) -> tuple[FlowNetwork, list[int], dict]:
-        net = _split_network(self.g.n, self.g.edges())
-        return net, list(net.cap), {}
+    def split(self) -> FlowNetwork:
+        return _split_network(self.g.n, self.g.edges())
 
     @cached_property
-    def edge(self) -> tuple[FlowNetwork, list[int], dict]:
-        net = _edge_network(self.g.n, self.g.edges(), self.g.multiplicity)
-        return net, list(net.cap), {}
+    def edge(self) -> FlowNetwork:
+        return _edge_network(self.g.n, self.g.edges(), self.g.multiplicity)
 
     def min_separator(self) -> Separator | None:
         g = self.g
@@ -317,9 +286,8 @@ class Connectivity:
         u, v = e
         if len(self.g.neighbors(u) & self.g.neighbors(v)) >= limit:
             return limit
-        net = self.split[0]
-        arc = next(a for a in net.adj[2 * u + 1] if net.to[a] == 2 * v)
-        return _restored_flow(self.split, 2 * u + 1, 2 * v, limit, (arc,))
+        net = self.split
+        return net.flow(2 * u + 1, 2 * v, limit, (net.arc(2 * u + 1, 2 * v),))
 
     def edge_side(self, e: Edge, limit: int = INF) -> set[int] | None:
         """u's side of the source-minimal minimum u-v cut for e = (u, v);
@@ -328,9 +296,9 @@ class Connectivity:
         u, v = e
         if len(self.g.neighbors(u) & self.g.neighbors(v)) + 1 >= limit:
             return None
-        if _restored_flow(self.edge, u, v, limit) == limit:
+        if self.edge.flow(u, v, limit) == limit:
             return None
-        return self.edge[0].residual_reachable(u)
+        return self.edge.residual_reachable(u)
 
     def cut_containing_edge(self, e: Edge) -> Cut:
         u, v = e
@@ -358,10 +326,8 @@ class Connectivity:
         Any minimum separator either avoids the anchor v0 (then it separates
         v0 from some non-neighbour) or contains it (then it separates two
         non-adjacent neighbours of v0, since a minimum separator sees every
-        component).  With `removed`, the pairs of G - removed in G's labels:
-        the list for `g.delete_vertex(removed)`, mapped back through its
-        old-index tuple.  That relabelling is monotone, so it keeps the order
-        of every tuple the scans compare.
+        component).  With `removed`, the list for G - removed, read from G
+        in G's labels and in the order a copy of G - removed would give.
         """
         g = self.g
         degs, v0 = self._deletion(removed)
@@ -418,9 +384,9 @@ class Connectivity:
             common = nb(s) & nb(t)
             if len(common) - (removed in common) > best:
                 continue
-            value = _restored_flow(self.split, 2 * s + 1, 2 * t, best + 1, cut)
+            value = self.split.flow(2 * s + 1, 2 * t, best + 1, cut)
             if value <= best:
-                sep = _separator_from_residual(self.g.n, self.split[0], 2 * s + 1)
+                sep = _separator_from_residual(self.g.n, self.split, 2 * s + 1)
                 yield value, tuple(v for v in sep if v != removed)
                 best = value
 
@@ -428,7 +394,7 @@ class Connectivity:
         """(value, residual side) of the flows from the anchor v0 of
         G - removed to every other vertex.
 
-        For G - v both arcs of every pair at v are cut, so no side holds v.
+        For G - v every arc pair at v is cut, so no side holds v.
         As in `_vertex_flows`, a pair whose edge and paths v0-w-t through
         common neighbours in G - removed exceed best is skipped, and the
         network is built at the first flow.
@@ -443,9 +409,9 @@ class Connectivity:
             if len(common) - (removed in common) + (t in nb0) > best:
                 continue
             if cut is None:
-                net = self.edge[0]
-                cut = () if removed is None else [b for a in net.adj[removed] for b in (a, a ^ 1)]
-            value = _restored_flow(self.edge, v0, t, best + 1, cut)
+                net = self.edge
+                cut = () if removed is None else net.pairs_at(removed)
+            value = net.flow(v0, t, best + 1, cut)
             if value <= best:
                 yield value, net.residual_reachable(v0)
                 best = value
@@ -509,40 +475,6 @@ def min_cut_containing_edge(g, e: Edge) -> Cut:
 # ---------------------------------------------------------------------------
 
 
-def _decompose_paths(net: FlowNetwork, caps: list[int], source: int, sink: int, node_of) -> list[tuple[int, ...]]:
-    # Walk unit flows from source to sink, consuming them arc by arc: the
-    # flow on arc a is caps[a] - net.cap[a], read as the walk reaches a,
-    # and a consumed unit goes back into net.cap[a].  An undirected pair
-    # carries its flow on whichever arc points along it.
-    cap = net.cap
-    paths = []
-    while True:
-        walk = []
-        u = source
-        while u != sink:
-            for a in net.adj[u]:
-                if caps[a] > cap[a]:
-                    cap[a] += 1
-                    walk.append(a)
-                    u = net.to[a]
-                    break
-            else:
-                break
-        if u != sink:
-            break
-        verts: list[int] = []
-        for a in walk:
-            w = node_of(net.to[a])
-            if w is None or (verts and verts[-1] == w):
-                continue
-            if w in verts:  # shortcut any cancellation loop in the flow
-                del verts[verts.index(w) + 1 :]
-            else:
-                verts.append(w)
-        paths.append(tuple(verts))
-    return paths
-
-
 def max_disjoint_paths(g, a_side, b_side, mode: str = "vertex") -> DisjointPaths:
     """Maximum family of disjoint A-B paths with its Menger dual.
 
@@ -588,17 +520,15 @@ def max_disjoint_paths(g, a_side, b_side, mode: str = "vertex") -> DisjointPaths
         net.add_arc(src, width * new[a], INF)
     for b in sorted(B):
         net.add_arc(width * new[b] + width - 1, snk, INF)
-    caps = list(net.cap)
-    value = net.max_flow(src, snk)
+    value = net.flow(src, snk)
     if mode == "vertex":
         dual = tuple(keep[v] for v in _separator_from_residual(n, net, src))
     else:
         reach = net.residual_reachable(src)
         dual = tuple((keep[u], keep[w]) for u, w in edges if (u in reach) != (w in reach))
     assert value == len(dual), "Menger duality must certify the count"
-    paths = tuple(_decompose_paths(
-        net, caps, src, snk, lambda node: keep[node // width] if node < width * n else None
-    ))
+    # each path's nodes between src and snk take each vertex's width nodes in turn
+    paths = tuple(tuple(keep[x // width] for x in p[1:-1:width]) for p in net.unit_paths(src, snk))
     if mode == "vertex":
         return DisjointPaths(mode, value, paths, dual, None)
     return DisjointPaths(mode, value, paths, None, dual)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import chain, count, product
 from types import SimpleNamespace
@@ -56,7 +56,6 @@ BALL_BUDGET = 300_000
 class EndDescriptor:
     """One end of a family, named by a direction the family understands."""
 
-    family: str
     direction: object
     label: str
 
@@ -186,8 +185,7 @@ class _TwoEnded(Family):
         raise NotImplementedError
 
     def ends(self, depth: int = 1) -> list[EndDescriptor]:
-        d = self.describe()
-        return [EndDescriptor(d, -1, "left"), EndDescriptor(d, +1, "right")]
+        return [EndDescriptor(-1, "left"), EndDescriptor(+1, "right")]
 
     def in_direction(self, tag: Tag, end: EndDescriptor) -> bool:
         c = self.column(tag)
@@ -334,9 +332,8 @@ class _Tree(Family):
     def ends(self, depth: int = 1) -> list[EndDescriptor]:
         if depth < 1:
             raise InvalidParams("end depth must be at least 1")
-        d = self.describe()
         dirs = product(range(self.root), *([range(self.inner)] * (depth - 1)))
-        return [EndDescriptor(d, t, "branch-" + "-".join(map(str, t))) for t in dirs]
+        return [EndDescriptor(t, "branch-" + "-".join(map(str, t))) for t in dirs]
 
     def in_direction(self, tag, end):
         return tag[: len(end.direction)] == end.direction
@@ -362,7 +359,7 @@ class _OnBase(Family):
     """A family whose ends and radii are those of its `base` family."""
 
     def ends(self, depth=1):
-        return [replace(e, family=self.describe()) for e in self.base.ends(depth)]
+        return self.base.ends(depth)
 
     def witness_end_depth(self):
         return self.base.witness_end_depth()
@@ -698,7 +695,7 @@ def find_end(f: Family, label: str) -> EndDescriptor:
             c not in range(tree.inner) for c in path[1:]
         ):
             raise InvalidParams(f"branch indices out of range in {label!r}")
-        return EndDescriptor(f.describe(), path, label)
+        return EndDescriptor(path, label)
     raise InvalidParams(f"family {f.describe()!r} has no end {label!r}")
 
 
@@ -1186,7 +1183,7 @@ def _certify_blocks(f: Family, radius: int, pad: int, k: int, source) -> Certify
         net = FlowNetwork(len(verts))
         for a, bb in arcs:
             net.add_undirected(loc[a], loc[bb], 1 if bb < n_rim else k + 1)  # a < bb
-        val = net.max_flow(loc[u], loc[v], k + 1)
+        val = net.flow(loc[u], loc[v], k + 1)
         if val == k:
             reach = net.residual_reachable(loc[u])
             cut = [
@@ -1251,17 +1248,15 @@ class FamilyValidation:
         }
 
 
-def validate_family(f: Family, radius: int = 4, end_depth: int | None = None) -> list[FamilyValidation]:
+def validate_family(f: Family, radius: int = 4) -> list[FamilyValidation]:
     """Check every declared class of the family on a ball truncation.
 
     Internal (non-frontier) vertices must only show declared degrees, and
     each class's guarantee needs two witnesses: vertices within the
     class's degree bound, topped up with ends whose estimated degree
     (edge mode for the edge-deletion classes, vertex mode otherwise) is
-    at most k.
+    at most k, at the family's `witness_end_depth()`.
     """
-    if end_depth is None:
-        end_depth = f.witness_end_depth()
     b = ball(f, radius)
     internal = [i for i in b.internal() if f.real_vertex(b.tags[i])]
     degs = sorted({len(b.neighbors(i)) for i in internal})
@@ -1276,7 +1271,7 @@ def validate_family(f: Family, radius: int = 4, end_depth: int | None = None) ->
         mode = "edge" if cls.deletes_edges else "vertex"
         ews: list[str] = []
         if len(vws) < 2:
-            for end in f.ends(end_depth):
+            for end in f.ends(f.witness_end_depth()):
                 est = end_degree_estimate(f, end, mode=mode)
                 if est.converged and est.value is not None and est.value <= k:
                     ews.append(end.label)

@@ -2,9 +2,9 @@
 
 Every connectivity routine in this package reduces to max-flow on a small
 network: edge cuts use the graph directly, vertex separators use the
-standard vertex-splitting transform.  The kernel therefore exposes the raw
-arc arrays so callers can read off minimum cuts (residual reachability)
-and decompose unit flows into paths.
+standard vertex-splitting transform.  Callers build a network, ask
+`flow`, and read the answer back as a residual side (minimum cuts) or as
+unit paths; this is the only module that reads arcs and capacities.
 
 Callers read the residual only after a flow that stopped below its limit.
 Such a flow is maximum, and for every maximum flow the nodes reachable in
@@ -13,11 +13,11 @@ cut, so cuts and separators do not depend on which maximum flow was found.
 The flow's last, failing search has already reached exactly those nodes,
 so the network keeps them instead of searching again.
 
-The same fact lets a flow resume instead of starting from zero: `cancel`
-takes the units off an arc pair that is about to be cut, and `max_flow`
-then augments the flow that is left.  Where that flow stops below its
-limit, it is maximum, and its residual side is the one a flow from zero
-would leave.
+The same fact lets a flow resume instead of starting from zero: the
+network keeps each pair's last flow, `cancel` takes the units off an arc
+pair that is about to be cut, and `max_flow` then augments the flow that
+is left.  Where that flow stops below its limit, it is maximum, and its
+residual side is the one a flow from zero would leave.
 
 A search takes nodes in the order it reaches them and each node's arcs in
 the order they were added, so node and arc order fix every path, and with
@@ -37,6 +37,10 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
+        # the built capacities, kept at the first flow
+        self._caps: list[int] | None = None
+        # (s, t) -> (value, capacities) of that pair's last flow
+        self._flows: dict[tuple[int, int], tuple[int, list[int]]] = {}
         # (source, nodes reached) of the last flow's failing search, if any
         self._reached: tuple[int, dict[int, int]] | None = None
 
@@ -57,6 +61,45 @@ class FlowNetwork:
 
     def add_undirected(self, u: int, v: int, cap: int) -> int:
         return self.add_arc(u, v, cap, cap)
+
+    def arc(self, u: int, v: int) -> int:
+        """The first arc added from u to v."""
+        return next(a for a in self.adj[u] if self.to[a] == v)
+
+    def pairs_at(self, v: int) -> list[int]:
+        """One arc of every arc pair at v."""
+        return list(self.adj[v])
+
+    def flow(self, s: int, t: int, limit: int = INF, cut=()) -> int:
+        """An s-t flow with the arc pairs (a, a^1), a in `cut`, at capacity
+        0, stopped at `limit`; returns min(value, limit).
+
+        It resumes the pair's last flow with the cut pairs' units
+        cancelled, searching only while below `limit`, and is kept with
+        the cut pairs empty at their built capacities.  The first flow
+        runs on the built capacities, each later one on a copy.
+        """
+        caps = self._caps
+        if caps is None:
+            caps = self._caps = list(self.cap)
+            value = 0
+        else:
+            value, start = self._flows.get((s, t), (0, caps))
+            self.cap = list(start)
+        cap = self.cap
+        for a in cut:
+            if cap[a] != caps[a]:
+                value -= self.cancel(caps, a, s, t)
+        for a in cut:
+            cap[a] = cap[a ^ 1] = 0
+        if value < limit:
+            value += self.max_flow(s, t, limit - value)
+        else:
+            self._reached = None
+        for a in cut:
+            cap[a], cap[a ^ 1] = caps[a], caps[a ^ 1]
+        self._flows[s, t] = value, cap
+        return min(value, limit)
 
     def max_flow(self, s: int, t: int, limit: int = INF) -> int:
         """Push flow from s to t on top of the flow already in `cap`,
@@ -143,6 +186,35 @@ class FlowNetwork:
                             return via
                         q.append(v)
         return via
+
+    def unit_paths(self, s: int, t: int) -> list[tuple[int, ...]]:
+        """The last flow, which must be from s to t, as unit paths s..t.
+
+        Each walk follows flow-carrying arcs from s in arc order and takes
+        a unit off each; an undirected pair carries its flow on whichever
+        arc points along it, and a walk that comes back to a node drops
+        the loop.  The walks consume the flow, so the network forgets it.
+        """
+        caps, cap, adj, to = self._caps, self.cap, self.adj, self.to
+        _, last = self._flows.pop((s, t))
+        assert last is cap, "the paths are read from the last flow"
+        paths = []
+        while True:
+            path = [s]
+            u = s
+            while u != t:
+                for a in adj[u]:
+                    if caps[a] > cap[a]:
+                        cap[a] += 1
+                        u = to[a]
+                        break
+                else:
+                    return paths
+                if u in path:
+                    del path[path.index(u) + 1 :]
+                else:
+                    path.append(u)
+            paths.append(tuple(path))
 
     def residual_reachable(self, s: int) -> set[int]:
         """Nodes reachable from s along arcs with leftover capacity, after

@@ -45,8 +45,8 @@ when kappa already reached it, and class d reuses class c's lambda >= k.
 The predicates ask the record questions and read no network.  Deletions
 never copy the graph: the record answers G - uv (`paths_avoiding_edge`)
 and G - v (`removed=v`) on G's networks with the deleted element's arcs
-cut, resuming each flow from the pair's last one, and a u-v cut of G
-(`edge_side`) from the pair's flow.  Every answer is the one a flow from
+cut, and a u-v cut of G (`edge_side`), each from `FlowNetwork.flow`,
+which resumes the pair's last flow.  Every answer is the one a flow from
 zero gives.  `check_class` keeps each verdict on the record, so a later
 caller with the same record gets it without a flow.  A predicate called
 on its own builds its own record.

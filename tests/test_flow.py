@@ -153,3 +153,43 @@ def test_residual_needs_a_flow_below_its_limit():
     assert net.residual_reachable(0) == {0, 1}
     with pytest.raises(AssertionError):
         net.residual_reachable(1)  # the flow came from 0
+
+
+@given(networks(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_pair_flows_equal_fresh_flows(net, data):
+    # `flow` on one network, pair after pair with arc pairs cut, against
+    # the same flow from zero on a fresh copy with those pairs at capacity 0
+    caps = list(net.cap)
+    pairs = data.draw(st.lists(terminals(net.n).map(tuple), min_size=1, max_size=2))
+    calls = data.draw(st.lists(st.tuples(
+        st.sampled_from(pairs),
+        st.sampled_from(LIMITS),
+        st.lists(st.integers(0, len(caps) - 1), unique=True) if caps else st.just([]),
+    ), min_size=1, max_size=6))
+    last = None
+    for (s, t), limit, cut in calls:
+        gone = {b for a in cut for b in (a, a ^ 1)}
+        fresh = FlowNetwork(net.n)
+        fresh.to, fresh.adj = net.to, net.adj
+        fresh.cap = [0 if a in gone else c for a, c in enumerate(caps)]
+        expected = fresh.max_flow(s, t, limit)
+        if expected >= INF:
+            continue  # cancel walks one unit at a time
+        value = net.flow(s, t, limit, cut)
+        assert value == expected
+        if value < limit:
+            assert net.residual_reachable(s) == fresh.residual_reachable(s)
+        last = s, t, value, limit, gone
+    assume(last is not None)
+    s, t, value, limit, gone = last
+    paths = net.unit_paths(s, t)
+    assert len(paths) == value if value < limit else len(paths) >= limit
+    used = {}
+    for p in paths:
+        assert p[0] == s and p[-1] == t and len(set(p)) == len(p)
+        for u, w in zip(p, p[1:]):
+            used[u, w] = used.get((u, w), 0) + 1
+    for (u, w), units in used.items():
+        # the last flow leaves its cut pairs empty
+        assert units <= sum(caps[a] for a in net.adj[u] if net.to[a] == w and a not in gone)
