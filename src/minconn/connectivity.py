@@ -504,7 +504,7 @@ def max_disjoint_paths(g, a_side, b_side, mode: str = "vertex") -> DisjointPaths
     if A & B:
         raise TooSmall("endpoint sets must be disjoint")
     if mode not in ("vertex", "edge"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidParams(f"unknown mode {mode!r}")
     keep = sorted(reachable(lambda v: () if v in A else g.neighbors(v), B))
     new = {v: i for i, v in enumerate(keep)}
     edges = [(i, new[w]) for i, v in enumerate(keep)

@@ -6,8 +6,9 @@ Finite windows are materialised as balls (induced subgraphs of all
 vertices within a given distance of the center), and every estimate made
 on a ball records the radius it used, so claims about the infinite object
 always come with the truncation that produced them.  A ball is built in
-one pass over the oracle and stored as compact arrays (distances and a
-CSR adjacency); its `Graph` is only built when a caller asks for it.
+one pass over the oracle and stored as distances and one sorted
+neighbour row per vertex; its `Graph` is only built when a caller asks
+for it.
 
 On a clique tree a vertex's BFS index is its rk-ary heap number, because
 the oracle lists a vertex's children first and in order, so BFS
@@ -30,7 +31,6 @@ What a family supplies is the oracle contract of `Family`.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -65,39 +65,30 @@ class Ball:
     """The induced subgraph on all tags within `radius` of the center.
 
     `tags[i]` is the tag of vertex i (discovery order), `index` the
-    inverse map and `dist[i]` the distance to the center.  `frontier` is
-    the range of vertices at distance exactly `radius` -- precisely the
-    vertices whose ball degree may undercount their true degree; BFS order
-    makes it an index suffix.
-
-    The adjacency is stored in CSR form: the neighbours of vertex v are
-    `targets[offsets[v]:offsets[v + 1]]`, in increasing order.  `dist`,
-    `offsets` and `targets` are machine-int arrays.  `graph` builds the
-    equivalent `Graph` on first access and keeps it.
+    inverse map, `dist[i]` the distance to the center and `rows[i]` the
+    neighbours of vertex i in increasing order.  `frontier` is the range
+    of vertices at distance exactly `radius` -- precisely the vertices
+    whose ball degree may undercount their true degree; BFS order makes
+    it an index suffix.  `graph` builds the equivalent `Graph` on first
+    access and keeps it.
     """
 
-    family: "Family"
     radius: int
     tags: tuple[Tag, ...]
     index: dict
-    dist: array
-    offsets: array
-    targets: array
+    dist: list[int]
+    rows: list[list[int]]
 
     @property
     def frontier(self) -> range:
         return range(bisect_left(self.dist, self.radius), len(self.tags))
 
-    def neighbors(self, v: int) -> array:
-        return self.targets[self.offsets[v]:self.offsets[v + 1]]
+    def neighbors(self, v: int) -> list[int]:
+        return self.rows[v]
 
     @cached_property
     def graph(self) -> Graph:
-        # The index maps vertex v's tag to v in insertion order, so ids[v] is
-        # v.  Rows take their members from it and share its int objects
-        # (arrays hold raw ints, and each read makes a new object).
-        ids = list(self.index.values())
-        return Graph.from_adjacency(map(ids.__getitem__, self.neighbors(v)) for v in ids)
+        return Graph.from_adjacency(self.rows)
 
     def internal(self) -> list[int]:
         """Vertices with their full neighborhood inside the ball."""
@@ -175,7 +166,10 @@ class Family:
         return None
 
     def describe(self) -> str:
-        return self.name
+        """The spec `make_family` reads back as this family."""
+        _, keys = FAMILY_KINDS.get(self.name, (None, ()))
+        params = ",".join(f"{key}={getattr(self, key)}" for key in keys)
+        return f"{self.name}:{params}" if params else self.name
 
 
 class _TwoEnded(Family):
@@ -266,9 +260,6 @@ class MultiPathInfinite(_TwoEnded):
     def __post_init__(self):
         if self.k < 1:
             raise InvalidParams("multipath-inf needs k >= 1")
-
-    def describe(self):
-        return f"multipath-inf:k={self.k}"
 
     def center(self):
         return ("v", 0)
@@ -401,9 +392,6 @@ class CliqueTree(_OnBase):
             raise InvalidParams("clique-tree needs rk >= 2 to branch")
         object.__setattr__(self, "base", _Tree(self.r * self.k, self.r * self.k))
 
-    def describe(self):
-        return f"clique-tree:r={self.r},k={self.k}"
-
     def center(self):
         return ()
 
@@ -505,10 +493,6 @@ class CliqueProduct(_OnBase):
         shape = "dr" if self.r is None else "tree"
         return f"{'strong' if self.strong else 'cartesian'}-{shape}"
 
-    def describe(self):
-        r = "" if self.r is None else f"r={self.r},"
-        return f"{self.name}:{r}k={self.k}"
-
     def center(self):
         return (self.base.center(), 0)
 
@@ -566,9 +550,6 @@ class RayBundle(_TwoEnded):
             raise InvalidParams("ray-bundle needs even k >= 2")
         if self.l < self.k or self.l % self.k:
             raise InvalidParams("ray-bundle needs l >= k with k dividing l")
-
-    def describe(self):
-        return f"ray-bundle:k={self.k},l={self.l}"
 
     def center(self):
         return ("r", 0, 0)
@@ -713,11 +694,16 @@ def ball(f: Family, radius: int) -> Ball:
     return _oracle_ball(f, radius)
 
 
+def _over_budget(f: Family, radius: int) -> InvalidParams:
+    """The refusal of a ball(radius) of more than BALL_BUDGET vertices."""
+    return InvalidParams(f"ball({radius}) of {f.describe()} has more than {BALL_BUDGET} vertices")
+
+
 def _oracle_ball(f: Family, radius: int) -> Ball:
     """The ball built in one pass over the family's neighbor oracle.
 
     The pass asks the oracle once per vertex, frontier included, and the
-    vertex's list is its whole CSR row: by the time a list is read, every
+    vertex's list is its whole row: by the time a list is read, every
     ball vertex on it has an index, because inner vertices index their
     new neighbours as they read them and the frontier is read only after
     the last layer is complete.  The row is the sorted list, loops and
@@ -728,8 +714,8 @@ def _oracle_ball(f: Family, radius: int) -> Ball:
     c = f.center()
     index = {c: 0}
     tags: list[Tag] = [c]
-    dist = array("i", [0])
-    offsets, targets = array("i", [0]), array("i")
+    dist = [0]
+    rows: list[list[int]] = []
     u = 0
     while u < len(tags):
         d = dist[u]
@@ -741,16 +727,14 @@ def _oracle_ball(f: Family, radius: int) -> Ball:
                     continue
                 v = index[nb] = len(tags)
                 if v == budget:
-                    raise InvalidParams(
-                        f"ball({radius}) of {f.describe()} has more than {budget} vertices")
+                    raise _over_budget(f, radius)
                 tags.append(nb)
                 dist.append(d + 1)
             row.add(v)
         row.discard(u)
-        targets.extend(sorted(row))
-        offsets.append(len(targets))
+        rows.append(sorted(row))
         u += 1
-    return Ball(f, radius, tuple(tags), index, dist, offsets, targets)
+    return Ball(radius, tuple(tags), index, dist, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -907,6 +891,7 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
 
     history: list[tuple[int, int]] = []
     upper: int | None = None
+    converged, cert = False, None
     for r in range(start, r_hi + 1):
         if isinstance(f, CliqueTree):
             rk, m = f.r * f.k, r - len(end.direction)
@@ -939,34 +924,23 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
                 raise ValidationFailed(
                     f"certificate of size {v} stopped separating at radius {r + 2}"
                 )
-            return EndDegreeEstimate(
-                family=f.describe(),
-                end=end.label,
-                mode=mode,
-                value=v,
-                lower=v,
-                upper=v,
-                converged=True,
-                radius_used=r,
-                history=tuple(history),
-                certificate=cert,
-                recheck_radius=r + 2,
-            )
+            converged = True
+            break
 
     estimate = EndDegreeEstimate(
         family=f.describe(),
         end=end.label,
         mode=mode,
-        value=None,
-        lower=0,
+        value=upper if converged else None,
+        lower=upper if converged else 0,
         upper=upper,
-        converged=False,
-        radius_used=r_hi,
+        converged=converged,
+        radius_used=r,  # r_hi when the loop ran out
         history=tuple(history),
-        certificate=None,
-        recheck_radius=None,
+        certificate=cert,
+        recheck_radius=r + 2 if converged else None,
     )
-    if strict:
+    if strict and not converged:
         raise NotConverged(
             f"no stable window of {window} radii up to {r_hi}", estimate
         )
@@ -978,18 +952,18 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
 # ---------------------------------------------------------------------------
 
 
-def _blocks_containing(offsets: array, targets: array,
+def _blocks_containing(rows: list[list[int]],
                        wanted: set[int]) -> tuple[dict[int, int], list[tuple[int, ...]]]:
     """Biconnected components restricted to the blocks meeting `wanted`.
 
-    The graph is given in CSR form with sorted rows (see `Ball`).  Edges
+    The graph is given by its sorted neighbour rows (see `Ball`).  Edges
     are coded as u * n + v with u < v.  Returns the code -> block mapping
     for wanted edges plus each kept block's full edge list.  Iterative so
     deep balls cannot overflow the recursion limit.
     """
-    n = len(offsets) - 1
-    disc = array("i", [-1]) * n
-    low = array("i", [0]) * n
+    n = len(rows)
+    disc = [-1] * n
+    low = [0] * n
     edge_stack: list[int] = []
     kept: list[tuple[int, ...]] = []
     code_block: dict[int, int] = {}
@@ -998,15 +972,12 @@ def _blocks_containing(offsets: array, targets: array,
     def code(a: int, b: int) -> int:
         return a * n + b if a < b else b * n + a
 
-    def row(v: int):
-        return iter(targets[offsets[v]:offsets[v + 1]])
-
     for root in range(n):
         if disc[root] != -1:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, -1, row(root))]
+        stack = [(root, -1, iter(rows[root]))]
         while stack:
             v, parent, it = stack[-1]
             child = None
@@ -1024,7 +995,7 @@ def _blocks_containing(offsets: array, targets: array,
                 edge_stack.append(code(v, child))
                 disc[child] = low[child] = timer
                 timer += 1
-                stack.append((child, v, row(child)))
+                stack.append((child, v, iter(rows[child])))
                 continue
             stack.pop()
             if stack:
@@ -1129,7 +1100,7 @@ def _ball_blocks(b: Ball, radius: int, rim: int):
     n = len(b.tags)
     n_inner = bisect_right(b.dist, radius)
     inner = [(u, v) for u in range(n_inner) for v in b.neighbors(u) if u < v < n_inner]
-    code_block, kept = _blocks_containing(b.offsets, b.targets, {u * n + v for u, v in inner})
+    code_block, kept = _blocks_containing(b.rows, {u * n + v for u, v in inner})
     blocks = [
         (sorted({c // n for c in comp} | {c % n for c in comp}), [divmod(c, n) for c in comp])
         for comp in kept
@@ -1154,12 +1125,13 @@ def _index_blocks(f: CliqueTree, radius: int, rim: int):
     and popped, as blocks of their own, before the search returns into
     the block -- they never interleave with the block's own edges.
     """
+    if radius > f.max_radius():  # ball(radius) is over the budget; refuse before listing it
+        raise _over_budget(f, radius)
     rk, k, m = f.r * f.k, f.k, f.k + 1
     n_inner = f.ball_size(radius)
     inner = [(u, v) for u in range(n_inner) for v in f.index_row(u, n_inner) if u < v]
-    offsets = array("i", range(0, m * k + 1, k))
-    targets = array("i", [w for x in range(m) for w in range(m) if w != x])
-    _, (order,) = _blocks_containing(offsets, targets, {1})  # K_m, edge 0-1 wanted
+    k_m = [[w for w in range(m) if w != x] for x in range(m)]
+    _, (order,) = _blocks_containing(k_m, {1})  # K_m, edge 0-1 wanted
     blocks: dict[int, tuple] = {}
 
     def block_of(u: int, v: int) -> tuple:

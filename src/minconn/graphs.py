@@ -54,7 +54,7 @@ class Graph:
         """The graph in which vertex v has the neighbours `rows[v]`.
 
         The rows are trusted: they must be symmetric, loop-free and in
-        range, as the CSR rows of a ball are by construction.
+        range, as the rows of a ball are by construction.
         """
         g = cls.__new__(cls)
         g._adj = tuple(frozenset(r) for r in rows)

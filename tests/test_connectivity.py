@@ -626,3 +626,8 @@ class TestDisjointPaths:
         g = MultiGraph(3, [(0, 1, 2), (1, 2, 2)])
         with pytest.raises(InvalidParams):
             max_disjoint_paths(g, [0], [2], mode=mode)
+
+    def test_unknown_mode_is_invalid_params(self):
+        # an argument check, so one of the package's errors, not a bare ValueError
+        with pytest.raises(InvalidParams, match="unknown mode 'both'"):
+            max_disjoint_paths(cycle_graph(6), [0], [3], mode="both")

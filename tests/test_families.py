@@ -1,5 +1,4 @@
 import json
-from array import array
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -52,7 +51,9 @@ ALL_SPECS = [
 class TestMakeFamily:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_round_trip(self, spec):
-        assert make_family(spec).describe() == spec
+        f = make_family(spec)
+        assert f.describe() == spec
+        assert make_family(f.describe()) == f
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidParams):
@@ -164,9 +165,10 @@ class TestBall:
             if nb in b.index
         }
         assert set(b.graph.edges()) == expected
-        assert b.offsets[0] == 0 and b.offsets[n] == len(b.targets) == 2 * len(expected)
+        assert len(b.rows) == n and sum(map(len, b.rows)) == 2 * len(expected)
         for v in range(n):
-            row = list(b.neighbors(v))
+            row = b.neighbors(v)
+            assert row is b.rows[v]
             assert row == sorted(set(row)) and v not in row
             assert all(v in b.neighbors(w) for w in row)
             # BFS distances: edges span at most one layer, and every vertex
@@ -180,7 +182,7 @@ class TestBall:
                 return super().neighbors(tag) * 2 + [tag]
 
         b, plain = ball(Doubled(), 3), ball(DoubleRay(), 3)
-        assert (b.tags, b.offsets, b.targets) == (plain.tags, plain.offsets, plain.targets)
+        assert (b.tags, b.rows) == (plain.tags, plain.rows)
 
     def test_distances_beyond_one_byte(self):
         b = ball(make_family("double-ray"), 300)
@@ -612,38 +614,34 @@ class TestEndDegree:
         assert obj["mode"] == "vertex" and obj["end"] == "left"
 
 
-def csr(g):
-    """The CSR arrays of `g`, as a ball stores them."""
-    offsets, targets = array("i", [0]), array("i")
-    for v in range(g.n):
-        targets.extend(sorted(g.neighbors(v)))
-        offsets.append(len(targets))
-    return offsets, targets
+def sorted_rows(g):
+    """The sorted neighbour rows of `g`, as a ball stores them."""
+    return [sorted(g.neighbors(v)) for v in range(g.n)]
 
 
 class TestBlocks:
     def test_cycle_is_one_block(self):
         g = cycle_graph(5)
-        code_block, kept = _blocks_containing(*csr(g), {0 * 5 + 1})
+        code_block, kept = _blocks_containing(sorted_rows(g), {0 * 5 + 1})
         assert len(kept) == 1 and len(kept[0]) == 5
 
     def test_path_splits_into_bridges(self):
         g = path_graph(4)
         wanted = {u * 4 + v for u, v in g.edges()}
-        code_block, kept = _blocks_containing(*csr(g), wanted)
+        code_block, kept = _blocks_containing(sorted_rows(g), wanted)
         assert len(kept) == 3
         assert all(len(b) == 1 for b in kept)
 
     def test_bowtie(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        code_block, kept = _blocks_containing(*csr(g), {0 * 5 + 1, 3 * 5 + 4})
+        code_block, kept = _blocks_containing(sorted_rows(g), {0 * 5 + 1, 3 * 5 + 4})
         assert len(kept) == 2
         assert code_block[0 * 5 + 1] != code_block[3 * 5 + 4]
         assert all(len(b) == 3 for b in kept)
 
     def test_untouched_blocks_dropped(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        code_block, kept = _blocks_containing(*csr(g), {0 * 5 + 1})
+        code_block, kept = _blocks_containing(sorted_rows(g), {0 * 5 + 1})
         assert len(kept) == 1 and len(code_block) == 1
 
 
@@ -718,6 +716,14 @@ class TestCertify:
             certify_essential_edges(f, radius, 1, 2)
         assert ball.cache_info() == before  # refused before any ball is asked for
 
+    def test_clique_tree_over_budget_is_refused(self, monkeypatch):
+        # ball(7) of an rk = 8 tree has 2,396,745 vertices; the index path
+        # refuses it as `_oracle_ball` would, before listing any edge
+        f = make_family("clique-tree:r=2,k=4")
+        monkeypatch.setattr(CliqueTree, "index_row", lambda *a: pytest.fail("listed an edge"))
+        with pytest.raises(InvalidParams, match=r"ball\(7\) of clique-tree:r=2,k=4 has more than 300000 vertices"):
+            certify_essential_edges(f, 7, 1, 4)
+
     @pytest.mark.parametrize(
         "spec,radius,pad,k",
         [
@@ -741,9 +747,9 @@ class TestCertify:
         del whole
         searched = []
 
-        def spy(offsets, targets, wanted):
-            searched.append(len(offsets) - 1)
-            return _blocks_containing(offsets, targets, wanted)
+        def spy(rows, wanted):
+            searched.append(len(rows))
+            return _blocks_containing(rows, wanted)
 
         monkeypatch.setattr(families, "_blocks_containing", spy)
         before = ball.cache_info()
@@ -776,7 +782,7 @@ class TestValidateFamily:
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_degrees_are_row_lengths(self, spec):
-        # degrees and vertex witnesses read off the CSR rows equal those
+        # degrees and vertex witnesses read off the neighbour rows equal those
         # of the ball's Graph
         f = make_family(spec)
         b = ball(f, 4)
