@@ -45,6 +45,7 @@ from .errors import (
 from .families import FAMILY_KINDS, _parse_params, ball, end_degree_estimate, find_end, make_family
 from .graphs import Graph, MultiGraph, small_degree_set
 from .io import (
+    check_graph6_order,
     from_edge_list,
     from_graph6,
     graph_id,
@@ -304,7 +305,7 @@ CONSTRUCTIONS = {
 }
 
 
-def _build_construction(spec: str, radius: int | None):
+def _build_construction(spec: str, radius: int | None, graph6: bool = False):
     """A finite construction or a ball truncation of a family.
 
     Returns (graph, labels) where labels maps vertex names to indices.
@@ -320,13 +321,16 @@ def _build_construction(spec: str, radius: int | None):
             raise InvalidParams(f"family {head!r} needs --radius to truncate")
         f = make_family(spec)
         b = ball(f, radius)
+        if graph6:  # refuse an order graph6 cannot hold before building the Graph
+            check_graph6_order(len(b.tags))
         return b.graph, {repr(t): i for i, t in enumerate(b.tags)}
     known = [*CONSTRUCTIONS, *sorted(FAMILY_KINDS)]
     raise InvalidParams(f"unknown construction {head!r}; known: {', '.join(known)}")
 
 
 def cmd_construct(args) -> int:
-    g, labels = _build_construction(args.spec, args.radius)
+    # a ball is a simple graph, so "auto" writes it as graph6
+    g, labels = _build_construction(args.spec, args.radius, args.format in ("auto", "graph6"))
     fmt = args.format
     if fmt == "auto":
         fmt = "edge-list" if isinstance(g, MultiGraph) else "graph6"

@@ -16,6 +16,7 @@ discovers them in order.  Its end-degree estimate, recheck and
 essential-edge certification read balls as heap numbers -- rows by
 arithmetic, a direction's frontier as one index range, tags decoded only
 for reports -- and build no ball but the estimator's base.
+Certification asks one connectivity record per block.
 
 A family's ends are described by directions: for the double-ray-like
 families the two column signs, for tree-like families the branch
@@ -37,10 +38,9 @@ from functools import cached_property, lru_cache, partial
 from itertools import chain, count, product
 from types import SimpleNamespace
 
-from .connectivity import max_disjoint_paths
+from .connectivity import Connectivity, max_disjoint_paths
 from .errors import InvalidParams, NotConverged, ValidationFailed
-from .flow import FlowNetwork
-from .graphs import Graph, product_row, reachable
+from .graphs import Graph, MultiGraph, product_row, reachable
 from .minimality import MinimalityClass
 from .witnesses import degree_bound
 
@@ -1068,10 +1068,10 @@ def certify_essential_edges(f: Family, radius: int, pad: int, k: int) -> Certify
     """For every edge of ball(radius), search for a k-edge cut through it.
 
     Cut edges are restricted to ball(radius + pad) and separation is
-    verified on ball(radius + 2 pad): per-pair max-flow where padded-ball
-    edges have capacity 1 and rim edges capacity k+1, so any flow of
-    value k certifies a cut of exactly k inner edges.  Flows run inside
-    the edge's biconnected block -- disjoint paths never leave it, and a
+    verified on ball(radius + 2 pad): padded-ball edges have multiplicity
+    1 and rim edges k+1, so any flow of value k certifies a cut of exactly
+    k inner edges.  Flows run inside the edge's biconnected block, on its
+    one `Connectivity` record -- disjoint paths never leave it, and a
     block-local cut separates in the whole ball.  A clique tree's blocks
     come from heap-number arithmetic (`_index_blocks`) and no ball is
     built; other families' from Tarjan's algorithm over ball(radius + 2
@@ -1145,32 +1145,25 @@ def _index_blocks(f: CliqueTree, radius: int, rim: int):
 
 
 def _certify_blocks(f: Family, radius: int, pad: int, k: int, source) -> CertifyReport:
-    """`certify_essential_edges` over a block source: one flow per edge."""
+    """`certify_essential_edges` over a block source: each inner edge asks
+    `edge_side` of its block's record, and k block edges across the side
+    certify a cut."""
     inner, block_of, n_rim, tag = source
+    records: dict[tuple, tuple] = {}  # an edge lies in one block, so its first edge names it
     entries = []
-    certified = 0
     for u, v in inner:
         verts, arcs = block_of(u, v)
-        loc = {x: i for i, x in enumerate(verts)}
-        net = FlowNetwork(len(verts))
-        for a, bb in arcs:
-            net.add_undirected(loc[a], loc[bb], 1 if bb < n_rim else k + 1)  # a < bb
-        val = net.flow(loc[u], loc[v], k + 1)
-        if val == k:
-            reach = net.residual_reachable(loc[u])
-            cut = [
-                (a, bb) for a, bb in arcs if (loc[a] in reach) != (loc[bb] in reach)
-            ]
-            assert len(cut) == k, "a flow of value k pins the cut to k unit edges"
+        if arcs[0] not in records:
+            loc = {x: i for i, x in enumerate(verts)}
+            mult = [(loc[a], loc[bb], 1 if bb < n_rim else k + 1) for a, bb in arcs]  # a < bb
+            records[arcs[0]] = loc, Connectivity(MultiGraph(len(verts), mult))
+        loc, conn = records[arcs[0]]
+        side = conn.edge_side((loc[u], loc[v]), k + 1) or set()  # None: k + 1 paths, no cut
+        cut = [(a, bb) for a, bb in arcs if (loc[a] in side) != (loc[bb] in side)]
+        if len(cut) == k:
             assert all(bb < n_rim for _, bb in cut)
-            entries.append(
-                EdgeCutCertificate(
-                    (tag(u), tag(v)),
-                    "certified",
-                    tuple((tag(a), tag(bb)) for a, bb in cut),
-                )
-            )
-            certified += 1
+            entries.append(EdgeCutCertificate(
+                (tag(u), tag(v)), "certified", tuple((tag(a), tag(bb)) for a, bb in cut)))
         else:
             entries.append(EdgeCutCertificate((tag(u), tag(v)), "undecided", None))
     return CertifyReport(
@@ -1179,7 +1172,7 @@ def _certify_blocks(f: Family, radius: int, pad: int, k: int, source) -> Certify
         pad=pad,
         k=k,
         total=len(inner),
-        certified=certified,
+        certified=sum(e.status == "certified" for e in entries),
         entries=tuple(entries),
     )
 

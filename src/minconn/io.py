@@ -16,9 +16,14 @@ from .graphs import Graph, MultiGraph
 MAX_ORDER = 258047
 
 
-def to_graph6(g: Graph) -> str:
-    if g.n > MAX_ORDER:
+def check_graph6_order(n: int) -> None:
+    """Refuse an order graph6 cannot hold, before its graph is built."""
+    if n > MAX_ORDER:
         raise InvalidParams(f"graph6 supported up to n = {MAX_ORDER} here")
+
+
+def to_graph6(g: Graph) -> str:
+    check_graph6_order(g.n)
     if g.n <= 62:
         head = [g.n + 63]
     else:

@@ -312,14 +312,6 @@ class MinimalRegionResult:
     region: Region
     verified_minimal: str
 
-    def to_json_obj(self):
-        return {
-            "procedure": "minimal-region",
-            "vertices": sorted(self.region.vertices),
-            "edge_boundary": sorted(self.region.edge_cut),
-            "verified_minimal": self.verified_minimal,
-        }
-
 
 def minimal_region_small_edge_boundary(g: Graph | MultiGraph, region: Region,
                                        m: int) -> MinimalRegionResult:

@@ -9,6 +9,7 @@ from math import factorial, gcd
 from minconn.connectivity import min_edge_cut, min_vertex_separator
 from minconn.enumeration import refinement_classes
 from minconn.errors import TooLarge, TooSmall
+from minconn.families import CertifyReport, EdgeCutCertificate
 from minconn.flow import INF, FlowNetwork
 from minconn.graphs import (
     Graph,
@@ -208,6 +209,48 @@ def oracle_separates(f, end, mode: str, certificate: tuple, radius: int,
             seen.add(nb)
             queue.append(nb)
     return True
+
+
+def reference_certify_blocks(f, radius: int, pad: int, k: int, source):
+    """`families._certify_blocks` with a fresh network per inner edge, the
+    reference for the record per block: per edge, the block's arcs with
+    capacity 1, or k + 1 on the rim, and one u-v flow with limit k + 1."""
+    inner, block_of, n_rim, tag = source
+    entries = []
+    certified = 0
+    for u, v in inner:
+        verts, arcs = block_of(u, v)
+        loc = {x: i for i, x in enumerate(verts)}
+        net = FlowNetwork(len(verts))
+        for a, bb in arcs:
+            net.add_undirected(loc[a], loc[bb], 1 if bb < n_rim else k + 1)  # a < bb
+        val = net.flow(loc[u], loc[v], k + 1)
+        if val == k:
+            reach = net.residual_reachable(loc[u])
+            cut = [
+                (a, bb) for a, bb in arcs if (loc[a] in reach) != (loc[bb] in reach)
+            ]
+            assert len(cut) == k, "a flow of value k pins the cut to k unit edges"
+            assert all(bb < n_rim for _, bb in cut)
+            entries.append(
+                EdgeCutCertificate(
+                    (tag(u), tag(v)),
+                    "certified",
+                    tuple((tag(a), tag(bb)) for a, bb in cut),
+                )
+            )
+            certified += 1
+        else:
+            entries.append(EdgeCutCertificate((tag(u), tag(v)), "undecided", None))
+    return CertifyReport(
+        family=f.describe(),
+        radius=radius,
+        pad=pad,
+        k=k,
+        total=len(inner),
+        certified=certified,
+        entries=tuple(entries),
+    )
 
 
 def reference_canonical_key(g: Graph) -> tuple[int, int]:

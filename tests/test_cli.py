@@ -445,6 +445,16 @@ class TestConstruct:
         assert (code, out) == (1, "")
         assert err == "error: ball(9) of clique-tree:r=2,k=4 has more than 1000 vertices\n"
 
+    def test_graph6_order_is_refused_before_the_graph(self, capsys, monkeypatch):
+        # ball(3) of this tree has 585 vertices, over a graph6 limit lowered
+        # to 100: refused from the ball's size, before its Graph is built
+        monkeypatch.setattr("minconn.io.MAX_ORDER", 100)
+        monkeypatch.setattr(Graph, "from_adjacency",
+                            classmethod(lambda cls, rows: pytest.fail("built the ball's Graph")))
+        code, out, err = invoke(["construct", "clique-tree:r=2,k=4", "--radius", "3"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: graph6 supported up to n = 100 here\n"
+
     def test_family_needs_radius(self, capsys):
         code, _, err = invoke(["construct", "clique-tree:r=2,k=4"], capsys)
         assert code == 1

@@ -146,6 +146,10 @@ class TestOracleAgreement:
             band_graph(3, 4).graph, band_graph(4, 3).graph, cycle_clique_strong(4, 5),
             cycle_clique_strong(6, 4), path_square_example(12).graph, path_square_example(20).graph,
         ]
+        # the simple graphs of perfbench's member-traces, at its sizes
+        cases += [band_graph(k, l).graph for k in (3, 4) for l in range(2, 9)]
+        cases += [cycle_clique_strong(k, l) for k, l in ((6, 10), (6, 12), (6, 14), (8, 10))]
+        cases += [path_square_example(l).graph for l in range(20, 41, 2)]
         for g in cases:
             h = nx.Graph()
             h.add_nodes_from(range(g.n))

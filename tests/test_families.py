@@ -17,6 +17,7 @@ from minconn.families import (
     _blocks_containing,
     _certify_blocks,
     _certificate_separates,
+    _index_blocks,
     _oracle_ball,
     ball,
     certify_essential_edges,
@@ -25,6 +26,7 @@ from minconn.families import (
     make_family,
     validate_family,
 )
+from minconn.flow import FlowNetwork
 from minconn.graphs import (
     Graph,
     cartesian_product,
@@ -33,7 +35,7 @@ from minconn.graphs import (
     path_graph,
     strong_product,
 )
-from oracles import oracle_separates, whole_graph_flow
+from oracles import oracle_separates, reference_certify_blocks, whole_graph_flow
 
 ALL_SPECS = [
     "double-ray",
@@ -706,6 +708,41 @@ class TestCertify:
                         seen.add(y)
                         queue.append(y)
             assert v not in seen
+
+    @pytest.mark.parametrize("spec", [*ALL_SPECS, "clique-tree:r=1,k=2"])
+    @pytest.mark.parametrize("radius,pad,k", [(1, 1, 1), (1, 1, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)])
+    def test_record_per_block_equals_network_per_edge(self, spec, radius, pad, k):
+        # One record per block, asked edge_side per edge, against a fresh
+        # network per edge, on every block source that applies: the heap
+        # numbers of a clique tree, and Tarjan's algorithm over the ball
+        # unless that ball is too large to build in a test
+        f = make_family(spec)
+        sources = []
+        if isinstance(f, CliqueTree):
+            sources.append(_index_blocks(f, radius, radius + pad))
+        if not isinstance(f, CliqueTree) or f.ball_size(radius + 2 * pad) <= 5000:
+            sources.append(_ball_blocks(_oracle_ball(f, radius + 2 * pad), radius, radius + pad))
+        for source in sources:
+            got = _certify_blocks(f, radius, pad, k, source)
+            expected = reference_certify_blocks(f, radius, pad, k, source)
+            assert json.dumps(got.to_json_obj()) == json.dumps(expected.to_json_obj())
+
+    @pytest.mark.parametrize("spec,radius,pad,k,blocks", [
+        ("dr-square", 4, 2, 3, 1),
+        ("clique-tree:r=2,k=4", 2, 2, 4, 18),
+    ])
+    def test_one_network_per_block(self, spec, radius, pad, k, blocks, monkeypatch):
+        # 31 and 180 edges; every edge of a block asks the block's record
+        built = []
+        init = FlowNetwork.__init__
+
+        def spy(net, n):
+            built.append(n)
+            init(net, n)
+
+        monkeypatch.setattr(FlowNetwork, "__init__", spy)
+        rep = certify_essential_edges(make_family(spec), radius, pad, k)
+        assert rep.certified == rep.total and len(built) == blocks
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     @pytest.mark.parametrize("radius", [-1, -3])
