@@ -32,7 +32,6 @@ from .constructions import (
     LabeledGraph,
     band_graph,
     cycle_clique_strong,
-    cycle_clique_strong_odd,
     multipath,
     path_square_example,
 )
@@ -55,12 +54,10 @@ from .families import (
     EndDegreeEstimate,
     EndDescriptor,
     Family,
-    FamilyValidation,
     ball,
     certify_essential_edges,
     end_degree_estimate,
     make_family,
-    validate_family,
 )
 from .graphs import (
     Graph,
@@ -70,7 +67,6 @@ from .graphs import (
     cartesian_product,
     complete_graph,
     cycle_graph,
-    degree_profile,
     path_graph,
     region_of,
     small_degree_set,

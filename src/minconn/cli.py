@@ -21,6 +21,7 @@ import functools
 import json
 import sys
 from itertools import chain
+from types import SimpleNamespace
 from typing import Iterator
 
 from . import __version__
@@ -308,7 +309,9 @@ CONSTRUCTIONS = {
 def _build_construction(spec: str, radius: int | None, graph6: bool = False):
     """A finite construction or a ball truncation of a family.
 
-    Returns (graph, labels) where labels maps vertex names to indices.
+    Returns (graph, labels) where labels maps vertex names to indices.  A
+    ball's `Graph` is built only for graph6; the other writers read only
+    `n` and `edges()`, which the ball's sorted rows give in Graph order.
     """
     head, _, rest = spec.strip().partition(":")
     if head in CONSTRUCTIONS:
@@ -323,7 +326,11 @@ def _build_construction(spec: str, radius: int | None, graph6: bool = False):
         b = ball(f, radius)
         if graph6:  # refuse an order graph6 cannot hold before building the Graph
             check_graph6_order(len(b.tags))
-        return b.graph, {repr(t): i for i, t in enumerate(b.tags)}
+            g = b.graph
+        else:
+            g = SimpleNamespace(n=len(b.rows), edges=lambda: [
+                (u, v) for u, row in enumerate(b.rows) for v in row if u < v])
+        return g, {repr(t): i for i, t in enumerate(b.tags)}
     known = [*CONSTRUCTIONS, *sorted(FAMILY_KINDS)]
     raise InvalidParams(f"unknown construction {head!r}; known: {', '.join(known)}")
 

@@ -101,20 +101,3 @@ def cycle_clique_strong(k: int, length: int) -> Graph:
         raise InvalidParams("need cycle length >= 4")
     return strong_product(cycle_graph(length), complete_graph(k // 2))
 
-
-def cycle_clique_strong_odd(k: int, length: int) -> Graph:
-    """Odd-k analogue of `cycle_clique_strong`, by deletion.
-
-    Builds C_length boxtimes K^{(k+1)/2} and removes slot 0 at cycle
-    positions 0 and 1, two adjacent vertices.  No canonical choice of the
-    pair is claimed, only that this one produces vertices of degree
-    floor(3k/2)-1.
-    """
-    if k % 2 == 0 or k < 3:
-        raise InvalidParams("this variant is for odd k >= 3")
-    if length < 5:
-        raise InvalidParams("need cycle length >= 5")
-    w = (k + 1) // 2
-    base = strong_product(cycle_graph(length), complete_graph(w))
-    g, _ = base.induced(set(range(base.n)) - {0, w})
-    return g

@@ -27,7 +27,12 @@ equal-sized disjoint path family, accepted only after it stays stable
 over a window of radii and still separates on the ball two radii out
 (the recheck rule, `_certificate_separates`).  The flow runs only on the
 part of the ball that the frontier reaches without crossing the base.
-What a family supplies is the oracle contract of `Family`.
+
+A family supplies the contract of `Family` and nothing more: the oracle,
+its ends and the estimator's radii.  The paper's claims about each family
+-- degrees, declared classes, end degrees -- are not part of it; they live
+in one table in the test suite (`tests/oracles.py`), which holds the
+families to them.
 """
 
 from __future__ import annotations
@@ -41,8 +46,6 @@ from types import SimpleNamespace
 from .connectivity import Connectivity, max_disjoint_paths
 from .errors import InvalidParams, NotConverged, ValidationFailed
 from .graphs import Graph, MultiGraph, product_row, reachable
-from .minimality import MinimalityClass
-from .witnesses import degree_bound
 
 Tag = object  # any hashable value; each family documents its tag shape
 
@@ -90,18 +93,15 @@ class Ball:
     def graph(self) -> Graph:
         return Graph.from_adjacency(self.rows)
 
-    def internal(self) -> list[int]:
-        """Vertices with their full neighborhood inside the ball."""
-        return list(range(self.frontier.start))
-
 
 class Family:
     """Base interface: a pure neighbor oracle plus end descriptions.
 
-    The oracle contract: a `center`, a deterministic `neighbors`, so BFS
-    numbers every ball the same way, `in_direction` for the tags of a
-    direction, and the estimator's radii.  Distances and rays are read
-    off balls, never asked of the family.
+    The contract: the oracle, a `center` and a deterministic `neighbors`
+    so BFS numbers every ball the same way; the ends, `ends` and
+    `in_direction` for the tags of a direction; and the estimator's
+    radii.  Distances and rays are read off balls, never asked of the
+    family.
     """
 
     name = "family"
@@ -112,10 +112,6 @@ class Family:
 
     def neighbors(self, tag: Tag) -> list[Tag]:
         raise NotImplementedError
-
-    def real_vertex(self, tag: Tag) -> bool:
-        """False for helper tags that stand for edges, not vertices."""
-        return True
 
     # -- ends ----------------------------------------------------------
     def ends(self, depth: int = 1) -> list[EndDescriptor]:
@@ -142,28 +138,6 @@ class Family:
 
     def max_radius(self) -> int:
         return 20
-
-    def witness_end_depth(self) -> int:
-        """Direction depth at which a direction's degree equals the
-        degree of the ends inside it.
-
-        Directions that are still inside the base ball measure the cut
-        around their whole subtree; one level deeper the subtree hangs
-        off the rest by the end's own cut.
-        """
-        return 1
-
-    # -- declared structure ----------------------------------------------
-    def degree_set(self) -> frozenset[int]:
-        raise NotImplementedError
-
-    def declared_classes(self) -> tuple[tuple[MinimalityClass, int], ...]:
-        raise NotImplementedError
-
-    def expected_end_degree(self, end: EndDescriptor, mode: str) -> int | None:
-        """The family's end degree, for directions at witness_end_depth
-        or deeper."""
-        return None
 
     def describe(self) -> str:
         """The spec `make_family` reads back as this family."""
@@ -206,18 +180,6 @@ class DoubleRay(_TwoEnded):
     def column(self, tag):
         return tag
 
-    def degree_set(self):
-        return frozenset({2})
-
-    def declared_classes(self):
-        return (
-            (MinimalityClass.EDGE_MIN_CONN, 1),
-            (MinimalityClass.EDGE_MIN_EDGE_CONN, 1),
-        )
-
-    def expected_end_degree(self, end, mode):
-        return 1
-
 
 @dataclass(frozen=True)
 class DoubleRaySquare(_TwoEnded):
@@ -234,15 +196,6 @@ class DoubleRaySquare(_TwoEnded):
     def column(self, tag):
         return tag
 
-    def degree_set(self):
-        return frozenset({4})
-
-    def declared_classes(self):
-        return ((MinimalityClass.EDGE_MIN_EDGE_CONN, 3),)
-
-    def expected_end_degree(self, end, mode):
-        return 2 if mode == "vertex" else 3
-
 
 @dataclass(frozen=True)
 class MultiPathInfinite(_TwoEnded):
@@ -251,7 +204,7 @@ class MultiPathInfinite(_TwoEnded):
     Multigraphs have no native ball representation here, so tags spell
     out the subdivision: ("v", i) are the path vertices, ("m", i, j) for
     j < k the midpoints of the j-th parallel edge between i and i+1.
-    Midpoints are not real vertices; degree accounting skips them.
+    Midpoints are not real vertices: each stands for one edge copy.
     """
 
     name = "multipath-inf"
@@ -273,23 +226,11 @@ class MultiPathInfinite(_TwoEnded):
         _, i, _j = tag
         return [("v", i), ("v", i + 1)]
 
-    def real_vertex(self, tag):
-        return tag[0] == "v"
-
     def column(self, tag):
         if tag[0] == "v":
             return tag[1]
         i = tag[1]
         return i + 1 if i >= 0 else i
-
-    def degree_set(self):
-        return frozenset({2 * self.k})
-
-    def declared_classes(self):
-        return ((MinimalityClass.EDGE_MIN_EDGE_CONN, self.k),)
-
-    def expected_end_degree(self, end, mode):
-        return 1 if mode == "vertex" else self.k
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +270,6 @@ class _Tree(Family):
     def in_direction(self, tag, end):
         return tag[: len(end.direction)] == end.direction
 
-    def witness_end_depth(self):
-        # Depth-1 direction nodes are base-ball vertices; their whole
-        # subtree must be cut around.  Depth 2 isolates single ends.
-        return 2
-
     def start_radius(self, end):
         # A deeper direction's frontier is a single vertex at distance
         # len(direction); start one level below it, inside its subtree.
@@ -342,18 +278,12 @@ class _Tree(Family):
     def max_radius(self):
         return 9
 
-    def degree_set(self):
-        return frozenset({self.root, self.inner + 1})
-
 
 class _OnBase(Family):
     """A family whose ends and radii are those of its `base` family."""
 
     def ends(self, depth=1):
         return self.base.ends(depth)
-
-    def witness_end_depth(self):
-        return self.base.witness_end_depth()
 
     def start_radius(self, end):
         return self.base.start_radius(end)
@@ -413,16 +343,6 @@ class CliqueTree(_OnBase):
     def max_radius(self):
         # the largest radius whose heap window fits the budget: 17, 8, 6 at rk = 2, 4, 8
         return next(r for r in count() if self.ball_size(r + 1) > BALL_BUDGET)
-
-    def degree_set(self):
-        rk = self.r * self.k
-        return frozenset({rk, rk + self.k})
-
-    def declared_classes(self):
-        return ((MinimalityClass.EDGE_MIN_EDGE_CONN, self.k),)
-
-    def expected_end_degree(self, end, mode):
-        return 1 if mode == "vertex" else self.k
 
     # -- level-order indices ---------------------------------------------
     def ball_size(self, radius: int) -> int:
@@ -506,18 +426,6 @@ class CliqueProduct(_OnBase):
     def in_direction(self, tag, end):
         return self.base.in_direction(tag[0], end)
 
-    def degree_set(self):
-        k, degs = self.k, self.base.degree_set()
-        return frozenset((d + 1) * k - 1 if self.strong else d + k - 1 for d in degs)
-
-    def declared_classes(self):
-        if self.strong:
-            return ((MinimalityClass.VERTEX_MIN_CONN, self.k),)
-        return ((MinimalityClass.VERTEX_MIN_EDGE_CONN, self.k),)
-
-    def expected_end_degree(self, end, mode):
-        return self.k * self.k if self.strong and mode == "edge" else self.k
-
 
 # ---------------------------------------------------------------------------
 # the bundled-rays family
@@ -600,15 +508,6 @@ class RayBundle(_TwoEnded):
         # Wait until the ball has wrapped the whole ray ring, so the
         # frontier splits cleanly into the two column directions.
         return self.base_radius() + 2
-
-    def degree_set(self):
-        return frozenset({3 * self.k // 2 - 1, 3 * self.k // 2 + 1})
-
-    def declared_classes(self):
-        return ((MinimalityClass.VERTEX_MIN_CONN, self.k),)
-
-    def expected_end_degree(self, end, mode):
-        return self.l
 
 
 # ---------------------------------------------------------------------------
@@ -1175,84 +1074,3 @@ def _certify_blocks(f: Family, radius: int, pad: int, k: int, source) -> Certify
         certified=sum(e.status == "certified" for e in entries),
         entries=tuple(entries),
     )
-
-
-# ---------------------------------------------------------------------------
-# validating the declared structure of a family
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FamilyValidation:
-    """One declared class of a family checked on a truncation: internal
-    degrees against the declared degree set, and at least two witnesses
-    -- small-degree vertices or small-degree ends -- for the class's
-    guarantee."""
-
-    family: str
-    cls: MinimalityClass
-    k: int
-    degree_bound: int
-    degrees_seen: tuple[int, ...]
-    degrees_ok: bool
-    vertex_witnesses: tuple
-    end_witnesses: tuple[str, ...]
-    satisfied: bool
-
-    def to_json_obj(self):
-        return {
-            "family": self.family,
-            "class": self.cls.value,
-            "k": self.k,
-            "degree_bound": self.degree_bound,
-            "degrees_seen": list(self.degrees_seen),
-            "degrees_ok": self.degrees_ok,
-            "vertex_witnesses": [repr(t) for t in self.vertex_witnesses],
-            "end_witnesses": list(self.end_witnesses),
-            "satisfied": self.satisfied,
-        }
-
-
-def validate_family(f: Family, radius: int = 4) -> list[FamilyValidation]:
-    """Check every declared class of the family on a ball truncation.
-
-    Internal (non-frontier) vertices must only show declared degrees, and
-    each class's guarantee needs two witnesses: vertices within the
-    class's degree bound, topped up with ends whose estimated degree
-    (edge mode for the edge-deletion classes, vertex mode otherwise) is
-    at most k, at the family's `witness_end_depth()`.
-    """
-    b = ball(f, radius)
-    internal = [i for i in b.internal() if f.real_vertex(b.tags[i])]
-    degs = sorted({len(b.neighbors(i)) for i in internal})
-    degrees_ok = set(degs) <= set(f.degree_set())
-
-    out = []
-    for cls, k in f.declared_classes():
-        bound = degree_bound(cls, k)
-        vws = tuple(
-            b.tags[i] for i in internal if len(b.neighbors(i)) <= bound
-        )[:4]
-        mode = "edge" if cls.deletes_edges else "vertex"
-        ews: list[str] = []
-        if len(vws) < 2:
-            for end in f.ends(f.witness_end_depth()):
-                est = end_degree_estimate(f, end, mode=mode)
-                if est.converged and est.value is not None and est.value <= k:
-                    ews.append(end.label)
-                if len(vws) + len(ews) >= 2:
-                    break
-        out.append(
-            FamilyValidation(
-                family=f.describe(),
-                cls=cls,
-                k=k,
-                degree_bound=bound,
-                degrees_seen=tuple(degs),
-                degrees_ok=degrees_ok,
-                vertex_witnesses=vws,
-                end_witnesses=tuple(ews),
-                satisfied=degrees_ok and len(vws) + len(ews) >= 2,
-            )
-        )
-    return out

@@ -349,16 +349,8 @@ class MixedSet:
 
 
 # ---------------------------------------------------------------------------
-# Degree profiles
+# Small degrees
 # ---------------------------------------------------------------------------
-
-
-def degree_profile(g) -> dict[int, int]:
-    """Histogram degree -> count (works for Graph and MultiGraph)."""
-    prof: dict[int, int] = {}
-    for d in g.degrees():
-        prof[d] = prof.get(d, 0) + 1
-    return dict(sorted(prof.items()))
 
 
 def small_degree_set(g, bound: int) -> list[int]:

@@ -1,15 +1,17 @@
 """Independent oracles that the test suite holds the package's routines to,
-and the helpers only tests need."""
+the paper's claims about the infinite families (`FAMILY_CLAIMS`), and the
+helpers only tests need."""
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, gcd
+from typing import Callable, NamedTuple
 
 from minconn.connectivity import min_edge_cut, min_vertex_separator
 from minconn.enumeration import refinement_classes
 from minconn.errors import TooLarge, TooSmall
-from minconn.families import CertifyReport, EdgeCutCertificate
+from minconn.families import FAMILY_KINDS, CertifyReport, EdgeCutCertificate, ball, end_degree_estimate
 from minconn.flow import INF, FlowNetwork
 from minconn.graphs import (
     Graph,
@@ -19,6 +21,8 @@ from minconn.graphs import (
     components_of_subset,
     path_graph,
 )
+from minconn.minimality import MinimalityClass
+from minconn.witnesses import degree_bound
 
 
 def ladder_graph(m: int) -> Graph:
@@ -357,3 +361,69 @@ def graph_count(n: int) -> int:
         total += Fraction(2**cycles, centralizer)
     assert total.denominator == 1
     return int(total)
+
+
+class Claims(NamedTuple):
+    """The paper's claims about one infinite family: its real vertices'
+    degrees, declared (class, k) pairs, and end degree by mode at every
+    direction of `depth` or deeper (a tree's depth-1 directions are base
+    vertices, cut around with their whole subtree); `real(tag)` is False
+    for tags that stand for edges."""
+
+    degrees: set[int]
+    classes: list[tuple[MinimalityClass, int]]
+    end_degree: dict[str, int]
+    depth: int = 1
+    real: Callable[[object], bool] = lambda tag: True
+
+
+A, B, C, D = MinimalityClass  # classes a, b, c, d
+
+# FAMILY_KINDS key -> the family's claims as a function of its parameters
+FAMILY_CLAIMS = {
+    "double-ray": lambda: Claims({2}, [(A, 1), (C, 1)], {"vertex": 1, "edge": 1}),
+    "dr-square": lambda: Claims({4}, [(C, 3)], {"vertex": 2, "edge": 3}),
+    "strong-dr": lambda k: Claims({3 * k - 1}, [(B, k)], {"vertex": k, "edge": k * k}),
+    "cartesian-dr": lambda k: Claims({k + 1}, [(D, k)], {"vertex": k, "edge": k}),
+    "strong-tree": lambda r, k: Claims({(r + 1) * k - 1}, [(B, k)], {"vertex": k, "edge": k * k},
+                                       depth=2),
+    "cartesian-tree": lambda r, k: Claims({r + k - 1}, [(D, k)], {"vertex": k, "edge": k}, depth=2),
+    "clique-tree": lambda r, k: Claims({r * k, (r + 1) * k}, [(C, k)], {"vertex": 1, "edge": k},
+                                       depth=2),
+    "ray-bundle": lambda k, l: Claims({3 * k // 2 - 1, 3 * k // 2 + 1}, [(B, k)],
+                                      {"vertex": l, "edge": l}),
+    "multipath-inf": lambda k: Claims({2 * k}, [(C, k)], {"vertex": 1, "edge": k},
+                                      real=lambda tag: tag[0] == "v"),
+}
+
+
+def family_claims(f) -> Claims:
+    """The claims table's entry for family f, at f's parameters."""
+    _, keys = FAMILY_KINDS[f.name]
+    return FAMILY_CLAIMS[f.name](**{key: getattr(f, key) for key in keys})
+
+
+def check_family_claims(f, radius: int) -> list[tuple[list, list[str]]]:
+    """Assert family f's claims on ball(radius), counting "ends of small
+    degree as well as vertices": the real vertices off the frontier show
+    only the claimed degrees, and each declared (cls, k) has two witnesses
+    -- those vertices within the class's degree bound, topped up with ends
+    of claimed degree at most k (edge mode for the edge-deletion classes)
+    whose estimate converges to that degree.  Returns each class's vertex
+    tags and end labels."""
+    claims = family_claims(f)
+    b = ball(f, radius)
+    inner = [i for i in range(b.frontier.start) if claims.real(b.tags[i])]
+    assert {len(b.rows[i]) for i in inner} <= claims.degrees, f.describe()
+    found = []
+    for cls, k in claims.classes:
+        tags = [b.tags[i] for i in inner if len(b.rows[i]) <= degree_bound(cls, k)]
+        mode = "edge" if cls.deletes_edges else "vertex"
+        value = claims.end_degree[mode]
+        ends = f.ends(claims.depth)[:max(0, 2 - len(tags))] if value <= k else []
+        for end in ends:
+            est = end_degree_estimate(f, end, mode=mode)
+            assert est.converged and est.value == value, (f.describe(), end.label, mode)
+        assert len(tags) + len(ends) >= 2, (f.describe(), cls, k)
+        found.append((tags, [end.label for end in ends]))
+    return found

@@ -18,7 +18,7 @@ from minconn.connectivity import Connectivity
 from minconn.constructions import band_graph, cycle_clique_strong, multipath
 from minconn.families import FAMILY_KINDS
 from minconn.graphs import Graph, MultiGraph
-from minconn.io import from_edge_list, from_graph6, graph_id, to_edge_list, to_graph6
+from minconn.io import from_edge_list, from_graph6, graph_id, to_edge_list, to_graph6, to_json_obj
 from minconn.minimality import MinimalityClass, check_class, classify
 from minconn.witnesses import (
     crossing_separators_witness,
@@ -454,6 +454,20 @@ class TestConstruct:
         code, out, err = invoke(["construct", "clique-tree:r=2,k=4", "--radius", "3"], capsys)
         assert (code, out) == (1, "")
         assert err == "error: graph6 supported up to n = 100 here\n"
+
+    @pytest.mark.parametrize("fmt", ["edge-list", "json"])
+    def test_edge_list_and_json_read_the_rows(self, fmt, capsys, monkeypatch):
+        # the writers read n and edges() off the ball's sorted rows: the
+        # bytes of the ball's Graph, with no Graph built
+        families.ball.cache_clear()  # so no cached ball already holds its Graph
+        b = families.ball(families.make_family("clique-tree:r=2,k=4"), 3)
+        g, labels = Graph.from_adjacency(b.rows), {repr(t): i for i, t in enumerate(b.tags)}
+        obj = to_json_obj(g, labels=labels)
+        expected = to_edge_list(g) if fmt == "edge-list" else json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        monkeypatch.setattr(Graph, "from_adjacency",
+                            classmethod(lambda cls, rows: pytest.fail("built the ball's Graph")))
+        argv = ["construct", "clique-tree:r=2,k=4", "--radius", "3", "--format", fmt]
+        assert invoke(argv, capsys)[:2] == (0, expected)
 
     def test_family_needs_radius(self, capsys):
         code, _, err = invoke(["construct", "clique-tree:r=2,k=4"], capsys)

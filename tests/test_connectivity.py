@@ -497,24 +497,22 @@ def test_public_api_pinned():
     assert set(minconn.__all__) == {
         "Ball", "CertifyReport", "ClassMismatch", "ClassificationReport", "Connectivity",
         "CrossingSeparatorsTrace", "Cut", "DisjointPaths", "EdgeMinWitnessTrace", "EmptyRegion",
-        "EndDegreeEstimate", "EndDescriptor", "Family", "FamilyValidation", "Graph",
-        "InvalidParams", "LabeledGraph", "MinconnError", "MinimalRegionResult", "MinimalityClass",
-        "MixedSet", "MultiGraph", "NoSuchEdge", "NotConverged", "PreconditionViolated",
-        "PredicateResult", "Region", "Separator", "TooLarge", "TooSmall", "ValidationFailed",
-        "VertexMinEdgeWitnessTrace", "WitnessReport", "ball", "band_graph", "canonical_key",
-        "cartesian_product", "certify_essential_edges", "check_class", "classify",
-        "complete_graph", "crossing_separators_witness", "cycle_clique_strong",
-        "cycle_clique_strong_odd", "cycle_graph", "default_profound_region", "degree_bound",
-        "degree_profile", "edge_connectivity", "edge_min_witness_pair", "end_degree_estimate",
-        "enumerate_all", "enumerate_graphs", "is_edge_min_k_connected",
+        "EndDegreeEstimate", "EndDescriptor", "Family", "Graph", "InvalidParams", "LabeledGraph",
+        "MinconnError", "MinimalRegionResult", "MinimalityClass", "MixedSet", "MultiGraph",
+        "NoSuchEdge", "NotConverged", "PreconditionViolated", "PredicateResult", "Region",
+        "Separator", "TooLarge", "TooSmall", "ValidationFailed", "VertexMinEdgeWitnessTrace",
+        "WitnessReport", "ball", "band_graph", "canonical_key", "cartesian_product",
+        "certify_essential_edges", "check_class", "classify", "complete_graph",
+        "crossing_separators_witness", "cycle_clique_strong", "cycle_graph",
+        "default_profound_region", "degree_bound", "edge_connectivity", "edge_min_witness_pair",
+        "end_degree_estimate", "enumerate_all", "enumerate_graphs", "is_edge_min_k_connected",
         "is_edge_min_k_edge_connected", "is_k_connected", "is_k_edge_connected",
         "is_vertex_min_k_connected", "is_vertex_min_k_edge_connected", "make_family",
-        "max_disjoint_paths", "min_cut_containing_edge", "min_edge_cut",
-        "min_separator_containing", "min_vertex_separator", "minimal_region_small_edge_boundary",
-        "multipath", "path_graph", "path_square_example", "random_graphs", "region_of",
-        "required_count", "small_component_witness", "small_degree_set", "square",
-        "strong_product", "validate_family", "vertex_connectivity",
-        "vertex_min_edge_witness_pair", "witness_report",
+        "max_disjoint_paths", "min_cut_containing_edge", "min_edge_cut", "min_separator_containing",
+        "min_vertex_separator", "minimal_region_small_edge_boundary", "multipath", "path_graph",
+        "path_square_example", "random_graphs", "region_of", "required_count",
+        "small_component_witness", "small_degree_set", "square", "strong_product",
+        "vertex_connectivity", "vertex_min_edge_witness_pair", "witness_report",
     }
     assert all(hasattr(minconn, name) for name in minconn.__all__)
 

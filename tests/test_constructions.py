@@ -3,13 +3,31 @@ import pytest
 from minconn.constructions import (
     band_graph,
     cycle_clique_strong,
-    cycle_clique_strong_odd,
     multipath,
     path_square_example,
 )
 from minconn.errors import InvalidParams
-from minconn.graphs import MultiGraph, small_degree_set
+from minconn.graphs import (Graph, MultiGraph, complete_graph, cycle_graph, small_degree_set,
+                            strong_product)
 from minconn.minimality import MinimalityClass, check_class
+
+
+def cycle_clique_strong_odd(k: int, length: int) -> Graph:
+    """Odd-k analogue of `cycle_clique_strong`, by deletion.
+
+    Builds C_length boxtimes K^{(k+1)/2} and removes slot 0 at cycle
+    positions 0 and 1, two adjacent vertices.  No canonical choice of the
+    pair is claimed, only that this one produces vertices of degree
+    floor(3k/2)-1.
+    """
+    if k % 2 == 0 or k < 3:
+        raise InvalidParams("this variant is for odd k >= 3")
+    if length < 5:
+        raise InvalidParams("need cycle length >= 5")
+    w = (k + 1) // 2
+    base = strong_product(cycle_graph(length), complete_graph(w))
+    g, _ = base.induced(set(range(base.n)) - {0, w})
+    return g
 
 
 class TestBandGraph:

@@ -1,3 +1,4 @@
+import ast
 import json
 from dataclasses import dataclass
 from itertools import combinations
@@ -10,6 +11,7 @@ from minconn.connectivity import max_disjoint_paths
 from minconn.errors import InvalidParams, NotConverged
 from minconn.families import (
     BALL_BUDGET,
+    FAMILY_KINDS,
     CliqueTree,
     DoubleRay,
     Family,
@@ -24,7 +26,6 @@ from minconn.families import (
     end_degree_estimate,
     find_end,
     make_family,
-    validate_family,
 )
 from minconn.flow import FlowNetwork
 from minconn.graphs import (
@@ -35,7 +36,8 @@ from minconn.graphs import (
     path_graph,
     strong_product,
 )
-from oracles import oracle_separates, reference_certify_blocks, whole_graph_flow
+from oracles import (FAMILY_CLAIMS, check_family_claims, family_claims, oracle_separates,
+                     reference_certify_blocks, whole_graph_flow)
 
 ALL_SPECS = [
     "double-ray",
@@ -113,7 +115,8 @@ class TestBall:
         f = make_family("dr-square")
         b = ball(f, 3)
         assert all(b.dist[i] == 3 for i in b.frontier)
-        assert set(b.internal()) == set(range(b.graph.n)) - set(b.frontier)
+        assert b.frontier.stop == b.graph.n
+        assert all(b.dist[i] < 3 for i in range(b.frontier.start))
 
     def test_frontier_edges_present(self):
         # two tags at full radius can still be adjacent; the ball keeps
@@ -384,13 +387,10 @@ class TestFamilyStructure:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_internal_degrees_declared(self, spec):
         f = make_family(spec)
+        claims = family_claims(f)
         b = ball(f, min(4, f.max_radius()))
-        degs = {
-            b.graph.degree(i)
-            for i in b.internal()
-            if f.real_vertex(b.tags[i])
-        }
-        assert degs <= set(f.degree_set())
+        degs = {b.graph.degree(i) for i in range(b.frontier.start) if claims.real(b.tags[i])}
+        assert degs <= claims.degrees
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_direction_rays(self, spec):
@@ -398,10 +398,11 @@ class TestFamilyStructure:
         # distance from that depth on, and no vertex lies in two.
         f = make_family(spec)
         b = ball(f, 4 if spec.startswith("clique-tree") else 6)
-        ends = f.ends(f.witness_end_depth())
+        depth = family_claims(f).depth
+        ends = f.ends(depth)
         for end in ends:
             dists = {b.dist[i] for i, t in enumerate(b.tags) if f.in_direction(t, end)}
-            assert set(range(f.witness_end_depth(), b.radius + 1)) <= dists
+            assert set(range(depth, b.radius + 1)) <= dists
         for t in b.tags:
             assert sum(f.in_direction(t, end) for end in ends) <= 1
 
@@ -456,36 +457,18 @@ class TestFamilyStructure:
 
     def test_clique_tree_degrees(self):
         f = make_family("clique-tree:r=2,k=4")
-        assert set(f.degree_set()) == {8, 12}
+        assert family_claims(f).degrees == {8, 12}
 
     def test_ray_bundle_degrees(self):
         f = make_family("ray-bundle:k=4,l=8")
-        assert set(f.degree_set()) == {5, 7}
+        assert family_claims(f).degrees == {5, 7}
         assert f.base_radius() == 5  # reaches all 8 rays
 
 
-# (family spec, mode) -> exact end degree for every direction at the
-# family's witness depth
-END_DEGREES = [
-    ("double-ray", "vertex", 1),
-    ("double-ray", "edge", 1),
-    ("dr-square", "vertex", 2),
-    ("dr-square", "edge", 3),
-    ("strong-dr:k=2", "vertex", 2),
-    ("strong-dr:k=2", "edge", 4),
-    ("cartesian-dr:k=2", "vertex", 2),
-    ("cartesian-dr:k=2", "edge", 2),
-    ("multipath-inf:k=3", "vertex", 1),
-    ("multipath-inf:k=3", "edge", 3),
-    ("strong-tree:r=3,k=2", "vertex", 2),
-    ("strong-tree:r=3,k=2", "edge", 4),
-    ("cartesian-tree:r=3,k=2", "vertex", 2),
-    ("cartesian-tree:r=3,k=2", "edge", 2),
-    ("clique-tree:r=2,k=4", "vertex", 1),
-    ("clique-tree:r=2,k=4", "edge", 4),
-    ("ray-bundle:k=4,l=8", "vertex", 8),
-    ("ray-bundle:k=4,l=8", "edge", 8),
-]
+# (family spec, mode, the claimed degree of every direction at the
+# family's claimed depth), read off the claims table
+END_DEGREES = [(spec, mode, family_claims(make_family(spec)).end_degree[mode])
+               for spec in ALL_SPECS for mode in ("vertex", "edge")]
 
 
 @st.composite
@@ -521,8 +504,7 @@ class TestEndDegree:
     @pytest.mark.parametrize("spec,mode,expected", END_DEGREES)
     def test_exact_values(self, spec, mode, expected):
         f = make_family(spec)
-        end = f.ends(f.witness_end_depth())[0]
-        assert f.expected_end_degree(end, mode) == expected
+        end = f.ends(family_claims(f).depth)[0]
         est = end_degree_estimate(f, end, mode=mode)
         assert est.converged
         assert est.value == est.lower == est.upper == expected
@@ -536,7 +518,7 @@ class TestEndDegree:
     def test_ball_recheck_passes_own_certificates(self, spec, mode):
         f = make_family(spec)
         base_tags = set(ball(f, f.base_radius()).tags)
-        for end in f.ends(f.witness_end_depth()):
+        for end in f.ends(family_claims(f).depth):
             est = end_degree_estimate(f, end, mode=mode)
             assert _certificate_separates(
                 f, end, mode, est.certificate, est.recheck_radius, base_tags
@@ -567,7 +549,7 @@ class TestEndDegree:
         f = make_family(spec)
         end = f.ends(depth)[-1]
         est = end_degree_estimate(f, end, mode=mode)
-        expected = f.expected_end_degree(end, mode)
+        expected = family_claims(f).end_degree[mode]
         assert est.history[0][0] == depth + 1
         assert {v for _, v in est.history} == {expected}
         assert est.converged == (depth + 3 <= f.max_radius())
@@ -798,39 +780,42 @@ class TestCertify:
 
 
 class TestValidateFamily:
+    """Each family held to its entry in `oracles.FAMILY_CLAIMS` on balls."""
+
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_every_declared_class_satisfied(self, spec):
         f = make_family(spec)
         radius = 3 if spec.startswith("clique-tree") else 4
-        results = validate_family(f, radius=radius)
-        assert results, "every family declares at least one class"
-        for res in results:
-            assert res.degrees_ok
-            assert res.satisfied
-            assert len(res.vertex_witnesses) + len(res.end_witnesses) >= 2
+        assert check_family_claims(f, radius), "every family declares at least one class"
 
     def test_double_ray_uses_end_witnesses(self):
         # no finite vertex of the double ray has degree <= 1: both
         # guarantees must come from the two ends
-        results = validate_family(make_family("double-ray"), radius=4)
-        for res in results:
-            assert res.vertex_witnesses == ()
-            assert set(res.end_witnesses) == {"left", "right"}
+        found = check_family_claims(make_family("double-ray"), 4)
+        assert found == [([], ["left", "right"])] * 2
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_degrees_are_row_lengths(self, spec):
-        # degrees and vertex witnesses read off the neighbour rows equal those
-        # of the ball's Graph
-        f = make_family(spec)
-        b = ball(f, 4)
-        internal = [i for i in b.internal() if f.real_vertex(b.tags[i])]
-        degree = b.graph.degree
-        for res in validate_family(f, radius=4):
-            assert res.degrees_seen == tuple(sorted({degree(i) for i in internal}))
-            small = [b.tags[i] for i in internal if degree(i) <= res.degree_bound]
-            assert res.vertex_witnesses == tuple(small[:4])
+        # the check reads degrees off the neighbour rows: the ball's Graph's
+        b = ball(make_family(spec), 4)
+        assert [len(row) for row in b.rows] == list(b.graph.degrees())
 
-    def test_json_shape(self):
-        res = validate_family(make_family("dr-square"), radius=4)[0]
-        obj = res.to_json_obj()
-        assert obj["class"] == "c" and obj["k"] == 3 and obj["satisfied"] is True
+    def test_claims_cover_every_family(self):
+        # a family added without claims fails here, and ALL_SPECS, hence
+        # END_DEGREES, names every kind
+        assert FAMILY_CLAIMS.keys() == FAMILY_KINDS.keys()
+        assert {make_family(spec).name for spec in ALL_SPECS} == FAMILY_KINDS.keys()
+
+    def test_families_imports_no_claims(self):
+        # with the claims in tests/, families.py needs neither minimality nor witnesses
+        with open(families.__file__) as source:
+            tree = ast.parse(source.read())
+        relative = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level}
+        assert relative == {"connectivity", "errors", "graphs"}
+
+    def test_no_family_defines_claims(self):
+        claims = {"degree_set", "declared_classes", "expected_end_degree", "real_vertex",
+                  "witness_end_depth"}
+        kinds = [c for c in vars(families).values() if isinstance(c, type) and issubclass(c, Family)]
+        assert all(claims.isdisjoint(vars(c)) for c in kinds), kinds
