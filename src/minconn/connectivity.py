@@ -1,15 +1,17 @@
 """Vertex and edge connectivity with explicit dual certificates.
 
 The routines here reduce to max-flow (vertex-splitting for separators,
-plain unit/multiplicity capacities for cuts).  The test suite holds them
-equal, on an exhaustive small-graph corpus, to a brute-force oracle that
-re-derives both numbers by subset enumeration (`tests/oracles.py`).
+plain unit/multiplicity capacities for cuts, and for `max_disjoint_paths`
+a one-shot flow on G's own rows, `flow.row_paths`, with no network).
+The test suite holds them equal, on an exhaustive small-graph corpus, to
+a brute-force oracle that re-derives both numbers by subset enumeration
+(`tests/oracles.py`).
 
 Every question is asked of one `Connectivity` record per graph, shared
 by the minimality predicates and the witness procedures.  It builds at
 most one split network and one edge network, and each cut kind has one
 pair loop after Even and Tarjan's fixed-source pair list (SIAM J.
-Comput. 1975).  Every flow is `FlowNetwork.flow`, which resumes each
+Comput. 1975).  Its every flow is `FlowNetwork.flow`, which resumes each
 pair's last flow on the network with the units on the cut arcs
 cancelled.  A loop stops each flow one unit above the best value so far
 and yields every pair that reaches it.  The scans keep the minimum
@@ -42,7 +44,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import InvalidParams, NoSuchEdge, TooSmall
-from .flow import INF, FlowNetwork
+from .flow import INF, FlowNetwork, row_paths
 from .graphs import Edge, Graph, MultiGraph, components_of_subset, edge_boundary, reachable
 
 
@@ -91,10 +93,8 @@ class DisjointPaths:
 
 def _split_network(n: int, edges) -> FlowNetwork:
     # node 2v = v_in, 2v+1 = v_out, and arc 2v is v_in->v_out; edge i of
-    # `edges` follows as arcs 2n + 4i (u_out->v_in) and 2n + 4i + 2
-    # (v_out->u_in).  The last two nodes are the super-source and sink of
-    # `max_disjoint_paths`, isolated in the pair loops
-    net = FlowNetwork(2 * n + 2)
+    # `edges` follows as arcs 2n + 4i (u_out->v_in) and 2n + 4i + 2 (v_out->u_in)
+    net = FlowNetwork(2 * n)
     for v in range(n):
         net.add_arc(2 * v, 2 * v + 1, 1)
     for u, v in edges:
@@ -114,9 +114,8 @@ def _separator(g: Graph, vertices: tuple[int, ...]) -> Separator:
 
 def _edge_network(n: int, edges, mult=None) -> FlowNetwork:
     # node v = v, one undirected pair per edge class with its multiplicity
-    # `mult(u, v)` as capacity (1 without `mult`); the last two nodes as in
-    # `_split_network`
-    net = FlowNetwork(n + 2)
+    # `mult(u, v)` as capacity (1 without `mult`)
+    net = FlowNetwork(n)
     for u, v in edges:
         net.add_undirected(u, v, 1 if mult is None else mult(u, v))
     return net
@@ -140,30 +139,22 @@ class Connectivity:
     each G - x and about each G - e, answered from G's pair flows.
 
     About G: `min_separator()` (None when G is complete), `min_cut()`,
-    `separator_below(j)` (None when kappa >= j, else a separator of fewer
-    than j vertices) and `edge_connected(j)` (lambda >= j).  About G - x:
-    `separator_containing(x)` (the smallest separator of G through x),
-    `cut_without(x)` (a minimum cut of G - x), `separator_below(j, x)` and
-    `edge_connected(j, x)`.  About G - e and e = (u, v):
-    `paths_avoiding_edge(e, limit)` (disjoint u-v paths in G - e, up to
-    `limit`), `edge_side(e, limit)` (u's side of a minimum u-v cut) and
-    `cut_containing_edge(e)`.  Separator and cut questions keep the
-    lexicographically smallest separator (or `Cut.edges`) among the
-    minimum ones the pair flows realise, and every answer is the one a
-    fresh record gives, whatever was asked of it before.  So one record
+    `separator_below(j)` and `edge_connected(j)`; about G - x:
+    `separator_containing(x)`, `cut_without(x)`, `separator_below(j, x)`
+    and `edge_connected(j, x)`; about G - e: `paths_avoiding_edge(e,
+    limit)`, `edge_side(e, limit)` and `cut_containing_edge(e)`.  Ties
+    keep the lexicographically smallest separator (or `Cut.edges`) among
+    the minimum ones the pair flows realise, and every answer is the one
+    a fresh record gives, whatever was asked of it before.  So one record
     serves every caller about G: `classify` hands one to the four
     predicates, `check_class` keeps each verdict in `verdicts`, and
     `cmd_witness` shares one between the membership check, the default
-    region and the traced procedure.  The module's shorthands, from
-    `vertex_connectivity` to `min_cut_containing_edge`, each ask a fresh
-    record.
+    region and the traced procedure.
 
     Inside, `split` and `edge` are G's two networks, each built at its
-    first flow and asked through `FlowNetwork.flow`, which keeps each
-    pair's last flow; G - x is asked with x's arcs cut.  The
-    degrees and anchor of each deletion (`_deletion`), each scan
-    (`_vertex_scan`, `_edge_scan`), and kappa >= j and lambda >= j about
-    G are each worked out once.
+    first flow and asked through `FlowNetwork.flow`; G - x is asked with
+    x's arcs cut.  Each deletion's degrees and anchor (`_deletion`), each
+    scan and kappa >= j and lambda >= j about G are worked out once.
     """
 
     def __init__(self, g):
@@ -485,15 +476,13 @@ def max_disjoint_paths(g, a_side, b_side, mode: str = "vertex") -> DisjointPaths
     whose `neighbors(v)` lists v's neighbours, a `Graph` or a family's
     `Ball`; a `MultiGraph` is refused, since rows carry no multiplicities.
 
-    The flow runs on the live part of G.  The live set L is what B
-    reaches in G - A, found by one search that stops at A.  Every A-B
-    path has a suffix from its last A vertex, and that suffix is an A-B
-    path inside L plus one A vertex; so the flow has the same value on L
-    and the A vertices that touch L.  The other components of G - A touch
-    only A: they carry no flow and lie on the source side, so the
-    source-minimal separator or cut is the same too.  The kept vertices
-    are numbered in increasing order, which keeps the order of
-    separators and cut edges; paths and dual come back in G's labels.
+    The flow runs on G's rows (`flow.row_paths`) over the live set L,
+    what B reaches in G - A, from the A vertices whose rows touch L.  An
+    A-B path's suffix from its last A vertex runs inside L, and the
+    other components of G - A carry no flow and lie on the source side,
+    so neither the count nor the dual moves.  Both are fixed by G alone;
+    the maximum family of paths is fixed by G's row order and the search,
+    and may differ from the one another max-flow algorithm returns.
     """
     if isinstance(g, MultiGraph):
         raise InvalidParams("disjoint paths read neighbour rows, which carry no multiplicities")
@@ -505,30 +494,10 @@ def max_disjoint_paths(g, a_side, b_side, mode: str = "vertex") -> DisjointPaths
         raise TooSmall("endpoint sets must be disjoint")
     if mode not in ("vertex", "edge"):
         raise InvalidParams(f"unknown mode {mode!r}")
-    keep = sorted(reachable(lambda v: () if v in A else g.neighbors(v), B))
-    new = {v: i for i, v in enumerate(keep)}
-    edges = [(i, new[w]) for i, v in enumerate(keep)
-             for w in sorted(g.neighbors(v)) if w > v and w in new]
-    n = len(keep)
-    if mode == "vertex":
-        net, width = _split_network(n, edges), 2
-    else:
-        net, width = _edge_network(n, edges), 1
-    # vertex v enters the network at width*v and leaves at width*v + width-1
-    src, snk = net.n - 2, net.n - 1
-    for a in sorted(A.intersection(new)):
-        net.add_arc(src, width * new[a], INF)
-    for b in sorted(B):
-        net.add_arc(width * new[b] + width - 1, snk, INF)
-    value = net.flow(src, snk)
-    if mode == "vertex":
-        dual = tuple(keep[v] for v in _separator_from_residual(n, net, src))
-    else:
-        reach = net.residual_reachable(src)
-        dual = tuple((keep[u], keep[w]) for u, w in edges if (u in reach) != (w in reach))
-    assert value == len(dual), "Menger duality must certify the count"
-    # each path's nodes between src and snk take each vertex's width nodes in turn
-    paths = tuple(tuple(keep[x // width] for x in p[1:-1:width]) for p in net.unit_paths(src, snk))
-    if mode == "vertex":
-        return DisjointPaths(mode, value, paths, dual, None)
-    return DisjointPaths(mode, value, paths, None, dual)
+    row = g.neighbors
+    live = reachable(row, B, avoid=A)
+    sources = {a: hits for a in sorted(A) if (hits := [w for w in row(a) if w in live])}
+    paths, dual = row_paths(row, sources, B, mode == "vertex")
+    assert len(paths) == len(dual), "Menger duality must certify the count"
+    duals = (dual, None) if mode == "vertex" else (None, dual)
+    return DisjointPaths(mode, len(paths), tuple(paths), *duals)

@@ -1,27 +1,22 @@
-"""Max-flow kernel: shortest augmenting paths (Edmonds and Karp, J. ACM 1972).
+"""Two max-flow kernels, both by augmenting paths.
 
-Every connectivity routine in this package reduces to max-flow on a small
-network: edge cuts use the graph directly, vertex separators use the
-standard vertex-splitting transform.  Callers build a network, ask
-`flow`, and read the answer back as a residual side (minimum cuts) or as
-unit paths; this is the only module that reads arcs and capacities.
+`FlowNetwork` serves the `Connectivity` record's pair flows, on G for
+edge cuts and on its vertex-splitting transform for separators, along
+shortest paths (Edmonds and Karp, J. ACM 1972); no other module reads
+arcs and capacities.  `row_paths` serves `max_disjoint_paths`: a
+one-shot unit flow between two vertex sets that reads neighbour rows as
+it goes, keeps only the units it carries and builds no network.
 
-Callers read the residual only after a flow that stopped below its limit.
-Such a flow is maximum, and for every maximum flow the nodes reachable in
-the residual graph are the source side of the one source-minimal minimum
-cut, so cuts and separators do not depend on which maximum flow was found.
-The flow's last, failing search has already reached exactly those nodes,
-so the network keeps them instead of searching again.
-
-The same fact lets a flow resume instead of starting from zero: the
-network keeps each pair's last flow, `cancel` takes the units off an arc
-pair that is about to be cut, and `max_flow` then augments the flow that
-is left.  Where that flow stops below its limit, it is maximum, and its
-residual side is the one a flow from zero would leave.
-
-A search takes nodes in the order it reaches them and each node's arcs in
-the order they were added, so node and arc order fix every path, and with
-them the flow, its residual side and the walks of `cancel`.
+For every maximum flow, one that stopped below its limit, the nodes its
+residual graph reaches from the source are the source side of the one
+source-minimal minimum cut, whichever search found the flow; the last,
+failing search reached just those nodes, and both kernels keep them.
+So a network can resume each pair's last flow: `cancel` takes the units
+off an arc pair about to be cut, `max_flow` augments what is left, and
+where that stops below its limit its residual side is a fresh flow's.
+A search takes nodes in the order it reaches them and each node's arcs
+(or row) in order, so node and arc order fix every path, and with them
+the flow, its residual side and the walks of `cancel`.
 """
 
 from __future__ import annotations
@@ -45,11 +40,8 @@ class FlowNetwork:
         self._reached: tuple[int, dict[int, int]] | None = None
 
     def add_arc(self, u: int, v: int, cap: int, rcap: int = 0) -> int:
-        """Add arc u->v with capacity `cap`; the reverse arc gets `rcap`.
-
-        Returns the index of the forward arc.  The reverse arc is always
-        at index+1.
-        """
+        """Add arc u->v with capacity `cap` and its reverse, at the
+        returned index + 1, with `rcap`."""
         a = len(self.to)
         self.to.append(v)
         self.cap.append(cap)
@@ -72,13 +64,10 @@ class FlowNetwork:
 
     def flow(self, s: int, t: int, limit: int = INF, cut=()) -> int:
         """An s-t flow with the arc pairs (a, a^1), a in `cut`, at capacity
-        0, stopped at `limit`; returns min(value, limit).
-
-        It resumes the pair's last flow with the cut pairs' units
-        cancelled, searching only while below `limit`, and is kept with
-        the cut pairs empty at their built capacities.  The first flow
-        runs on the built capacities, each later one on a copy.
-        """
+        0, stopped at `limit`; returns min(value, limit).  It resumes the
+        pair's last flow with the cut pairs' units cancelled, and is kept
+        with the cut pairs empty at their built capacities; the first
+        flow runs on the built capacities, each later one on a copy."""
         caps = self._caps
         if caps is None:
             caps = self._caps = list(self.cap)
@@ -132,15 +121,13 @@ class FlowNetwork:
         """Take every unit of flow off the arc pair (a, a^1); returns how
         much the net outflow of s fell.
 
-        The flow on an arc b is caps0[b] - cap[b], caps0 the capacities
-        it started from.  Each unit comes off whichever arc of the pair
-        carries it, and then off a walk of flow-carrying arcs forward
-        from that arc's head.  The walk ends at the arc's tail (the unit
-        went round a cycle) or at s or t; in the last case a second walk
-        goes backward from the tail to s or t.  Every other node stays
-        conserved.  Each step takes a unit off some arc, so the walks end
-        even where the flow has cycles; they go one unit at a time, so
-        the flow should be small.
+        The flow on an arc b is caps0[b] - cap[b].  Each unit comes off
+        the arc of the pair that carries it, then off a walk of
+        flow-carrying arcs forward from its head to its tail (a cycle)
+        or to s or t, and then off a walk backward from its tail to s or
+        t; every other node stays conserved.  Each step takes a unit off
+        some arc, so the walks end even where the flow has cycles; they
+        go one unit at a time, so the flow should be small.
         """
         to, cap, adj = self.to, self.cap, self.adj
         if caps0[a] < cap[a]:
@@ -187,35 +174,6 @@ class FlowNetwork:
                         q.append(v)
         return via
 
-    def unit_paths(self, s: int, t: int) -> list[tuple[int, ...]]:
-        """The last flow, which must be from s to t, as unit paths s..t.
-
-        Each walk follows flow-carrying arcs from s in arc order and takes
-        a unit off each; an undirected pair carries its flow on whichever
-        arc points along it, and a walk that comes back to a node drops
-        the loop.  The walks consume the flow, so the network forgets it.
-        """
-        caps, cap, adj, to = self._caps, self.cap, self.adj, self.to
-        _, last = self._flows.pop((s, t))
-        assert last is cap, "the paths are read from the last flow"
-        paths = []
-        while True:
-            path = [s]
-            u = s
-            while u != t:
-                for a in adj[u]:
-                    if caps[a] > cap[a]:
-                        cap[a] += 1
-                        u = to[a]
-                        break
-                else:
-                    return paths
-                if u in path:
-                    del path[path.index(u) + 1 :]
-                else:
-                    path.append(u)
-            paths.append(tuple(path))
-
     def residual_reachable(self, s: int) -> set[int]:
         """Nodes reachable from s along arcs with leftover capacity, after
         a flow from s that stopped below its limit."""
@@ -223,3 +181,76 @@ class FlowNetwork:
             "the residual is read only after a flow from s that stopped below its limit"
         )
         return set(self._reached[1])
+
+
+def row_paths(row, sources: dict, targets, split: bool) -> tuple[list[tuple[int, ...]], tuple]:
+    """A maximum family of unit paths from `sources` to `targets` on
+    neighbour rows, and its dual read from the nodes the last, failing
+    search reached: with `split` the vertices whose v_in it reached and
+    whose v_out it did not, else the edges (u, w), u < w, that it
+    reached but could not cross; each sorted.
+
+    A source steps to the neighbours `sources` maps it to, any other v
+    to `row(v)`.  With `split`, v is the nodes v (v_in) and ~v = -v-1
+    (v_out): v_in -> v_out is open while v carries no unit, v_out -> w_in
+    always, and v_out -> v_in and v_in -> u_out go back along the unit u
+    passed to v; so the paths are vertex disjoint.  Else node v is v and
+    an edge carries a unit either way, so the paths are edge disjoint.
+    Each search is depth-first from all sources to the first target (its
+    v_out with `split`).  Paths come back in source order."""
+    carried: dict[int, int] = {}  # split: v -> the vertex v's unit came from, -1 at a source
+    sent: dict[int, set[int]] = {}  # u -> the vertices u sent a unit to
+    ends = {~b for b in targets} if split else targets
+    while True:
+        via = dict.fromkeys(sources)
+        stack, end = list(via), None
+        while stack and end is None:
+            x = stack.pop()
+            if split and x >= 0:  # v_in: on through v while it is free, else back along its unit
+                u = carried.get(x)
+                steps = (~x,) if u is None else (~u,) if u >= 0 else ()
+                full = ()
+            else:  # v_out, or v without split: the row, but not along a unit
+                v = ~x if x < 0 else x
+                steps, full = sources[v] if v in sources else row(v), sent.get(v, ())
+                if v in carried and v not in via:  # v_out -> v_in, back along v's unit
+                    via[v] = x
+                    stack.append(v)
+            for y in steps:
+                if y not in via and y not in full:
+                    via[y] = x
+                    if y in ends:
+                        end = y
+                        break
+                    stack.append(y)
+        if end is None:
+            break
+        y = end
+        while (x := via[y]) is not None:
+            if not split:
+                if x in sent.get(y, ()):
+                    sent[y].remove(x)
+                else:
+                    sent.setdefault(x, set()).add(y)
+            elif y != ~x:  # a step between two vertices
+                if x < 0:
+                    carried[y] = ~x
+                else:  # back along the unit that y's vertex passed to x
+                    del carried[x]
+            y = x
+        if split:
+            carried[y] = -1
+    if split:
+        sent = {u: {v} for v, u in carried.items() if u >= 0}
+    paths = []
+    for s in sources:
+        while sent.get(s):
+            p, u = [s], s
+            while u not in targets:  # a walk that comes back to a node drops the loop
+                u = sent[u].pop()
+                p = p[:p.index(u) if u in p else len(p)] + [u]
+            paths.append(tuple(p))
+    if split:
+        return paths, tuple(sorted(x for x in via if x >= 0 and ~x not in via))
+    return paths, tuple(sorted((min(u, w), max(u, w)) for u in via
+                               for w in (sources[u] if u in sources else row(u)) if w not in via))

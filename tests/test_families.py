@@ -2,6 +2,7 @@ import ast
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -489,15 +490,68 @@ def graphs_with_dead_parts(draw):
     return Graph(n + dead, edges), sorted(a_side), sorted(b_side)
 
 
+def assert_disjoint_paths(g, res, a_side, b_side):
+    """`res.paths` are `res.count` A-B paths along rows of g that meet A
+    and B only at their ends, without a repeated vertex, and vertex
+    disjoint (vertex mode) or edge disjoint (edge mode)."""
+    a_side, b_side = set(a_side), set(b_side)
+    assert len(res.paths) == res.count
+    for p in res.paths:
+        assert p[0] in a_side and p[-1] in b_side and len(set(p)) == len(p)
+        assert not a_side & set(p[1:]) and not b_side & set(p[:-1])
+        assert all(w in g.neighbors(u) for u, w in zip(p, p[1:]))
+    if res.mode == "vertex":
+        used = [v for p in res.paths for v in p]
+    else:
+        used = [frozenset(e) for p in res.paths for e in zip(p, p[1:])]
+    assert len(used) == len(set(used))
+
+
 class TestLiveFlow:
+    """`max_disjoint_paths` runs on rows over the live part only; the
+    reference `whole_graph_flow` builds a network over all of G."""
+
     @given(graphs_with_dead_parts(), st.sampled_from(["vertex", "edge"]))
     @settings(max_examples=300, deadline=None)
     def test_equals_whole_graph_flow(self, drawn, mode):
-        # `max_disjoint_paths` solves on the live part only
         g, a_side, b_side = drawn
         res = max_disjoint_paths(g, a_side, b_side, mode=mode)
         dual = res.separator if mode == "vertex" else res.cut
         assert (res.count, dual) == whole_graph_flow(g, a_side, b_side, mode)
+        assert_disjoint_paths(g, res, a_side, b_side)
+
+    @pytest.mark.parametrize("spec", [s for s in ALL_SPECS if not s.startswith("clique-tree")])
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_balls_equal_whole_graph_flow(self, spec, mode):
+        # on the ball's own rows, at every radius the estimator tries
+        f = make_family(spec)
+        end = f.ends(family_claims(f).depth)[0]
+        a_side = range(len(ball(f, f.base_radius()).tags))
+        for r, _ in end_degree_estimate(f, end, mode=mode).history:
+            b = ball(f, r)
+            b_side = [i for i in b.frontier if f.in_direction(b.tags[i], end)]
+            res = max_disjoint_paths(b, a_side, b_side, mode)
+            dual = res.separator if mode == "vertex" else res.cut
+            assert (res.count, dual) == whole_graph_flow(b.graph, a_side, b_side, mode)
+            assert_disjoint_paths(b, res, a_side, b_side)
+
+    def test_walks_drop_a_flow_cycle(self):
+        # In these row orders the second search leaves the flow cycle
+        # 1-2-3-6-1, and the walk that splits the flow into paths runs
+        # round it from 1 back to 1
+        rows = [[5, 1], [4, 6, 2], [1, 3], [2, 5, 6, 7], [1, 7], [0, 3], [3, 1], [3, 4]]
+        g = SimpleNamespace(neighbors=rows.__getitem__)
+        res = max_disjoint_paths(g, [0], [7], "edge")
+        assert (res.count, res.cut) == (2, ((0, 1), (0, 5)))
+        assert_disjoint_paths(g, res, [0], [7])
+
+    @pytest.mark.parametrize("spec,label", [("dr-square", "right"), ("clique-tree:r=2,k=4", "branch-0-0")])
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_estimator_builds_no_network(self, spec, label, mode, network_sizes):
+        # ball rows and heap-number rows alike
+        f = make_family(spec)
+        assert end_degree_estimate(f, find_end(f, label), mode=mode).converged
+        assert network_sizes == []
 
 
 class TestEndDegree:

@@ -167,13 +167,13 @@ class TestAgainstBruteForce:
 
 
 class TestSharedNetworks:
-    """classify builds at most one split network (2n+2 nodes) and one edge
-    network (n+2 nodes) per graph, shared by the four predicates."""
+    """classify builds at most one split network (2n nodes) and one edge
+    network (n nodes) per graph, shared by the four predicates."""
 
     def assert_shared(self, sizes, g, k):
         sizes.clear()
         classify(g, k)
-        splits, edges = sizes.count(2 * g.n + 2), sizes.count(g.n + 2)
+        splits, edges = sizes.count(2 * g.n), sizes.count(g.n)
         assert splits <= 1 and edges <= 1 and len(sizes) == splits + edges, (k, g.n, sizes)
 
     def test_corpus7(self, corpus7, network_sizes):

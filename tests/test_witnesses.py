@@ -132,12 +132,12 @@ class TestCrossingSeparators:
                 continue
             network_sizes.clear()
             t = crossing_separators_witness(g, region, k)
-            assert network_sizes == [2 * g.n + 2], (g, k)
+            assert network_sizes == [2 * g.n], (g, k)
             conn = Connectivity(g)
             network_sizes.clear()
             assert check_class(g, B, k, conn)
             assert crossing_separators_witness(g, region, k, conn=conn) == t
-            assert network_sizes in ([], [2 * g.n + 2]), (g, k)
+            assert network_sizes in ([], [2 * g.n]), (g, k)
             shrunk += bool(t.shrink_trail)
         assert shrunk
 
@@ -322,12 +322,12 @@ class TestCutSplitting:
         for g, k in members:
             network_sizes.clear()
             t = edge_min_witness_pair(g, k)
-            assert network_sizes == [g.n + 2], (g, k)
+            assert network_sizes == [g.n], (g, k)
             conn = Connectivity(g)
             network_sizes.clear()
             assert check_class(g, C, k, conn)
             assert edge_min_witness_pair(g, k, conn=conn) == t
-            assert network_sizes in ([], [g.n + 2]), (g, k)
+            assert network_sizes in ([], [g.n]), (g, k)
 
 
 class TestRegionDescent:
@@ -381,12 +381,12 @@ class TestRegionDescent:
         for g, k in members:
             network_sizes.clear()
             t = vertex_min_edge_witness_pair(g, k)
-            assert network_sizes == [g.n + 2], (g, k)
+            assert network_sizes == [g.n], (g, k)
             conn = Connectivity(g)
             network_sizes.clear()
             assert check_class(g, D, k, conn)
             assert vertex_min_edge_witness_pair(g, k, conn=conn) == t
-            assert network_sizes in ([], [g.n + 2]), (g, k)
+            assert network_sizes in ([], [g.n]), (g, k)
 
     def test_refuses_multigraphs(self):
         # The doubled triangle is a class-d member at k = 3 and 4, but its
