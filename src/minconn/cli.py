@@ -46,7 +46,6 @@ from .errors import (
 from .families import FAMILY_KINDS, _parse_params, ball, end_degree_estimate, find_end, make_family
 from .graphs import Graph, MultiGraph, small_degree_set
 from .io import (
-    check_graph6_order,
     from_edge_list,
     from_graph6,
     graph_id,
@@ -306,12 +305,13 @@ CONSTRUCTIONS = {
 }
 
 
-def _build_construction(spec: str, radius: int | None, graph6: bool = False):
+def _build_construction(spec: str, radius: int | None):
     """A finite construction or a ball truncation of a family.
 
     Returns (graph, labels) where labels maps vertex names to indices.  A
-    ball's `Graph` is built only for graph6; the other writers read only
-    `n` and `edges()`, which the ball's sorted rows give in Graph order.
+    ball's `Graph` is never built: the writers read only `n`,
+    `neighbors(v)` and `edges()`, which the ball's sorted rows give in
+    Graph order.
     """
     head, _, rest = spec.strip().partition(":")
     if head in CONSTRUCTIONS:
@@ -322,14 +322,9 @@ def _build_construction(spec: str, radius: int | None, graph6: bool = False):
     if head in FAMILY_KINDS:
         if radius is None:
             raise InvalidParams(f"family {head!r} needs --radius to truncate")
-        f = make_family(spec)
-        b = ball(f, radius)
-        if graph6:  # refuse an order graph6 cannot hold before building the Graph
-            check_graph6_order(len(b.tags))
-            g = b.graph
-        else:
-            g = SimpleNamespace(n=len(b.rows), edges=lambda: [
-                (u, v) for u, row in enumerate(b.rows) for v in row if u < v])
+        b = ball(make_family(spec), radius)
+        g = SimpleNamespace(n=len(b.rows), neighbors=b.neighbors, edges=lambda: [
+            (u, v) for u, row in enumerate(b.rows) for v in row if u < v])
         return g, {repr(t): i for i, t in enumerate(b.tags)}
     known = [*CONSTRUCTIONS, *sorted(FAMILY_KINDS)]
     raise InvalidParams(f"unknown construction {head!r}; known: {', '.join(known)}")
@@ -337,7 +332,7 @@ def _build_construction(spec: str, radius: int | None, graph6: bool = False):
 
 def cmd_construct(args) -> int:
     # a ball is a simple graph, so "auto" writes it as graph6
-    g, labels = _build_construction(args.spec, args.radius, args.format in ("auto", "graph6"))
+    g, labels = _build_construction(args.spec, args.radius)
     fmt = args.format
     if fmt == "auto":
         fmt = "edge-list" if isinstance(g, MultiGraph) else "graph6"

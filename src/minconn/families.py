@@ -12,11 +12,10 @@ for it.
 
 On a clique tree a vertex's BFS index is its rk-ary heap number, because
 the oracle lists a vertex's children first and in order, so BFS
-discovers them in order.  Its end-degree estimate, recheck and
-essential-edge certification read balls as heap numbers -- rows by
-arithmetic, a direction's frontier as one index range, tags decoded only
-for reports -- and build no ball but the estimator's base.
-Certification asks one connectivity record per block.
+discovers them in order.  Its end-degree estimate and recheck read
+balls as heap numbers -- rows by arithmetic, a direction's frontier as
+one index range, tags decoded only for reports -- and build no ball but
+the estimator's base; its certification reads blocks off ball(radius).
 
 A family's ends are described by directions: for the double-ray-like
 families the two column signs, for tree-like families the branch
@@ -969,13 +968,17 @@ def certify_essential_edges(f: Family, radius: int, pad: int, k: int) -> Certify
     Cut edges are restricted to ball(radius + pad) and separation is
     verified on ball(radius + 2 pad): padded-ball edges have multiplicity
     1 and rim edges k+1, so any flow of value k certifies a cut of exactly
-    k inner edges.  Flows run inside the edge's biconnected block, on its
-    one `Connectivity` record -- disjoint paths never leave it, and a
-    block-local cut separates in the whole ball.  A clique tree's blocks
-    come from heap-number arithmetic (`_index_blocks`) and no ball is
-    built; other families' from Tarjan's algorithm over ball(radius + 2
-    pad) (`_ball_blocks`).  Both list each block's edges in the same
-    order, so the reports are equal.
+    k inner edges.  Flows run inside the edge's biconnected block, found
+    by Tarjan's algorithm (`_ball_blocks`), on its one `Connectivity`
+    record -- disjoint paths never leave it, and a block-local cut
+    separates in the whole ball.
+
+    A clique tree reads its blocks off ball(radius), built uncached: an
+    inner edge's block, a parent and one aligned group of k children,
+    lies in it, so no rim capacity applies; and a subtree below a block
+    vertex meets the rest of the ball only there, so Tarjan's DFS pops
+    it as blocks of its own before it returns into the block, whose
+    edges pop in the same order on ball(radius + 2 pad).
     """
     if radius < 0:
         raise InvalidParams("radius must be non-negative")
@@ -983,11 +986,8 @@ def certify_essential_edges(f: Family, radius: int, pad: int, k: int) -> Certify
         raise InvalidParams("pad must be at least 1")
     if k < 1:
         raise InvalidParams("k must be at least 1")
-    if isinstance(f, CliqueTree):
-        source = _index_blocks(f, radius, radius + pad)
-    else:
-        source = _ball_blocks(ball(f, radius + 2 * pad), radius, radius + pad)
-    return _certify_blocks(f, radius, pad, k, source)
+    b = _oracle_ball(f, radius) if isinstance(f, CliqueTree) else ball(f, radius + 2 * pad)
+    return _certify_blocks(f, radius, pad, k, _ball_blocks(b, radius, radius + pad))
 
 
 def _ball_blocks(b: Ball, radius: int, rim: int):
@@ -1006,41 +1006,6 @@ def _ball_blocks(b: Ball, radius: int, rim: int):
     ]
     return (inner, lambda u, v: blocks[code_block[u * n + v]],
             bisect_right(b.dist, rim), b.tags.__getitem__)
-
-
-def _index_blocks(f: CliqueTree, radius: int, rim: int):
-    """The clique tree's block source (see `_ball_blocks`) by heap-number
-    arithmetic.
-
-    Every block is a parent with one aligned group of k children, a
-    K_{k+1} (a bridge when k = 1), and the inner edge (u, v), u < v, lies
-    in the block of v's parent and v's group.  Its edges come in the
-    order `_blocks_containing` pops them from the block alone, vertices
-    in index order, and that is Tarjan's pop order on the whole ball:
-    a DFS from vertex 0 enters every block at its least index, the
-    parent, because the children are reached only through it or through
-    their own subtrees; and a subtree hanging off a block vertex meets
-    the rest of the ball only at that vertex, so its edges are pushed
-    and popped, as blocks of their own, before the search returns into
-    the block -- they never interleave with the block's own edges.
-    """
-    if radius > f.max_radius():  # ball(radius) is over the budget; refuse before listing it
-        raise _over_budget(f, radius)
-    rk, k, m = f.r * f.k, f.k, f.k + 1
-    n_inner = f.ball_size(radius)
-    inner = [(u, v) for u in range(n_inner) for v in f.index_row(u, n_inner) if u < v]
-    k_m = [[w for w in range(m) if w != x] for x in range(m)]
-    _, (order,) = _blocks_containing(k_m, {1})  # K_m, edge 0-1 wanted
-    blocks: dict[int, tuple] = {}
-
-    def block_of(u: int, v: int) -> tuple:
-        first = v - (v - 1) % k  # v's group, which names its block
-        if first not in blocks:
-            verts = [(v - 1) // rk, *range(first, first + k)]
-            blocks[first] = verts, [(verts[c // m], verts[c % m]) for c in order]
-        return blocks[first]
-
-    return inner, block_of, f.ball_size(rim), f.tag_of
 
 
 def _certify_blocks(f: Family, radius: int, pad: int, k: int, source) -> CertifyReport:

@@ -15,44 +15,49 @@ from .graphs import Graph, MultiGraph
 # The largest order graph6's 4-byte header holds; edge lists share it.
 MAX_ORDER = 258047
 
+# byte c <-> c + 63: graph6's six-bit groups to printable bytes and back;
+# a byte outside 63..126 decodes to more than 63
+_TO_G6 = bytes((c + 63) % 256 for c in range(256))
+_FROM_G6 = bytes((c - 63) % 256 for c in range(256))
+# the offsets, high bit first, of the set bits of each six-bit group
+_SET_BITS = [tuple(r for r in range(6) if d & 32 >> r) for d in range(64)]
 
-def check_graph6_order(n: int) -> None:
-    """Refuse an order graph6 cannot hold, before its graph is built."""
-    if n > MAX_ORDER:
+
+def to_graph6(g) -> str:
+    """The graph6 string of a simple graph given by `n` and `neighbors(v)`.
+
+    Pair (i, j), i < j, is bit p = j(j-1)/2 + i of the upper triangle; it
+    sets bit p % 6, counted from the high end, of body byte p // 6, so
+    the string is built from the edges alone, with nothing per pair.
+    """
+    n = g.n
+    if n > MAX_ORDER:  # refused before any edge is read
         raise InvalidParams(f"graph6 supported up to n = {MAX_ORDER} here")
-
-
-def to_graph6(g: Graph) -> str:
-    check_graph6_order(g.n)
-    if g.n <= 62:
-        head = [g.n + 63]
-    else:
-        head = [126, (g.n >> 12) + 63, ((g.n >> 6) & 63) + 63, (g.n & 63) + 63]
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        body.append(val + 63)
-    return bytes(head + body).decode("ascii")
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    col = 0  # j(j-1)/2, the first bit of column j
+    for j in range(n):
+        for i in g.neighbors(j):
+            if i < j:
+                p = col + i
+                body[p // 6] |= 32 >> p % 6
+        col += j
+    head = chr(n + 63) if n < 63 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    return head + body.translate(_TO_G6).decode("ascii")
 
 
 def from_graph6(line: str) -> Graph:
     """Parse one graph6 string; anything but the exact canonical bytes
-    for its order (header, body length, zero padding) is rejected."""
+    for its order (header, body length, zero padding) is rejected.  The
+    body is read six bits at a time, and only set bits become edges."""
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[10:]
     if not s:
         raise InvalidParams("empty graph6 line")
-    data = [ord(c) - 63 for c in s]
-    if any(d < 0 or d > 63 for d in data):
+    # any non-ASCII character, a lone surrogate from argv included, encodes
+    # to bytes above 127, which decode to more than 63
+    data = s.encode(errors="surrogatepass").translate(_FROM_G6)
+    if max(data) > 63:
         raise InvalidParams(f"bad graph6 byte in {line!r}")
     if data[0] == 63:  # 126: long form
         if len(data) < 4:
@@ -69,16 +74,16 @@ def from_graph6(line: str) -> Graph:
         raise InvalidParams(
             f"graph6 body for n = {n} takes {(need + 5) // 6} bytes, not {len(data)}"
         )
-    bits = [(d >> shift) & 1 for d in data for shift in range(5, -1, -1)]
-    if any(bits[need:]):
+    if data and data[-1] & (1 << 6 * len(data) - need) - 1:
         raise InvalidParams("nonzero graph6 padding bits")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+    edges, j, col = [], 1, 0  # bits col .. col + j - 1 are column j's
+    for q, d in enumerate(data):
+        for r in _SET_BITS[d]:
+            p = 6 * q + r
+            while p >= col + j:
+                col += j
+                j += 1
+            edges.append((p - col, j))
     return Graph(n, edges)
 
 

@@ -682,12 +682,17 @@ def degree_bound(cls: MinimalityClass, k: int) -> int:
 
 
 def required_count(cls: MinimalityClass, k: int, g) -> int:
-    """How many vertices of small degree the class guarantees."""
-    if cls is MinimalityClass.EDGE_MIN_CONN:
-        if k == 1:
-            return 2
-        frac = ((k - 1) * g.n + (2 * k - 2)) // (2 * k - 1)  # ceil((k-1)n / (2k-1))
-        return max(frac, k + 1, max(g.degrees()))
+    """How many vertices of small degree the class guarantees.
+
+    Class a (minimally k-connected) has at least max(m, k + 1, D) degree-k
+    vertices, D the maximum degree: m = ceil(((k-1)n + 2k) / (2k-1)) and
+    k + 1 by Mader ("Ecken vom Grad n in minimalen n-fach zusammenhaengenden
+    Graphen", Arch. Math. 1972), at k = 2 the (n + 4)/3 of Dirac (1967) and
+    Plummer ("On minimal blocks", Trans. AMS 1968); D as a tree's leaves at
+    k = 1, and at k >= 2 only as checked over all graphs on up to 7 vertices.
+    """
+    if cls is MinimalityClass.EDGE_MIN_CONN:  # m's ceiling adds 2k - 2 before dividing
+        return max(((k - 1) * g.n + 4 * k - 2) // (2 * k - 1), k + 1, max(g.degrees()))
     if cls is MinimalityClass.VERTEX_MIN_CONN:
         return 2
     simple = not isinstance(g, MultiGraph)

@@ -82,11 +82,11 @@ def test_criterion_1_oracle_equivalence(corpus):
 
 def test_criterion_2_edge_min_degree_counts(members):
     checked, violations = 0, []
-    for k in (2, 3, 4):
+    for k in (1, 2, 3, 4):
         for g in members[(k, A)]:
             checked += 1
             v_k = small_degree_set(g, k)
-            need = max(math.ceil((k - 1) * g.n / (2 * k - 1)), k + 1, max(g.degrees()))
+            need = max(math.ceil(((k - 1) * g.n + 2 * k) / (2 * k - 1)), k + 1, max(g.degrees()))
             if g.min_degree() != k or len(v_k) < need:
                 violations.append((g, k))
     report(

@@ -92,9 +92,10 @@ class TestCheck:
         assert code == 2
         assert "parse error" in err
 
-    @pytest.mark.parametrize("graph6", ["EhEGGGGG", "D\u00e9", "Bx"])
+    @pytest.mark.parametrize("graph6", ["EhEGGGGG", "D\u00e9", "Bx", "C\udcff"])
     def test_malformed_graph6_is_parse_error(self, capsys, graph6):
-        # trailing bytes, a non-ASCII byte, nonzero padding bits
+        # trailing bytes, a non-ASCII byte, nonzero padding bits, and the
+        # lone surrogate an undecodable argv byte becomes
         code, out, err = invoke(["check", "--k", "2", graph6], capsys)
         assert code == 2 and out == ""
         assert err.startswith("parse error") and len(err.splitlines()) == 1
@@ -448,12 +449,25 @@ class TestConstruct:
     def test_graph6_order_is_refused_before_the_graph(self, capsys, monkeypatch):
         # ball(3) of this tree has 585 vertices, over a graph6 limit lowered
         # to 100: refused from the ball's size, before its Graph is built
+        # or any of its rows is read
         monkeypatch.setattr("minconn.io.MAX_ORDER", 100)
         monkeypatch.setattr(Graph, "from_adjacency",
                             classmethod(lambda cls, rows: pytest.fail("built the ball's Graph")))
+        monkeypatch.setattr(families.Ball, "neighbors", lambda *a: pytest.fail("read a row"))
         code, out, err = invoke(["construct", "clique-tree:r=2,k=4", "--radius", "3"], capsys)
         assert (code, out) == (1, "")
         assert err == "error: graph6 supported up to n = 100 here\n"
+
+    def test_graph6_reads_the_rows(self, capsys, monkeypatch):
+        # the graph6 writer reads n and the ball's rows: the bytes of the
+        # ball's Graph, with no Graph built
+        families.ball.cache_clear()  # so no cached ball already holds its Graph
+        b = families.ball(families.make_family("clique-tree:r=2,k=4"), 3)
+        expected = to_graph6(Graph.from_adjacency(b.rows)) + "\n"
+        monkeypatch.setattr(Graph, "from_adjacency",
+                            classmethod(lambda cls, rows: pytest.fail("built the ball's Graph")))
+        argv = ["construct", "clique-tree:r=2,k=4", "--radius", "3", "--format", "graph6"]
+        assert invoke(argv, capsys)[:2] == (0, expected)
 
     @pytest.mark.parametrize("fmt", ["edge-list", "json"])
     def test_edge_list_and_json_read_the_rows(self, fmt, capsys, monkeypatch):

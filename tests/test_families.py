@@ -20,7 +20,6 @@ from minconn.families import (
     _blocks_containing,
     _certify_blocks,
     _certificate_separates,
-    _index_blocks,
     _oracle_ball,
     ball,
     certify_essential_edges,
@@ -51,6 +50,26 @@ ALL_SPECS = [
     "clique-tree:r=2,k=4",
     "ray-bundle:k=4,l=8",
 ]
+
+# The locality test's cases: the pinned ones, whose doubly padded ball
+# reaches 299,593 vertices at (2, 2, 4), then every radius 0-3 and pad 1-2
+# at rk = 2, 3, 4, 6, 8 whose ball(radius + 2 pad) has at most 5,000
+# vertices, with cut size k.
+CLIQUE_TREE_CERTIFY_CASES = list(dict.fromkeys([
+    ("clique-tree:r=2,k=4", 2, 2, 4),
+    ("clique-tree:r=2,k=4", 1, 2, 4),
+    ("clique-tree:r=1,k=3", 2, 1, 3),
+    ("clique-tree:r=3,k=2", 2, 1, 2),
+    ("clique-tree:r=2,k=2", 2, 2, 2),
+    ("clique-tree:r=2,k=3", 1, 1, 2),
+    ("clique-tree:r=2,k=3", 2, 1, 4),
+    ("clique-tree:r=2,k=1", 3, 1, 1),
+    *((f"clique-tree:r={r},k={k}", radius, pad, k)
+      for r, k in [(1, 2), (2, 1), (1, 3), (2, 2), (3, 2), (2, 3), (2, 4)]
+      for radius in range(4)
+      for pad in (1, 2)
+      if CliqueTree(r, k).ball_size(radius + 2 * pad) <= 5000),
+]))
 
 
 class TestMakeFamily:
@@ -749,19 +768,14 @@ class TestCertify:
     @pytest.mark.parametrize("radius,pad,k", [(1, 1, 1), (1, 1, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)])
     def test_record_per_block_equals_network_per_edge(self, spec, radius, pad, k):
         # One record per block, asked edge_side per edge, against a fresh
-        # network per edge, on every block source that applies: the heap
-        # numbers of a clique tree, and Tarjan's algorithm over the ball
-        # unless that ball is too large to build in a test
+        # network per edge, on the blocks certification reads: those of
+        # ball(radius) for a clique tree, of ball(radius + 2 pad) otherwise
         f = make_family(spec)
-        sources = []
-        if isinstance(f, CliqueTree):
-            sources.append(_index_blocks(f, radius, radius + pad))
-        if not isinstance(f, CliqueTree) or f.ball_size(radius + 2 * pad) <= 5000:
-            sources.append(_ball_blocks(_oracle_ball(f, radius + 2 * pad), radius, radius + pad))
-        for source in sources:
-            got = _certify_blocks(f, radius, pad, k, source)
-            expected = reference_certify_blocks(f, radius, pad, k, source)
-            assert json.dumps(got.to_json_obj()) == json.dumps(expected.to_json_obj())
+        b = _oracle_ball(f, radius if isinstance(f, CliqueTree) else radius + 2 * pad)
+        source = _ball_blocks(b, radius, radius + pad)
+        got = _certify_blocks(f, radius, pad, k, source)
+        expected = reference_certify_blocks(f, radius, pad, k, source)
+        assert json.dumps(got.to_json_obj()) == json.dumps(expected.to_json_obj())
 
     @pytest.mark.parametrize("spec,radius,pad,k,blocks", [
         ("dr-square", 4, 2, 3, 1),
@@ -790,30 +804,20 @@ class TestCertify:
         assert ball.cache_info() == before  # refused before any ball is asked for
 
     def test_clique_tree_over_budget_is_refused(self, monkeypatch):
-        # ball(7) of an rk = 8 tree has 2,396,745 vertices; the index path
-        # refuses it as `_oracle_ball` would, before listing any edge
+        # ball(7) of an rk = 8 tree has 2,396,745 vertices; certification
+        # asks for ball(7), and the builder refuses it at its first vertex
+        # over the budget, before any block is searched
         f = make_family("clique-tree:r=2,k=4")
-        monkeypatch.setattr(CliqueTree, "index_row", lambda *a: pytest.fail("listed an edge"))
+        monkeypatch.setattr(families, "_blocks_containing", lambda *a: pytest.fail("searched a block"))
         with pytest.raises(InvalidParams, match=r"ball\(7\) of clique-tree:r=2,k=4 has more than 300000 vertices"):
             certify_essential_edges(f, 7, 1, 4)
 
-    @pytest.mark.parametrize(
-        "spec,radius,pad,k",
-        [
-            ("clique-tree:r=2,k=4", 2, 2, 4),
-            ("clique-tree:r=2,k=4", 1, 2, 4),
-            ("clique-tree:r=1,k=3", 2, 1, 3),
-            ("clique-tree:r=3,k=2", 2, 1, 2),
-            ("clique-tree:r=2,k=2", 2, 2, 2),
-            ("clique-tree:r=2,k=3", 1, 1, 2),
-            ("clique-tree:r=2,k=3", 2, 1, 4),
-            ("clique-tree:r=2,k=1", 3, 1, 1),
-        ],
-    )
+    @pytest.mark.parametrize("spec,radius,pad,k", CLIQUE_TREE_CERTIFY_CASES)
     def test_index_blocks_equal_whole_ball_blocks(self, spec, radius, pad, k, monkeypatch):
-        # The clique tree's index path must report exactly what Tarjan's
-        # algorithm over the whole doubly padded oracle ball gives, while
-        # building no ball and searching nothing larger than one block.
+        # The locality claim: a clique tree's blocks read off ball(radius)
+        # report exactly what Tarjan's algorithm over the whole doubly
+        # padded ball gives, from one search over ball(radius)'s rows and
+        # with nothing asked of the `ball` cache.
         f = make_family(spec)
         whole = _oracle_ball(f, radius + 2 * pad)
         expected = _certify_blocks(f, radius, pad, k, _ball_blocks(whole, radius, radius + pad))
@@ -830,7 +834,7 @@ class TestCertify:
         after = ball.cache_info()
         assert json.dumps(rep.to_json_obj()) == json.dumps(expected.to_json_obj())
         assert after.hits + after.misses == before.hits + before.misses
-        assert searched == [f.k + 1]
+        assert searched == [f.ball_size(radius)]
 
 
 class TestValidateFamily:

@@ -28,7 +28,33 @@ def graphs(draw, max_n=9):
     return Graph(n, [p for p, b in zip(pairs, mask) if b])
 
 
+def reference_graph6(g: Graph) -> str:
+    """graph6 from its definition: one bit per vertex pair of the upper
+    triangle, column by column, cut into six-bit groups offset by 63."""
+    n = g.n
+    bits = "".join("1" if g.has_edge(i, j) else "0" for j in range(n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    head = [n] if n < 63 else [63, n >> 12, n >> 6 & 63, n & 63]
+    body = [int(bits[q : q + 6], 2) for q in range(0, len(bits), 6)]
+    return "".join(chr(c + 63) for c in head + body)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs on 60-300 vertices, across the long-form header at 63."""
+    n = draw(st.integers(60, 300))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return Graph(n, draw(st.lists(pairs, max_size=3 * n)))
+
+
 class TestGraph6:
+    @given(st.one_of(graphs(), sparse_graphs()))
+    def test_equals_the_per_pair_definition(self, g):
+        # the writer packs only the edges, the reader only the set bits
+        s = reference_graph6(g)
+        assert to_graph6(g) == s
+        assert from_graph6(s) == g
+
     def test_known_encodings(self):
         # Values cross-checked against the format definition by hand:
         # K_4 is "C~", the empty graph on 5 vertices is "D??".
@@ -67,6 +93,7 @@ class TestGraph6:
             "EhE",  # body one byte short
             "Bx",  # n = 3 with nonzero padding bits
             "D\u00e9",  # non-ASCII byte
+            "C\udcff",  # a lone surrogate, as argv carries an undecodable byte
             "~?@?",  # long-form header for n < 63
         ],
     )

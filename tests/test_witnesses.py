@@ -5,6 +5,7 @@ from minconn.connectivity import Connectivity
 from minconn.constructions import band_graph, cycle_clique_strong, multipath, path_square_example
 from minconn.errors import ClassMismatch, InvalidParams, NoSuchEdge, PreconditionViolated
 from minconn.graphs import (
+    Graph,
     MixedSet,
     MultiGraph,
     complete_graph,
@@ -407,7 +408,7 @@ class TestReports:
 
     def test_required_counts(self):
         c6 = cycle_graph(6)
-        assert required_count(A, 2, c6) == 3  # ceil(n/3) = 2 but k+1 = 3 wins
+        assert required_count(A, 2, c6) == 4  # Dirac and Plummer: ceil((n + 4) / 3) = 4 beats k+1 = 3
         assert required_count(B, 2, c6) == 2
         assert required_count(C, 2, c6) == 2
         assert required_count(C, 3, path_square_example(12).graph) == 4
@@ -419,12 +420,16 @@ class TestReports:
         assert required_count(D, 2, MultiGraph(2, [(0, 1, 2)])) == 2
         assert required_count(D, 3, band_graph(3, 2).graph) == 2
         assert required_count(A, 1, path_graph(5)) == 2
-        # max degree can dominate the fractional bound
+        # k + 1 = 4 beats Mader's ceil(14/5) = 3 on K4
         assert required_count(A, 3, complete_graph(4)) == 4
+        # max degree can dominate: a star's leaves, and K_{2,5}'s five
+        # degree-2 vertices against ceil(11/3) = 4
+        assert required_count(A, 1, Graph(5, [(0, i) for i in range(1, 5)])) == 4
+        assert required_count(A, 2, Graph(7, [(i, j) for i in (0, 1) for j in range(2, 7)])) == 5
 
     def test_report_cycle(self):
         rep = witness_report(cycle_graph(6), A, 2)
-        assert rep.bound == 2 and rep.required == 3
+        assert rep.bound == 2 and rep.required == 4
         assert len(rep.witnesses) == 6 and rep.satisfied
         assert rep.ratio == 1.0 and rep.min_degree == 2
 
