@@ -5,10 +5,11 @@ graph: a center tag plus a pure neighbor oracle over hashable tags.
 Finite windows are materialised as balls (induced subgraphs of all
 vertices within a given distance of the center), and every estimate made
 on a ball records the radius it used, so claims about the infinite object
-always come with the truncation that produced them.  A ball is built in
-one pass over the oracle and stored as distances and one sorted
-neighbour row per vertex; its `Graph` is only built when a caller asks
-for it.
+always come with the truncation that produced them.  A ball is a BFS
+over the oracle, stored as distances and one sorted neighbour row per
+vertex, and a larger ball of the same family grows from the last one
+built, reading only its frontier and the new layers; its `Graph` is
+only built when a caller asks for it.
 
 On a clique tree a vertex's BFS index is its rk-ary heap number, because
 the oracle lists a vertex's children first and in order, so BFS
@@ -71,8 +72,9 @@ class Ball:
     neighbours of vertex i in increasing order.  `frontier` is the range
     of vertices at distance exactly `radius` -- precisely the vertices
     whose ball degree may undercount their true degree; BFS order makes
-    it an index suffix.  `graph` builds the equivalent `Graph` on first
-    access and keeps it.
+    it an index suffix.  A grown ball shares its inner rows with the ball
+    it grew from, so rows are never changed.  `graph` builds the
+    equivalent `Graph` on first access and keeps it.
     """
 
     radius: int
@@ -578,18 +580,27 @@ def find_end(f: Family, label: str) -> EndDescriptor:
     raise InvalidParams(f"family {f.describe()!r} has no end {label!r}")
 
 
+# The last ball `ball` built, with its family: the start of the next one.
+_grown: tuple = (None, None)
+
+
 @lru_cache(maxsize=16)
 def ball(f: Family, radius: int) -> Ball:
-    """The ball of the given radius around the family's center, built in
-    one oracle pass (`_oracle_ball`).
+    """The ball of the given radius around the family's center.
 
-    Vertices are indexed in BFS discovery order, which the deterministic
-    neighbor lists make reproducible; on a clique tree that order is the
-    rk-ary heap numbering.
+    A miss grows the last ball `ball` built when it is f's and smaller
+    (`_oracle_ball` from `start`), and builds from the center otherwise;
+    both give the same ball.  Vertices are indexed in BFS discovery order,
+    which the deterministic neighbor lists make reproducible; on a clique
+    tree that order is the rk-ary heap numbering.
     """
+    global _grown
     if radius < 0:
         raise InvalidParams("radius must be non-negative")
-    return _oracle_ball(f, radius)
+    last_f, last = _grown
+    b = _oracle_ball(f, radius, last if last_f == f and last.radius < radius else None)
+    _grown = f, b
+    return b
 
 
 def _over_budget(f: Family, radius: int) -> InvalidParams:
@@ -597,24 +608,31 @@ def _over_budget(f: Family, radius: int) -> InvalidParams:
     return InvalidParams(f"ball({radius}) of {f.describe()} has more than {BALL_BUDGET} vertices")
 
 
-def _oracle_ball(f: Family, radius: int) -> Ball:
-    """The ball built in one pass over the family's neighbor oracle.
+def _oracle_ball(f: Family, radius: int, start: Ball | None = None) -> Ball:
+    """The ball built by BFS over the family's neighbor oracle, from the
+    center or grown from `start`, a smaller ball of f.
 
-    The pass asks the oracle once per vertex, frontier included, and the
-    vertex's list is its whole row: by the time a list is read, every
-    ball vertex on it has an index, because inner vertices index their
-    new neighbours as they read them and the frontier is read only after
-    the last layer is complete.  The row is the sorted list, loops and
-    duplicates dropped.  A ball of more than BALL_BUDGET vertices is
-    refused with InvalidParams at its first vertex over the budget.
+    The pass asks the oracle once per vertex it reads, and the vertex's
+    list is its whole row: by the time a list is read, every ball vertex
+    on it has an index, because inner vertices index their new neighbours
+    as they read them and the frontier is read only after the last layer
+    is complete.  The row is the sorted list, loops and duplicates
+    dropped.  Growing copies `start`'s tags, index and distances, a prefix
+    of the larger ball's in BFS order, and shares its inner rows, since
+    every neighbour of an inner vertex lies in `start`; it reads only
+    start's frontier, whose rows were cut at its radius, and the new
+    layers.  `start` is not changed and the indices are a cold build's,
+    so a ball of more than BALL_BUDGET vertices is refused with
+    InvalidParams at the same first vertex over the budget either way.
     """
     budget = BALL_BUDGET
-    c = f.center()
-    index = {c: 0}
-    tags: list[Tag] = [c]
-    dist = [0]
-    rows: list[list[int]] = []
-    u = 0
+    if start is None:
+        c = f.center()
+        index, tags, dist, rows = {c: 0}, [c], [0], []
+    else:
+        index, tags, dist = dict(start.index), list(start.tags), list(start.dist)
+        rows = start.rows[:start.frontier.start]
+    u = len(rows)
     while u < len(tags):
         d = dist[u]
         row = set()
@@ -760,10 +778,14 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
     may meet the base or the frontier) or edge cut between the family's
     base ball and the direction's frontier, Menger-certified by a
     disjoint path family of the same size (`max_disjoint_paths`, which
-    solves on the part of the ball that can carry flow).  Values must
-    never increase with the radius; the estimate converges once a full
-    window of radii agrees and the certificate still separates on the
-    ball two radii further out.
+    solves on the part of the ball that can carry flow).  The paths are
+    asked from the base's frontier alone: an inner base vertex's row lies
+    inside the base, so every minimal path from the base to the
+    direction's frontier leaves it from its frontier, and the live set,
+    the sources, their order and the dual are those of the whole base.
+    Values must never increase with the radius; the estimate converges
+    once a full window of radii agrees and the certificate still
+    separates on the ball two radii further out.
     Radii run up to `r_max`, capped by (and by default equal to) the
     family's `max_radius()`.
 
@@ -785,7 +807,6 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
         raise InvalidParams(f"radius bound {r_hi} is below the start radius {start}")
     base = ball(f, f.base_radius())
     base_tags = set(base.tags)
-    n_base = len(base.tags)  # BFS numbering makes the base an index prefix of every ball
 
     history: list[tuple[int, int]] = []
     upper: int | None = None
@@ -805,7 +826,8 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
             raise ValidationFailed(
                 f"direction {end.label!r} has an empty frontier at radius {r}"
             )
-        res = max_disjoint_paths(g, range(n_base), b_idx, mode)
+        # BFS numbering makes the base an index prefix of every ball
+        res = max_disjoint_paths(g, base.frontier, b_idx, mode)
         v = res.count
         if upper is not None and v > upper:
             raise ValidationFailed(

@@ -1,4 +1,5 @@
 import ast
+import copy
 import json
 from dataclasses import dataclass
 from itertools import combinations
@@ -216,6 +217,107 @@ class TestBall:
         assert b.graph.m == 600
 
 
+def same_ball(b, cold):
+    """Is `b` the ball a cold `_oracle_ball` built, index order included?"""
+    return ((b.radius, b.tags, list(b.index.items()), b.dist, b.rows, b.frontier)
+            == (cold.radius, cold.tags, list(cold.index.items()), cold.dist, cold.rows,
+                cold.frontier))
+
+
+# the largest radius each spec's growth tests ask for
+GROWTH_RADIUS = {spec: 4 if spec.startswith("clique-tree") else 7 for spec in ALL_SPECS}
+
+
+@pytest.fixture
+def cold_start(monkeypatch):
+    """An empty `ball` cache and growth memo, so every `ball` call misses
+    and the first for a family builds from the center."""
+    monkeypatch.setattr(families, "_grown", (None, None))
+    ball.cache_clear()
+
+
+class TestBallGrowth:
+    """A miss of `ball` grows the last ball it built when that is the same
+    family's and smaller; a grown ball equals the cold build."""
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    @pytest.mark.parametrize("order", ["ascending", "jumps"])
+    def test_grown_equals_cold(self, spec, order, cold_start):
+        f = make_family(spec)
+        top = GROWTH_RADIUS[spec]
+        radii = range(top + 1) if order == "ascending" else (1, 3, top)
+        prev = None
+        for r in radii:
+            before = copy.deepcopy(prev)
+            b = ball(f, r)
+            assert same_ball(b, _oracle_ball(f, r))
+            if prev is not None:
+                assert prev == before  # the start ball is not changed
+                # its inner rows are shared, not rebuilt
+                assert all(b.rows[i] is prev.rows[i] for i in range(prev.frontier.start))
+            prev = b
+
+    def test_interleaved_families(self, cold_start):
+        # f's ball(2) is built cold, the memo then holding g's ball(1), and
+        # ball(4) grows from it; so do g's ball(5) from ball(3) and f's
+        # ball(7) from ball(5)
+        f, g = make_family("strong-tree:r=3,k=2"), make_family("ray-bundle:k=4,l=8")
+        for fam, r in [(f, 1), (g, 1), (f, 2), (f, 4), (g, 3), (g, 5), (f, 5), (f, 7), (g, 7)]:
+            assert same_ball(ball(fam, r), _oracle_ball(fam, r))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_radius_at_or_below_the_memo(self, spec, cold_start):
+        f = make_family(spec)
+        top = GROWTH_RADIUS[spec]
+        ball(f, top)
+        for r in (top, top - 1, 0):
+            ball.cache_clear()
+            assert same_ball(ball(f, r), _oracle_ball(f, r))
+        assert families._grown[1].radius == 0
+
+    def test_growth_reads_only_the_frontier_and_new_layers(self, cold_start, monkeypatch):
+        # ball(r) of the double ray has 2r + 1 vertices, so cold builds of
+        # radii 3..10 read 112 oracle lists.  Grown, ball(3) reads 7, and
+        # each next radius its start's 2 frontier vertices and its own 2.
+        f = make_family("double-ray")
+        calls = []
+        oracle = DoubleRay.neighbors
+        monkeypatch.setattr(DoubleRay, "neighbors", lambda self, tag: calls.append(tag) or oracle(self, tag))
+        for r in range(3, 11):
+            ball(f, r)
+        assert len(calls) == 7 + 7 * 4 < sum(2 * r + 1 for r in range(3, 11))
+
+    def test_refusal_while_growing_stops_where_a_cold_build_does(self, cold_start, monkeypatch):
+        # With a budget of 20 an rk = 8 tree's pass stops at vertex 21,
+        # within the neighbour list of (1,), grown from ball(1) or not.
+        f = make_family("clique-tree:r=2,k=4")
+        start = ball(f, 1)
+        before = copy.deepcopy(start)
+        calls = []
+        oracle = CliqueTree.neighbors
+        monkeypatch.setattr(CliqueTree, "neighbors", lambda self, tag: calls.append(tag) or oracle(self, tag))
+        monkeypatch.setattr(families, "BALL_BUDGET", 20)
+        message = r"ball\(3\) of clique-tree:r=2,k=4 has more than 20 vertices"
+        with pytest.raises(InvalidParams, match=message):
+            ball(f, 3)
+        grown, calls[:] = list(calls), []
+        with pytest.raises(InvalidParams, match=message):
+            _oracle_ball(f, 3)
+        assert grown == calls[1:] == [(0,), (1,)]
+        assert start == before and families._grown == (f, start)
+
+    def test_next_ball_after_a_refusal(self, cold_start, monkeypatch):
+        # ball(r) of the double ray has 2r + 1 vertices: ball(11) is over
+        # a budget of 21, and ball(10) still grows from ball(4)
+        f = make_family("double-ray")
+        monkeypatch.setattr(families, "BALL_BUDGET", 21)
+        start = ball(f, 4)
+        with pytest.raises(InvalidParams, match=r"ball\(11\) of double-ray has more than 21 vertices"):
+            ball(f, 11)
+        b = ball(f, 10)
+        assert same_ball(b, _oracle_ball(f, 10)) and b.rows[0] is start.rows[0]
+
+
 # clique trees (r, k) and the largest radius whose ball the oracle build
 # makes in well under a second
 LEVEL_ORDER_TREES = [(1, 2, 6), (1, 3, 6), (2, 2, 6), (3, 2, 6), (2, 4, 5)]
@@ -392,9 +494,9 @@ class TestLevelOrderIndex:
         f = make_family("clique-tree:r=2,k=4")
         built = []
 
-        def recording_build(fam, radius):
+        def recording_build(fam, radius, start=None):
             built.append(radius)
-            return _oracle_ball(fam, radius)
+            return _oracle_ball(fam, radius, start)
 
         monkeypatch.setattr(families, "_oracle_ball", recording_build)
         ball.cache_clear()
@@ -553,6 +655,22 @@ class TestLiveFlow:
             dual = res.separator if mode == "vertex" else res.cut
             assert (res.count, dual) == whole_graph_flow(b.graph, a_side, b_side, mode)
             assert_disjoint_paths(b, res, a_side, b_side)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_base_frontier_answers_for_the_base(self, spec, mode):
+        # The estimator asks from the base's frontier: an inner base
+        # vertex's row lies inside the base, so the paths and the dual
+        # are those from the whole base.
+        f = make_family(spec)
+        base = ball(f, f.base_radius())
+        for end in f.ends(family_claims(f).depth):
+            start = f.start_radius(end)
+            for r in range(start, 5 if isinstance(f, CliqueTree) else start + 3):
+                b = ball(f, r)
+                b_side = [i for i in b.frontier if f.in_direction(b.tags[i], end)]
+                assert (max_disjoint_paths(b, base.frontier, b_side, mode)
+                        == max_disjoint_paths(b, range(len(base.tags)), b_side, mode))
 
     def test_walks_drop_a_flow_cycle(self):
         # In these row orders the second search leaves the flow cycle
