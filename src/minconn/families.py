@@ -784,8 +784,8 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
     direction's frontier leaves it from its frontier, and the live set,
     the sources, their order and the dual are those of the whole base.
     Values must never increase with the radius; the estimate converges
-    once a full window of radii agrees and the certificate still
-    separates on the ball two radii further out.
+    once a full window of at least two radii agrees and the certificate
+    still separates on the ball two radii further out.
     Radii run up to `r_max`, capped by (and by default equal to) the
     family's `max_radius()`.
 
@@ -799,8 +799,8 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
     """
     if mode not in ("vertex", "edge"):
         raise InvalidParams(f"mode must be 'vertex' or 'edge', not {mode!r}")
-    if window < 1:
-        raise InvalidParams("window must be at least 1")
+    if window < 2:  # one radius checks no agreement
+        raise InvalidParams("window must be at least 2")
     r_hi = f.max_radius() if r_max is None else min(r_max, f.max_radius())
     start = f.start_radius(end)
     if r_hi < start:  # no radius to measure, so no bound to report
@@ -873,25 +873,23 @@ def end_degree_estimate(f: Family, end: EndDescriptor, mode: str = "vertex",
 
 
 def _blocks_containing(rows: list[list[int]],
-                       wanted: set[int]) -> tuple[dict[int, int], list[tuple[int, ...]]]:
-    """Biconnected components restricted to the blocks meeting `wanted`.
+                       n_inner: int) -> tuple[dict[tuple, int], list[list[tuple]]]:
+    """Biconnected components restricted to the blocks with an inner edge.
 
-    The graph is given by its sorted neighbour rows (see `Ball`).  Edges
-    are coded as u * n + v with u < v.  Returns the code -> block mapping
-    for wanted edges plus each kept block's full edge list.  Iterative so
-    deep balls cannot overflow the recursion limit.
+    The graph is given by its sorted neighbour rows (see `Ball`).  An edge
+    is the pair (u, v), u < v, and is inner when v < n_inner; in BFS order
+    those are the edges of ball(radius) when n_inner is its size.  Returns
+    block_of, inner edge -> block index, and each kept block's edge list
+    in Tarjan's pop order.  Iterative so deep balls cannot overflow the
+    recursion limit.
     """
     n = len(rows)
     disc = [-1] * n
     low = [0] * n
-    edge_stack: list[int] = []
-    kept: list[tuple[int, ...]] = []
-    code_block: dict[int, int] = {}
+    edge_stack: list[tuple] = []
+    kept: list[list[tuple]] = []
+    block_of: dict[tuple, int] = {}
     timer = 0
-
-    def code(a: int, b: int) -> int:
-        return a * n + b if a < b else b * n + a
-
     for root in range(n):
         if disc[root] != -1:
             continue
@@ -908,11 +906,11 @@ def _blocks_containing(rows: list[list[int]],
                     child = w
                     break
                 if disc[w] < disc[v]:
-                    edge_stack.append(code(v, w))
+                    edge_stack.append((v, w) if v < w else (w, v))
                     if disc[w] < low[v]:
                         low[v] = disc[w]
             if child is not None:
-                edge_stack.append(code(v, child))
+                edge_stack.append((v, child) if v < child else (child, v))
                 disc[child] = low[child] = timer
                 timer += 1
                 stack.append((child, v, iter(rows[child])))
@@ -923,20 +921,18 @@ def _blocks_containing(rows: list[list[int]],
                 if low[v] < low[u]:
                     low[u] = low[v]
                 if low[v] >= disc[u]:
-                    stop = code(u, v)
+                    stop = (u, v) if u < v else (v, u)
                     comp = []
                     while True:
                         e = edge_stack.pop()
                         comp.append(e)
                         if e == stop:
                             break
-                    if any(e in wanted for e in comp):
-                        bid = len(kept)
-                        kept.append(tuple(comp))
-                        for e in comp:
-                            if e in wanted:
-                                code_block[e] = bid
-    return code_block, kept
+                    inner = [e for e in comp if e[1] < n_inner]
+                    if inner:
+                        block_of.update(dict.fromkeys(inner, len(kept)))
+                        kept.append(comp)
+    return block_of, kept
 
 
 @dataclass
@@ -991,9 +987,9 @@ def certify_essential_edges(f: Family, radius: int, pad: int, k: int) -> Certify
     verified on ball(radius + 2 pad): padded-ball edges have multiplicity
     1 and rim edges k+1, so any flow of value k certifies a cut of exactly
     k inner edges.  Flows run inside the edge's biconnected block, found
-    by Tarjan's algorithm (`_ball_blocks`), on its one `Connectivity`
-    record -- disjoint paths never leave it, and a block-local cut
-    separates in the whole ball.
+    by Tarjan's algorithm (`_blocks_containing`), on its one
+    `Connectivity` record -- disjoint paths never leave it, and a
+    block-local cut separates in the whole ball (`_certify_ball`).
 
     A clique tree reads its blocks off ball(radius), built uncached: an
     inner edge's block, a parent and one aligned group of k children,
@@ -1009,41 +1005,26 @@ def certify_essential_edges(f: Family, radius: int, pad: int, k: int) -> Certify
     if k < 1:
         raise InvalidParams("k must be at least 1")
     b = _oracle_ball(f, radius) if isinstance(f, CliqueTree) else ball(f, radius + 2 * pad)
-    return _certify_blocks(f, radius, pad, k, _ball_blocks(b, radius, radius + pad))
+    return _certify_ball(f, b, radius, pad, k)
 
 
-def _ball_blocks(b: Ball, radius: int, rim: int):
-    """The block source of a ball b: `inner`, the edges (u, v), u < v, of
-    ball(radius) in index order; `block_of(u, v)`, the sorted vertices of
-    the edge's block and its edges (a, b), a < b, in Tarjan's pop order
-    on all of b; `n_rim`, as distance <= rim is index < n_rim in BFS
-    order; and `tag(i)`."""
-    n = len(b.tags)
-    n_inner = bisect_right(b.dist, radius)
-    inner = [(u, v) for u in range(n_inner) for v in b.neighbors(u) if u < v < n_inner]
-    code_block, kept = _blocks_containing(b.rows, {u * n + v for u, v in inner})
-    blocks = [
-        (sorted({c // n for c in comp} | {c % n for c in comp}), [divmod(c, n) for c in comp])
-        for comp in kept
-    ]
-    return (inner, lambda u, v: blocks[code_block[u * n + v]],
-            bisect_right(b.dist, rim), b.tags.__getitem__)
-
-
-def _certify_blocks(f: Family, radius: int, pad: int, k: int, source) -> CertifyReport:
-    """`certify_essential_edges` over a block source: each inner edge asks
-    `edge_side` of its block's record, and k block edges across the side
-    certify a cut."""
-    inner, block_of, n_rim, tag = source
-    records: dict[tuple, tuple] = {}  # an edge lies in one block, so its first edge names it
+def _certify_ball(f: Family, b: Ball, radius: int, pad: int, k: int) -> CertifyReport:
+    """`certify_essential_edges` on a ball b that holds every block of
+    ball(radius)'s edges as far as distance radius + 2 pad: each inner
+    edge, in index order, asks `edge_side` of its block's record, and k
+    block edges across the side certify a cut, listed in the block's edge
+    order.  Distance <= d is index < bisect_right(b.dist, d) in BFS order."""
+    n_inner, n_rim = bisect_right(b.dist, radius), bisect_right(b.dist, radius + pad)
+    block_of, kept = _blocks_containing(b.rows, n_inner)
+    records = []  # per kept block: its edges, vertex -> local index, and its record
+    for arcs in kept:
+        loc = {x: i for i, x in enumerate(sorted({x for e in arcs for x in e}))}
+        mult = [(loc[a], loc[bb], 1 if bb < n_rim else k + 1) for a, bb in arcs]  # a < bb
+        records.append((arcs, loc, Connectivity(MultiGraph(len(loc), mult))))
+    tag = b.tags.__getitem__
     entries = []
-    for u, v in inner:
-        verts, arcs = block_of(u, v)
-        if arcs[0] not in records:
-            loc = {x: i for i, x in enumerate(verts)}
-            mult = [(loc[a], loc[bb], 1 if bb < n_rim else k + 1) for a, bb in arcs]  # a < bb
-            records[arcs[0]] = loc, Connectivity(MultiGraph(len(verts), mult))
-        loc, conn = records[arcs[0]]
+    for u, v in ((u, v) for u in range(n_inner) for v in b.rows[u] if u < v < n_inner):
+        arcs, loc, conn = records[block_of[u, v]]
         side = conn.edge_side((loc[u], loc[v]), k + 1) or set()  # None: k + 1 paths, no cut
         cut = [(a, bb) for a, bb in arcs if (loc[a] in side) != (loc[bb] in side)]
         if len(cut) == k:
@@ -1057,7 +1038,7 @@ def _certify_blocks(f: Family, radius: int, pad: int, k: int, source) -> Certify
         radius=radius,
         pad=pad,
         k=k,
-        total=len(inner),
+        total=len(entries),
         certified=sum(e.status == "certified" for e in entries),
         entries=tuple(entries),
     )

@@ -15,9 +15,8 @@ from .graphs import Graph, MultiGraph
 # The largest order graph6's 4-byte header holds; edge lists share it.
 MAX_ORDER = 258047
 
-# byte c <-> c + 63: graph6's six-bit groups to printable bytes and back;
-# a byte outside 63..126 decodes to more than 63
-_TO_G6 = bytes((c + 63) % 256 for c in range(256))
+# byte c -> c - 63: graph6's printable bytes to six-bit groups; a byte
+# outside 63..126 decodes to more than 63
 _FROM_G6 = bytes((c - 63) % 256 for c in range(256))
 # the offsets, high bit first, of the set bits of each six-bit group
 _SET_BITS = [tuple(r for r in range(6) if d & 32 >> r) for d in range(64)]
@@ -27,22 +26,25 @@ def to_graph6(g) -> str:
     """The graph6 string of a simple graph given by `n` and `neighbors(v)`.
 
     Pair (i, j), i < j, is bit p = j(j-1)/2 + i of the upper triangle; it
-    sets bit p % 6, counted from the high end, of body byte p // 6, so
-    the string is built from the edges alone, with nothing per pair.
+    adds 32 >> p % 6, bit p % 6 counted from the high end, to body byte
+    p // 6.  The line is one buffer, the header and then a '?' (63, six
+    zero bits) per body byte; each pair is added once, so adding sets the
+    bit, and the string is built from the edges alone, with nothing per
+    pair.
     """
     n = g.n
     if n > MAX_ORDER:  # refused before any edge is read
         raise InvalidParams(f"graph6 supported up to n = {MAX_ORDER} here")
-    body = bytearray((n * (n - 1) // 2 + 5) // 6)
-    col = 0  # j(j-1)/2, the first bit of column j
+    line = bytearray([n + 63] if n < 63 else [126, *((n >> s & 63) + 63 for s in (12, 6, 0))])
+    col = 6 * len(line)  # j(j-1)/2 past the header, the first bit of column j
+    line += b"?" * ((n * (n - 1) // 2 + 5) // 6)
     for j in range(n):
         for i in g.neighbors(j):
             if i < j:
                 p = col + i
-                body[p // 6] |= 32 >> p % 6
+                line[p // 6] += 32 >> p % 6
         col += j
-    head = chr(n + 63) if n < 63 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    return head + body.translate(_TO_G6).decode("ascii")
+    return line.decode("ascii")
 
 
 def from_graph6(line: str) -> Graph:

@@ -2,6 +2,7 @@
 the paper's claims about the infinite families (`FAMILY_CLAIMS`), and the
 helpers only tests need."""
 
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
@@ -11,7 +12,8 @@ from typing import Callable, NamedTuple
 from minconn.connectivity import min_edge_cut, min_vertex_separator
 from minconn.enumeration import refinement_classes
 from minconn.errors import TooLarge, TooSmall
-from minconn.families import FAMILY_KINDS, CertifyReport, EdgeCutCertificate, ball, end_degree_estimate
+from minconn.families import (FAMILY_KINDS, CertifyReport, EdgeCutCertificate, _blocks_containing, ball,
+                              end_degree_estimate)
 from minconn.flow import INF, FlowNetwork
 from minconn.graphs import (
     Graph,
@@ -215,17 +217,21 @@ def oracle_separates(f, end, mode: str, certificate: tuple, radius: int,
     return True
 
 
-def reference_certify_blocks(f, radius: int, pad: int, k: int, source):
-    """`families._certify_blocks` with a fresh network per inner edge, the
-    reference for the record per block: per edge, the block's arcs with
-    capacity 1, or k + 1 on the rim, and one u-v flow with limit k + 1."""
-    inner, block_of, n_rim, tag = source
+def reference_certify_blocks(f, b, radius: int, pad: int, k: int):
+    """`families._certify_ball` with a fresh network per inner edge, the
+    reference for the record per block: per edge of ball(radius), in index
+    order, its block's arcs with capacity 1, or k + 1 on the rim, and one
+    u-v flow with limit k + 1."""
+    n_inner, n_rim = bisect_right(b.dist, radius), bisect_right(b.dist, radius + pad)
+    block_of, kept = _blocks_containing(b.rows, n_inner)
+    inner = [(u, v) for u in range(n_inner) for v in b.rows[u] if u < v < n_inner]
+    tag = b.tags.__getitem__
     entries = []
     certified = 0
     for u, v in inner:
-        verts, arcs = block_of(u, v)
-        loc = {x: i for i, x in enumerate(verts)}
-        net = FlowNetwork(len(verts))
+        arcs = kept[block_of[u, v]]
+        loc = {x: i for i, x in enumerate(sorted({x for e in arcs for x in e}))}
+        net = FlowNetwork(len(loc))
         for a, bb in arcs:
             net.add_undirected(loc[a], loc[bb], 1 if bb < n_rim else k + 1)  # a < bb
         val = net.flow(loc[u], loc[v], k + 1)

@@ -556,6 +556,13 @@ class TestEndDegree:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "start radius" in err
 
+    @pytest.mark.parametrize("window", ["1", "0"])
+    def test_window_below_two_is_refused(self, capsys, window):
+        # a window of one radius once reported the first cut, 9, as converged
+        argv = ["end-degree", "ray-bundle:k=4,l=4", "left", "edge", "--window", window]
+        assert invoke(argv, capsys) == (1, "", "error: window must be at least 2\n")
+        assert invoke(argv[:-1] + ["2"], capsys) == (0, "4\n", "")
+
     def test_default_rmax_is_the_family_bound(self, capsys):
         # start radius 23; the family's own bound leaves room to converge
         code, out, _ = invoke(["end-degree", "ray-bundle:k=2,l=20", "left", "vertex"], capsys)

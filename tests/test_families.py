@@ -17,10 +17,9 @@ from minconn.families import (
     CliqueTree,
     DoubleRay,
     Family,
-    _ball_blocks,
     _blocks_containing,
-    _certify_blocks,
     _certificate_separates,
+    _certify_ball,
     _oracle_ball,
     ball,
     certify_essential_edges,
@@ -779,8 +778,16 @@ class TestEndDegree:
         f = make_family("double-ray")
         with pytest.raises(InvalidParams):
             end_degree_estimate(f, f.ends()[0], mode="both")
-        with pytest.raises(InvalidParams):
-            end_degree_estimate(f, f.ends()[0], window=0)
+        for window in (0, 1):  # one radius checks no agreement
+            with pytest.raises(InvalidParams, match="window must be at least 2"):
+                end_degree_estimate(f, f.ends()[0], window=window)
+
+    @pytest.mark.parametrize("spec,degree", [("ray-bundle:k=4,l=4", 4), ("ray-bundle:k=4,l=8", 8)])
+    def test_window_two_converges_on_the_end_degree(self, spec, degree):
+        # a window of one radius took the first cut, 9 and 21, as converged
+        f = make_family(spec)
+        est = end_degree_estimate(f, find_end(f, "left"), mode="edge", window=2)
+        assert est.converged and est.value == est.lower == degree
 
     def test_json_shape(self):
         f = make_family("double-ray")
@@ -795,29 +802,47 @@ def sorted_rows(g):
 
 
 class TestBlocks:
+    # An edge is the pair (u, v), u < v, and inner when v < n_inner; the
+    # kept blocks list their edges in Tarjan's pop order.
     def test_cycle_is_one_block(self):
-        g = cycle_graph(5)
-        code_block, kept = _blocks_containing(sorted_rows(g), {0 * 5 + 1})
-        assert len(kept) == 1 and len(kept[0]) == 5
+        block_of, kept = _blocks_containing(sorted_rows(cycle_graph(5)), 5)
+        assert kept == [[(0, 4), (3, 4), (2, 3), (1, 2), (0, 1)]]
+        assert block_of == dict.fromkeys(kept[0], 0)
 
     def test_path_splits_into_bridges(self):
-        g = path_graph(4)
-        wanted = {u * 4 + v for u, v in g.edges()}
-        code_block, kept = _blocks_containing(sorted_rows(g), wanted)
-        assert len(kept) == 3
-        assert all(len(b) == 1 for b in kept)
+        block_of, kept = _blocks_containing(sorted_rows(path_graph(4)), 4)
+        assert kept == [[(2, 3)], [(1, 2)], [(0, 1)]]
+        assert block_of == {(2, 3): 0, (1, 2): 1, (0, 1): 2}
 
     def test_bowtie(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        code_block, kept = _blocks_containing(sorted_rows(g), {0 * 5 + 1, 3 * 5 + 4})
-        assert len(kept) == 2
-        assert code_block[0 * 5 + 1] != code_block[3 * 5 + 4]
-        assert all(len(b) == 3 for b in kept)
+        block_of, kept = _blocks_containing(sorted_rows(g), 5)
+        assert kept == [[(2, 4), (3, 4), (2, 3)], [(0, 2), (1, 2), (0, 1)]]
+        assert block_of[0, 1] == 1 and block_of[3, 4] == 0
 
     def test_untouched_blocks_dropped(self):
+        # with n_inner = 2 only (0, 1) is inner: its triangle is kept whole
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        code_block, kept = _blocks_containing(sorted_rows(g), {0 * 5 + 1})
-        assert len(kept) == 1 and len(code_block) == 1
+        assert _blocks_containing(sorted_rows(g), 2) == ({(0, 1): 0}, [[(0, 2), (1, 2), (0, 1)]])
+        assert _blocks_containing(sorted_rows(g), 1) == ({}, [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+    def test_equals_networkx_blocks(self, drawn):
+        nx = pytest.importorskip("networkx")
+        n, pairs = drawn
+        g = Graph(n, [(u, v) for u, v in pairs if u != v])
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(n))
+        comps = [{tuple(sorted(e)) for e in c} for c in nx.biconnected_component_edges(h)]
+        for n_inner in range(n + 1):
+            block_of, kept = _blocks_containing(sorted_rows(g), n_inner)
+            assert sorted(map(sorted, kept)) == sorted(
+                sorted(c) for c in comps if any(v < n_inner for _, v in c))
+            assert all(len(set(c)) == len(c) for c in kept)
+            assert block_of.keys() == {(u, v) for u, v in g.edges() if v < n_inner}
+            assert all(e in kept[i] for e, i in block_of.items())
 
 
 class TestCertify:
@@ -890,9 +915,8 @@ class TestCertify:
         # ball(radius) for a clique tree, of ball(radius + 2 pad) otherwise
         f = make_family(spec)
         b = _oracle_ball(f, radius if isinstance(f, CliqueTree) else radius + 2 * pad)
-        source = _ball_blocks(b, radius, radius + pad)
-        got = _certify_blocks(f, radius, pad, k, source)
-        expected = reference_certify_blocks(f, radius, pad, k, source)
+        got = _certify_ball(f, b, radius, pad, k)
+        expected = reference_certify_blocks(f, b, radius, pad, k)
         assert json.dumps(got.to_json_obj()) == json.dumps(expected.to_json_obj())
 
     @pytest.mark.parametrize("spec,radius,pad,k,blocks", [
@@ -938,13 +962,13 @@ class TestCertify:
         # with nothing asked of the `ball` cache.
         f = make_family(spec)
         whole = _oracle_ball(f, radius + 2 * pad)
-        expected = _certify_blocks(f, radius, pad, k, _ball_blocks(whole, radius, radius + pad))
+        expected = _certify_ball(f, whole, radius, pad, k)
         del whole
         searched = []
 
-        def spy(rows, wanted):
+        def spy(rows, n_inner):
             searched.append(len(rows))
-            return _blocks_containing(rows, wanted)
+            return _blocks_containing(rows, n_inner)
 
         monkeypatch.setattr(families, "_blocks_containing", spy)
         before = ball.cache_info()
