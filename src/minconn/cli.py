@@ -315,6 +315,8 @@ def _build_construction(spec: str, radius: int | None):
     """
     head, _, rest = spec.strip().partition(":")
     if head in CONSTRUCTIONS:
+        if radius is not None:
+            raise InvalidParams(f"construction {head!r} is finite: --radius truncates families only")
         builder, keys = CONSTRUCTIONS[head]
         p = _parse_params(head, rest, keys)
         g = builder(*(p[key] for key in keys))

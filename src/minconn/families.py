@@ -38,7 +38,7 @@ families to them.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import chain, count, product
 from types import SimpleNamespace
@@ -683,21 +683,8 @@ class EndDegreeEstimate:
     recheck_radius: int | None
 
     def to_json_obj(self):
-        return {
-            "family": self.family,
-            "end": self.end,
-            "mode": self.mode,
-            "value": self.value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "converged": self.converged,
-            "radius_used": self.radius_used,
-            "history": [list(h) for h in self.history],
-            "certificate": None
-            if self.certificate is None
-            else [repr(c) for c in self.certificate],
-            "recheck_radius": self.recheck_radius,
-        }
+        cert = self.certificate
+        return {**asdict(self), "certificate": None if cert is None else [repr(c) for c in cert]}
 
 
 def _certificate_separates(f: Family, end: EndDescriptor, mode: str,

@@ -297,7 +297,7 @@ def external_neighborhood(g: Graph, vertices) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class Region:
-    """A connected induced subgraph of a host graph, with its boundaries.
+    """A connected induced subgraph of a host graph, with its vertex boundary.
 
     `vertices` is the region's full vertex set; the vertex boundary is the
     set of region vertices with neighbours outside, and the region is
@@ -307,7 +307,6 @@ class Region:
     host: Graph
     vertices: frozenset[int]
     boundary: frozenset[int]
-    edge_cut: frozenset[Edge]
 
     @property
     def interior(self) -> frozenset[int]:
@@ -330,7 +329,7 @@ def region_of(g: Graph, vertices) -> Region:
         raise InvalidParams("region vertices out of range")
     if not is_connected_subset(g, vs):
         raise InvalidParams("region must induce a connected subgraph")
-    return Region(g, vs, vertex_boundary(g, vs), edge_boundary(g, vs))
+    return Region(g, vs, vertex_boundary(g, vs))
 
 
 @dataclass(frozen=True)

@@ -372,28 +372,15 @@ class DescentStep:
     cut: tuple[Edge, ...]
     descended_to: tuple[int, ...]
 
-    def to_json_obj(self):
-        return asdict(self)
-
 
 @dataclass
 class EdgeMinSideTrace:
     side: tuple[int, ...]
-    search_flag: str
+    search: str
     region: tuple[int, ...]
     steps: list[DescentStep]
     witness: int
     degree: int
-
-    def to_json_obj(self):
-        return {
-            "side": list(self.side),
-            "search": self.search_flag,
-            "region": list(self.region),
-            "steps": [s.to_json_obj() for s in self.steps],
-            "witness": self.witness,
-            "degree": self.degree,
-        }
 
 
 @dataclass
@@ -411,14 +398,7 @@ class EdgeMinWitnessTrace:
         return (self.first.witness, self.second.witness)
 
     def to_json_obj(self):
-        return {
-            "procedure": "cut-splitting",
-            "k": self.k,
-            "cut": [list(e) for e in self.cut],
-            "first": self.first.to_json_obj(),
-            "second": self.second.to_json_obj(),
-            "witnesses": list(self.witnesses),
-        }
+        return {"procedure": "cut-splitting", **asdict(self), "witnesses": self.witnesses}
 
 
 def _first_inner_edge(g, H: set[int]) -> Edge | None:
@@ -473,7 +453,7 @@ def _descend_to_degree_k_vertex(conn: Connectivity, side, k: int) -> EdgeMinSide
     assert deg == k, "a single-vertex region with boundary <= k has degree exactly k"
     return EdgeMinSideTrace(
         side=tuple(sorted(side)),
-        search_flag=res.verified_minimal,
+        search=res.verified_minimal,
         region=tuple(sorted(res.region.vertices)),
         steps=steps,
         witness=witness,
@@ -513,9 +493,6 @@ class RegionStep:
     cut_size: int
     descended_to: tuple[int, ...]
 
-    def to_json_obj(self):
-        return asdict(self)
-
 
 @dataclass
 class VertexMinEdgeSideTrace:
@@ -524,25 +501,9 @@ class VertexMinEdgeSideTrace:
     steps: list[RegionStep]
     final_region: tuple[int, ...]
     final_x: int
-    counting_set_vertices: tuple[int, ...]
-    counting_set_edges: tuple[Edge, ...]
+    counting_set: dict[str, tuple]  # "vertices" and "edges" of the mixed set
     witness: int
     degree: int
-
-    def to_json_obj(self):
-        return {
-            "start": list(self.start),
-            "x": self.x,
-            "steps": [s.to_json_obj() for s in self.steps],
-            "final_region": list(self.final_region),
-            "final_x": self.final_x,
-            "counting_set": {
-                "vertices": list(self.counting_set_vertices),
-                "edges": [list(e) for e in self.counting_set_edges],
-            },
-            "witness": self.witness,
-            "degree": self.degree,
-        }
 
 
 @dataclass
@@ -556,13 +517,7 @@ class VertexMinEdgeWitnessTrace:
         return (self.first.witness, self.second.witness)
 
     def to_json_obj(self):
-        return {
-            "procedure": "region-descent",
-            "k": self.k,
-            "first": self.first.to_json_obj(),
-            "second": self.second.to_json_obj(),
-            "witnesses": list(self.witnesses),
-        }
+        return {"procedure": "region-descent", **asdict(self), "witnesses": self.witnesses}
 
 
 def _descend_region(conn: Connectivity, k: int, C: set[int], x: int) -> VertexMinEdgeSideTrace:
@@ -600,8 +555,8 @@ def _descend_region(conn: Connectivity, k: int, C: set[int], x: int) -> VertexMi
                 steps=steps,
                 final_region=tuple(sorted(C)),
                 final_x=x,
-                counting_set_vertices=tuple(sorted(s.vertices)),
-                counting_set_edges=tuple(sorted(s.edges)),
+                counting_set={"vertices": tuple(sorted(s.vertices)),
+                              "edges": tuple(sorted(s.edges))},
                 witness=witness,
                 degree=deg,
             )

@@ -488,6 +488,11 @@ class TestConstruct:
         assert code == 1
         assert "--radius" in err
 
+    def test_finite_construction_refuses_radius(self, capsys):
+        code, out, err = invoke(["construct", "band:k=3,l=2", "--radius", "3"], capsys)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "--radius" in err
+
     def test_json_labels(self, capsys):
         code, out, _ = invoke(
             ["construct", "band:k=3,l=2", "--format", "json"], capsys

@@ -204,7 +204,7 @@ class TestMinimalRegion:
         g = cycle_graph(6)
         res = minimal_region_small_edge_boundary(g, region_of(g, {0, 1, 2, 3}), 3)
         assert len(res.region.vertices) == 1
-        assert len(res.region.edge_cut) < 3
+        assert boundary_edge_count(g, res.region.vertices) < 3
         assert res.verified_minimal == "exact"
 
     def test_multigraph_region(self):
@@ -264,7 +264,7 @@ class TestCutSplitting:
                 assert w1 != w2
                 assert g.degree(w1) == g.degree(w2) == k
                 assert len(t.cut) == k
-                assert t.first.search_flag in ("exact", "local")
+                assert t.first.search in ("exact", "local")
                 for side in (t.first, t.second):
                     current = set(side.region)
                     for step in side.steps:
@@ -300,7 +300,7 @@ class TestCutSplitting:
         t = edge_min_witness_pair(g, k)
         assert sum(len(side.steps) for side in (t.first, t.second)) >= 1
         for side in (t.first, t.second):
-            assert side.region == side.side and side.search_flag == "local"
+            assert side.region == side.side and side.search == "local"
             current = set(side.region)
             for step in side.steps:
                 assert sum(g.multiplicity(u, v) for u, v in step.cut) == k
@@ -358,7 +358,7 @@ class TestRegionDescent:
                 checked += 1
                 for side in (t.first, t.second):
                     assert g.degree(side.witness) == k
-                    assert len(side.counting_set_vertices) + len(side.counting_set_edges) <= k
+                    assert len(side.counting_set["vertices"]) + len(side.counting_set["edges"]) <= k
                     assert side.witness in set(side.final_region)
                     assert side.witness != side.final_x
                     sizes = [len(side.start)] + [len(s.descended_to) for s in side.steps]
