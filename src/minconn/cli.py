@@ -48,6 +48,7 @@ from .graphs import Graph, MultiGraph, small_degree_set
 from .io import (
     from_edge_list,
     from_graph6,
+    graph6_bytes,
     graph_id,
     to_edge_list,
     to_graph6,
@@ -342,7 +343,14 @@ def cmd_construct(args) -> int:
         if isinstance(g, MultiGraph):
             print("multigraphs have no graph6 form; use --format edge-list", file=sys.stderr)
             return EXIT_USAGE
-        print(to_graph6(g))
+        line = graph6_bytes(g)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text-only stdout, such as a StringIO
+            print(line.decode("ascii"))
+        else:  # the one buffer, with no str copy of it
+            sys.stdout.flush()
+            out.write(line)
+            out.write(b"\n")
     elif fmt == "edge-list":
         sys.stdout.write(to_edge_list(g))
     else:

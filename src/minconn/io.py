@@ -22,29 +22,34 @@ _FROM_G6 = bytes((c - 63) % 256 for c in range(256))
 _SET_BITS = [tuple(r for r in range(6) if d & 32 >> r) for d in range(64)]
 
 
-def to_graph6(g) -> str:
-    """The graph6 string of a simple graph given by `n` and `neighbors(v)`.
+def graph6_bytes(g) -> bytearray:
+    """The graph6 line of a simple graph given by `n` and `neighbors(v)`.
 
     Pair (i, j), i < j, is bit p = j(j-1)/2 + i of the upper triangle; it
     adds 32 >> p % 6, bit p % 6 counted from the high end, to body byte
-    p // 6.  The line is one buffer, the header and then a '?' (63, six
-    zero bits) per body byte; each pair is added once, so adding sets the
-    bit, and the string is built from the edges alone, with nothing per
+    p // 6.  The line is allocated once, the header and then a '?' (63,
+    six zero bits) per body byte; each pair is added once, so adding sets
+    the bit, and the line is built from the edges alone, with nothing per
     pair.
     """
     n = g.n
     if n > MAX_ORDER:  # refused before any edge is read
         raise InvalidParams(f"graph6 supported up to n = {MAX_ORDER} here")
-    line = bytearray([n + 63] if n < 63 else [126, *((n >> s & 63) + 63 for s in (12, 6, 0))])
-    col = 6 * len(line)  # j(j-1)/2 past the header, the first bit of column j
-    line += b"?" * ((n * (n - 1) // 2 + 5) // 6)
+    head = [n + 63] if n < 63 else [126, *((n >> s & 63) + 63 for s in (12, 6, 0))]
+    line = bytearray(head).ljust(len(head) + (n * (n - 1) // 2 + 5) // 6, b"?")
+    col = 6 * len(head)  # j(j-1)/2 past the header, the first bit of column j
     for j in range(n):
         for i in g.neighbors(j):
             if i < j:
                 p = col + i
                 line[p // 6] += 32 >> p % 6
         col += j
-    return line.decode("ascii")
+    return line
+
+
+def to_graph6(g) -> str:
+    """The graph6 string of `graph6_bytes(g)`."""
+    return graph6_bytes(g).decode("ascii")
 
 
 def from_graph6(line: str) -> Graph:

@@ -595,11 +595,21 @@ def vertex_min_edge_witness_pair(g: Graph, k: int, *,
     """Two distinct degree-k vertices of a vertex-minimally k-edge-connected
     graph.
 
-    The first candidate region is the smallest one-vertex-deleted cut side
-    (plus its vertex); the second run starts from the complement of the
-    first result, which keeps the two witnesses apart.  Every cut of a
-    G - x, for every x and in both runs, is asked on one record of G,
-    `conn` if given.
+    The first candidate region is the least `(len(side) + 1, sorted(side
+    + x), x)` over the sides of the minimum cut of every G - x; the second
+    run starts from the complement of the first result, which keeps the
+    two witnesses apart.  Every cut of a G - x, in both runs, is asked on
+    one record of G, `conn` if given.
+
+    The least candidate is found by branch and bound, scanning few G - x.
+    G is k-edge-connected, so each side of a cut of G - x below k holds a
+    neighbour of x; G is simple, so a one-vertex side {w} has cut
+    deg(w) - 1 < k, and deg(w) = k.  Hence every candidate has size >= 2,
+    and a size-2 candidate of x is at least floor(x), the least
+    (sorted((w, x)), x) over the degree-k neighbours w of x (above every
+    floor when x has none).  The scan visits x by increasing floor(x) and
+    stops once the best candidate has size 2 and floor(x) exceeds it: no
+    later x can give a smaller one.
     Multigraphs are refused with InvalidParams: the counting step needs a
     simple graph.
     """
@@ -607,13 +617,20 @@ def vertex_min_edge_witness_pair(g: Graph, k: int, *,
     conn = conn or Connectivity(g)
     _require_member(g, MinimalityClass.VERTEX_MIN_EDGE_CONN, k, conn)
 
-    candidates: list[tuple[int, tuple[int, ...], int]] = []
-    for x in range(g.n):
+    degs, top = g.degrees(), ((g.n, g.n), g.n)  # top: above every real floor
+
+    def floor(x):
+        return min((((min(w, x), max(w, x)), x) for w in g.neighbors(x) if degs[w] == k),
+                   default=top)
+
+    best = (g.n + 1,)  # above every candidate
+    for x in sorted(range(g.n), key=floor):
+        if best[0] == 2 and floor(x) > best[1:]:
+            break
         cut = conn.cut_without(x)
         assert cut.size < k, "in class d every G - x is below k-edge-connectivity"
-        for side in cut.sides:
-            candidates.append((len(side) + 1, tuple(sorted(side | {x})), x))
-    size, verts, x = min(candidates)
+        best = min(best, *((len(side) + 1, tuple(sorted(side | {x})), x) for side in cut.sides))
+    size, verts, x = best
     first = _descend_region(conn, k, set(verts), x)
 
     complement = set(range(g.n)) - (set(first.final_region) - {first.final_x})

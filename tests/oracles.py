@@ -2,6 +2,7 @@
 the paper's claims about the infinite families (`FAMILY_CLAIMS`), and the
 helpers only tests need."""
 
+import random
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
@@ -9,7 +10,8 @@ from itertools import combinations, product
 from math import factorial, gcd
 from typing import Callable, NamedTuple
 
-from minconn.connectivity import min_edge_cut, min_vertex_separator
+from minconn.connectivity import Connectivity, min_edge_cut, min_vertex_separator
+from minconn.constructions import band_graph
 from minconn.enumeration import refinement_classes
 from minconn.errors import TooLarge, TooSmall
 from minconn.families import (FAMILY_KINDS, CertifyReport, EdgeCutCertificate, _blocks_containing, ball,
@@ -21,6 +23,7 @@ from minconn.graphs import (
     cartesian_product,
     complete_graph,
     components_of_subset,
+    cycle_graph,
     path_graph,
 )
 from minconn.minimality import MinimalityClass
@@ -160,6 +163,40 @@ def cut_without_by_copy(g, x: int):
     cut = min_edge_cut(h)
     edges = tuple((old[u], old[v]) for u, v in cut.edges)
     return cut.size, edges, tuple(frozenset(old[v] for v in side) for side in cut.sides)
+
+
+def relabelled(g: Graph, seed) -> Graph:
+    """G with its vertices renamed by a permutation shuffled from `seed`."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def class_d_bands() -> list[tuple[int, Graph]]:
+    """(k, graph): band_graph(k, l) for k = 3, 4, 5 and l = 2..10, each
+    under four seeded relabellings -- class-d members at k of 6 to 82
+    vertices."""
+    return [(k, relabelled(band_graph(k, l).graph, f"band/{k}/{l}/{i}"))
+            for k in (3, 4, 5) for l in range(2, 11) for i in range(4)]
+
+
+def class_d_rings() -> list[tuple[int, Graph]]:
+    """(k, graph): the cycles C_3..C_29 and the ladders with 2..12 rungs at
+    k = 2, as built and under two seeded relabellings."""
+    rings = [cycle_graph(n) for n in range(3, 30)] + [ladder_graph(m) for m in range(2, 13)]
+    return [(2, h) for i, g in enumerate(rings)
+            for h in (g, relabelled(g, f"ring/{i}/0"), relabelled(g, f"ring/{i}/1"))]
+
+
+def reference_class_d_start(g: Graph, k: int) -> tuple[tuple[int, ...], int]:
+    """Class d's start region and vertex by scanning every x: the least
+    (len(side) + 1, sorted(side + x), x) over the sides of the minimum cut
+    of each G - x, asked on a fresh record.  The reference for the
+    branch-and-bound scan of `vertex_min_edge_witness_pair`."""
+    conn = Connectivity(g)
+    _, verts, x = min((len(side) + 1, tuple(sorted(side | {x})), x)
+                         for x in range(g.n) for side in conn.cut_without(x).sides)
+    return verts, x
 
 
 def whole_graph_flow(g: Graph, a_side, b_side, mode: str) -> tuple[int, tuple]:

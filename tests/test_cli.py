@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -468,6 +469,23 @@ class TestConstruct:
                             classmethod(lambda cls, rows: pytest.fail("built the ball's Graph")))
         argv = ["construct", "clique-tree:r=2,k=4", "--radius", "3", "--format", "graph6"]
         assert invoke(argv, capsys)[:2] == (0, expected)
+
+    def test_graph6_line_written_as_bytes(self, monkeypatch):
+        # the line goes to stdout's byte buffer, after what the text layer
+        # held, with no str of it; a stdout with no buffer gets it by print
+        class Text(io.TextIOWrapper):
+            def write(self, s):
+                texts.append(s)
+                return super().write(s)
+
+        texts, raw = [], io.BytesIO()
+        monkeypatch.setattr("sys.stdout", Text(raw, encoding="ascii"))
+        print("before")
+        assert main(["construct", "cycle-clique:k=4,l=5"]) == 0
+        assert (raw.getvalue(), texts) == (b"before\nI~KwW^Bow\n", ["before", "\n"])
+        monkeypatch.setattr("sys.stdout", io.StringIO())
+        assert main(["construct", "cycle-clique:k=4,l=5"]) == 0
+        assert sys.stdout.getvalue() == "I~KwW^Bow\n"
 
     @pytest.mark.parametrize("fmt", ["edge-list", "json"])
     def test_edge_list_and_json_read_the_rows(self, fmt, capsys, monkeypatch):

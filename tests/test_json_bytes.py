@@ -14,7 +14,7 @@ from minconn.cli import main
 from minconn.families import make_family
 from minconn.io import to_graph6
 from minconn.minimality import MinimalityClass, check_class
-from oracles import FAMILY_CLAIMS
+from oracles import FAMILY_CLAIMS, class_d_bands
 
 # one family per kind of the claims table
 SPECS = [
@@ -39,6 +39,10 @@ PINS = {
     "witness d k=2": "b576edddcb34b1d972c9692fe2c537ed9c505108a9db7549c2937926402b0720",
     "witness d k=3": "810d5b6c35a9aa1b60eccf8e9a292d17e3636d7810e569162aa32277c16e9928",
     "witness d k=4": "3606dd817f8e9b92ce2d589d108f223c78f8139237690d5b8b25bdf8107d600e",
+    # taken with the all-x scan for class d's start region
+    "band witness d k=3": "7ad3838e9d81bebf16092ecadd0736e68fbcef7f134d2b94bd3764b6226e53cf",
+    "band witness d k=4": "fd7a57b08603a89ab9997f27e52339e1378ef1f862c15cb73ce135a1b6daf41a",
+    "band witness d k=5": "54925644f786b21b4063e8fc03ae06952a749b28bef2270227a2c4e83eeac6dd",
     "end-degree double-ray vertex": "f1519fbf2e882742daa686904a5d9f9f986b85ed71aac68bdf75b95bd32ee466",
     "end-degree double-ray edge": "40a0d0f75848000c6771fe8aff44151fb7d9c3df29d67996cf03592058040834",
     "end-degree dr-square vertex": "ef1f0a8f6f834378f67495038578ed1a6724f7a4c6c431f5d0072856f6c523fa",
@@ -86,6 +90,17 @@ def witness_digests(corpus7) -> dict[str, str]:
         for cls in "bcd" for k in (2, 3, 4)}
 
 
+def band_digests() -> dict[str, str]:
+    """`witness --explain --class d` on the relabelled bands of
+    `class_d_bands`, at k = 3, 4, 5: graphs of up to 82 vertices, where
+    the start region's scan skips most G - x."""
+    bands = class_d_bands()
+    return {f"band witness d k={k}": _digest(
+        ["witness", "--k", str(k), "--class", "d", "--explain", to_graph6(g)]
+        for j, g in bands if j == k)
+        for k in (3, 4, 5)}
+
+
 def end_degree_digests() -> dict[str, str]:
     """`end-degree --format json` at each family's first end, in both modes."""
     return {f"end-degree {spec} {mode}": _digest(
@@ -110,6 +125,10 @@ def test_specs_cover_the_claims_table():
 
 def test_witness_explain_bytes(corpus7):
     assert witness_digests(corpus7) == _pinned("witness ")
+
+
+def test_band_witness_explain_bytes():
+    assert band_digests() == _pinned("band witness ")
 
 
 def test_end_degree_bytes():

@@ -28,7 +28,14 @@ from minconn.witnesses import (
     vertex_min_edge_witness_pair,
     witness_report,
 )
-from oracles import ladder_graph, small_multigraphs
+from oracles import (
+    class_d_bands,
+    class_d_rings,
+    ladder_graph,
+    reference_class_d_start,
+    relabelled,
+    small_multigraphs,
+)
 
 A = MinimalityClass.EDGE_MIN_CONN
 B = MinimalityClass.VERTEX_MIN_CONN
@@ -397,6 +404,92 @@ class TestRegionDescent:
             assert check_class(g, D, k)
             with pytest.raises(InvalidParams):
                 vertex_min_edge_witness_pair(g, k)
+
+
+@pytest.fixture
+def scan_counts(monkeypatch):
+    """Runs class d's procedure on (g, k), and returns its trace, the
+    `Connectivity.cut_without` calls made before its first region descent
+    (the start scan), and all of its calls."""
+    xs, starts = [], []
+    cut_without, descend = Connectivity.cut_without, witnesses._descend_region
+    monkeypatch.setattr(Connectivity, "cut_without", lambda self, x: xs.append(x) or cut_without(self, x))
+    monkeypatch.setattr(witnesses, "_descend_region", lambda *a: starts.append(len(xs)) or descend(*a))
+
+    def run(g, k):
+        xs.clear()
+        starts.clear()
+        t = vertex_min_edge_witness_pair(g, k)
+        return t, starts[0], len(xs)
+
+    return run
+
+
+def corpus7_class_d(corpus7) -> list[tuple[int, Graph]]:
+    """(k, graph): the class-d members of corpus7 at k = 2, 3, 4, with their
+    labels as given and reversed."""
+    return [(k, h) for g in corpus7
+            for h in (g, Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()]))
+            for k in (2, 3, 4) if check_class(h, D, k)]
+
+
+class TestClassDStart:
+    """The start region comes from a branch-and-bound scan of the G - x:
+    it must equal the all-x scan, and ask few G - x."""
+
+    # (start scans, all scans) of band_graph(k, l) relabelled by its seed,
+    # or as built, at the (k, l) that the member-traces benchmark traces in
+    # class d.  The all-x scan asked all n vertices to start: (50, 51) and
+    # (50, 65) for the two band(4, 8)s.
+    BAND_SCANS = {
+        (3, 2, "band/3/2/0"): (1, 3),
+        (3, 3, "band/3/3/0"): (1, 2),
+        (3, 4, "band/3/4/0"): (1, 3),
+        (3, 5, "band/3/5/0"): (1, 5),
+        (3, 6, "band/3/6/0"): (1, 5),
+        (3, 7, "band/3/7/0"): (1, 5),
+        (3, 8, "band/3/8/0"): (1, 9),
+        (4, 2, "band/4/2/0"): (1, 2),
+        (4, 3, "band/4/3/0"): (1, 3),
+        (4, 4, "band/4/4/0"): (1, 4),
+        (4, 8, "band/4/8/0"): (1, 2),
+        (4, 8, None): (1, 16),
+    }
+
+    def test_corpus7_start_equals_the_all_x_scan(self, corpus7):
+        members = corpus7_class_d(corpus7)
+        for k, g in members:
+            t = vertex_min_edge_witness_pair(g, k)
+            assert (t.first.start, t.first.x) == reference_class_d_start(g, k), (g.edges(), k)
+        assert len(members) == 134
+
+    @pytest.mark.parametrize("members", [class_d_bands, class_d_rings])
+    def test_start_equals_the_all_x_scan(self, members):
+        for k, g in members():
+            t = vertex_min_edge_witness_pair(g, k)
+            assert (t.first.start, t.first.x) == reference_class_d_start(g, k), (g.edges(), k)
+
+    def test_band_scans_pinned(self, scan_counts):
+        got = {}
+        for k, l, seed in self.BAND_SCANS:
+            g = band_graph(k, l).graph
+            got[k, l, seed] = scan_counts(g if seed is None else relabelled(g, seed), k)[1:]
+        assert got == self.BAND_SCANS
+
+    def test_every_band_starts_from_one_scan(self, scan_counts):
+        for k, g in class_d_bands():
+            assert scan_counts(g, k)[1] == 1, (g.edges(), k)
+
+    def test_start_scans_only_vertices_with_a_degree_k_neighbour(self, corpus7, scan_counts):
+        # Each size-2 candidate pairs x with a degree-k neighbour, so once
+        # one is found only such x are scanned; with none, every x is.
+        for k, g in corpus7_class_d(corpus7) + class_d_rings():
+            t, start_scans, _ = scan_counts(g, k)
+            floored = sum(any(g.degree(w) == k for w in g.neighbors(x)) for x in range(g.n))
+            if len(t.first.start) == 2:
+                assert start_scans <= floored, (g.edges(), k)
+            else:
+                assert start_scans == g.n, (g.edges(), k)
 
 
 class TestReports:
