@@ -13,25 +13,44 @@ most one split network and one edge network, and each cut kind has one
 pair loop after Even and Tarjan's fixed-source pair list (SIAM J.
 Comput. 1975).  Its every flow is `FlowNetwork.flow`, which resumes each
 pair's last flow on the network with the units on the cut arcs
-cancelled.  A loop stops each flow one unit above the best value so far
-and yields every pair that reaches it.  The scans keep the minimum
-and, among its ties, the lexicographically smallest separator (or
-`Cut.edges`); kappa >= j and lambda >= j take the first pair below j,
-and lambda >= j needs no flow once kappa >= j is known (Whitney, Amer. J.
-Math. 1932: kappa <= lambda).  G - x is asked on G's networks with x's
-arcs cut, never on a copy.  A resumed flow that stops below its limit is
-maximum, and every maximum flow leaves the same residual side, so no
-answer depends on where a flow started, nor on which caller asked first.
+cancelled.  The scans keep the minimum and, among its ties, the
+lexicographically smallest separator (or `Cut.edges`); kappa >= j and
+lambda >= j take the first pair below j, and lambda >= j needs no flow
+once kappa >= j is known (Whitney, Amer. J. Math. 1932: kappa <=
+lambda).  G - x is asked on G's networks with x's arcs cut, never on a
+copy.  A resumed flow that stops below its limit is maximum, and every
+maximum flow leaves the same residual side, so no answer depends on
+where a flow started, nor on which caller asked first.
+
+A scan's pair loop stops each flow one unit above the best value b so
+far and yields every pair that reaches b, but skips the pairs a found
+side decides.  Say a flow from s to t' reached b below its limit and
+left the residual side R.  For a later target t outside R, R is an s-t
+cut of capacity b.  If t's value is b too, its source-minimal side lies
+inside R, so it is an s-t' cut of capacity b and contains R as well
+(Ford and Fulkerson, Flows in Networks, 1962: the source-minimal side of
+a minimum cut lies inside every other): the two sides are equal, and
+t's flow could only repeat a tie already yielded.  So such a t
+- runs with limit b, not b + 1, which tells "below b" from "the same
+  side", and runs no search when its resumed flow already holds b;
+- runs no flow at all when b is the scan's floor, the lower bound the
+  record already holds: the largest j with kappa >= j known of G for
+  separators (less one for G - x, since x and a separator of G - x
+  separate G), the largest j with lambda >= j known for cuts of G, and
+  none for cuts of G - x.
+The sides are kept per source and for the current b only, so every tie
+the loop does yield has a side of its own.  kappa >= j and lambda >= j
+stop at the first yield, before any side is kept.
 
 Local facts answer before any flow.  kappa <= delta: `separator_below`
 returns N(v0) when the anchor v0 has degree below j.  And the easy side
 of Menger: the paths s-w-t through common neighbours w are disjoint, so
 |N(s) & N(t)| is a floor on both local connectivities, one more in edge
 mode when st is an edge (neighbour sets, so also on multigraphs).  A
-pair loop skips a pair whose floor exceeds best, and a per-edge question
-whose floor reaches its limit is answered with no flow.  The skipped
-pair's flow would have reached best + 1 and not been yielded, so no
-scan, tie or residual moves.
+pair loop skips a pair whose floor reaches the pair's limit, and a
+per-edge question whose floor reaches its limit is answered with no
+flow.  The skipped pair's flow would have reached its limit and not
+been yielded, so no scan, tie or residual moves.
 
 Conventions: disconnected graphs have connectivity 0, complete graphs have
 vertex connectivity n-1, and single-vertex graphs are rejected.
@@ -101,11 +120,6 @@ def _split_network(n: int, edges) -> FlowNetwork:
         net.add_arc(2 * u + 1, 2 * v, INF)
         net.add_arc(2 * v + 1, 2 * u, INF)
     return net
-
-
-def _separator_from_residual(n: int, net: FlowNetwork, source: int) -> tuple[int, ...]:
-    reach = net.residual_reachable(source)
-    return tuple(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach)
 
 
 def _separator(g: Graph, vertices: tuple[int, ...]) -> Separator:
@@ -337,7 +351,8 @@ class Connectivity:
         key = "vertex", removed
         if key not in self._scans:
             best, best_sep = self.g.n - 1 - (removed is not None), None
-            for value, sep in self._vertex_flows(best, removed):
+            floor = max((j for j, sep in self._below.items() if sep is None), default=0)
+            for value, sep in self._vertex_flows(best, removed, floor - (removed is not None)):
                 if value < best or best_sep is None or sep < best_sep:
                     best, best_sep = value, sep
             self._scans[key] = best, best_sep
@@ -350,61 +365,81 @@ class Connectivity:
         key = "edge", removed
         if key not in self._scans:
             best, best_cut = INF, None
-            for value, side in self._edge_flows(best, removed):
-                if value == best and side == best_cut.sides[0]:
-                    continue  # the same side cuts the same edges
+            floor = 0 if removed is not None else max(
+                (j for j, ok in self._edge_conn.items() if ok), default=0)
+            for value, side in self._edge_flows(best, removed, floor):
                 cut = _cut_from_side(self.g, side, removed)
                 if value < best or cut.edges < best_cut.edges:
                     best, best_cut = value, cut
             self._scans[key] = best, best_cut
         return self._scans[key]
 
-    def _vertex_flows(self, best: int, removed: int | None = None):
-        """(value, separator) over `_kappa_pairs(removed)`.
+    def _vertex_flows(self, best: int, removed: int | None = None, floor: int = 0):
+        """(value, separator) over `_kappa_pairs(removed)`, but for the
+        pairs a side found at best decides: the module docstring's rule,
+        with `floor` the scan's floor.
 
         For G - v the arc v_in->v_out is cut, and v, whose v_in the
         residual may reach, is dropped from the separator.  A pair with
-        more than best common neighbours in G - removed has that many
-        disjoint paths s-w-t, so its flow would reach best + 1: it is
-        skipped without one.  The network is built at the first flow, so
-        a complete graph builds none.
+        as many common neighbours in G - removed as its limit has that
+        many disjoint paths s-w-t, so its flow would reach the limit: it
+        is skipped without one.  The network is built at the first flow,
+        so a complete graph builds none.
         """
-        nb = self.g.neighbors
+        n, nb = self.g.n, self.g.neighbors
         cut = () if removed is None else (2 * removed,)
+        sides: dict[int, list[set[int]]] = {}  # source -> the residual sides at best
         for s, t in self._kappa_pairs(removed):
-            common = nb(s) & nb(t)
-            if len(common) - (removed in common) > best:
+            decided = s in sides and any(2 * t not in side for side in sides[s])
+            if decided and best == floor:
                 continue
-            value = self.split.flow(2 * s + 1, 2 * t, best + 1, cut)
-            if value <= best:
-                sep = _separator_from_residual(self.g.n, self.split, 2 * s + 1)
-                yield value, tuple(v for v in sep if v != removed)
+            limit = best + (not decided)
+            common = nb(s) & nb(t)
+            if len(common) - (removed in common) >= limit:
+                continue
+            value = self.split.flow(2 * s + 1, 2 * t, limit, cut)
+            if value < limit:
+                reach = self.split.residual_reachable(2 * s + 1)
+                if value < best:
+                    sides = {}
+                sides.setdefault(s, []).append(reach)
+                yield value, tuple(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach and v != removed)
                 best = value
 
-    def _edge_flows(self, best: int, removed: int | None = None):
+    def _edge_flows(self, best: int, removed: int | None = None, floor: int = 0):
         """(value, residual side) of the flows from the anchor v0 of
-        G - removed to every other vertex.
+        G - removed to every other vertex, but for the targets a side
+        found at best decides: the module docstring's rule.
 
         For G - v every arc pair at v is cut, so no side holds v.
         As in `_vertex_flows`, a pair whose edge and paths v0-w-t through
-        common neighbours in G - removed exceed best is skipped, and the
-        network is built at the first flow.
+        common neighbours in G - removed reach its limit is skipped, and
+        the network is built at the first flow.
         """
         degs, v0 = self._deletion(removed)
         nb, nb0 = self.g.neighbors, self.g.neighbors(v0)
         cut = None
+        sides: list[set[int]] = []  # the residual sides at best
         for t in degs:
             if t == v0:
                 continue
+            decided = bool(sides) and any(t not in side for side in sides)
+            if decided and best == floor:
+                continue
+            limit = best + (not decided)
             common = nb0 & nb(t)
-            if len(common) - (removed in common) + (t in nb0) > best:
+            if len(common) - (removed in common) + (t in nb0) >= limit:
                 continue
             if cut is None:
                 net = self.edge
                 cut = () if removed is None else net.pairs_at(removed)
-            value = net.flow(v0, t, best + 1, cut)
-            if value <= best:
-                yield value, net.residual_reachable(v0)
+            value = net.flow(v0, t, limit, cut)
+            if value < limit:
+                side = net.residual_reachable(v0)
+                if value < best:
+                    sides = []
+                sides.append(side)
+                yield value, side
                 best = value
 
 

@@ -165,10 +165,12 @@ def cut_without_by_copy(g, x: int):
     return cut.size, edges, tuple(frozenset(old[v] for v in side) for side in cut.sides)
 
 
-def relabelled(g: Graph, seed) -> Graph:
+def relabelled(g: Graph | MultiGraph, seed) -> Graph | MultiGraph:
     """G with its vertices renamed by a permutation shuffled from `seed`."""
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
+    if isinstance(g, MultiGraph):
+        return MultiGraph(g.n, [(perm[u], perm[v], m) for (u, v), m in g.mult.items()])
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 

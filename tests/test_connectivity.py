@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,6 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 import minconn
 from minconn.connectivity import (
     Connectivity,
+    Cut,
+    Separator,
     _cut_from_side,
     _edge_network,
     _split_network,
@@ -19,7 +22,7 @@ from minconn.connectivity import (
     min_vertex_separator,
     vertex_connectivity,
 )
-from minconn.constructions import band_graph, cycle_clique_strong, path_square_example
+from minconn.constructions import band_graph, cycle_clique_strong, multipath, path_square_example
 from minconn.errors import InvalidParams, TooSmall
 from minconn.flow import FlowNetwork
 from minconn.minimality import MinimalityClass, check_class
@@ -36,6 +39,7 @@ from oracles import (
     cut_without_by_copy,
     local_edge_connectivity,
     local_vertex_connectivity,
+    relabelled,
     separator_containing_by_copy,
     subdivide,
 )
@@ -104,6 +108,106 @@ def two_pass_cut(g):
                 if best is None or cut.edges < best.edges:
                     best = cut
     return best
+
+
+def reference_scan_separator(g: Graph, removed: int | None = None) -> tuple[int, ...] | None:
+    """The vertex scan's choice by its definition, skipping no pair and
+    knowing no floor: the value from a cold record, then every pair of
+    `_kappa_pairs(removed)` from a fresh flow with limit value + 1 on G's
+    split network with removed's arc at capacity 0, keeping the smallest
+    separator of a pair that reaches exactly the value.  No pair falls
+    below it."""
+    cold = Connectivity(g)
+    value, _ = cold._vertex_scan(removed)
+    net = _split_network(g.n, g.edges())
+    if removed is not None:
+        net.cap[2 * removed] = 0
+    built, best = net.cap, None
+    for s, t in cold._kappa_pairs(removed):
+        net.cap = list(built)
+        reached = net.max_flow(2 * s + 1, 2 * t, value + 1)
+        assert reached >= value, (s, t, removed)
+        if reached == value:
+            reach = net.residual_reachable(2 * s + 1)
+            sep = tuple(v for v in range(g.n) if 2 * v in reach and 2 * v + 1 not in reach and v != removed)
+            if best is None or sep < best:
+                best = sep
+    return best
+
+
+def reference_scan_cut(g, removed: int | None = None) -> Cut:
+    """The edge scan's choice by its definition, skipping no target and
+    knowing no floor: the value from a cold record, then a fresh flow with
+    limit value + 1 from the anchor (the least vertex of minimum degree in
+    G - removed) to every other vertex, on G's edge network with removed's
+    arcs at capacity 0, keeping the cut with the smallest edge tuple among
+    those that reach exactly the value.  No target falls below it."""
+    value, _ = Connectivity(g)._edge_scan(removed)
+    net = _edge_network(g.n, g.edges(), g.multiplicity)
+    degs = dict(enumerate(g.degrees()))
+    if removed is not None:
+        for a in net.adj[removed]:
+            net.cap[a] = net.cap[a ^ 1] = 0
+        for w in g.neighbors(removed):
+            degs[w] -= g.multiplicity(removed, w)
+        del degs[removed]
+    v0 = min(degs, key=lambda v: (degs[v], v))
+    built, best = net.cap, None
+    for t in degs:
+        if t != v0:
+            net.cap = list(built)
+            reached = net.max_flow(v0, t, value + 1)
+            assert reached >= value, (t, removed)
+            if reached == value:
+                cut = _cut_from_side(g, net.residual_reachable(v0), removed)
+                if best is None or cut.edges < best.edges:
+                    best = cut
+    return best
+
+
+def connected_deletions(g) -> list[int]:
+    """The x whose G - x is connected, for G on three or more vertices."""
+    return [x for x in range(g.n if g.n >= 3 else 0)
+            if len(components_of_subset(g, set(range(g.n)) - {x})) == 1]
+
+
+def scan_answers(conn) -> list:
+    """What the scans answer about a connected G: `min_cut()` and each
+    `cut_without(x)` of a connected G - x, and for a simple G also
+    `min_separator()` and those `separator_containing(x)`, as vertices."""
+    g = conn.g
+    simple = isinstance(g, Graph)
+    answers = [conn.min_cut()] + ([conn.min_separator()] if simple else [])
+    for x in connected_deletions(g):
+        answers += [conn.cut_without(x)] + ([conn.separator_containing(x)] if simple else [])
+    return [a.vertices if isinstance(a, Separator) else a for a in answers]
+
+
+def reference_scan_answers(g) -> list:
+    """`scan_answers` by the definitions above."""
+    simple = isinstance(g, Graph)
+    answers = [reference_scan_cut(g)] + ([reference_scan_separator(g)] if simple else [])
+    for x in connected_deletions(g):
+        answers.append(reference_scan_cut(g, x))
+        if simple:
+            sub = reference_scan_separator(g, x)
+            answers.append(sub and tuple(sorted((x, *sub))))
+    return answers
+
+
+def assert_scans_match_reference(g) -> bool:
+    """The scans' answers equal the references on a cold record and on one
+    warmed by `check_class` at k = 2, 3 and 4, whose floors are then set;
+    returns whether the warm record knew kappa >= 2 or lambda >= 2."""
+    want = reference_scan_answers(g)
+    assert scan_answers(Connectivity(g)) == want, g
+    warm = Connectivity(g)
+    for cls in MinimalityClass:
+        if isinstance(g, Graph) or cls.uses_edge_connectivity:
+            for k in (2, 3, 4):
+                check_class(g, cls, k, warm)
+    assert scan_answers(warm) == want, g
+    return any(j >= 2 and sep is None for j, sep in warm._below.items()) or warm._edge_conn.get(2, False)
 
 
 class TestOracleAgreement:
@@ -431,6 +535,57 @@ class TestOnePassMatchesTwoPass:
     def test_cuts_on_multigraphs(self, g):
         if g.is_connected():
             assert min_edge_cut(g) == two_pass_cut(g)
+
+
+def scan_constructions() -> list:
+    """Seeded relabellings of small extremal constructions."""
+    graphs = ([band_graph(k, l).graph for k, l in ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3))]
+              + [cycle_clique_strong(4, l) for l in (4, 5, 6)] + [cycle_clique_strong(6, 4)]
+              + [path_square_example(l).graph for l in (10, 11, 12)])
+    multis = [multipath(k, m) for k in (2, 3) for m in (3, 4, 5)]
+    return ([relabelled(g, f"scan/{i}/{j}") for i, g in enumerate(graphs) for j in range(2)]
+            + [relabelled(mg, f"scan/m{i}/{j}") for i, mg in enumerate(multis) for j in range(2)])
+
+
+class TestScansMatchReference:
+    """The scans skip the pairs a found side decides and the floors that
+    warm records hold; their answers equal the definitions, which skip
+    nothing and know no floor."""
+
+    def test_corpus7(self, corpus7):
+        floors = [assert_scans_match_reference(g) for g in corpus7 if g.is_connected()]
+        assert sum(floors) > 100
+
+    def test_random_corpus(self, random_corpus):
+        for g in random_corpus:
+            if g.is_connected():
+                assert_scans_match_reference(g)
+
+    def test_constructions(self):
+        assert all([assert_scans_match_reference(g) for g in scan_constructions()])
+
+    @given(connected_graphs(multi=True))
+    @settings(max_examples=150, deadline=None)
+    def test_multigraph_cuts(self, g):
+        assert_scans_match_reference(g)
+
+    def test_sides_found_at_a_higher_value_decide_nothing(self):
+        # Three cliques in a chain, the anchor 0 in the middle one.  The
+        # first flow from 0 reaches 3, a later one 2 into one end clique;
+        # the other end clique lies outside the value-3 side but inside the
+        # value-2 side, so its own flow runs and finds the least minimum
+        # separator (or cut), on both sides of that end clique's join.
+        def clique(*vs):
+            return list(combinations(vs, 2))
+
+        g = Graph(14, [(0, 3), (0, 4), (0, 5), (5, 6), (1, 7), (1, 10), (2, 11)]
+                  + clique(1, 2, 3, 4, 5) + clique(6, 7, 8, 9) + clique(10, 11, 12, 13))
+        h = Graph(12, [(2, 4), (3, 5), (1, 8), (2, 9)]
+                  + clique(0, 1, 2, 3) + clique(4, 5, 6, 7) + clique(8, 9, 10, 11))
+        assert min_vertex_separator(g).vertices == (1, 2)
+        assert min_edge_cut(h).edges == ((1, 8), (2, 9))
+        for f in (g, h):
+            assert_scans_match_reference(f)
 
 
 class TestMultiGraphConnected:

@@ -4,6 +4,7 @@ from minconn import witnesses
 from minconn.connectivity import Connectivity
 from minconn.constructions import band_graph, cycle_clique_strong, multipath, path_square_example
 from minconn.errors import ClassMismatch, InvalidParams, NoSuchEdge, PreconditionViolated
+from minconn.flow import FlowNetwork
 from minconn.graphs import (
     Graph,
     MixedSet,
@@ -490,6 +491,72 @@ class TestClassDStart:
                 assert start_scans <= floored, (g.edges(), k)
             else:
                 assert start_scans == g.n, (g.edges(), k)
+
+
+@pytest.fixture
+def flow_counts(monkeypatch):
+    """Runs a procedure on a record of g after that record's membership
+    check, as `witness --explain` does, and returns the pair flows
+    (`FlowNetwork.flow` calls) and searches (`FlowNetwork._bfs` calls) the
+    procedure made."""
+    counts = [0, 0]
+    flow, bfs = FlowNetwork.flow, FlowNetwork._bfs
+
+    def counting_flow(self, *args):
+        counts[0] += 1
+        return flow(self, *args)
+
+    def counting_bfs(self, s, t):
+        counts[1] += 1
+        return bfs(self, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "flow", counting_flow)
+    monkeypatch.setattr(FlowNetwork, "_bfs", counting_bfs)
+
+    def run(g, cls, k, procedure):
+        conn = Connectivity(g)
+        check_class(g, cls, k, conn)
+        counts[:] = 0, 0
+        procedure(g, k, conn)
+        return tuple(counts)
+
+    return run
+
+
+def crossing_from_default_region(g, k, conn):
+    return crossing_separators_witness(g, default_profound_region(g, k, conn), k, conn=conn)
+
+
+def edge_min_pair(g, k, conn):
+    return edge_min_witness_pair(g, k, conn=conn)
+
+
+def vertex_min_edge_pair(g, k, conn):
+    return vertex_min_edge_witness_pair(g, k, conn=conn)
+
+
+class TestScanCounts:
+    """The scans skip the pairs that a side found at the best value decides,
+    with no flow where the value is the record's floor (see the
+    connectivity module).  Pinned: the (flows, searches) of each procedure
+    on a record its membership check has warmed.  Scanning every pair with
+    limit best + 1 made, in order: (153, 331), (1411, 2380), (57, 52),
+    (19, 22), (7, 7), (128, 309) and (768, 1137)."""
+
+    CASES = [
+        (B, "band(3, 4)", band_graph(3, 4).graph, 3, crossing_from_default_region, (61, 59)),
+        (B, "band(4, 8)", band_graph(4, 8).graph, 4, crossing_from_default_region, (700, 525)),
+        (B, "cycle-clique(6, 10)", cycle_clique_strong(6, 10), 6, crossing_from_default_region, (11, 6)),
+        (C, "path-square(20)", path_square_example(20).graph, 3, edge_min_pair, (1, 4)),
+        (C, "multipath(3, 8)", multipath(3, 8), 3, edge_min_pair, (1, 1)),
+        (D, "band(3, 4)", band_graph(3, 4).graph, 3, vertex_min_edge_pair, (120, 177)),
+        (D, "band(4, 8)", band_graph(4, 8).graph, 4, vertex_min_edge_pair, (768, 399)),
+    ]
+
+    @pytest.mark.parametrize("cls, name, g, k, procedure, pinned", CASES, ids=[
+        f"{c.value}-{name}" for c, name, *_ in CASES])
+    def test_counts_pinned(self, flow_counts, cls, name, g, k, procedure, pinned):
+        assert flow_counts(g, cls, k, procedure) == pinned
 
 
 class TestReports:
