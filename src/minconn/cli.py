@@ -353,8 +353,9 @@ def cmd_construct(args) -> int:
             out.write(b"\n")
     elif fmt == "edge-list":
         sys.stdout.write(to_edge_list(g))
-    else:
-        _print_json(to_json_obj(g, labels=labels or None))
+    else:  # streamed: a ball's document is never held as one string
+        json.dump(to_json_obj(g, labels=labels or None), sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ has checked already and passes its record gets the kept verdict.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
@@ -339,7 +340,7 @@ def minimal_region_small_edge_boundary(g: Graph | MultiGraph, region: Region,
 
     H = D
     while True:
-        best = _least_sub_region(g, H, ((v,) for v in sorted(H)), m)
+        best = _least_vertex_drop(g, H, m)
         if best is None:
             # Local pair check: single deletions are exhausted, so only
             # pairs of boundary vertices can still reveal a smaller region.
@@ -356,6 +357,69 @@ def _least_sub_region(g, H: set[int], drops, m: int):
     return min(((b, len(comp), tuple(sorted(comp)))
                 for drop in drops for comp in components_of_subset(g, H - set(drop))
                 if (b := boundary_edge_count(g, comp)) < m), default=None)
+
+
+def _least_vertex_drop(g, H: set[int], m: int):
+    """`_least_sub_region` over the single drops (v,) for every v in H,
+    from one depth-first search of G[H], which is connected.
+
+    By Tarjan's lowpoints, the components of H - v are the subtrees of v's
+    children c with low(c) >= disc(v) (every child of the root), and the
+    rest of H - v if not empty.  Edge boundaries d count multiplicity;
+    with out(u) u's edges leaving H, d(H - v) = d(H) + deg(v) - 2 out(v).
+    Such a subtree's d is its sum of out plus its edges to v, and the
+    rest has what is left of d(H - v): the components share no edge.
+    """
+    mult, order, disc, path = g.multiplicity, [], {}, []
+    low, size, out, osum, up = ([0] * len(H) for _ in range(5))
+    cuts = [[] for _ in H]  # cuts[p]: the children whose subtrees are components of H - order[p]
+
+    def visit(u):
+        i = disc[u] = len(order)
+        order.append(u)
+        path.append(i)
+        size[i], low[i] = 1, i
+        for a in g.neighbors(u):
+            if a not in H:
+                out[i] += mult(u, a)
+            elif a in disc:  # found before u, so an ancestor: charge its child on the path
+                low[i] = min(low[i], disc[a])
+                up[path[bisect_right(path, disc[a])]] += mult(u, a)
+        osum[i] = out[i]
+        return iter(g.neighbors(u))
+
+    stack = [visit(min(H))]
+    while stack:
+        w = next((w for w in stack[-1] if w in H and w not in disc), None)
+        if w is not None:
+            stack.append(visit(w))
+            continue
+        stack.pop()
+        i = path.pop()
+        if path:
+            p = path[-1]
+            low[p], size[p], osum[p] = min(low[p], low[i]), size[p] + size[i], osum[p] + osum[i]
+            if low[i] >= p:
+                cuts[p].append(i)
+    assert len(order) == len(H), "G[H] is connected"
+
+    found = []
+    for v, cs in enumerate(cuts):
+        ds = [osum[c] + up[c] for c in cs]  # each cut-off subtree's edges out of H and to v
+        found += [(b, size[c], c) for b, c in zip(ds, cs)]
+        found.append((osum[0] + g.degree(order[v]) - 2 * out[v] - sum(ds),
+                      len(H) - 1 - sum(size[c] for c in cs), -1 - v))  # the rest of H - v
+    found = [f for f in found if f[1] and f[0] < m]
+    if not found:
+        return None
+
+    def members(c):  # a subtree's preorder slice, or for -1 - v the rest of H - v
+        if c >= 0:
+            return order[c:c + size[c]]
+        return H - {order[-1 - c]}.union(*map(members, cuts[-1 - c]))
+
+    b, s, _ = min(found)
+    return b, s, min(tuple(sorted(members(c))) for b2, s2, c in found if (b2, s2) == (b, s))
 
 
 # ---------------------------------------------------------------------------

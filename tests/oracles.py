@@ -190,6 +190,20 @@ def class_d_rings() -> list[tuple[int, Graph]]:
             for h in (g, relabelled(g, f"ring/{i}/0"), relabelled(g, f"ring/{i}/1"))]
 
 
+def reference_least_vertex_drop(g, H, m: int):
+    """The least (edge boundary, size, sorted vertices) over the components
+    of H - v, for every v in H, whose edge boundary counted with
+    multiplicity is below m; None when there is none.  One component
+    search and one boundary count per v: the reference for the region
+    descent's one-search step `witnesses._least_vertex_drop`."""
+    def boundary(comp):
+        return sum(g.multiplicity(u, w) for u in comp for w in g.neighbors(u) if w not in comp)
+
+    return min(((b, len(comp), tuple(sorted(comp)))
+                for v in sorted(H) for comp in components_of_subset(g, set(H) - {v})
+                if (b := boundary(comp)) < m), default=None)
+
+
 def reference_class_d_start(g: Graph, k: int) -> tuple[tuple[int, ...], int]:
     """Class d's start region and vertex by scanning every x: the least
     (len(side) + 1, sorted(side + x), x) over the sides of the minimum cut

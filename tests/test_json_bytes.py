@@ -1,20 +1,22 @@
 """Pinned sha256 digests of the CLI's JSON output.
 
 Each digest covers the stdout of its runs, in order, so it fails when any
-key, value or layout of a witness trace, a witness or check report or an
-end-degree estimate moves -- which comparing a record's JSON with itself
-cannot catch.
+key, value or layout of a witness trace, a witness or check report, an
+end-degree estimate or a constructed graph moves -- which comparing a
+record's JSON with itself cannot catch.
 """
 
 import hashlib
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 
 from minconn.cli import main
+from minconn.constructions import multipath, path_square_example
 from minconn.families import make_family
-from minconn.io import to_graph6
+from minconn.io import to_edge_list, to_graph6
 from minconn.minimality import MinimalityClass, check_class
-from oracles import FAMILY_CLAIMS, class_d_bands
+from oracles import FAMILY_CLAIMS, class_d_bands, relabelled
 
 # one family per kind of the claims table
 SPECS = [
@@ -43,6 +45,14 @@ PINS = {
     "band witness d k=3": "7ad3838e9d81bebf16092ecadd0736e68fbcef7f134d2b94bd3764b6226e53cf",
     "band witness d k=4": "fd7a57b08603a89ab9997f27e52339e1378ef1f862c15cb73ce135a1b6daf41a",
     "band witness d k=5": "54925644f786b21b4063e8fc03ae06952a749b28bef2270227a2c4e83eeac6dd",
+    # taken with one component search per vertex in each greedy region step
+    "region witness c path-square": "ee29c6613b1f65e2c66f812a5847fb6a16d96d3f8ad4c7e932d2d847f02e3a1e",
+    "region witness c multipath k=2": "4973e4a3e93dc7e55e537a65d003f57ed01d774c4964617004be7638c418acd1",
+    "region witness c multipath k=3": "aa9da58e7eb61edc5fa0ea97a4ee3f8225ae476d81e59a923a4d9d20279444f1",
+    "region witness c multipath k=4": "63f26839a6b582b7d0b11cf28f4ba3979c60ddb4007a018740741eebead34ad6",
+    # taken with the document built as one string before it was written
+    "construct json clique-tree:r=2,k=4 --radius 2": "f72abc7967b823c9e096ee94c60c409e5615c84c950196f8bd6ead8fb32e274e",
+    "construct json multipath:k=3,m=5": "5adf5657d7e72a761bf725b6c88e698916adffa992feeac93ea2d5d95ef4a294",
     "end-degree double-ray vertex": "f1519fbf2e882742daa686904a5d9f9f986b85ed71aac68bdf75b95bd32ee466",
     "end-degree double-ray edge": "40a0d0f75848000c6771fe8aff44151fb7d9c3df29d67996cf03592058040834",
     "end-degree dr-square vertex": "ef1f0a8f6f834378f67495038578ed1a6724f7a4c6c431f5d0072856f6c523fa",
@@ -101,6 +111,26 @@ def band_digests() -> dict[str, str]:
         for k in (3, 4, 5)}
 
 
+def region_cases():
+    """(key, argv) of `witness --class c --explain` on members whose
+    minimum-cut sides exceed `EXACT_REGION_LIMIT` vertices, so the region
+    search descends greedily: path-square(l) at k = 3 for even l = 14..40,
+    and multipath(K, m) at k = K for K = 2..4 and m = 14..24, each as built
+    and under two seeded relabellings."""
+    for l in range(14, 41, 2):
+        g = path_square_example(l).graph
+        for h in (g, relabelled(g, f"path-square/{l}/0"), relabelled(g, f"path-square/{l}/1")):
+            yield "region witness c path-square", ["witness", "--k", "3", "--class", "c", "--explain",
+                                                   to_graph6(h)]
+    for k in (2, 3, 4):
+        for m in range(14, 25):
+            g = multipath(k, m)
+            for h in (g, relabelled(g, f"multipath/{k}/{m}/0"), relabelled(g, f"multipath/{k}/{m}/1")):
+                yield f"region witness c multipath k={k}", [
+                    "witness", "--k", str(k), "--class", "c", "--explain",
+                    "--input", "edge-list", "--multi", to_edge_list(h)]
+
+
 def end_degree_digests() -> dict[str, str]:
     """`end-degree --format json` at each family's first end, in both modes."""
     return {f"end-degree {spec} {mode}": _digest(
@@ -129,6 +159,24 @@ def test_witness_explain_bytes(corpus7):
 
 def test_band_witness_explain_bytes():
     assert band_digests() == _pinned("band witness ")
+
+
+def test_region_witness_explain_bytes():
+    hashes = {}
+    for key, argv in region_cases():
+        out = _stdout(argv)
+        trace = json.loads(out)["trace"]
+        assert "local" in (trace["first"]["search"], trace["second"]["search"]), argv
+        hashes.setdefault(key, hashlib.sha256()).update(out.encode())
+    assert {key: h.hexdigest() for key, h in hashes.items()} == _pinned("region witness ")
+
+
+def test_construct_json_bytes():
+    """`construct --format json` of a ball and of a multigraph, written
+    to stdout as the encoder yields it."""
+    argvs = [["clique-tree:r=2,k=4", "--radius", "2"], ["multipath:k=3,m=5"]]
+    assert {f"construct json {' '.join(argv)}": _digest([["construct", *argv, "--format", "json"]])
+            for argv in argvs} == _pinned("construct json ")
 
 
 def test_end_degree_bytes():

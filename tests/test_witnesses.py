@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from minconn import witnesses
 from minconn.connectivity import Connectivity
@@ -10,6 +11,7 @@ from minconn.graphs import (
     MixedSet,
     MultiGraph,
     complete_graph,
+    components_of_subset,
     cycle_graph,
     external_neighborhood,
     path_graph,
@@ -34,6 +36,7 @@ from oracles import (
     class_d_rings,
     ladder_graph,
     reference_class_d_start,
+    reference_least_vertex_drop,
     relabelled,
     small_multigraphs,
 )
@@ -242,6 +245,69 @@ class TestMinimalRegion:
                         assert boundary_edge_count(g, sub) >= m
             seen += 1
         assert seen == 11  # every 5-vertex connected host with min degree >= 2
+
+
+@st.composite
+def region_hosts(draw):
+    """(g, H): a graph or multigraph on 1-10 vertices and a connected H, a
+    component of a drawn vertex set.  A drawn tree makes every inner vertex
+    of H a cut vertex, the search's root min(H) among them; multiplicities
+    1-3 put parallel edges inside H and across its boundary."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = {p for p, b in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                           max_size=len(pairs)))) if b}
+    edges = sorted(edges)
+    if draw(st.booleans()):
+        g = MultiGraph(n, [(u, v, draw(st.integers(1, 3))) for u, v in edges])
+    else:
+        g = Graph(n, edges)
+    start = draw(st.integers(0, n - 1))
+    keep = draw(st.sets(st.integers(0, n - 1))) | {start}
+    return g, set(next(c for c in components_of_subset(g, keep) if start in c))
+
+
+class TestRegionStep:
+    """The greedy descent's step: one depth-first search of G[H] gives
+    every component of every H - v and its boundary."""
+
+    @given(region_hosts())
+    @settings(max_examples=300, deadline=None)
+    @example((Graph(1, []), {0}))
+    @example((Graph(3, [(0, 1), (1, 2)]), {0, 1}))
+    # parallel edges inside H and across its boundary
+    @example((MultiGraph(3, [(0, 1, 2), (1, 2, 3)]), {0, 1}))
+    # a star: the root is the cut vertex
+    @example((Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)]), {0, 1, 2, 3, 4}))
+    # a bowtie: the cut vertex 2 lies below the root
+    @example((Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5)]), set(range(5))))
+    # a multipath: every inner vertex cuts, with parallel edges on the boundary
+    @example((MultiGraph(5, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 4, 2)]), {0, 1, 2, 3}))
+    def test_equals_one_search_per_vertex(self, case):
+        g, H = case
+        for m in range(sum(g.degree(v) for v in H) + 2):
+            assert witnesses._least_vertex_drop(g, H, m) == reference_least_vertex_drop(g, H, m), m
+
+    def test_asks_no_component_search(self, monkeypatch):
+        g = path_square_example(40).graph
+        H = set(range(1, 40))
+        expected = [reference_least_vertex_drop(g, H, m) for m in range(12)]
+        monkeypatch.setattr(witnesses, "components_of_subset",
+                            lambda *a: pytest.fail("searched the components of one H - v"))
+        assert [witnesses._least_vertex_drop(g, H, m) for m in range(12)] == expected
+
+    def test_path_square_component_searches(self, monkeypatch):
+        # the 39-vertex side of path-square(40) takes the greedy branch:
+        # only its pair check searches components, 3 times, where a
+        # search per vertex per step made 43
+        calls, search = [], witnesses.components_of_subset
+        monkeypatch.setattr(witnesses, "components_of_subset",
+                            lambda g, vs: calls.append(len(vs)) or search(g, vs))
+        t = edge_min_witness_pair(path_square_example(40).graph, 3)
+        assert (t.first.search, t.second.search, len(calls)) == ("exact", "local", 3)
 
 
 class TestCutSplitting:
