@@ -9,8 +9,8 @@ a brute-force oracle that re-derives both numbers by subset enumeration
 
 Every question is asked of one `Connectivity` record per graph, shared
 by the minimality predicates and the witness procedures.  It builds at
-most one split network and one edge network, and each cut kind has one
-pair loop after Even and Tarjan's fixed-source pair list (SIAM J.
+most one split network and one edge network, and one pair loop serves
+both cut kinds, after Even and Tarjan's fixed-source pair lists (SIAM J.
 Comput. 1975).  Its every flow is `FlowNetwork.flow`, which resumes each
 pair's last flow on the network with the units on the cut arcs
 cancelled.  The scans keep the minimum and, among its ties, the
@@ -38,19 +38,21 @@ t's flow could only repeat a tie already yielded.  So such a t
   separators (less one for G - x, since x and a separator of G - x
   separate G), the largest j with lambda >= j known for cuts of G, and
   none for cuts of G - x.
-The sides are kept per source and for the current b only, so every tie
-the loop does yield has a side of its own.  kappa >= j and lambda >= j
-stop at the first yield, before any side is kept.
+Each source keeps the nodes common to the sides it left at the current b
+only (t is outside one of them just when it is outside their
+intersection), so every tie the loop does yield has a side of its own.
+kappa >= j and lambda >= j stop at the first yield, before any side is
+kept.
 
 Local facts answer before any flow.  kappa <= delta: `separator_below`
 returns N(v0) when the anchor v0 has degree below j.  And the easy side
 of Menger: the paths s-w-t through common neighbours w are disjoint, so
-|N(s) & N(t)| is a floor on both local connectivities, one more in edge
-mode when st is an edge (neighbour sets, so also on multigraphs).  A
-pair loop skips a pair whose floor reaches the pair's limit, and a
-per-edge question whose floor reaches its limit is answered with no
-flow.  The skipped pair's flow would have reached its limit and not
-been yielded, so no scan, tie or residual moves.
+|N(s) & N(t)| is a floor on both local connectivities, one more when st
+is an edge, which only the edge pair list holds (neighbour sets, so also
+on multigraphs).  The pair loop skips a pair whose floor reaches the
+pair's limit, and a per-edge question whose floor reaches its limit is
+answered with no flow.  The skipped pair's flow would have reached its
+limit and not been yielded, so no scan, tie or residual moves.
 
 Conventions: disconnected graphs have connectivity 0, complete graphs have
 vertex connectivity n-1, and single-vertex graphs are rejected.
@@ -122,6 +124,12 @@ def _split_network(n: int, edges) -> FlowNetwork:
     return net
 
 
+def _split_separator(n: int, side, removed: int | None = None) -> tuple[int, ...]:
+    # the vertices v, but `removed`, whose arc v_in->v_out leaves a split
+    # network's residual side: the source-minimal separator
+    return tuple(v for v in range(n) if 2 * v in side and 2 * v + 1 not in side and v != removed)
+
+
 def _separator(g: Graph, vertices: tuple[int, ...]) -> Separator:
     return Separator(vertices, tuple(components_of_subset(g, set(range(g.n)) - set(vertices))))
 
@@ -141,6 +149,17 @@ def _cut_from_side(g, side, removed: int | None = None) -> Cut:
     b = frozenset(range(g.n)) - a - {removed}
     edges = tuple(sorted(e for e in edge_boundary(g, a) if removed not in e))
     return Cut(edges, (a, b), sum(g.multiplicity(u, v) for u, v in edges))
+
+
+def _split_minus(conn: Connectivity, x: int | None):
+    # G's split network and the arcs it cuts for G - x: x_in->x_out, so the
+    # residual may reach x_in (`_split_separator` drops x)
+    return conn.split, () if x is None else (2 * x,)
+
+
+def _edge_minus(conn: Connectivity, x: int | None):
+    # G's edge network and the arcs it cuts for G - x: every arc pair at x
+    return conn.edge, () if x is None else conn.edge.pairs_at(x)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +186,10 @@ class Connectivity:
 
     Inside, `split` and `edge` are G's two networks, each built at its
     first flow and asked through `FlowNetwork.flow`; G - x is asked with
-    x's arcs cut.  Each deletion's degrees and anchor (`_deletion`), each
-    scan and kappa >= j and lambda >= j about G are worked out once.
+    x's arcs cut.  One pair loop, `_pair_flows`, runs the flows of both
+    scans and of both thresholds, kappa >= j and lambda >= j, on either
+    network.  Each deletion's degrees and anchor (`_deletion`), each scan
+    and kappa >= j and lambda >= j about G are worked out once.
     """
 
     def __init__(self, g):
@@ -233,7 +254,8 @@ class Connectivity:
             degs, v0 = self._deletion(removed)
             if degs[v0] < j:
                 return tuple(sorted(g.neighbors(v0) - {removed}))
-            return next((sep for _, sep in self._vertex_flows(j - 1, removed)), None)
+            flow = next(self._pair_flows(self._kappa_pairs(removed), 2, _split_minus, j - 1, removed), None)
+            return None if flow is None else _split_separator(g.n, flow[1], removed)
 
         if removed is None:
             if j not in self._below:
@@ -274,7 +296,8 @@ class Connectivity:
 
         def none_below():
             degs, v0 = self._deletion(removed)
-            return degs[v0] >= j and next(self._edge_flows(j - 1, removed), None) is None
+            return degs[v0] >= j and next(self._pair_flows(
+                [(v0, t) for t in degs if t != v0], 1, _edge_minus, j - 1, removed), None) is None
 
         if removed is None:
             if j not in self._edge_conn:
@@ -351,94 +374,67 @@ class Connectivity:
         key = "vertex", removed
         if key not in self._scans:
             best, best_sep = self.g.n - 1 - (removed is not None), None
-            floor = max((j for j, sep in self._below.items() if sep is None), default=0)
-            for value, sep in self._vertex_flows(best, removed, floor - (removed is not None)):
-                if value < best or best_sep is None or sep < best_sep:
-                    best, best_sep = value, sep
+            floor = max((j for j, s in self._below.items() if s is None), default=0) - (removed is not None)
+            for k, side in self._pair_flows(self._kappa_pairs(removed), 2, _split_minus, best, removed, floor):
+                sep = _split_separator(self.g.n, side, removed)
+                if k < best or best_sep is None or sep < best_sep:
+                    best, best_sep = k, sep
             self._scans[key] = best, best_sep
         return self._scans[key]
 
     def _edge_scan(self, removed: int | None = None) -> tuple[int, Cut]:
         """lambda of a connected graph (or of G - removed, connected, with at
         least two vertices) and the minimum cut with the lexicographically
-        smallest `Cut.edges` among those `_edge_flows` realises."""
+        smallest `Cut.edges` among those the flows from the anchor v0 to
+        every other vertex realise (a minimum cut separates v0 from one)."""
         key = "edge", removed
         if key not in self._scans:
             best, best_cut = INF, None
-            floor = 0 if removed is not None else max(
-                (j for j, ok in self._edge_conn.items() if ok), default=0)
-            for value, side in self._edge_flows(best, removed, floor):
+            floor = 0 if removed is not None else max((j for j, ok in self._edge_conn.items() if ok), default=0)
+            degs, v0 = self._deletion(removed)
+            pairs = [(v0, t) for t in degs if t != v0]
+            for k, side in self._pair_flows(pairs, 1, _edge_minus, best, removed, floor):
                 cut = _cut_from_side(self.g, side, removed)
-                if value < best or cut.edges < best_cut.edges:
-                    best, best_cut = value, cut
+                if k < best or cut.edges < best_cut.edges:
+                    best, best_cut = k, cut
             self._scans[key] = best, best_cut
         return self._scans[key]
 
-    def _vertex_flows(self, best: int, removed: int | None = None, floor: int = 0):
-        """(value, separator) over `_kappa_pairs(removed)`, but for the
-        pairs a side found at best decides: the module docstring's rule,
-        with `floor` the scan's floor.
+    def _pair_flows(self, pairs, c: int, network, best: int, removed: int | None, floor: int = 0):
+        """(value, residual side) of the flows over the vertex pairs (s, t)
+        of `pairs`, but for the pairs a side found at best decides: the
+        module docstring's rule, with `floor` the scan's floor.
 
-        For G - v the arc v_in->v_out is cut, and v, whose v_in the
-        residual may reach, is dropped from the separator.  A pair with
-        as many common neighbours in G - removed as its limit has that
-        many disjoint paths s-w-t, so its flow would reach the limit: it
-        is skipped without one.  The network is built at the first flow,
-        so a complete graph builds none.
+        `network(self, removed)` gives the network and the arcs it cuts for
+        G - removed (`_split_minus` or `_edge_minus`), asked at the first
+        flow, so a graph whose pairs the floors settle builds none.  Node
+        c*s + c - 1 is s's source and c*t is t's sink: s_out and t_in of the
+        split network with c = 2, s and t of the edge network with c = 1.
+        A pair with as many disjoint paths s-t and s-w-t through common
+        neighbours w in G - removed as its limit is skipped, since its flow
+        would reach the limit (no `_kappa_pairs` pair is an edge).
         """
-        n, nb = self.g.n, self.g.neighbors
-        cut = () if removed is None else (2 * removed,)
-        sides: dict[int, list[set[int]]] = {}  # source -> the residual sides at best
-        for s, t in self._kappa_pairs(removed):
-            decided = s in sides and any(2 * t not in side for side in sides[s])
+        nb = self.g.neighbors
+        net = None
+        sides: dict[int, set[int]] = {}  # source -> the nodes in each residual side it left at best
+        for s, t in pairs:
+            decided = s in sides and c * t not in sides[s]
             if decided and best == floor:
                 continue
             limit = best + (not decided)
-            common = nb(s) & nb(t)
-            if len(common) - (removed in common) >= limit:
+            row = nb(s)
+            common = row & nb(t)
+            if len(common) - (removed in common) + (t in row) >= limit:
                 continue
-            value = self.split.flow(2 * s + 1, 2 * t, limit, cut)
+            if net is None:
+                net, cut = network(self, removed)
+            a = c * s + c - 1
+            value = net.flow(a, c * t, limit, cut)
             if value < limit:
-                reach = self.split.residual_reachable(2 * s + 1)
+                side = net.residual_reachable(a)
                 if value < best:
                     sides = {}
-                sides.setdefault(s, []).append(reach)
-                yield value, tuple(v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach and v != removed)
-                best = value
-
-    def _edge_flows(self, best: int, removed: int | None = None, floor: int = 0):
-        """(value, residual side) of the flows from the anchor v0 of
-        G - removed to every other vertex, but for the targets a side
-        found at best decides: the module docstring's rule.
-
-        For G - v every arc pair at v is cut, so no side holds v.
-        As in `_vertex_flows`, a pair whose edge and paths v0-w-t through
-        common neighbours in G - removed reach its limit is skipped, and
-        the network is built at the first flow.
-        """
-        degs, v0 = self._deletion(removed)
-        nb, nb0 = self.g.neighbors, self.g.neighbors(v0)
-        cut = None
-        sides: list[set[int]] = []  # the residual sides at best
-        for t in degs:
-            if t == v0:
-                continue
-            decided = bool(sides) and any(t not in side for side in sides)
-            if decided and best == floor:
-                continue
-            limit = best + (not decided)
-            common = nb0 & nb(t)
-            if len(common) - (removed in common) + (t in nb0) >= limit:
-                continue
-            if cut is None:
-                net = self.edge
-                cut = () if removed is None else net.pairs_at(removed)
-            value = net.flow(v0, t, limit, cut)
-            if value < limit:
-                side = net.residual_reachable(v0)
-                if value < best:
-                    sides = []
-                sides.append(side)
+                sides[s] = sides[s] & side if s in sides else side
                 yield value, side
                 best = value
 

@@ -933,11 +933,9 @@ class EdgeCutCertificate:
     cut: tuple | None
 
     def to_json_obj(self):
-        return {
-            "edge": [repr(t) for t in self.edge],
-            "status": self.status,
-            "cut": None if self.cut is None else [[repr(a), repr(b)] for a, b in self.cut],
-        }
+        cut = self.cut
+        return {**vars(self), "edge": [repr(t) for t in self.edge],
+                "cut": None if cut is None else [[repr(a), repr(b)] for a, b in cut]}
 
 
 @dataclass
@@ -955,16 +953,7 @@ class CertifyReport:
         return self.certified / self.total if self.total else 1.0
 
     def to_json_obj(self):
-        return {
-            "family": self.family,
-            "radius": self.radius,
-            "pad": self.pad,
-            "k": self.k,
-            "total": self.total,
-            "certified": self.certified,
-            "ratio": self.ratio,
-            "entries": [e.to_json_obj() for e in self.entries],
-        }
+        return {**vars(self), "ratio": self.ratio, "entries": [e.to_json_obj() for e in self.entries]}
 
 
 def certify_essential_edges(f: Family, radius: int, pad: int, k: int) -> CertifyReport:

@@ -372,6 +372,32 @@ class TestLocalFloors:
                 assert conn.edge_connected(j, removed) == (lam >= j), (removed, j, g.edges())
 
 
+class TestLazyBuilds:
+    """A network is built at its pair loop's first flow, so questions that
+    degrees and common neighbours settle build none."""
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_complete_graph_builds_no_split_network(self, n, network_sizes):
+        # every separator question has no pair to flow; min_cut builds the
+        # edge network, and only it
+        conn = Connectivity(complete_graph(n))
+        assert conn.min_separator() is None
+        for x in range(n):
+            assert conn.separator_containing(x) is None
+        for j in range(1, n + 1):
+            conn.separator_below(j)
+            for x in range(n):
+                conn.separator_below(j, x)
+        assert conn.min_cut().size == n - 1
+        assert network_sizes == [n]
+
+    def test_common_neighbours_settle_every_pair(self, network_sizes):
+        # K5 - 01: the one pair (0, 1) has three common neighbours
+        g = complete_graph(5).delete_edge(0, 1)
+        assert Connectivity(g).separator_below(3) is None
+        assert network_sizes == []
+
+
 def record_questions(g):
     """Every question a record answers about g and its one-vertex
     deletions, and every class verdict it keeps, as functions of the

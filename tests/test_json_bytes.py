@@ -3,7 +3,8 @@
 Each digest covers the stdout of its runs, in order, so it fails when any
 key, value or layout of a witness trace, a witness or check report, an
 end-degree estimate or a constructed graph moves -- which comparing a
-record's JSON with itself cannot catch.
+record's JSON with itself cannot catch.  Certify reports, which no
+subcommand prints, are pinned as their `to_json_obj` serializes.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from minconn.cli import main
 from minconn.constructions import multipath, path_square_example
-from minconn.families import make_family
+from minconn.families import certify_essential_edges, make_family
 from minconn.io import to_edge_list, to_graph6
 from minconn.minimality import MinimalityClass, check_class
 from oracles import FAMILY_CLAIMS, class_d_bands, relabelled
@@ -74,6 +75,9 @@ PINS = {
     "check k=2": "f078d9e2d2a5866bc433c221ddf01491651b8856abb3a833205ee1c9cfa38ced",
     "check k=3": "6a139f8a442c5e4b5914c062f52f452d5c92f0a87f4f8c762092a92133e483e3",
     "check k=4": "297640c6ddacbb357e0292f20a368255ed49db634ec17f964f8a986e72c5ccd8",
+    # taken with the reports' hand-written field lists
+    "certify dr-square 4 2 3": "1b869fc91d02084e596988c4eb10bf5bd5cf489db219ec00dfefc3dbb29b8b9b",
+    "certify clique-tree:r=2,k=4 2 2 4": "721d36773952a8c360d40d37c680cbe35f4cc5d4b9042cad83696d98b698ae56",
 }
 
 
@@ -185,3 +189,12 @@ def test_end_degree_bytes():
 
 def test_check_bytes(small_corpus):
     assert check_digests(small_corpus) == _pinned("check ")
+
+
+def test_certify_bytes():
+    """`certify_essential_edges` reports, serialized as the benchmark
+    does: `json.dumps(report.to_json_obj(), sort_keys=True)`."""
+    cases = [("dr-square", 4, 2, 3), ("clique-tree:r=2,k=4", 2, 2, 4)]
+    assert {f"certify {spec} {r} {p} {k}": hashlib.sha256(json.dumps(
+        certify_essential_edges(make_family(spec), r, p, k).to_json_obj(), sort_keys=True).encode()).hexdigest()
+        for spec, r, p, k in cases} == _pinned("certify ")

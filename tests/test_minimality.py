@@ -10,6 +10,7 @@ from minconn.connectivity import (
     is_k_edge_connected,
     vertex_connectivity,
 )
+from minconn.enumeration import enumerate_all
 from minconn.errors import InvalidParams, TooSmall
 from minconn.flow import FlowNetwork
 from minconn.graphs import (
@@ -221,6 +222,31 @@ class TestLocalFacts:
             for g in corpus7:
                 classify(g, k)
             assert counts == want[k], k
+
+    def test_flows_pinned(self, monkeypatch):
+        # (pair flows, searches) of classify over the graphs up to 7
+        # vertices of minimum degree k: every flow the predicates run
+        counts = [0, 0]
+        flow, bfs = FlowNetwork.flow, FlowNetwork._bfs
+
+        def counting_flow(self, *args):
+            counts[0] += 1
+            return flow(self, *args)
+
+        def counting_bfs(self, s, t):
+            counts[1] += 1
+            return bfs(self, s, t)
+
+        monkeypatch.setattr(FlowNetwork, "flow", counting_flow)
+        monkeypatch.setattr(FlowNetwork, "_bfs", counting_bfs)
+        want = {2: (3197, 6594), 3: (868, 2655), 4: (85, 349)}
+        got = {}
+        for k in want:
+            counts[:] = 0, 0
+            for g in enumerate_all(7, k):
+                classify(g, k)
+            got[k] = tuple(counts)
+        assert got == want
 
 
 class TestKnownMembers:

@@ -624,6 +624,19 @@ class TestScanCounts:
     def test_counts_pinned(self, flow_counts, cls, name, g, k, procedure, pinned):
         assert flow_counts(g, cls, k, procedure) == pinned
 
+    # The membership check's own (flows, searches), run on a fresh record
+    # as the procedure: what `check_class` costs before any procedure.
+    MEMBERSHIP = [(59, 177), (657, 526), (59, 344), (31, 106), (12, 17), (87, 230), (1078, 894)]
+
+    @pytest.mark.parametrize("cls, name, g, k, pinned", [
+        (c, name, g, k, pinned) for (c, name, g, k, *_), pinned in zip(CASES, MEMBERSHIP)], ids=[
+        f"{c.value}-{name}" for c, name, *_ in CASES])
+    def test_membership_counts_pinned(self, flow_counts, cls, name, g, k, pinned):
+        def cold_check(g, k, conn):
+            check_class(g, cls, k, Connectivity(g))
+
+        assert flow_counts(g, cls, k, cold_check) == pinned
+
 
 class TestReports:
     def test_degree_bounds(self):
